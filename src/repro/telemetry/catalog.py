@@ -168,6 +168,10 @@ CATALOG = (
                "extra restart trainings beyond each first attempt"),
     MetricSpec("nn.train_epochs", COUNTER, "nn.trainer",
                "epochs run by winning trainings"),
+    MetricSpec("nn.epochs_run", COUNTER, "nn.trainer",
+               "epochs run by every restart the restart scan reached"),
+    MetricSpec("nn.epoch_cap_hits", COUNTER, "nn.trainer",
+               "restarts that ran to the max_epochs cap"),
     MetricSpec("nn.train_error", HISTOGRAM, "nn.trainer",
                "final training error per trained network"),
     MetricSpec("nn.epoch_loss", HISTOGRAM, "nn.trainer",
