@@ -89,7 +89,8 @@ def load_history(path):
 
 
 def make_entry(payload, timestamp=None, source=None):
-    """One history entry: flat metrics plus provenance."""
+    """One history entry: flat metrics plus provenance (preset, the
+    host's CPU count when the payload records it, source)."""
     metrics = {}
     for path in sorted(set(GATED_METRICS) | set(TRACKED_METRICS)):
         value = get_metric(payload, path)
@@ -100,6 +101,8 @@ def make_entry(payload, timestamp=None, source=None):
         "preset": payload.get("preset"),
         "metrics": metrics,
     }
+    if payload.get("host_cpus") is not None:
+        entry["host_cpus"] = payload["host_cpus"]
     if source:
         entry["source"] = source
     return entry

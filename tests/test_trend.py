@@ -46,6 +46,11 @@ class TestMetrics:
         assert entry["metrics"]["replay.speedup"] == 3.0
         assert entry["metrics"]["parallel.speedup_warm"] == 2.0
         assert "parallel.speedup_cold" in entry["metrics"]
+        assert "host_cpus" not in entry
+
+    def test_entry_records_host_cpus(self):
+        entry = trend.make_entry(dict(_payload(), host_cpus=2))
+        assert entry["host_cpus"] == 2
 
 
 class TestHistory:
