@@ -1,13 +1,27 @@
-"""Diagnosis-accuracy harness over a generated ground-truth corpus.
+"""The corpus sweep, and the diagnosis-accuracy harness built on it.
 
 The paper's evaluation fixes 11 hand-ported bugs; this module measures
 diagnosis quality on *new* scenarios. A :class:`CorpusSpec` names a
 seeded corpus of generated programs (see
-:mod:`repro.workloads.generator`); :func:`run_corpus` runs the full
-train -> deploy -> prune -> rank pipeline over every program and
-:func:`corpus_metrics` reduces the per-program outcomes to
-precision/recall/top-k-rank tables in the style of Tables IV/V, with
-per-archetype breakdowns.
+:mod:`repro.workloads.generator`). Every corpus experiment -- ``repro
+corpus`` here, :mod:`.shootout` and :mod:`.frontier` -- is one
+:func:`sweep`:
+
+1. :func:`corpus_programs` builds the program list;
+2. one picklable item per program goes through
+   :func:`repro.parallel.run_tasks` (quarantine and checkpoint handling
+   included);
+3. each item returns one record per point of the experiment's axis
+   (the corpus has none; the shootout sweeps engines, the frontier
+   sampling rates);
+4. :func:`_group_metrics` reduces each point's records;
+5. :func:`append_trajectory` appends the experiment's entry, if it
+   keeps one, to ``BENCH_accuracy.json``.
+
+:func:`run_corpus` runs the full train -> deploy -> prune -> rank
+pipeline over every program and :func:`corpus_metrics` reduces the
+per-program outcomes to precision/recall/top-k-rank tables in the
+style of Tables IV/V, with per-archetype breakdowns.
 
 Metric definitions (documented in docs/accuracy.md):
 
@@ -21,15 +35,16 @@ Metric definitions (documented in docs/accuracy.md):
   ground-truth dependence (micro-averaged over the corpus).
 - ``mean_rank`` / ``median_rank``: over diagnosed programs only.
 
-Determinism is a hard contract: the same ``(seed, size)`` yields a
-byte-identical metrics JSON (:func:`metrics_json`) whether the corpus
-fan-out ran serial or across ``--jobs`` workers, in one process or two.
-Every random choice flows from :func:`repro.common.rng.make_rng`
-streams keyed by the spec, diagnosis itself is deterministic, and
-:mod:`repro.parallel` guarantees result-identical pool execution.
+Determinism is a hard contract: the same spec yields a byte-identical
+metrics JSON (:func:`metrics_json`) whether the fan-out ran serial or
+across ``--jobs`` workers, in one process or two. Every random choice
+flows from :func:`repro.common.rng.make_rng` streams keyed by the spec,
+diagnosis itself is deterministic, and :mod:`repro.parallel`
+guarantees result-identical pool execution.
 """
 
 import json
+import os
 import zlib
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Tuple
@@ -113,33 +128,22 @@ def corpus_programs(spec):
     return programs
 
 
-def _diagnose_item(payload):
-    """Picklable corpus work item: diagnose one generated program.
+def diagnosis_record(program_spec, report, top_k):
+    """One program's outcome as a plain-dict record.
 
-    Returns a plain-dict record (JSON-safe, so the same shape feeds the
-    metrics, the checkpoint, and the parallel result channel).
+    JSON-safe, so the same shape feeds the metrics, the checkpoint, and
+    the parallel result channel.
     """
-    program_spec, spec = payload
-    program = GeneratedProgram(program_spec)
-    report = diagnose_failure(
-        program, config=spec.config,
-        n_train_runs=spec.n_train_runs,
-        n_pruning_runs=spec.n_pruning_runs,
-        failure_seed=spec.failure_seed,
-        engine=spec.engine if spec.engine != "nn" else None,
-        policy=spec.policy)
     root = report.root_cause or set()
     if report.candidates:
         # Engine-native reports rank candidates, not NN findings.
-        hits = [1 if c["hit"] else 0
-                for c in report.candidates[:spec.top_k]]
+        hits = [1 if c["hit"] else 0 for c in report.candidates[:top_k]]
         n_findings = len(report.candidates)
     else:
-        considered = report.findings[:spec.top_k]
         hits = [
             1 if any((d.store_pc, d.load_pc) in root
                      for d in f.seq[f.matched:]) else 0
-            for f in considered]
+            for f in report.findings[:top_k]]
         n_findings = len(report.findings)
     return {
         "program": program_spec.name,
@@ -159,6 +163,23 @@ def _diagnose_item(payload):
         "n_deps": report.n_deps,
         "n_invalid": report.n_invalid,
     }
+
+
+def diagnose_program(program_spec, spec):
+    """Diagnose one generated program under a :class:`CorpusSpec`."""
+    report = diagnose_failure(
+        GeneratedProgram(program_spec), config=spec.config,
+        n_train_runs=spec.n_train_runs,
+        n_pruning_runs=spec.n_pruning_runs,
+        failure_seed=spec.failure_seed,
+        engine=spec.engine if spec.engine != "nn" else None,
+        policy=spec.policy)
+    return diagnosis_record(program_spec, report, spec.top_k)
+
+
+def _corpus_item(payload):
+    """Picklable corpus work item: the one record of an axis-free sweep."""
+    return [diagnose_program(*payload)]
 
 
 def _quarantined_record(program_spec):
@@ -182,14 +203,65 @@ def _quarantined_record(program_spec):
     }
 
 
-@dataclass
-class CorpusResult:
-    """Per-program records plus the reduced metrics for one corpus."""
+def sweep(name, spec, item, points=(None,), jobs=None, quarantine=None,
+          checkpoint=None, **attrs):
+    """Steps 1-3 of every corpus experiment (see the module docstring).
 
-    spec: CorpusSpec
-    records: list
+    ``item((program_spec, spec))`` must be picklable and return one
+    record per axis point, in ``points`` order. A program lost to the
+    quarantine scores a placeholder miss at every point. Records found
+    in ``checkpoint`` are reused; fresh ones are stored there.
+
+    Returns ``{point: [record per program, corpus order]}``.
+    """
+    def key(ps, point):
+        return f"record:{ps.name}" + ("" if point is None else f":{point}")
+
+    program_specs = corpus_programs(spec)
+    tele = telemetry.get_registry()
+    done = {}
+    pending = []
+    with tele.span(name, seed=spec.seed, size=spec.size, **attrs):
+        for ps in program_specs:
+            cached = ([checkpoint.get(key(ps, p)) for p in points]
+                      if checkpoint is not None else [None])
+            if None in cached:
+                pending.append(ps)
+            else:
+                done[ps.name] = cached
+        if pending:
+            with tele.span(f"{name}.diagnose", n_programs=len(pending)):
+                results = run_tasks(
+                    item, [(ps, spec) for ps in pending], jobs=jobs,
+                    quarantine=quarantine, phase=f"{name}.diagnose",
+                    keys=[ps.name for ps in pending])
+            for ps, records in zip(pending, results):
+                if records is None:
+                    records = [_quarantined_record(ps) for _ in points]
+                done[ps.name] = records
+                if checkpoint is not None:
+                    for point, record in zip(points, records):
+                        checkpoint.put(key(ps, point), record, save=False)
+            if checkpoint is not None:
+                checkpoint.save()
+    return {point: [done[ps.name][i] for ps in program_specs]
+            for i, point in enumerate(points)}
+
+
+@dataclass
+class SweepResult:
+    """One experiment's records plus its reduced metrics.
+
+    ``records`` is the corpus's record list, or ``{point: records}``
+    for an experiment with an axis. ``entry`` is the experiment's
+    trajectory entry (``None``: it keeps no trajectory).
+    """
+
+    spec: object
+    records: object
     metrics: dict
     quarantine: Optional[dict] = None
+    entry: Optional[dict] = None
 
 
 def _group_metrics(records, top_k):
@@ -223,21 +295,21 @@ def _group_metrics(records, top_k):
     }
 
 
+def group_by(records, field, top_k):
+    """``{value: metrics}`` over the records sharing each ``field``."""
+    return {
+        value: _group_metrics([r for r in records if r[field] == value],
+                              top_k)
+        for value in sorted({r[field] for r in records})}
+
+
 def corpus_metrics(spec, records):
     """Overall + per-archetype + per-motif metric tables, JSON-safe."""
-    by_archetype = {}
-    for archetype in sorted({r["archetype"] for r in records}):
-        subset = [r for r in records if r["archetype"] == archetype]
-        by_archetype[archetype] = _group_metrics(subset, spec.top_k)
-    by_motif = {}
-    for motif in sorted({r["motif"] for r in records}):
-        subset = [r for r in records if r["motif"] == motif]
-        by_motif[motif] = _group_metrics(subset, spec.top_k)
     return {
         "spec": spec.fingerprint(),
         "overall": _group_metrics(records, spec.top_k),
-        "by_archetype": by_archetype,
-        "by_motif": by_motif,
+        "by_archetype": group_by(records, "archetype", spec.top_k),
+        "by_motif": group_by(records, "motif", spec.top_k),
     }
 
 
@@ -259,57 +331,27 @@ def run_corpus(spec, jobs=None, faults=None, quarantine=None,
             resumed and reproduces the identical metrics JSON.
 
     Returns:
-        :class:`CorpusResult`.
+        :class:`SweepResult`.
     """
     plan = faults if faults is not None else _faults.get_plan()
     if checkpoint is not None and not isinstance(checkpoint, Checkpoint):
         checkpoint = Checkpoint.open(checkpoint, "corpus",
                                      spec.fingerprint())
-    program_specs = corpus_programs(spec)
-    tele = telemetry.get_registry()
     with _faults.use_plan(plan):
-        with tele.span("corpus", seed=spec.seed, size=spec.size):
-            records = _collect_records(spec, program_specs, jobs,
-                                       quarantine, checkpoint, tele)
+        (records,) = sweep("corpus", spec, _corpus_item, jobs=jobs,
+                           quarantine=quarantine,
+                           checkpoint=checkpoint).values()
     metrics = corpus_metrics(spec, records)
+    tele = telemetry.get_registry()
     if tele.enabled:
         tele.inc("corpus.programs", len(records))
         tele.inc("corpus.found", metrics["overall"]["n_found"])
         tele.inc("corpus.quarantined",
                  metrics["overall"]["n_quarantined"])
-    result = CorpusResult(spec=spec, records=records, metrics=metrics)
+    result = SweepResult(spec=spec, records=records, metrics=metrics)
     if quarantine is not None and len(quarantine):
         result.quarantine = quarantine.report_dict()
     return result
-
-
-def _collect_records(spec, program_specs, jobs, quarantine, checkpoint,
-                     tele):
-    """Diagnose every program, reusing checkpointed records."""
-    records = {}
-    pending = []
-    for ps in program_specs:
-        cached = (checkpoint.get(f"record:{ps.name}")
-                  if checkpoint is not None else None)
-        if cached is not None:
-            records[ps.name] = cached
-        else:
-            pending.append(ps)
-    if pending:
-        with tele.span("corpus.diagnose", n_programs=len(pending)):
-            results = run_tasks(
-                _diagnose_item, [(ps, spec) for ps in pending],
-                jobs=jobs, quarantine=quarantine, phase="corpus.diagnose",
-                keys=[ps.name for ps in pending])
-        for ps, record in zip(pending, results):
-            if record is None:
-                record = _quarantined_record(ps)
-            records[ps.name] = record
-            if checkpoint is not None:
-                checkpoint.put(f"record:{ps.name}", record, save=False)
-        if checkpoint is not None:
-            checkpoint.save()
-    return [records[ps.name] for ps in program_specs]
 
 
 # -- rendering ---------------------------------------------------------
@@ -381,8 +423,6 @@ def write_corpus_traces(spec, trace_dir, trace_format="columnar"):
     :func:`repro.trace.write_trace` in the requested format. Returns
     the list of paths written (corpus order).
     """
-    import os
-
     from repro.trace import write_trace
     from repro.workloads.framework import run_program
 
@@ -398,10 +438,61 @@ def write_corpus_traces(spec, trace_dir, trace_format="columnar"):
     return paths
 
 
+def preset_spec(spec_cls, preset, **fields):
+    """A corpus experiment's spec at ``preset`` scale."""
+    return spec_cls(seed=preset.corpus_seed, size=preset.corpus_size,
+                    n_train_runs=preset.corpus_train_runs,
+                    n_pruning_runs=preset.corpus_pruning_runs, **fields)
+
+
 def run_corpus_for_preset(preset):
     """Experiment-registry entry point: corpus at preset scale."""
-    spec = CorpusSpec(seed=preset.corpus_seed, size=preset.corpus_size,
-                      n_train_runs=preset.corpus_train_runs,
-                      n_pruning_runs=preset.corpus_pruning_runs,
-                      engine=preset.corpus_engine)
-    return run_corpus(spec, jobs=preset.jobs)
+    return run_corpus(preset_spec(CorpusSpec, preset,
+                                  engine=preset.corpus_engine),
+                      jobs=preset.jobs)
+
+
+# -- accuracy trajectory (BENCH_accuracy.json) -------------------------
+
+#: Default trajectory file (repo root, next to BENCH_throughput.json).
+DEFAULT_BENCH_PATH = "BENCH_accuracy.json"
+
+#: Entry fields outside its spec: the experiment name and the results.
+_NOT_SPEC = ("experiment", "engines", "frontier", "pareto")
+
+
+def trajectory_entry(spec, **fields):
+    """One deterministic trajectory entry (no timestamps: CI diffs it)."""
+    return {"seed": spec.seed, "size": spec.size,
+            "n_train_runs": spec.n_train_runs,
+            "n_pruning_runs": spec.n_pruning_runs, **fields}
+
+
+def _entry_key(entry):
+    """The (experiment, spec) dedupe key; shootout entries predate the
+    ``experiment`` field."""
+    return (entry.get("experiment", "shootout"),
+            {k: v for k, v in entry.items() if k not in _NOT_SPEC})
+
+
+def append_trajectory(entry, path=DEFAULT_BENCH_PATH):
+    """Append one experiment's entry to the accuracy trajectory.
+
+    The file is ``{"schema": 1, "entries": [...]}``. An entry equal to
+    the latest one with the same (experiment, spec) key is skipped, so
+    re-running experiments on the same tree never grows the file, in
+    whatever order they interleave. Returns the trajectory document.
+    """
+    doc = {"schema": 1, "entries": []}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    key = _entry_key(entry)
+    latest = next((e for e in reversed(doc["entries"])
+                   if _entry_key(e) == key), None)
+    if latest != entry:
+        doc["entries"].append(entry)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    return doc

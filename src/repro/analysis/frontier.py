@@ -1,12 +1,14 @@
 """Adaptive-overhead frontier: the overhead-vs-accuracy Pareto sweep.
 
-``repro frontier`` measures what the paper's Section VI argues but our
-corpus harness never showed: how much diagnosis quality survives when
-the AM does *not* trace every dependence. For each generated corpus
-program the harness trains once, replays the failure run once per
-sampling rate (an enabled :class:`~repro.core.policy.PolicySpec`
-governs the AM's admit gate), and times the replay once per
-``rate x fifo_depth`` point on the machine model
+``repro frontier`` measures what the paper's Section VI argues but a
+plain corpus run never shows: how much diagnosis quality survives when
+the AM does *not* trace every dependence. It is the corpus sweep
+(:mod:`repro.analysis.accuracy`) with a sampling-rate axis. Each
+program trains, runs its failure run and builds its Correct Set once;
+each rate then repeats the diagnosis's deploy and rank phases
+(:mod:`repro.core.diagnosis`) under its policy (an enabled
+:class:`~repro.core.policy.PolicySpec` governs the AM's admit gate),
+and times the replay once per FIFO depth on the machine model
 (:mod:`repro.sim.machine`), whose ``overhead_proxy`` --
 ``deps_offered * (1 + mean FIFO occupancy)`` -- stands in for the
 paper's tracking-overhead percentage.
@@ -27,15 +29,14 @@ the cheapest sampled point that keeps at least 90% of full-rate top-1
 (``frontier.overhead_proxy`` / ``frontier.top1`` in
 ``benchmarks/trend.py``).
 
-Determinism is the same hard contract as :mod:`.accuracy`: the same
-spec yields a byte-identical metrics JSON (:func:`frontier_json`)
-whether the per-program fan-out ran serial or across ``--jobs``
-workers. Accuracy depends on the rate only (the deploy path has no
+Determinism is the same hard contract as every corpus sweep: the same
+spec yields a byte-identical metrics JSON whether the per-program
+fan-out ran serial or across ``--jobs`` workers. The full-rate column
+*is* the diagnosis pipeline, so it equals ``repro corpus`` on the same
+corpus. Accuracy depends on the rate only (the deploy path has no
 FIFO model); overhead depends on both knobs.
 """
 
-import json
-import os
 from dataclasses import asdict, dataclass, field
 from typing import Tuple
 
@@ -44,14 +45,24 @@ from repro.common.errors import ConfigError
 from repro.common.texttable import render_table
 from repro.core import policy as _policy
 from repro.core.config import ACTConfig
-from repro.core.deploy import deploy_on_run
-from repro.core.offline import OfflineTrainer, collect_runs_for_seeds
+from repro.core.diagnosis import (
+    deploy_phase,
+    failure_report,
+    pruning_phase,
+    rank_phase,
+    train_phase,
+)
 from repro.core.policy import NULL_POLICY, PolicySpec
-from repro.core.postprocess import CorrectSet, postprocess
-from repro.parallel import run_tasks
 from repro.sim.machine import simulate_run
-from repro.analysis.accuracy import _group_metrics, corpus_programs
-from repro.analysis.shootout import DEFAULT_BENCH_PATH
+from repro.analysis.accuracy import (
+    SweepResult,
+    _fmt,
+    _group_metrics,
+    diagnosis_record,
+    preset_spec,
+    sweep,
+    trajectory_entry,
+)
 from repro.workloads.framework import run_program
 from repro.workloads.generator import ARCHETYPES, GeneratedProgram
 
@@ -128,111 +139,60 @@ class FrontierSpec:
         return doc
 
 
-@dataclass
-class FrontierResult:
-    """Per-program records plus the reduced Pareto metrics."""
-
-    spec: FrontierSpec
-    records: list
-    metrics: dict
-
-
 def _rate_key(rate):
     """Canonical JSON key for one rate (``1``, ``0.75``, ...)."""
     return f"{rate:g}"
 
 
-def _measure_item(payload):
-    """Picklable work item: one program across every sweep point.
+def _frontier_item(payload):
+    """Picklable work item: one program at every sweep point.
 
     Training, the failure run and the pruning-run Correct Set are paid
-    once; each rate replays the deployment under its policy, and each
-    ``rate x fifo`` pair replays the timing model. Returns a JSON-safe
-    record.
+    once; each rate repeats the diagnosis's deploy and rank phases
+    under its policy, then replays the timing model once per FIFO
+    depth. Returns one record per rate: the corpus record plus the
+    ``overhead`` of each FIFO depth.
     """
     program_spec, spec = payload
     program = GeneratedProgram(program_spec)
-    trained = OfflineTrainer(config=spec.config).train(
-        program, n_runs=spec.n_train_runs, seed0=0, buggy=False)
+    trained = train_phase(program, spec.config, spec.n_train_runs,
+                          buggy=False)
     failure_run = run_program(program, seed=spec.failure_seed, buggy=True)
-    truth = failure_run.meta.get("root_cause") or set()
-    correct_set = CorrectSet(spec.config.seq_len,
-                             filter_stack=spec.config.filter_stack_loads)
-    for run in collect_runs_for_seeds(
-            program, list(range(100, 100 + spec.n_pruning_runs)),
-            buggy=False):
-        if run is not None:
-            correct_set.add_run(run)
-
-    by_rate = {}
-    overhead = {}
+    correct_set = pruning_phase(
+        program, spec.config,
+        list(range(100, 100 + spec.n_pruning_runs)), buggy=False)
+    records = []
     suspicious = ()
     # rates are sorted descending with 1.0 always first: the full-rate
     # baseline runs before any sampled pass needs its suspicion set.
     for rate in spec.rates:
-        policy = spec.policy_for(rate, suspicious_pcs=suspicious)
-        with _policy.use_policy(policy):
-            deployment = deploy_on_run(trained, failure_run,
-                                       fast=not policy.enabled)
-            result = postprocess(deployment.debug_entries(), correct_set)
-            rank = result.rank_of_dep(truth) if truth else None
-            considered = result.findings[:spec.top_k]
-            hits = [
-                1 if any((d.store_pc, d.load_pc) in truth
-                         for d in f.seq[f.matched:]) else 0
-                for f in considered]
-            by_rate[_rate_key(rate)] = {
-                "failed": failure_run.failed,
-                "found": rank is not None,
-                "rank": rank,
-                "status": "diagnosed" if rank is not None else (
-                    "missed" if failure_run.failed else "no_failure"),
-                "n_findings": len(result.findings),
-                "finding_hits": hits,
-                "filter_pct": float(result.filter_pct),
-                "n_deps": deployment.n_deps,
-                "n_shed": deployment.n_shed,
-                "n_tightened": deployment.n_tightened,
-            }
+        with _policy.use_policy(spec.policy_for(rate, suspicious)):
+            report = failure_report(program, failure_run)
+            if report.failed:
+                deployment = deploy_phase(trained, failure_run, report)
+                rank_phase(deployment, correct_set, report)
             if rate >= 1.0 and spec.tighten:
-                suspicious = _suspicious_pcs(result, spec.top_k)
-            fifo_doc = {}
-            for fifo in spec.fifo_sizes:
-                sim = simulate_run(
+                suspicious = _policy.suspicious_pcs_from_report(
+                    report, spec.top_k)
+            record = diagnosis_record(program_spec, report, spec.top_k)
+            record["overhead"] = {
+                str(fifo): _overhead(simulate_run(
                     failure_run, trained=trained,
-                    act_config=spec.config.with_(fifo_depth=fifo))
-                fifo_doc[str(fifo)] = {
-                    "overhead_proxy": round(sim.overhead_proxy, 4),
-                    "deps_offered": sim.deps_offered,
-                    "deps_shed": sim.deps_shed,
-                    "deps_tightened": sim.deps_tightened,
-                    "fifo_stalls": sim.deps_stalled,
-                    "mean_occupancy": round(sim.mean_occupancy, 4),
-                }
-            overhead[_rate_key(rate)] = fifo_doc
+                    act_config=spec.config.with_(fifo_depth=fifo)))
+                for fifo in spec.fifo_sizes}
+        records.append(record)
+    return records
+
+
+def _overhead(sim):
+    """One timing replay's contribution to the overhead sums."""
     return {
-        "program": program_spec.name,
-        "seed": program_spec.seed,
-        "archetype": program_spec.archetype,
-        "motif": program_spec.motif,
-        "by_rate": by_rate,
-        "overhead": overhead,
+        "overhead_proxy": round(sim.overhead_proxy, 4),
+        "deps_offered": sim.deps_offered,
+        "deps_shed": sim.deps_shed,
+        "deps_tightened": sim.deps_tightened,
+        "fifo_stalls": sim.deps_stalled,
     }
-
-
-def _suspicious_pcs(result, top):
-    """PCs the full-rate pass implicates: the tightening feedback set.
-
-    The mismatched-suffix PCs of the top findings, mirroring
-    :func:`repro.core.policy.suspicious_pcs_from_report` for a raw
-    postprocess result.
-    """
-    pcs = set()
-    for finding in result.findings[:top]:
-        for dep in finding.seq[finding.matched:]:
-            pcs.add(int(dep.store_pc))
-            pcs.add(int(dep.load_pc))
-    return tuple(sorted(pcs))
 
 
 def _pareto_front(points):
@@ -255,42 +215,29 @@ def _pareto_front(points):
     return front
 
 
-def _reduce(spec, records):
-    """Records -> the deterministic metrics document."""
-    accuracy = {}
-    for rate in spec.rates:
-        key = _rate_key(rate)
-        accuracy[key] = _group_metrics([r["by_rate"][key] for r in records],
-                                       spec.top_k)
+def _reduce(spec, by_rate):
+    """Per-rate records -> the deterministic metrics document."""
+    accuracy = {key: _group_metrics(records, spec.top_k)
+                for key, records in by_rate.items()}
     points = []
-    sums = {}
-    for rate in spec.rates:
-        for fifo in spec.fifo_sizes:
-            docs = [r["overhead"][_rate_key(rate)][str(fifo)]
-                    for r in records]
-            sums[(rate, fifo)] = {
-                "overhead_proxy": round(
-                    sum(d["overhead_proxy"] for d in docs), 4),
-                "deps_offered": sum(d["deps_offered"] for d in docs),
-                "deps_shed": sum(d["deps_shed"] for d in docs),
-                "deps_tightened": sum(d["deps_tightened"] for d in docs),
-                "fifo_stalls": sum(d["fifo_stalls"] for d in docs),
-            }
+    full = {}
     for rate in spec.rates:
         acc = accuracy[_rate_key(rate)]
         for fifo in spec.fifo_sizes:
-            agg = sums[(rate, fifo)]
-            full = sums[(1.0, fifo)]["overhead_proxy"]
+            docs = [r["overhead"][str(fifo)]
+                    for r in by_rate[_rate_key(rate)]]
+            proxy = round(sum(d["overhead_proxy"] for d in docs), 4)
+            # rate 1.0 comes first: its proxy is each depth's baseline.
+            full.setdefault(fifo, proxy)
             points.append({
                 "rate": rate,
                 "fifo": fifo,
-                "overhead_proxy": agg["overhead_proxy"],
+                "overhead_proxy": proxy,
                 "overhead_vs_full": (
-                    round(agg["overhead_proxy"] / full, 4) if full else None),
-                "deps_offered": agg["deps_offered"],
-                "deps_shed": agg["deps_shed"],
-                "deps_tightened": agg["deps_tightened"],
-                "fifo_stalls": agg["fifo_stalls"],
+                    round(proxy / full[fifo], 4) if full[fifo] else None),
+                **{name: sum(d[name] for d in docs)
+                   for name in ("deps_offered", "deps_shed",
+                                "deps_tightened", "fifo_stalls")},
                 "recall": acc["recall"],
                 "top1": acc["top1"],
                 f"top{spec.top_k}": acc[f"top{spec.top_k}"],
@@ -350,32 +297,20 @@ def _summary(spec, accuracy, points):
 
 def run_frontier(spec, jobs=None):
     """Sweep the frontier; deterministic, serial == ``--jobs N``."""
-    program_specs = corpus_programs(spec)
+    by_rate = sweep("frontier", spec, _frontier_item,
+                    points=tuple(_rate_key(r) for r in spec.rates),
+                    jobs=jobs, n_rates=len(spec.rates),
+                    n_fifos=len(spec.fifo_sizes))
     tele = telemetry.get_registry()
-    with tele.span("frontier", seed=spec.seed, size=spec.size,
-                   n_rates=len(spec.rates),
-                   n_fifos=len(spec.fifo_sizes)):
-        with tele.span("frontier.measure", n_programs=len(program_specs)):
-            records = run_tasks(
-                _measure_item, [(ps, spec) for ps in program_specs],
-                jobs=jobs, phase="frontier.measure",
-                keys=[ps.name for ps in program_specs])
-        if tele.enabled:
-            tele.inc("frontier.points",
-                     len(spec.rates) * len(spec.fifo_sizes))
-    metrics = _reduce(spec, records)
-    return FrontierResult(spec=spec, records=records, metrics=metrics)
-
-
-# -- rendering ---------------------------------------------------------
-
-def frontier_json(result):
-    """Canonical metrics JSON text: the byte-identity artifact."""
-    return json.dumps(result.metrics, sort_keys=True, indent=2) + "\n"
-
-
-def _pct(value):
-    return "-" if value is None else f"{100 * value:.1f}"
+    if tele.enabled:
+        tele.inc("frontier.points", len(spec.rates) * len(spec.fifo_sizes))
+    metrics = _reduce(spec, by_rate)
+    entry = trajectory_entry(
+        spec, experiment="frontier", rates=list(spec.rates),
+        fifo_sizes=list(spec.fifo_sizes), frontier=metrics["frontier"],
+        pareto=metrics["pareto"])
+    return SweepResult(spec=spec, records=by_rate, metrics=metrics,
+                       entry=entry)
 
 
 def format_frontier(result):
@@ -391,7 +326,8 @@ def format_frontier(result):
             else f"{p['overhead_vs_full']:.3f}",
             str(p["deps_shed"]), str(p["deps_tightened"]),
             str(p["fifo_stalls"]),
-            _pct(p["recall"]), _pct(p["top1"]), _pct(p[f"top{k}"]),
+            _fmt(p["recall"], pct=True), _fmt(p["top1"], pct=True),
+            _fmt(p[f"top{k}"], pct=True),
             "*" if p["pareto"] else ""))
     table = render_table(
         ("Rate", "FIFO", "Overhead", "Vs full", "# Shed", "# Tight",
@@ -409,47 +345,9 @@ def format_frontier(result):
     return table + "\n" + summary
 
 
-# -- accuracy trajectory (BENCH_accuracy.json) -------------------------
-
-def bench_entry(result):
-    """One deterministic trajectory entry (no timestamps: CI diffs it)."""
-    spec = result.spec
-    return {
-        "experiment": "frontier",
-        "seed": spec.seed, "size": spec.size,
-        "rates": list(spec.rates), "fifo_sizes": list(spec.fifo_sizes),
-        "n_train_runs": spec.n_train_runs,
-        "n_pruning_runs": spec.n_pruning_runs,
-        "frontier": result.metrics["frontier"],
-        "pareto": result.metrics["pareto"],
-    }
-
-
-def append_bench(result, path=DEFAULT_BENCH_PATH):
-    """Append this sweep's summary to the shared accuracy trajectory.
-
-    Same file and dedupe contract as the shootout: an entry equal to
-    the last one is skipped so re-running the same sweep on the same
-    tree never grows the file. Returns the trajectory document.
-    """
-    doc = {"schema": 1, "entries": []}
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    entry = bench_entry(result)
-    if not doc["entries"] or doc["entries"][-1] != entry:
-        doc["entries"].append(entry)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    return doc
-
-
 def run_frontier_for_preset(preset):
     """Experiment-registry entry point: frontier at preset scale."""
-    spec = FrontierSpec(seed=preset.corpus_seed, size=preset.corpus_size,
-                        rates=preset.frontier_rates,
-                        fifo_sizes=preset.fifo_sweep,
-                        n_train_runs=preset.corpus_train_runs,
-                        n_pruning_runs=preset.corpus_pruning_runs)
-    return run_frontier(spec, jobs=preset.jobs)
+    return run_frontier(preset_spec(FrontierSpec, preset,
+                                    rates=preset.frontier_rates,
+                                    fifo_sizes=preset.fifo_sweep),
+                        jobs=preset.jobs)

@@ -386,28 +386,42 @@ def _add_profile_args(p):
                         "profile runs")
 
 
+def _add_sweep_args(cmd, what, bench=None):
+    """Flags every corpus experiment shares: corpus shape, fan-out, the
+    metrics JSON (``what``) and, when ``bench`` names what a run adds
+    to it, the accuracy trajectory."""
+    cmd.add_argument("--seed", type=int, default=7,
+                     help="corpus seed (same seed + size => byte-identical "
+                          "metrics JSON, whatever --jobs is)")
+    cmd.add_argument("--size", type=int, default=20,
+                     help="number of generated programs")
+    cmd.add_argument("--train-runs", type=int, default=6)
+    cmd.add_argument("--pruning-runs", type=int, default=8)
+    cmd.add_argument("--seq-len", type=int, default=3,
+                     help="dependences per NN input (generated programs "
+                          "are sized for the default of 3)")
+    cmd.add_argument("--top", type=int, default=5, metavar="K",
+                     help="k for the top-k metrics")
+    cmd.add_argument("--jobs", type=int, default=None, metavar="N",
+                     help="worker processes for independent programs "
+                          "(results identical to serial; 0 = all CPUs)")
+    cmd.add_argument("--out", metavar="PATH",
+                     help=f"write the canonical {what} JSON to PATH")
+    if bench:
+        cmd.add_argument("--bench", metavar="PATH",
+                         default="BENCH_accuracy.json",
+                         help=f"accuracy-trajectory file to append {bench} "
+                              "to (default BENCH_accuracy.json)")
+        cmd.add_argument("--no-bench", action="store_true",
+                         help="do not touch the accuracy-trajectory file")
+
+
 def _add_corpus_args(c):
     """``corpus`` flags, shared with ``submit corpus``."""
-    c.add_argument("--seed", type=int, default=7,
-                   help="corpus seed (same seed + size => byte-identical "
-                        "metrics JSON)")
-    c.add_argument("--size", type=int, default=20,
-                   help="number of generated programs")
-    c.add_argument("--train-runs", type=int, default=6)
-    c.add_argument("--pruning-runs", type=int, default=8)
-    c.add_argument("--seq-len", type=int, default=3,
-                   help="dependences per NN input (generated programs "
-                        "are sized for the default of 3)")
-    c.add_argument("--top", type=int, default=5, metavar="K",
-                   help="k for the top-k and precision@k metrics")
-    c.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="worker processes for independent programs "
-                        "(results identical to serial; 0 = all CPUs)")
+    _add_sweep_args(c, "metrics")
     c.add_argument("--engine", default="nn", metavar="NAME",
                    help="predictor engine to score (see docs/engines.md; "
                         "default nn)")
-    c.add_argument("--out", metavar="PATH",
-                   help="write the canonical metrics JSON to PATH")
     c.add_argument("--trace-dir", metavar="DIR",
                    help="also record each program's failure run as a "
                         "trace file under DIR (created if missing)")
@@ -433,40 +447,16 @@ def _add_corpus_args(c):
 
 def _add_shootout_args(s):
     """``shootout`` flags, shared with ``submit shootout``."""
-    s.add_argument("--seed", type=int, default=7,
-                   help="corpus seed (same seed + size => byte-identical "
-                        "metrics JSON, whatever --jobs is)")
-    s.add_argument("--size", type=int, default=20,
-                   help="number of generated programs per engine")
+    _add_sweep_args(s, "shootout metrics",
+                    bench="per-engine recall/top-1")
     s.add_argument("--engines", metavar="NAMES", default=None,
                    help="comma-separated engine names to race "
                         "(default: every registered engine)")
-    s.add_argument("--train-runs", type=int, default=6)
-    s.add_argument("--pruning-runs", type=int, default=8)
-    s.add_argument("--seq-len", type=int, default=3)
-    s.add_argument("--top", type=int, default=5, metavar="K",
-                   help="k for the top-k metric")
-    s.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="worker processes for independent programs "
-                        "(results identical to serial; 0 = all CPUs)")
-    s.add_argument("--out", metavar="PATH",
-                   help="write the canonical shootout metrics JSON "
-                        "to PATH")
-    s.add_argument("--bench", metavar="PATH",
-                   default="BENCH_accuracy.json",
-                   help="accuracy-trajectory file to append per-engine "
-                        "recall/top-1 to (default BENCH_accuracy.json)")
-    s.add_argument("--no-bench", action="store_true",
-                   help="do not touch the accuracy-trajectory file")
 
 
 def _add_frontier_args(f):
     """``frontier`` flags, shared with ``submit frontier``."""
-    f.add_argument("--seed", type=int, default=7,
-                   help="corpus seed (same seed + size => byte-identical "
-                        "metrics JSON, whatever --jobs is)")
-    f.add_argument("--size", type=int, default=20,
-                   help="number of generated programs")
+    _add_sweep_args(f, "frontier metrics", bench="the frontier pick")
     f.add_argument("--rates", type=_csv_floats,
                    default=(1.0, 0.75, 0.5, 0.25), metavar="R,R,...",
                    help="comma-separated sampling rates to sweep; 1.0 "
@@ -484,23 +474,6 @@ def _add_frontier_args(f):
                    help="disable suspicion-directed tightening (sampled "
                         "passes then run blind, without the full-rate "
                         "pass's suspicious-PC feedback)")
-    f.add_argument("--train-runs", type=int, default=6)
-    f.add_argument("--pruning-runs", type=int, default=8)
-    f.add_argument("--seq-len", type=int, default=3)
-    f.add_argument("--top", type=int, default=5, metavar="K",
-                   help="k for the top-k metric")
-    f.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="worker processes for independent programs "
-                        "(results identical to serial; 0 = all CPUs)")
-    f.add_argument("--out", metavar="PATH",
-                   help="write the canonical frontier metrics JSON "
-                        "to PATH")
-    f.add_argument("--bench", metavar="PATH",
-                   default="BENCH_accuracy.json",
-                   help="accuracy-trajectory file to append the frontier "
-                        "pick to (default BENCH_accuracy.json)")
-    f.add_argument("--no-bench", action="store_true",
-                   help="do not touch the accuracy-trajectory file")
 
 
 def _add_socket_arg(cmd):

@@ -297,13 +297,10 @@ def _diagnose_phases(program, config, trained, tele, n_train_runs,
             trained = TrainedACT.from_payload(cached, config)
         else:
             try:
-                with tele.span("diagnose.offline_train",
-                               n_runs=n_train_runs):
-                    trainer = OfflineTrainer(config=config)
-                    trained = trainer.train(program, n_runs=n_train_runs,
-                                            seed0=train_seed0, jobs=jobs,
-                                            quarantine=quarantine,
-                                            **correct_params)
+                trained = train_phase(program, config, n_train_runs,
+                                      train_seed0, jobs=jobs,
+                                      quarantine=quarantine,
+                                      **correct_params)
             except ReproError as e:
                 if quarantine is None:
                     raise
@@ -317,21 +314,70 @@ def _diagnose_phases(program, config, trained, tele, n_train_runs,
     with tele.span("diagnose.failure_run", seed=failure_seed):
         failure_run = run_program(program, seed=failure_seed,
                                   **failure_params)
-    truth = root_cause or failure_run.meta.get("root_cause")
-    report = DiagnosisReport(
-        program=failure_run.meta.get("program", getattr(program, "name", "?")),
-        failed=failure_run.failed, found=False, rank=None,
-        debug_buffer_position=None, filter_pct=0.0, n_debug_entries=0,
-        debug_overflowed=False, root_cause=truth,
-        failure_description=str(failure_run.failure) if failure_run.failure else "")
+    report = failure_report(program, failure_run, root_cause)
     if not failure_run.failed:
         report.notes.append("failure run did not fail; nothing to diagnose")
         if checkpoint is not None:
             checkpoint.put("report", _report_to_payload(report))
         return report
-    if not truth:
+    if not report.root_cause:
         report.notes.append("program provides no ground-truth root cause")
 
+    deployment = deploy_phase(trained, failure_run, report, fast=fast,
+                              quarantine=quarantine)
+
+    # --- Offline post-processing --------------------------------------
+    correct_set = pruning_phase(
+        program, config,
+        list(range(pruning_seed0, pruning_seed0 + n_pruning_runs)),
+        jobs=jobs, quarantine=quarantine, checkpoint=checkpoint,
+        **pruning_params)
+    rank_phase(deployment, correct_set, report)
+    if tele.enabled:
+        tele.inc("diagnose.runs")
+        if report.found:
+            tele.inc("diagnose.found")
+    if quarantine is not None and len(quarantine):
+        report.quarantine = quarantine.report_dict()
+    if checkpoint is not None:
+        checkpoint.put("report", _report_to_payload(report))
+    return report
+
+
+# The phases of one diagnosis, in pipeline order. Each runs under its
+# ``diagnose.*`` telemetry span; the frontier sweep reuses the policy-
+# independent ones and repeats deploy + rank once per sampling rate.
+
+def train_phase(program, config, n_runs, seed0=DEFAULT_TRAIN_SEED0,
+                jobs=None, quarantine=None, **params):
+    """Offline training from ``n_runs`` correct runs."""
+    with telemetry.get_registry().span("diagnose.offline_train",
+                                       n_runs=n_runs):
+        return OfflineTrainer(config=config).train(
+            program, n_runs=n_runs, seed0=seed0, jobs=jobs,
+            quarantine=quarantine, **params)
+
+
+def failure_report(program, failure_run, root_cause=None):
+    """The report of ``failure_run`` before deployment and ranking.
+
+    Its ``root_cause`` is the ground truth: ``root_cause`` when given,
+    else the run's own tag.
+    """
+    return DiagnosisReport(
+        program=failure_run.meta.get("program", getattr(program, "name", "?")),
+        failed=failure_run.failed, found=False, rank=None,
+        debug_buffer_position=None, filter_pct=0.0, n_debug_entries=0,
+        debug_overflowed=False,
+        root_cause=root_cause or failure_run.meta.get("root_cause"),
+        failure_description=str(failure_run.failure) if failure_run.failure else "")
+
+
+def deploy_phase(trained, failure_run, report, fast=True, quarantine=None):
+    """Replay the failure run through the ACT Modules under the ambient
+    policy; fills the report's deployment counts and Debug Buffer
+    position. Returns the deployment."""
+    tele = telemetry.get_registry()
     with tele.span("diagnose.deploy"):
         deployment = deploy_on_run(trained, failure_run, fast=fast,
                                    quarantine=quarantine)
@@ -351,6 +397,7 @@ def _diagnose_phases(program, config, trained, tele, n_train_runs,
 
     # Table V "Debug Buf. Pos.": depth of the root cause from the newest
     # entry of its core's buffer at failure time.
+    truth = report.root_cause
     if truth:
         def is_root(entry):
             return any((d.store_pc, d.load_pc) in truth for d in entry.seq)
@@ -364,42 +411,41 @@ def _diagnose_phases(program, config, trained, tele, n_train_runs,
             report.notes.append(
                 "root cause not in debug buffer; buffer overflowed -- "
                 "retry with a larger debug_buffer (the MySQL#1 case)")
+    return deployment
 
-    # --- Offline post-processing --------------------------------------
-    with tele.span("diagnose.pruning_runs", n_runs=n_pruning_runs):
+
+def pruning_phase(program, config, seeds, jobs=None, quarantine=None,
+                  checkpoint=None, **params):
+    """The Correct Set from one fresh correct run per seed."""
+    with telemetry.get_registry().span("diagnose.pruning_runs",
+                                       n_runs=len(seeds)):
         correct_set = CorrectSet(config.seq_len,
                                  filter_stack=config.filter_stack_loads)
-        seeds = list(range(pruning_seed0, pruning_seed0 + n_pruning_runs))
         if checkpoint is None:
-            pruning_runs = collect_runs_for_seeds(program, seeds, jobs=jobs,
-                                                  quarantine=quarantine,
-                                                  **pruning_params)
-            for run in pruning_runs:
+            for run in collect_runs_for_seeds(program, seeds, jobs=jobs,
+                                              quarantine=quarantine,
+                                              **params):
                 if run is not None:
                     correct_set.add_run(run)
         else:
             _pruning_with_checkpoint(program, config, seeds, jobs,
-                                     quarantine, checkpoint, pruning_params,
+                                     quarantine, checkpoint, params,
                                      correct_set)
+    return correct_set
 
-    with tele.span("diagnose.ranking"):
+
+def rank_phase(deployment, correct_set, report):
+    """Prune the Debug Buffer entries against the Correct Set and rank
+    them; fills the report's findings and the root cause's rank."""
+    with telemetry.get_registry().span("diagnose.ranking"):
         entries = deployment.debug_entries()
         report.n_debug_entries = len(entries)
         result = postprocess(entries, correct_set)
     report.findings = result.findings
     report.filter_pct = result.filter_pct
-    if truth:
-        report.rank = result.rank_of_dep(truth)
+    if report.root_cause:
+        report.rank = result.rank_of_dep(report.root_cause)
         report.found = report.rank is not None
-    if tele.enabled:
-        tele.inc("diagnose.runs")
-        if report.found:
-            tele.inc("diagnose.found")
-    if quarantine is not None and len(quarantine):
-        report.quarantine = quarantine.report_dict()
-    if checkpoint is not None:
-        checkpoint.put("report", _report_to_payload(report))
-    return report
 
 
 def _pruning_with_checkpoint(program, config, seeds, jobs, quarantine,

@@ -358,20 +358,48 @@ class CorpusRequest:
                    checkpoint=args.checkpoint, resume=args.resume)
 
 
+def _missing_dir(*paths):
+    """The CLI error for the first path whose directory is missing."""
+    for path in paths:
+        out_dir = os.path.dirname(path) if path else ""
+        if out_dir and not os.path.isdir(out_dir):
+            return _fail(f"error: output directory {out_dir!r} "
+                         "does not exist")
+    return None
+
+
+def _sweep_outcome(result, text, out, bench=None, tail=()):
+    """A corpus experiment's outcome: its rendered ``text``, its metrics
+    JSON written to ``out`` and its trajectory entry appended to
+    ``bench``, each noted, then the ``tail`` lines."""
+    from repro.analysis.accuracy import append_trajectory, metrics_json
+
+    lines = [text]
+    if out:
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(metrics_json(result))
+        lines.append(f"metrics written to {out}")
+    if bench:
+        doc = append_trajectory(result.entry, bench)
+        lines.append(f"accuracy trajectory: {bench} "
+                     f"({len(doc['entries'])} entries)")
+    lines.extend(tail)
+    return Outcome(rc=0, out="\n".join(lines),
+                   payload={"metrics": result.metrics})
+
+
 def run_corpus(req):
     """Run the diagnosis-accuracy harness over a generated corpus."""
     from repro.analysis.accuracy import (
         CorpusSpec,
         format_corpus,
-        metrics_json,
         run_corpus,
+        write_corpus_traces,
     )
 
-    if req.out:
-        out_dir = os.path.dirname(req.out)
-        if out_dir and not os.path.isdir(out_dir):
-            return _fail(f"error: output directory {out_dir!r} "
-                         "does not exist")
+    missing = _missing_dir(req.out)
+    if missing:
+        return missing
     engine = req.engine or "nn"
     if engine != "nn":
         # Corpus checkpoints hold per-program *records* (engine-
@@ -411,27 +439,17 @@ def run_corpus(req):
                             quarantine=quarantine, checkpoint=checkpoint)
     except CheckpointError as e:
         return _fail(f"error: {e}")
-    lines = [format_corpus(result)]
-    if req.out:
-        out_dir = os.path.dirname(req.out)
-        if out_dir and not os.path.isdir(out_dir):
-            return _fail(f"error: output directory {out_dir!r} "
-                         "does not exist")
-        with open(req.out, "w", encoding="utf-8") as f:
-            f.write(metrics_json(result))
-        lines.append(f"metrics written to {req.out}")
+    tail = []
     if req.trace_dir:
-        from repro.analysis.accuracy import write_corpus_traces
-
         os.makedirs(req.trace_dir, exist_ok=True)
         paths = write_corpus_traces(spec, req.trace_dir,
                                     trace_format=req.trace_format)
-        lines.append(f"wrote {len(paths)} {req.trace_format} failure "
-                     f"traces to {req.trace_dir}")
+        tail.append(f"wrote {len(paths)} {req.trace_format} failure "
+                    f"traces to {req.trace_dir}")
     if quarantine is not None:
-        lines.extend(_quarantine_lines(quarantine, req.quarantine_report))
-    return Outcome(rc=0, out="\n".join(lines),
-                   payload={"metrics": result.metrics})
+        tail.extend(_quarantine_lines(quarantine, req.quarantine_report))
+    return _sweep_outcome(result, format_corpus(result), req.out,
+                          tail=tail)
 
 
 # ---------------------------------------------------------------------
@@ -472,20 +490,15 @@ def run_shootout(req):
     """Race every (selected) engine over the same corpus."""
     from repro.analysis.shootout import (
         ShootoutSpec,
-        append_bench,
         format_shootout,
         run_shootout,
-        shootout_json,
     )
     from repro.common.errors import EngineError
     from repro.engines import registry as engine_registry
 
-    for path in (req.out, req.bench):
-        if path:
-            out_dir = os.path.dirname(path)
-            if out_dir and not os.path.isdir(out_dir):
-                return _fail(f"error: output directory {out_dir!r} "
-                             "does not exist")
+    missing = _missing_dir(req.out, req.bench)
+    if missing:
+        return missing
     for name in req.engines:
         try:
             engine_registry.create(name)
@@ -497,17 +510,8 @@ def run_shootout(req):
                         n_pruning_runs=req.pruning_runs,
                         config=ACTConfig(seq_len=req.seq_len))
     result = run_shootout(spec, jobs=req.jobs)
-    lines = [format_shootout(result)]
-    if req.out:
-        with open(req.out, "w", encoding="utf-8") as f:
-            f.write(shootout_json(result))
-        lines.append(f"metrics written to {req.out}")
-    if req.bench:
-        doc = append_bench(result, req.bench)
-        lines.append(f"accuracy trajectory: {req.bench} "
-                     f"({len(doc['entries'])} entries)")
-    return Outcome(rc=0, out="\n".join(lines),
-                   payload={"metrics": result.metrics})
+    return _sweep_outcome(result, format_shootout(result), req.out,
+                          req.bench)
 
 
 # ---------------------------------------------------------------------
@@ -551,18 +555,13 @@ def run_frontier(req):
     """Sweep sampling rates x FIFO depths into a Pareto table."""
     from repro.analysis.frontier import (
         FrontierSpec,
-        append_bench,
         format_frontier,
-        frontier_json,
         run_frontier,
     )
 
-    for path in (req.out, req.bench):
-        if path:
-            out_dir = os.path.dirname(path)
-            if out_dir and not os.path.isdir(out_dir):
-                return _fail(f"error: output directory {out_dir!r} "
-                             "does not exist")
+    missing = _missing_dir(req.out, req.bench)
+    if missing:
+        return missing
     try:
         spec = FrontierSpec(seed=req.seed, size=req.size,
                             rates=tuple(req.rates),
@@ -576,17 +575,8 @@ def run_frontier(req):
     except ReproError as e:
         return _fail(f"error: {e}")
     result = run_frontier(spec, jobs=req.jobs)
-    lines = [format_frontier(result)]
-    if req.out:
-        with open(req.out, "w", encoding="utf-8") as f:
-            f.write(frontier_json(result))
-        lines.append(f"metrics written to {req.out}")
-    if req.bench:
-        doc = append_bench(result, req.bench)
-        lines.append(f"accuracy trajectory: {req.bench} "
-                     f"({len(doc['entries'])} entries)")
-    return Outcome(rc=0, out="\n".join(lines),
-                   payload={"metrics": result.metrics})
+    return _sweep_outcome(result, format_frontier(result), req.out,
+                          req.bench)
 
 
 # ---------------------------------------------------------------------
@@ -627,9 +617,9 @@ def _run_trace_convert(req):
     src, dst = req.paths
     if not os.path.isfile(src):
         return _fail(f"error: trace {src!r} does not exist")
-    out_dir = os.path.dirname(dst)
-    if out_dir and not os.path.isdir(out_dir):
-        return _fail(f"error: output directory {out_dir!r} does not exist")
+    missing = _missing_dir(dst)
+    if missing:
+        return missing
     try:
         run = read_trace(src)
     except ReproError as e:
@@ -662,9 +652,9 @@ def run_trace(req):
         return _fail("error: unexpected extra arguments "
                      f"{' '.join(req.paths)!r} (paths are only for "
                      "'trace convert')")
-    out_dir = os.path.dirname(req.out)
-    if out_dir and not os.path.isdir(out_dir):
-        return _fail(f"error: output directory {out_dir!r} does not exist")
+    missing = _missing_dir(req.out)
+    if missing:
+        return missing
     try:
         program = get_workload(req.program)
     except ReproError as e:

@@ -18,15 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.analysis.accuracy import CorpusSpec, run_corpus
-from repro.analysis.shootout import (
-    ShootoutSpec,
-    append_bench,
-    bench_entry,
-    format_shootout,
-    run_shootout,
-    shootout_json,
+from repro.analysis.accuracy import (
+    CorpusSpec,
+    append_trajectory,
+    metrics_json,
+    run_corpus,
 )
+from repro.analysis.shootout import ShootoutSpec, format_shootout, run_shootout
 from repro.common.errors import EngineError
 from repro.core.config import ACTConfig
 from repro.core.diagnosis import diagnose_failure
@@ -420,10 +418,10 @@ class TestShootout:
     def test_metrics_json_matches_golden(self, small_shootout,
                                          update_golden):
         self._check(GOLDEN_DIR / "shootout_s7.json",
-                    shootout_json(small_shootout), update_golden)
+                    metrics_json(small_shootout), update_golden)
 
     def test_metrics_json_is_canonical(self, small_shootout):
-        text = shootout_json(small_shootout)
+        text = metrics_json(small_shootout)
         doc = json.loads(text)
         assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -441,11 +439,11 @@ class TestShootout:
 
     def test_bench_append_and_dedupe(self, small_shootout, tmp_path):
         path = tmp_path / "BENCH_accuracy.json"
-        doc = append_bench(small_shootout, str(path))
+        doc = append_trajectory(small_shootout.entry, str(path))
         assert doc["schema"] == 1
-        assert doc["entries"] == [bench_entry(small_shootout)]
+        assert doc["entries"] == [small_shootout.entry]
         # Re-running the same shootout must not grow the trajectory.
-        again = append_bench(small_shootout, str(path))
+        again = append_trajectory(small_shootout.entry, str(path))
         assert again["entries"] == doc["entries"]
         on_disk = json.loads(path.read_text(encoding="utf-8"))
         assert on_disk == doc
@@ -456,4 +454,4 @@ class TestShootout:
     @pytest.mark.slow
     def test_serial_vs_jobs_4_byte_identical(self, small_shootout):
         parallel = run_shootout(SHOOT, jobs=4)
-        assert shootout_json(parallel) == shootout_json(small_shootout)
+        assert metrics_json(parallel) == metrics_json(small_shootout)

@@ -3,7 +3,8 @@
 Mirrors the shootout conventions: a small seed-pinned sweep shared by
 the golden test and CI's frontier-smoke job, canonical-JSON byte
 identity, serial == ``--jobs 4``, and the timestamp-free accuracy
-trajectory with last-entry dedupe.
+trajectory deduped per (experiment, spec). The full-rate column is
+checked against the corpus harness on the same corpus.
 """
 
 import json
@@ -13,14 +14,13 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.core.policy import NULL_POLICY
-from repro.analysis.frontier import (
-    FrontierSpec,
-    append_bench,
-    bench_entry,
-    format_frontier,
-    frontier_json,
-    run_frontier,
+from repro.analysis.accuracy import (
+    CorpusSpec,
+    append_trajectory,
+    metrics_json,
+    run_corpus,
 )
+from repro.analysis.frontier import FrontierSpec, format_frontier, run_frontier
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -76,16 +76,16 @@ class TestFrontierGolden:
     def test_metrics_json_matches_golden(self, small_frontier,
                                          update_golden):
         self._check(GOLDEN_DIR / "frontier_s7.json",
-                    frontier_json(small_frontier), update_golden)
+                    metrics_json(small_frontier), update_golden)
 
     def test_metrics_json_is_canonical(self, small_frontier):
-        text = frontier_json(small_frontier)
+        text = metrics_json(small_frontier)
         doc = json.loads(text)
         assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def test_serial_vs_jobs_4_byte_identical(self, small_frontier):
         parallel = run_frontier(FRONT, jobs=4)
-        assert frontier_json(parallel) == frontier_json(small_frontier)
+        assert metrics_json(parallel) == metrics_json(small_frontier)
 
 
 @pytest.mark.slow
@@ -143,10 +143,10 @@ class TestFrontierMetrics:
 
     def test_bench_append_and_dedupe(self, small_frontier, tmp_path):
         path = tmp_path / "BENCH_accuracy.json"
-        doc = append_bench(small_frontier, str(path))
+        doc = append_trajectory(small_frontier.entry, str(path))
         assert doc["schema"] == 1
-        assert doc["entries"] == [bench_entry(small_frontier)]
-        again = append_bench(small_frontier, str(path))
+        assert doc["entries"] == [small_frontier.entry]
+        again = append_trajectory(small_frontier.entry, str(path))
         assert again["entries"] == doc["entries"]
         on_disk = json.loads(path.read_text(encoding="utf-8"))
         assert on_disk == doc
@@ -154,3 +154,40 @@ class TestFrontierMetrics:
         assert entry["experiment"] == "frontier"
         assert "timestamp" not in entry
         assert "frontier" in entry and "pareto" in entry
+
+    def test_trajectory_dedupes_per_experiment_and_spec(self, small_frontier,
+                                                        tmp_path):
+        # A shootout entry as ``repro shootout`` writes it: no
+        # "experiment" field, which reads as "shootout".
+        shootout = {"seed": 7, "size": 5, "n_train_runs": 4,
+                    "n_pruning_runs": 6,
+                    "engines": {"nn": {"recall": 1.0, "top1": 1.0,
+                                       "top5": 1.0}}}
+        path = tmp_path / "BENCH_accuracy.json"
+        append_trajectory(shootout, str(path))
+        append_trajectory(small_frontier.entry, str(path))
+        first = path.read_bytes()
+        # Re-running the pair must not grow the file, although neither
+        # entry is the last one when its re-run appends.
+        append_trajectory(shootout, str(path))
+        doc = append_trajectory(small_frontier.entry, str(path))
+        assert path.read_bytes() == first
+        assert len(doc["entries"]) == 2
+        # A changed result under the same key is a new entry.
+        changed = dict(shootout, engines={"nn": {"recall": 0.8,
+                                                 "top1": 0.8, "top5": 0.8}})
+        doc = append_trajectory(changed, str(path))
+        assert doc["entries"][-1] == changed
+        assert len(doc["entries"]) == 3
+
+
+@pytest.mark.slow
+def test_full_rate_column_equals_the_corpus_harness(small_frontier):
+    """The frontier's rate-1.0 accuracy is the diagnosis pipeline: it
+    equals ``repro corpus`` on the same programs."""
+    corpus = run_corpus(CorpusSpec(
+        seed=FRONT.seed, size=FRONT.size, top_k=FRONT.top_k,
+        n_train_runs=FRONT.n_train_runs,
+        n_pruning_runs=FRONT.n_pruning_runs))
+    assert small_frontier.metrics["accuracy"]["1"] == (
+        corpus.metrics["overall"])
