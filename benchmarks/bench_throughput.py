@@ -31,9 +31,10 @@ Four measurements, all recorded into ``benchmarks/results/`` and into
    ``frontier.overhead_proxy`` / ``frontier.top1`` ratios (the pick's
    fraction of full-rate overhead and top-1) feed the trend gates.
 6. **Warm-state diagnosis** -- wall seconds of a full diagnosis cold
-   (offline training included) vs through the serve daemon's
-   :class:`~repro.service.ops.WarmStateCache` (training skipped,
-   trained state replayed from the cache). Reports are byte-identical;
+   (offline training included) vs with the serve daemon's
+   :class:`~repro.service.ops.WarmStateCache` as ``run_diagnose``'s
+   trained-state store (training skipped, trained state replayed from
+   the cache). Reports are byte-identical;
    the recorded ``serve.warm_speedup`` is what a repeat ``repro
    submit`` of the same (workload, seed, config) saves.
 """
@@ -203,10 +204,10 @@ def test_throughput(preset, save_result):
         bug="gzip", train_runs=preset.corpus_train_runs,
         pruning_runs=preset.corpus_pruning_runs)
     warm_cache = service_ops.WarmStateCache()
-    service_ops.run_diagnose(diag_req, warm=warm_cache)  # populate
+    service_ops.run_diagnose(diag_req, store=warm_cache)  # populate
     (t_diag_cold, t_diag_warm), (out_cold, out_warm) = _best_of_each(
         [lambda: service_ops.run_diagnose(diag_req),
-         lambda: service_ops.run_diagnose(diag_req, warm=warm_cache)],
+         lambda: service_ops.run_diagnose(diag_req, store=warm_cache)],
         rounds=3)
     assert (out_warm.rc, out_warm.out) == (out_cold.rc, out_cold.out)
     serve_speedup = t_diag_cold / t_diag_warm

@@ -54,7 +54,7 @@ from repro import telemetry
 from repro.common.rng import make_rng
 from repro.common.texttable import render_table
 from repro.core.config import ACTConfig
-from repro.core.diagnosis import diagnose_failure
+from repro.engines import create
 from repro.faults import Checkpoint
 from repro.parallel import run_tasks
 from repro.workloads.generator import (
@@ -165,15 +165,13 @@ def diagnosis_record(program_spec, report, top_k):
     }
 
 
-def diagnose_program(program_spec, spec):
-    """Diagnose one generated program under a :class:`CorpusSpec`."""
-    report = diagnose_failure(
-        GeneratedProgram(program_spec), config=spec.config,
-        n_train_runs=spec.n_train_runs,
+def diagnose_program(program_spec, spec, store=None):
+    """Diagnose one generated program under a :class:`CorpusSpec`;
+    ``store`` shares trained state between calls."""
+    report = create(spec.engine, config=spec.config).diagnose_report(
+        GeneratedProgram(program_spec), n_train_runs=spec.n_train_runs,
         n_pruning_runs=spec.n_pruning_runs,
-        failure_seed=spec.failure_seed,
-        engine=spec.engine if spec.engine != "nn" else None,
-        policy=spec.policy)
+        failure_seed=spec.failure_seed, policy=spec.policy, store=store)
     return diagnosis_record(program_spec, report, spec.top_k)
 
 

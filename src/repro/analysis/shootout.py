@@ -72,9 +72,14 @@ class ShootoutSpec:
 
 
 def _shootout_item(payload):
-    """Picklable work item: one program diagnosed by every engine."""
+    """Picklable work item: one program diagnosed by every engine.
+
+    The engines share one trained-state store, so each trains once per
+    program: the ensemble reuses its members' standalone entries.
+    """
     program_spec, spec = payload
-    return [diagnose_program(program_spec, spec.corpus_spec(name))
+    store = {}
+    return [diagnose_program(program_spec, spec.corpus_spec(name), store)
             for name in spec.engine_names()]
 
 

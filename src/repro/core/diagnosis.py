@@ -27,7 +27,7 @@ from typing import Optional
 
 from repro import faults as _faults
 from repro import telemetry
-from repro.common.errors import ConfigError, ReproError
+from repro.common.errors import ReproError
 from repro.core import policy as _policy
 from repro.core.config import ACTConfig
 from repro.core.deploy import deploy_on_run
@@ -38,12 +38,6 @@ from repro.core.postprocess import CorrectSet, postprocess, run_sequences
 from repro.faults import Checkpoint
 from repro.parallel import resolve_jobs
 from repro.workloads.framework import run_program
-
-#: First seed of the contiguous training-run range. Shared with callers
-#: that key caches on trained state (e.g. the serve daemon's warm-state
-#: cache) so the cache key can never drift from the actual default.
-DEFAULT_TRAIN_SEED0 = 0
-
 
 @dataclass
 class DiagnosisReport:
@@ -166,15 +160,14 @@ def _aborted_report(program, error, quarantine):
 
 
 def diagnose_failure(program, config=None, trained=None,
-                     n_train_runs=10, train_seed0=DEFAULT_TRAIN_SEED0,
+                     n_train_runs=10, train_seed0=0,
                      failure_seed=12345,
                      n_pruning_runs=20, pruning_seed0=100,
                      failure_params=None, correct_params=None,
                      pruning_params=None, root_cause=None,
                      fast=True, jobs=None,
                      faults=None, quarantine=None, checkpoint=None,
-                     trained_sink=None, engine=None, engine_state=None,
-                     engine_state_sink=None, policy=None):
+                     trained_sink=None, policy=None):
     """Diagnose ``program``'s failure with the full ACT pipeline.
 
     Args:
@@ -214,48 +207,19 @@ def diagnose_failure(program, config=None, trained=None,
             there is reused instead of recomputed.
         trained_sink: optional callable invoked with the
             :class:`TrainedACT` once training state is in hand (freshly
-            trained or reloaded). The serve daemon's warm-state cache
+            trained or reloaded). The NN engine's trained-state store
             hangs off this hook; it never changes the report.
-        engine: registered engine name (see :mod:`repro.engines`). The
-            call routes through the registry; ``"nn"`` delegates
-            straight back here, byte-identically. ``None`` (default)
-            keeps the historical direct path.
-        engine_state: a payload from ``Predictor.serialize`` to warm-
-            start the chosen engine (skips its training phase).
-        engine_state_sink: callable receiving the engine's serialized
-            state once training is in hand (the engine-generic analogue
-            of ``trained_sink``).
         policy: :class:`~repro.core.policy.PolicySpec` governing
             adaptive tracking during the failure-run deployment
             (defaults to the ambient policy; a disabled policy is a
-            no-op and preserves bit-identical output). NN path only:
-            an enabled policy with a non-``"nn"`` engine raises
-            :class:`ConfigError`. Training and pruning runs are never
-            sampled -- only the production deployment is.
+            no-op and preserves bit-identical output). Training and
+            pruning runs are never sampled -- only the production
+            deployment is.
 
     Returns:
         :class:`DiagnosisReport`.
     """
     active_policy = policy if policy is not None else _policy.get_policy()
-    if engine is not None and engine != "nn" and active_policy.enabled:
-        raise ConfigError(
-            f"adaptive policy is NN-path-only; engine {engine!r} does "
-            "not support --policy")
-    if engine is not None:
-        from repro.engines.registry import create
-
-        # The "nn" engine delegates straight back to this function; the
-        # ambient context carries the policy across that hop.
-        with _policy.use_policy(active_policy):
-            return create(engine, config=config).diagnose_report(
-                program, trained=trained, n_train_runs=n_train_runs,
-                train_seed0=train_seed0, failure_seed=failure_seed,
-                n_pruning_runs=n_pruning_runs, pruning_seed0=pruning_seed0,
-                failure_params=failure_params, correct_params=correct_params,
-                pruning_params=pruning_params, root_cause=root_cause,
-                fast=fast, jobs=jobs, faults=faults, quarantine=quarantine,
-                checkpoint=checkpoint, trained_sink=trained_sink,
-                state=engine_state, state_sink=engine_state_sink)
     config = config or ACTConfig()
     failure_params = dict(failure_params or {"buggy": True})
     correct_params = dict(correct_params or {"buggy": False})
@@ -348,7 +312,7 @@ def _diagnose_phases(program, config, trained, tele, n_train_runs,
 # ``diagnose.*`` telemetry span; the frontier sweep reuses the policy-
 # independent ones and repeats deploy + rank once per sampling rate.
 
-def train_phase(program, config, n_runs, seed0=DEFAULT_TRAIN_SEED0,
+def train_phase(program, config, n_runs, seed0=0,
                 jobs=None, quarantine=None, **params):
     """Offline training from ``n_runs`` correct runs."""
     with telemetry.get_registry().span("diagnose.offline_train",

@@ -14,25 +14,30 @@ analysis scripts. A :class:`Predictor`:
   a JSON-safe payload (``deserialize(serialize(e))`` must produce
   identical ``predict_batch`` outputs -- pinned by property tests);
 - ``capabilities`` is a declarative descriptor driving the Table-I
-  columns of ``repro shootout`` and the warm-cache policy;
+  columns of ``repro shootout``;
 - ``diagnose_report(program, ...)`` runs the engine's native diagnosis
   protocol end-to-end and maps the outcome onto a
   :class:`~repro.core.diagnosis.DiagnosisReport` whose ``candidates``
   list carries the engine's ranked root-cause report.
 
-The NN engine overrides ``diagnose_report`` with a pure delegation to
-:func:`~repro.core.diagnosis.diagnose_failure`, which keeps the
-registry-routed NN path byte-identical to the direct one (reports,
-telemetry spans, artifacts -- enforced by ``tests/test_engines.py``).
+Dispatch runs one way: callers ``create(name).diagnose_report(...)``,
+and the NN engine delegates to
+:func:`~repro.core.diagnosis.diagnose_failure`, which never calls back
+into this package. That keeps the registry-routed NN path
+byte-identical to the direct one (reports, telemetry spans, artifacts
+-- enforced by ``tests/test_engines.py``). Trained state is shared
+through one keyed store (:meth:`Predictor.store_key`).
 """
 
 from dataclasses import asdict, dataclass
 
 from repro import faults as _faults
 from repro import telemetry
-from repro.common.errors import EngineError
+from repro.common.errors import ConfigError, EngineError
+from repro.core import policy as _policy
 from repro.core.config import ACTConfig
 from repro.core.diagnosis import DiagnosisReport
+from repro.faults.checkpoint import canonical_json
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,7 @@ class Predictor:
     Subclasses set ``capabilities`` and implement :meth:`train`,
     :meth:`predict_batch`, :meth:`_state_payload`, :meth:`load_state`
     and :meth:`report_trained`. The template :meth:`diagnose_report`
-    then provides warm-state reuse, telemetry spans and the shared
+    then provides store reuse, telemetry spans and the shared
     train-if-cold flow for free.
     """
 
@@ -102,9 +107,8 @@ class Predictor:
     def fingerprint(self):
         """JSON-safe identity of the engine *kind* (not its state).
 
-        The serve daemon's warm cache keys on this plus the workload /
-        seed / config parts, so two engines on the same workload can
-        never share a cache entry.
+        :meth:`store_key` includes it, so two engines on the same
+        workload never share a store entry.
         """
         return {"engine": self.name}
 
@@ -158,6 +162,32 @@ class Predictor:
 
     # -- diagnosis ------------------------------------------------------
 
+    def store_key(self, store, program, n_train_runs, train_seed0,
+                  correct_params, faults=None, checkpoint=None):
+        """This engine's trained-state key in ``store``, or ``None``.
+
+        A store is any mapping read with ``get`` and written with item
+        assignment; its values are :meth:`serialize` payloads. The key
+        is the canonical JSON of everything that shapes training: the
+        engine fingerprint, the config, the program (a generated
+        program's name does not encode its shape, so its
+        ``ProgramSpec`` joins the name), the training seed range and
+        the normalised ``correct_params``. Reuse is unsafe -- ``None``
+        -- under any fault plan, which can damage training runs, and
+        under a checkpoint, which carries its own trained snapshot.
+        """
+        plan = faults if faults is not None else _faults.get_plan()
+        if (store is None or checkpoint is not None
+                or plan != _faults.ZERO_PLAN):
+            return None
+        spec = getattr(program, "spec", None)
+        return canonical_json({
+            "engine": self.fingerprint(), "config": asdict(self.config),
+            "program": getattr(program, "name", "?"),
+            "spec": asdict(spec) if spec is not None else None,
+            "n_train_runs": n_train_runs, "train_seed0": train_seed0,
+            "correct_params": dict(correct_params or {"buggy": False})})
+
     def report_trained(self, program, failure_seed=12345,
                        n_pruning_runs=20, pruning_seed0=100,
                        failure_params=None, correct_params=None,
@@ -166,60 +196,73 @@ class Predictor:
         """Diagnose with existing state (requires :attr:`trained`)."""
         raise NotImplementedError
 
-    def diagnose_report(self, program, trained=None,
-                        n_train_runs=10, train_seed0=0,
+    def diagnose_report(self, program, n_train_runs=10, train_seed0=0,
                         failure_seed=12345, n_pruning_runs=20,
                         pruning_seed0=100, failure_params=None,
                         correct_params=None, pruning_params=None,
                         root_cause=None, fast=True, jobs=None,
                         faults=None, quarantine=None, checkpoint=None,
-                        trained_sink=None, state=None, state_sink=None):
+                        policy=None, store=None):
         """Train if cold, then diagnose; the engine-routed entry point.
 
-        ``state``/``state_sink`` mirror the NN path's
-        ``trained``/``trained_sink``: ``state`` is a payload from a
-        previous :meth:`serialize` (training is skipped), and
-        ``state_sink`` receives the serialized state once training is
-        in hand -- the serve daemon's warm cache hangs off both.
+        ``store`` holds trained state across diagnoses (see
+        :meth:`store_key`): a hit skips training, a miss stores the
+        freshly trained state. Checkpoints and an enabled adaptive
+        ``policy`` are NN-only and raise here.
         """
         if checkpoint is not None:
             raise EngineError(
                 f"engine {self.name!r} does not support checkpoints "
                 "(only the default nn engine is checkpointable)",
                 engine=self.name)
-        correct_params = dict(correct_params or {"buggy": False})
+        active_policy = policy if policy is not None else _policy.get_policy()
+        if active_policy.enabled:
+            raise ConfigError(
+                f"adaptive policy is NN-path-only; engine {self.name!r} "
+                "does not support --policy")
         plan = faults if faults is not None else _faults.get_plan()
         tele = telemetry.get_registry()
         with _faults.use_plan(plan):
             with tele.span("engine.diagnose", engine=self.name,
                            program=getattr(program, "name", "?")):
-                if state is not None:
-                    self.load_state(state)
-                if not self.trained:
-                    with tele.span("engine.train", engine=self.name,
-                                   n_runs=n_train_runs):
-                        self.train(program, n_runs=n_train_runs,
-                                   seed0=train_seed0, jobs=jobs,
-                                   quarantine=quarantine,
-                                   **correct_params)
-                    if tele.enabled:
-                        tele.inc("engine.trainings")
-                if state_sink is not None:
-                    state_sink(self.serialize())
-                report = self.report_trained(
-                    program, failure_seed=failure_seed,
+                report = self._diagnose(
+                    program, store, n_train_runs=n_train_runs,
+                    train_seed0=train_seed0, failure_seed=failure_seed,
                     n_pruning_runs=n_pruning_runs,
                     pruning_seed0=pruning_seed0,
                     failure_params=failure_params,
-                    correct_params=correct_params,
-                    pruning_params=pruning_params,
-                    root_cause=root_cause, fast=fast, jobs=jobs,
-                    quarantine=quarantine)
+                    correct_params=dict(correct_params or {"buggy": False}),
+                    pruning_params=pruning_params, root_cause=root_cause,
+                    fast=fast, jobs=jobs, quarantine=quarantine)
                 if tele.enabled:
                     tele.inc("engine.diagnoses")
                 if quarantine is not None and len(quarantine):
                     report.quarantine = quarantine.report_dict()
                 return report
+
+    def _diagnose(self, program, store, n_train_runs, train_seed0, jobs,
+                  quarantine, correct_params, **kwargs):
+        """Load this engine's state from ``store`` or train it, then
+        diagnose with it (runs inside the ``engine.diagnose`` span)."""
+        key = self.store_key(store, program, n_train_runs, train_seed0,
+                             correct_params)
+        cached = store.get(key) if key is not None else None
+        if cached is not None:
+            self.load_state(cached)
+        if not self.trained:
+            tele = telemetry.get_registry()
+            with tele.span("engine.train", engine=self.name,
+                           n_runs=n_train_runs):
+                self.train(program, n_runs=n_train_runs, seed0=train_seed0,
+                           jobs=jobs, quarantine=quarantine,
+                           **correct_params)
+            if tele.enabled:
+                tele.inc("engine.trainings")
+        if key is not None and cached is None:
+            store[key] = self.serialize()
+        return self.report_trained(program, correct_params=correct_params,
+                                   jobs=jobs, quarantine=quarantine,
+                                   **kwargs)
 
 
 def report_candidates(report):

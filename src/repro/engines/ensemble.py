@@ -12,8 +12,6 @@ violation counts share no scale.
 
 import numpy as np
 
-from repro import faults as _faults
-from repro import telemetry
 from repro.engines.base import (
     EngineCapabilities,
     Predictor,
@@ -66,10 +64,6 @@ class EnsembleEngine(Predictor):
             adapts_online=any(m.capabilities.adapts_online
                               for m in self.members),
             warmable=all(m.capabilities.warmable for m in self.members))
-
-    def fingerprint(self):
-        return {"engine": "ensemble",
-                "members": [m.name for m in self.members]}
 
     @property
     def trained(self):
@@ -124,12 +118,16 @@ class EnsembleEngine(Predictor):
         for member, state in zip(self.members, states):
             member.load_state(state)
 
-    def report_trained(self, program, **kwargs):
-        reports = [m.report_trained(program, **kwargs)
-                   for m in self.members]
-        return self._merge(program, reports)
+    def _diagnose(self, program, store, **kwargs):
+        """Run every member's own protocol, then RRF-merge the reports.
 
-    def _merge(self, program, reports):
+        Members share ``store`` under their own keys, so the ensemble
+        keeps no entry of its own and reuses what standalone members
+        trained. The NN member keeps its direct-path flow, so each
+        member behaves exactly as it would standalone.
+        """
+        reports = [m.diagnose_report(program, store=store, **kwargs)
+                   for m in self.members]
         usable = [r for r in reports if r.applicable]
         merged = rrf_merge([report_candidates(r) for r in usable])
         first = reports[0]
@@ -147,58 +145,3 @@ class EnsembleEngine(Predictor):
                     f"ensemble: member {member.name!r} rank "
                     f"{member_report.rank}")
         return report
-
-    def diagnose_report(self, program, trained=None,
-                        n_train_runs=10, train_seed0=0,
-                        failure_seed=12345, n_pruning_runs=20,
-                        pruning_seed0=100, failure_params=None,
-                        correct_params=None, pruning_params=None,
-                        root_cause=None, fast=True, jobs=None,
-                        faults=None, quarantine=None, checkpoint=None,
-                        trained_sink=None, state=None, state_sink=None):
-        """Run every member's protocol, then RRF-merge the reports.
-
-        Members run their *native* ``diagnose_report`` (the NN member
-        keeps its direct-path flow) so each member behaves exactly as
-        it would standalone; only the final ranking is fused.
-        """
-        if checkpoint is not None:
-            from repro.common.errors import EngineError
-
-            raise EngineError(
-                "engine 'ensemble' does not support checkpoints "
-                "(only the default nn engine is checkpointable)",
-                engine="ensemble")
-        plan = faults if faults is not None else _faults.get_plan()
-        tele = telemetry.get_registry()
-        with _faults.use_plan(plan):
-            with tele.span("engine.diagnose", engine="ensemble",
-                           program=getattr(program, "name", "?")):
-                if state is not None:
-                    self.load_state(state)
-                reports = []
-                for member in self.members:
-                    member_state = None
-                    if member.trained:
-                        member_state = member.serialize()
-                    reports.append(member.diagnose_report(
-                        program, state=member_state,
-                        n_train_runs=n_train_runs, train_seed0=train_seed0,
-                        failure_seed=failure_seed,
-                        n_pruning_runs=n_pruning_runs,
-                        pruning_seed0=pruning_seed0,
-                        failure_params=failure_params,
-                        correct_params=correct_params,
-                        pruning_params=pruning_params,
-                        root_cause=root_cause, fast=fast, jobs=jobs,
-                        quarantine=quarantine,
-                        state_sink=(lambda s, _m=member:
-                                    _m.load_state(s))))
-                if state_sink is not None:
-                    state_sink(self.serialize())
-                report = self._merge(program, reports)
-                if tele.enabled:
-                    tele.inc("engine.diagnoses")
-                if quarantine is not None and len(quarantine):
-                    report.quarantine = quarantine.report_dict()
-                return report

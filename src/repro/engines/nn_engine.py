@@ -6,14 +6,13 @@ extra work -- so routing ``--engine nn`` through the registry is
 byte-identical to the historical direct call (reports, telemetry and
 artifacts; pinned by ``tests/test_engines.py``). The protocol surface
 (``train``/``predict_batch``/``serialize``) wraps
-:class:`~repro.core.offline.TrainedACT` for the ensemble engine and
-the cross-engine property tests.
+:class:`~repro.core.offline.TrainedACT` for the store and the
+cross-engine property tests.
 """
-
-from dataclasses import asdict
 
 import numpy as np
 
+from repro.core.diagnosis import diagnose_failure
 from repro.core.offline import OfflineTrainer, TrainedACT
 from repro.engines.base import EngineCapabilities, Predictor
 
@@ -59,42 +58,29 @@ class NNEngine(Predictor):
     def _load_state_payload(self, state):
         self._trained = TrainedACT.from_payload(state, self.config)
 
-    def report_trained(self, program, failure_seed=12345,
-                       n_pruning_runs=20, pruning_seed0=100,
-                       failure_params=None, correct_params=None,
-                       pruning_params=None, root_cause=None, fast=True,
-                       jobs=None, quarantine=None):
-        from repro.core.diagnosis import diagnose_failure
-
-        return diagnose_failure(
-            program, config=self.config, trained=self._trained,
-            failure_seed=failure_seed, n_pruning_runs=n_pruning_runs,
-            pruning_seed0=pruning_seed0, failure_params=failure_params,
-            correct_params=correct_params, pruning_params=pruning_params,
-            root_cause=root_cause, fast=fast, jobs=jobs,
-            quarantine=quarantine)
-
-    def diagnose_report(self, program, trained=None, state=None,
-                        state_sink=None, trained_sink=None, **kwargs):
+    def diagnose_report(self, program, n_train_runs=10, train_seed0=0,
+                        correct_params=None, faults=None, checkpoint=None,
+                        store=None, **kwargs):
         """Delegate to the direct path, byte-identically.
 
-        ``trained``/``trained_sink`` pass straight through (the serve
-        daemon's historical warm hooks); ``state``/``state_sink`` are
-        the engine-generic equivalents and are translated to them.
+        A ``store`` hit becomes ``trained=`` (offline training is
+        skipped); a miss becomes ``trained_sink=``, which stores the
+        state once it is in hand. Everything else, ``policy``
+        included, passes straight through.
         """
-        from repro.core.diagnosis import diagnose_failure
-
-        if trained is None:
-            if state is not None:
-                self.load_state(state)
-            trained = self._trained
-        sink = trained_sink
-        if state_sink is not None:
-            def sink(t, _orig=trained_sink):
-                if _orig is not None:
-                    _orig(t)
-                state_sink({"engine": "nn", "config": asdict(self.config),
-                            "state": t.to_payload()})
-        return diagnose_failure(program, config=self.config,
-                                trained=trained, trained_sink=sink,
-                                **kwargs)
+        key = self.store_key(store, program, n_train_runs, train_seed0,
+                             correct_params, faults=faults,
+                             checkpoint=checkpoint)
+        cached = store.get(key) if key is not None else None
+        if cached is not None:
+            self.load_state(cached)
+        sink = None
+        if key is not None and cached is None:
+            def sink(trained):
+                self._trained = trained
+                store[key] = self.serialize()
+        return diagnose_failure(
+            program, config=self.config, trained=self._trained,
+            n_train_runs=n_train_runs, train_seed0=train_seed0,
+            correct_params=correct_params, faults=faults,
+            checkpoint=checkpoint, trained_sink=sink, **kwargs)

@@ -8,14 +8,25 @@ order: the default ``nn`` first, then the baselines, then
 registered names -- the one shared error path for ``--engine``
 everywhere (CLI, corpus, service).
 
+Built-in engines are a static name -> ``"module:attr"`` table, so
+``names()`` imports nothing and ``create(name)`` imports only that
+engine's module: ``create("nn")`` never loads the baselines.
+
 Composite syntax: ``ensemble`` fuses every non-ensemble engine;
 ``ensemble:nn+pset`` fuses an explicit member list.
 """
 
+import importlib
+
 from repro.common.errors import EngineError
 
-_REGISTRY = {}
-_LOADED = False
+_REGISTRY = {
+    "nn": "repro.engines.nn_engine:NNEngine",
+    "aviso": "repro.engines.baseline_engines:AvisoEngine",
+    "pbi": "repro.engines.baseline_engines:PBIEngine",
+    "pset": "repro.engines.baseline_engines:PSetEngine",
+    "ensemble": "repro.engines.ensemble:EnsembleEngine",
+}
 
 
 def register(name, factory):
@@ -23,41 +34,17 @@ def register(name, factory):
     _REGISTRY[name] = factory
 
 
-def _ensure_loaded():
-    # Engine modules import repro.core (which imports nothing from this
-    # package at module scope only via the lazy routing hook), so they
-    # load lazily here rather than at package import.
-    global _LOADED
-    if _LOADED:
-        return
-    _LOADED = True
-    from repro.engines.baseline_engines import (
-        AvisoEngine,
-        PBIEngine,
-        PSetEngine,
-    )
-    from repro.engines.ensemble import EnsembleEngine
-    from repro.engines.nn_engine import NNEngine
-
-    register("nn", NNEngine)
-    register("aviso", AvisoEngine)
-    register("pbi", PBIEngine)
-    register("pset", PSetEngine)
-
-    def _make_ensemble(config=None, members=None):
-        member_names = members or [n for n in names()
-                                   if n != "ensemble"]
-        return EnsembleEngine(
-            [create(n, config=config) for n in member_names],
-            config=config)
-
-    register("ensemble", _make_ensemble)
-
-
 def names():
     """Registered engine names, registration order."""
-    _ensure_loaded()
     return tuple(_REGISTRY)
+
+
+def _factory(name):
+    factory = _REGISTRY[name]
+    if isinstance(factory, str):
+        module, _, attr = factory.partition(":")
+        factory = getattr(importlib.import_module(module), attr)
+    return factory
 
 
 def create(name, config=None):
@@ -66,7 +53,6 @@ def create(name, config=None):
     ``ensemble:a+b`` builds a composite over explicitly named member
     engines; bare ``ensemble`` takes every non-ensemble engine.
     """
-    _ensure_loaded()
     base, sep, spec = name.partition(":")
     if spec and base != "ensemble":
         raise EngineError(
@@ -77,17 +63,19 @@ def create(name, config=None):
         raise EngineError(
             f"unknown engine {name!r}; registered engines: "
             f"{', '.join(names())}", engine=name, known=names())
-    if base == "ensemble":
-        members = [m for m in spec.split("+") if m] if spec else None
-        if sep and not members:
+    if base != "ensemble":
+        return _factory(base)(config=config)
+    members = [m for m in spec.split("+") if m] if spec else None
+    if sep and not members:
+        raise EngineError(
+            f"engine {name!r} names no members; registered engines: "
+            f"{', '.join(names())}", engine=name, known=names())
+    for member in members or ():
+        if member == "ensemble" or member not in _REGISTRY:
             raise EngineError(
-                f"engine {name!r} names no members; registered engines: "
-                f"{', '.join(names())}", engine=name, known=names())
-        for member in members or ():
-            if member == "ensemble" or member not in _REGISTRY:
-                raise EngineError(
-                    f"unknown ensemble member {member!r} in {name!r}; "
-                    f"registered engines: {', '.join(names())}",
-                    engine=member, known=names())
-        return _REGISTRY["ensemble"](config=config, members=members)
-    return _REGISTRY[base](config=config)
+                f"unknown ensemble member {member!r} in {name!r}; "
+                f"registered engines: {', '.join(names())}",
+                engine=member, known=names())
+    members = members or [n for n in names() if n != "ensemble"]
+    return _factory("ensemble")(
+        [create(m, config=config) for m in members], config=config)

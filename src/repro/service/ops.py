@@ -16,12 +16,12 @@ Requests are JSON round-trippable (:func:`request_to_payload` /
 the jobstore unchanged.
 
 :class:`WarmStateCache` is the daemon's LRU of trained state:
-:func:`run_diagnose` consults it keyed by (workload, training seeds,
-config fingerprint) and passes the cached :class:`TrainedACT` into
-:func:`~repro.core.diagnosis.diagnose_failure`, skipping offline
-retraining on a repeat diagnosis. Training is deterministic in the key,
-so a warm hit changes wall time and telemetry (``serve.warm_hits``, no
-``diagnose.offline_train`` span) but never the report.
+:func:`run_diagnose` passes it to the engine as its trained-state store
+(:meth:`repro.engines.Predictor.store_key` builds the keys), so a
+repeat diagnosis skips offline retraining. Training is deterministic
+in the key, so a warm hit changes wall time and telemetry
+(``serve.warm_hits``, no ``diagnose.offline_train`` span) but never
+the report.
 """
 
 import os
@@ -32,14 +32,13 @@ from typing import Optional, Tuple
 from repro import telemetry
 from repro.common.errors import (
     CheckpointError,
+    EngineError,
     ProtocolError,
     ReproError,
 )
 from repro.core.config import ACTConfig
-from repro.core.diagnosis import DEFAULT_TRAIN_SEED0, diagnose_failure
-from repro.core.offline import TrainedACT
+from repro.core.diagnosis import diagnose_failure
 from repro.faults import FaultPlan, Quarantine
-from repro.faults.checkpoint import canonical_json
 from repro.telemetry import (
     TickClock,
     format_critical_path,
@@ -156,28 +155,22 @@ def _quarantine_lines(quarantine, report_path):
     return lines
 
 
-def run_diagnose(req, warm=None):
-    """Run a full diagnosis; optionally reuse warm trained state."""
+def run_diagnose(req, store=None):
+    """Run a full diagnosis; ``store`` holds trained state across calls
+    (see :meth:`repro.engines.Predictor.store_key`)."""
+    from repro.engines import create
+
     try:
         program = get_bug(req.bug)
     except ReproError as e:
         return _fail(f"error: {e}")
-    engine = req.engine or "nn"
-    if engine != "nn":
-        from repro.common.errors import EngineError
-        from repro.engines import registry as engine_registry
-
-        try:
-            engine_obj = engine_registry.create(engine)
-        except EngineError as e:
-            return _fail(f"error: {e}")
-        if req.checkpoint or req.resume:
-            return _fail(f"error: --engine {engine} does not support "
-                         "checkpoints (only the default nn engine is "
-                         "checkpointable)")
     config = ACTConfig(seq_len=req.seq_len,
                       debug_buffer=req.debug_buffer,
                       mispred_threshold=req.threshold)
+    try:
+        engine = create(req.engine or "nn", config=config)
+    except EngineError as e:
+        return _fail(f"error: {e}")
     checkpoint = req.checkpoint
     if req.resume:
         if not os.path.isfile(req.resume):
@@ -189,63 +182,20 @@ def run_diagnose(req, warm=None):
             plan = FaultPlan.from_spec(req.faults)
         except ReproError as e:
             return _fail(f"error: bad --faults spec: {e}")
-    policy, policy_err = _parse_policy(req, engine)
+    policy, policy_err = _parse_policy(req, engine.name)
     if policy_err is not None:
         return policy_err
     quarantine = None
     if plan is not None or req.quarantine_report:
         quarantine = Quarantine()
-
-    # Warm-state reuse: only when nothing perturbs training (a fault
-    # plan can damage training runs; a checkpoint already carries its
-    # own trained snapshot). An active --policy does NOT block reuse:
-    # sampling gates the failure-run deployment only, never training,
-    # so the cached trained state stays exactly right. The key holds
-    # everything that shapes the trained state -- failure/pruning seeds
-    # deliberately excluded -- plus the engine fingerprint, so two
-    # engines on the same workload never share an entry.
-    trained = None
-    trained_sink = None
-    engine_state = None
-    engine_state_sink = None
-    if warm is not None and plan is None and checkpoint is None:
-        if engine == "nn":
-            fingerprint = {"engine": "nn"}
-        else:
-            fingerprint = engine_obj.fingerprint()
-        key = warm.key(kind="diagnose", workload=req.bug,
-                       config=asdict(config), train_runs=req.train_runs,
-                       train_seed0=DEFAULT_TRAIN_SEED0,
-                       engine=fingerprint)
-        payload = warm.get(key)
-        if engine == "nn":
-            if payload is not None:
-                trained = TrainedACT.from_payload(payload, config)
-            else:
-                def trained_sink(t, _key=key):
-                    warm.put(_key, t.to_payload())
-        else:
-            if payload is not None:
-                engine_state = payload
-            else:
-                def engine_state_sink(state, _key=key):
-                    warm.put(_key, state)
-
     try:
-        report = diagnose_failure(program, config=config, trained=trained,
-                                  n_train_runs=req.train_runs,
-                                  n_pruning_runs=req.pruning_runs,
-                                  failure_seed=req.seed,
-                                  fast=req.fast, jobs=req.jobs,
-                                  faults=plan, quarantine=quarantine,
-                                  checkpoint=checkpoint,
-                                  trained_sink=trained_sink,
-                                  engine=(engine if engine != "nn"
-                                          else None),
-                                  engine_state=engine_state,
-                                  engine_state_sink=engine_state_sink,
-                                  policy=policy)
-    except CheckpointError as e:
+        report = engine.diagnose_report(
+            program, n_train_runs=req.train_runs,
+            n_pruning_runs=req.pruning_runs, failure_seed=req.seed,
+            fast=req.fast, jobs=req.jobs, faults=plan,
+            quarantine=quarantine, checkpoint=checkpoint, policy=policy,
+            store=store)
+    except (CheckpointError, EngineError) as e:
         return _fail(f"error: {e}")
     if report.engine is not None:
         return _engine_report_outcome(report, req, quarantine)
@@ -401,17 +351,15 @@ def run_corpus(req):
     if missing:
         return missing
     engine = req.engine or "nn"
-    if engine != "nn":
-        # Corpus checkpoints hold per-program *records* (engine-
-        # agnostic, keyed by a fingerprint that includes the engine),
-        # so unlike diagnose no checkpoint restriction applies here.
-        from repro.common.errors import EngineError
-        from repro.engines import registry as engine_registry
+    # Corpus checkpoints hold per-program *records* (engine-agnostic,
+    # keyed by a fingerprint that includes the engine), so unlike
+    # diagnose no checkpoint restriction applies here.
+    from repro.engines import create
 
-        try:
-            engine_registry.create(engine)
-        except EngineError as e:
-            return _fail(f"error: {e}")
+    try:
+        create(engine)
+    except EngineError as e:
+        return _fail(f"error: {e}")
     checkpoint = req.checkpoint
     if req.resume:
         if not os.path.isfile(req.resume):
@@ -493,15 +441,14 @@ def run_shootout(req):
         format_shootout,
         run_shootout,
     )
-    from repro.common.errors import EngineError
-    from repro.engines import registry as engine_registry
+    from repro.engines import create
 
     missing = _missing_dir(req.out, req.bench)
     if missing:
         return missing
     for name in req.engines:
         try:
-            engine_registry.create(name)
+            create(name)
         except EngineError as e:
             return _fail(f"error: {e}")
     spec = ShootoutSpec(seed=req.seed, size=req.size,
@@ -822,19 +769,19 @@ def request_from_payload(payload):
         raise ProtocolError(f"bad {kind} request: {e}")
 
 
-def run_request(req, warm=None, default_jobs=None):
+def run_request(req, store=None, default_jobs=None):
     """Dispatch any request to its runner.
 
     ``default_jobs`` fills an unset ``jobs`` field (the daemon's
     ``--jobs``); parallelism never changes results, so this only
-    affects wall time. ``warm`` is the daemon's
+    affects wall time. ``store`` is the daemon's
     :class:`WarmStateCache` (diagnose only).
     """
     if (default_jobs is not None and hasattr(req, "jobs")
             and req.jobs is None):
         req = replace(req, jobs=default_jobs)
     if req.kind == "diagnose":
-        return run_diagnose(req, warm=warm)
+        return run_diagnose(req, store=store)
     return _RUNNERS[req.kind](req)
 
 
@@ -843,18 +790,15 @@ def run_request(req, warm=None, default_jobs=None):
 # ---------------------------------------------------------------------
 
 class WarmStateCache:
-    """LRU cache of trained state (:meth:`TrainedACT.to_payload` dicts
-    for the NN engine; ``Predictor.serialize`` payloads for the rest).
+    """LRU trained-state store: ``Predictor.serialize`` payloads under
+    :meth:`~repro.engines.Predictor.store_key` keys.
 
-    Keys are the canonical JSON of everything that shapes training:
-    workload name, training seed range, config fingerprint, and the
-    engine fingerprint (so e.g. ``nn`` and ``pset`` diagnoses of the
-    same workload occupy separate entries). The daemon
-    keeps one instance for its whole life, so a repeat diagnosis of the
-    same (workload, seeds, config) skips offline retraining entirely --
-    observable as ``serve.warm_hits`` in the job's telemetry profile
-    and as the absence of a ``diagnose.offline_train`` span, never as a
-    different report (training is deterministic in the key).
+    The daemon keeps one instance for its whole life, so a repeat
+    diagnosis skips offline retraining entirely -- observable as
+    ``serve.warm_hits`` in the job's telemetry profile and as the
+    absence of a ``diagnose.offline_train`` span, never as a different
+    report (training is deterministic in the key). An ensemble looks up
+    each member under the member's own key.
     """
 
     def __init__(self, capacity=8):
@@ -866,11 +810,6 @@ class WarmStateCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    @staticmethod
-    def key(**parts):
-        """Canonical cache key from keyword identity parts."""
-        return canonical_json(parts)
 
     def get(self, key):
         """Cached payload for ``key`` (None on miss); counts the lookup."""
@@ -885,7 +824,7 @@ class WarmStateCache:
         tele.inc("serve.warm_hits")
         return entry
 
-    def put(self, key, payload):
+    def __setitem__(self, key, payload):
         """Insert/refresh ``key``; evicts least-recently-used beyond
         capacity."""
         self._entries[key] = payload

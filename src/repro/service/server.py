@@ -215,7 +215,7 @@ class Server:
             req = ops.request_from_payload(job.request)
             with telemetry.use_registry(registry):
                 with registry.span("serve.job", job=job.id, kind=req.kind):
-                    outcome = ops.run_request(req, warm=self.warm,
+                    outcome = ops.run_request(req, store=self.warm,
                                               default_jobs=self.jobs)
             profile = self._profile(registry, job)
         except Exception as e:  # noqa: BLE001 - job failure, not daemon death

@@ -10,7 +10,11 @@ serial-vs-``--jobs`` determinism check.
 """
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -76,8 +80,22 @@ def trained_engines():
 
 
 @pytest.fixture(scope="session")
-def small_shootout():
-    return run_shootout(SHOOT)
+def traced_shootout():
+    """SHOOT under a live telemetry registry: (result, snapshot)."""
+    reg = telemetry.Registry()
+    with telemetry.use_registry(reg):
+        result = run_shootout(SHOOT)
+    return result, reg.snapshot()
+
+
+@pytest.fixture(scope="session")
+def small_shootout(traced_shootout):
+    return traced_shootout[0]
+
+
+def _count_spans(spans, name):
+    return sum((s["name"] == name)
+               + _count_spans(s.get("children", ()), name) for s in spans)
 
 
 class TestRegistry:
@@ -124,6 +142,20 @@ class TestRegistry:
     def test_ensemble_cannot_nest(self):
         with pytest.raises(EngineError):
             create("ensemble:ensemble")
+
+    def test_create_nn_loads_no_baseline_module(self):
+        # A fresh interpreter: create("nn") imports only its own module.
+        code = ("import sys\n"
+                "from repro.engines import create\n"
+                "create('nn')\n"
+                "print(sorted(m for m in sys.modules\n"
+                "      if m.startswith('repro.baselines')\n"
+                "      or m == 'repro.engines.baseline_engines'))\n")
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=str(src)))
+        assert out.stdout.strip() == "[]"
 
     def test_register_adds_engine(self):
         class _Custom(Predictor):
@@ -227,9 +259,49 @@ class TestProtocolContract:
             create(name, config=CFG).diagnose_report(
                 tinybug, checkpoint="ck.json")
 
-    def test_unknown_engine_via_diagnose_failure(self, tinybug):
-        with pytest.raises(EngineError, match="registered engines"):
-            diagnose_failure(tinybug, config=CFG, engine="bogus")
+    def test_unknown_engine_via_run_diagnose(self):
+        from repro.service import ops
+
+        out = ops.run_diagnose(ops.DiagnoseRequest(bug="gzip",
+                                                   engine="bogus"))
+        assert out.rc == 2
+        assert "registered engines" in out.err
+
+
+class TestStoreKey:
+    """One key per trained state: everything that shapes training."""
+
+    @staticmethod
+    def _key(program, engine="nn", **overrides):
+        args = dict(n_train_runs=4, train_seed0=0, correct_params=None)
+        args.update(overrides)
+        return create(engine, config=CFG).store_key({}, program, **args)
+
+    def test_generated_program_shape_is_in_the_key(self):
+        from repro.workloads.generator import GeneratedProgram, ProgramSpec
+
+        spec = ProgramSpec.from_seed(11)
+        other = ProgramSpec(spec.seed, spec.archetype, spec.motif,
+                            spec.n_workers + 1, spec.rounds, spec.width)
+        assert spec.name == other.name
+        assert (self._key(GeneratedProgram(spec))
+                != self._key(GeneratedProgram(other)))
+
+    def test_training_inputs_are_in_the_key(self, tinybug):
+        base = self._key(tinybug)
+        assert self._key(tinybug, correct_params={"buggy": False}) == base
+        assert self._key(tinybug, correct_params={"buggy": False,
+                                                  "n": 4}) != base
+        assert self._key(tinybug, train_seed0=1) != base
+        assert self._key(tinybug, n_train_runs=5) != base
+        assert self._key(tinybug, engine="pset") != base
+
+    def test_store_skipped_under_faults_or_checkpoint(self, tinybug):
+        from repro.faults import FaultPlan
+
+        assert create("nn").store_key(None, tinybug, 4, 0, None) is None
+        assert self._key(tinybug, faults=FaultPlan(seed=3)) is None
+        assert self._key(tinybug, checkpoint="ck.json") is None
 
 
 class TestSerializeRoundTrip:
@@ -315,23 +387,24 @@ class TestCandidateReport:
         assert not report.found and report.rank is None
 
 
-def _nn_diagnosis(bug, engine):
+def _nn_diagnosis(bug, routed):
     reg = telemetry.Registry(clock=telemetry.TickClock())
+    diagnose = (create("nn", config=ACTConfig(seq_len=3)).diagnose_report
+                if routed else partial(diagnose_failure,
+                                       config=ACTConfig(seq_len=3)))
     with telemetry.use_registry(reg):
-        report = diagnose_failure(bug, config=ACTConfig(seq_len=3),
-                                  n_train_runs=4, n_pruning_runs=6,
-                                  engine=engine)
+        report = diagnose(bug, n_train_runs=4, n_pruning_runs=6)
     return report, telemetry.profile_dict(reg)
 
 
 @pytest.mark.slow
 class TestNNRegistryByteIdentity:
-    """engine='nn' must be indistinguishable from the direct path."""
+    """create("nn") must be indistinguishable from the direct path."""
 
     @pytest.mark.parametrize("bug_name", all_bug_names())
     def test_report_and_telemetry_identical(self, bug_name):
-        direct, direct_profile = _nn_diagnosis(get_bug(bug_name), None)
-        routed, routed_profile = _nn_diagnosis(get_bug(bug_name), "nn")
+        direct, direct_profile = _nn_diagnosis(get_bug(bug_name), False)
+        routed, routed_profile = _nn_diagnosis(get_bug(bug_name), True)
         assert routed == direct
         assert routed_profile == direct_profile
 
@@ -356,8 +429,8 @@ class TestEngineDiagnosis:
 
     @pytest.mark.parametrize("name", ["pbi", "pset", "ensemble:pbi+pset"])
     def test_single_thread_bug_report(self, name, tinybug):
-        report = diagnose_failure(tinybug, config=CFG, n_train_runs=4,
-                                  n_pruning_runs=6, engine=name)
+        report = create(name, config=CFG).diagnose_report(
+            tinybug, n_train_runs=4, n_pruning_runs=6)
         assert report.engine == name.partition(":")[0]
         assert report.applicable
         assert report.failed
@@ -368,22 +441,24 @@ class TestEngineDiagnosis:
         assert report.rank == (ranks[0] if ranks else None)
 
     def test_aviso_inapplicable_on_single_thread(self, tinybug):
-        report = diagnose_failure(tinybug, config=CFG, n_train_runs=4,
-                                  n_pruning_runs=6, engine="aviso")
+        report = create("aviso", config=CFG).diagnose_report(
+            tinybug, n_train_runs=4, n_pruning_runs=6)
         assert report.engine == "aviso"
         assert not report.applicable
         assert not report.found
 
     def test_warm_state_round_trip_matches_cold(self, tinybug):
-        captured = {}
-        cold = diagnose_failure(
-            tinybug, config=CFG, n_train_runs=4, n_pruning_runs=6,
-            engine="pset",
-            engine_state_sink=lambda s: captured.update(state=s))
-        warm = diagnose_failure(
-            tinybug, config=CFG, n_train_runs=4, n_pruning_runs=6,
-            engine="pset", engine_state=captured["state"])
+        store = {}
+        cold = create("pset", config=CFG).diagnose_report(
+            tinybug, n_train_runs=4, n_pruning_runs=6, store=store)
+        (payload,) = store.values()
+        assert payload == json.loads(json.dumps(payload))
+        reg = telemetry.Registry()
+        with telemetry.use_registry(reg):
+            warm = create("pset", config=CFG).diagnose_report(
+                tinybug, n_train_runs=4, n_pruning_runs=6, store=store)
         assert warm == cold
+        assert reg.snapshot()["counters"]["engine.trainings"] == 0
 
 
 class TestEngineCorpus:
@@ -424,6 +499,14 @@ class TestShootout:
         text = metrics_json(small_shootout)
         doc = json.loads(text)
         assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_each_engine_trains_once_per_program(self, traced_shootout):
+        # The ensemble reuses the standalone members' trained state:
+        # one NN training and three baseline trainings per program.
+        _, snap = traced_shootout
+        assert _count_spans(snap["spans"],
+                            "diagnose.offline_train") == SHOOT.size
+        assert snap["counters"]["engine.trainings"] == 3 * SHOOT.size
 
     def test_covers_every_registered_engine(self, small_shootout):
         assert set(small_shootout.metrics["engines"]) == set(names())

@@ -33,6 +33,7 @@ from repro.core.policy import (
     suspicious_pcs_from_report,
     use_policy,
 )
+from repro.engines import create
 from repro.sim.machine import simulate_run
 from repro.trace.raw import RawDep
 from repro.trace.trace_io import write_trace
@@ -207,14 +208,14 @@ class TestActivePolicy:
 
     def test_non_nn_engine_rejects_enabled_policy(self):
         with pytest.raises(ConfigError):
-            diagnose_failure(get_bug("gzip"), engine="pset",
-                             policy=PolicySpec(rate=0.5), **_RUNS)
+            create("pset").diagnose_report(
+                get_bug("gzip"), policy=PolicySpec(rate=0.5), **_RUNS)
 
     def test_non_nn_engine_accepts_disabled_policy(self):
         from repro.core.diagnosis import DiagnosisReport
 
-        report = diagnose_failure(get_bug("gzip"), engine="pset",
-                                  policy=NULL_POLICY, **_RUNS)
+        report = create("pset").diagnose_report(
+            get_bug("gzip"), policy=NULL_POLICY, **_RUNS)
         assert isinstance(report, DiagnosisReport)
 
     def test_suspicion_feedback_loop(self):

@@ -312,10 +312,10 @@ class TestJobStore:
 class TestWarmStateCache:
     def test_lru_eviction(self):
         cache = ops.WarmStateCache(capacity=2)
-        cache.put("a", {"v": 1})
-        cache.put("b", {"v": 2})
+        cache["a"] = {"v": 1}
+        cache["b"] = {"v": 2}
         assert cache.get("a") == {"v": 1}  # refreshes "a"
-        cache.put("c", {"v": 3})           # evicts "b"
+        cache["c"] = {"v": 3}              # evicts "b"
         assert "b" not in cache
         assert cache.get("b") is None
         assert cache.get("a") == {"v": 1}
@@ -328,18 +328,23 @@ class TestWarmStateCache:
             ops.WarmStateCache(capacity=0)
 
     def test_key_is_order_independent(self):
-        assert (ops.WarmStateCache.key(a=1, b=2)
-                == ops.WarmStateCache.key(b=2, a=1))
+        from repro.engines import create
+        from repro.workloads.registry import get_bug
+
+        program = get_bug("gzip")
+        nn = create("nn")
+        assert (nn.store_key({}, program, 4, 0, {"buggy": False, "n": 2})
+                == nn.store_key({}, program, 4, 0, {"n": 2, "buggy": False}))
 
     def test_warm_diagnose_identical_and_skips_training(self):
         req = ops.DiagnoseRequest(bug="gzip", **FAST_KW)
         cold = ops.run_diagnose(req)
         cache = ops.WarmStateCache()
-        first = ops.run_diagnose(req, warm=cache)
+        first = ops.run_diagnose(req, store=cache)
         assert (first.rc, first.out, first.err) == (cold.rc, cold.out,
                                                     cold.err)
         assert cache.misses == 1 and len(cache) == 1
-        warm = ops.run_diagnose(req, warm=cache)
+        warm = ops.run_diagnose(req, store=cache)
         assert (warm.rc, warm.out, warm.err) == (cold.rc, cold.out,
                                                  cold.err)
         assert cache.hits == 1
@@ -347,23 +352,8 @@ class TestWarmStateCache:
     def test_faulted_requests_bypass_cache(self):
         cache = ops.WarmStateCache()
         req = ops.DiagnoseRequest(bug="gzip", faults="seed=3", **FAST_KW)
-        ops.run_diagnose(req, warm=cache)
+        ops.run_diagnose(req, store=cache)
         assert cache.hits == cache.misses == len(cache) == 0
-
-    def test_warm_key_tracks_diagnose_default_train_seed(self):
-        # The warm key must derive its training seed from the same
-        # constant diagnose_failure defaults to -- a drift between the
-        # two would serve trained state from the wrong seed silently.
-        import inspect
-
-        from repro.core.diagnosis import (
-            DEFAULT_TRAIN_SEED0,
-            diagnose_failure,
-        )
-
-        sig = inspect.signature(diagnose_failure)
-        assert (sig.parameters["train_seed0"].default
-                == DEFAULT_TRAIN_SEED0)
 
     def test_engines_never_share_cache_entries(self):
         # The warm key carries the engine fingerprint, so two engines
@@ -374,26 +364,32 @@ class TestWarmStateCache:
         nn = ops.DiagnoseRequest(bug="gzip", **FAST_KW)
         pset = ops.DiagnoseRequest(bug="gzip", engine="pset", **FAST_KW)
         cold = {"nn": ops.run_diagnose(nn), "pset": ops.run_diagnose(pset)}
-        first = {"nn": ops.run_diagnose(nn, warm=cache),
-                 "pset": ops.run_diagnose(pset, warm=cache)}
+        first = {"nn": ops.run_diagnose(nn, store=cache),
+                 "pset": ops.run_diagnose(pset, store=cache)}
         assert cache.misses == 2 and cache.hits == 0 and len(cache) == 2
-        warm = {"nn": ops.run_diagnose(nn, warm=cache),
-                "pset": ops.run_diagnose(pset, warm=cache)}
+        warm = {"nn": ops.run_diagnose(nn, store=cache),
+                "pset": ops.run_diagnose(pset, store=cache)}
         assert cache.misses == 2 and cache.hits == 2 and len(cache) == 2
         for name in ("nn", "pset"):
             for got in (first[name], warm[name]):
                 assert (got.rc, got.out, got.err) == (
                     cold[name].rc, cold[name].out, cold[name].err)
 
-    def test_ensemble_member_list_distinguishes_cache_keys(self):
-        # ensemble:nn+pset and ensemble:pbi+pset fingerprint differently.
-        from repro.engines import registry as engine_registry
-
-        fp_a = ops.WarmStateCache.key(
-            engine=engine_registry.create("ensemble:nn+pset").fingerprint())
-        fp_b = ops.WarmStateCache.key(
-            engine=engine_registry.create("ensemble:pbi+pset").fingerprint())
-        assert fp_a != fp_b
+    def test_ensemble_reuses_member_entries(self):
+        # An ensemble looks each member up under the member's own key,
+        # so standalone nn and pset runs leave nothing to train.
+        cache = ops.WarmStateCache()
+        for engine in ("nn", "pset"):
+            ops.run_diagnose(ops.DiagnoseRequest(bug="gzip", engine=engine,
+                                                 **FAST_KW), store=cache)
+        assert (cache.hits, cache.misses) == (0, 2)
+        req = ops.DiagnoseRequest(bug="gzip", engine="ensemble:nn+pset",
+                                  **FAST_KW)
+        warm = ops.run_diagnose(req, store=cache)
+        assert (cache.hits, cache.misses, len(cache)) == (2, 2, 2)
+        cold = ops.run_diagnose(req)
+        assert (warm.rc, warm.out, warm.err) == (cold.rc, cold.out,
+                                                 cold.err)
 
 
 # ---------------------------------------------------------------------
