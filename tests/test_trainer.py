@@ -80,12 +80,64 @@ class TestTrainNetwork:
 
 def _reference_batch(positives, negatives, n_hidden, cfg):
     """The full-batch trainer as it was before restarts were stacked:
-    each restart fitted alone, in order, until one is accepted."""
-    from repro.nn.trainer import _accepted, _result, _training_set
+    each restart fitted alone, in order, until one is accepted, on the
+    distinct examples with their class-balancing weights."""
+    from repro.nn.trainer import _training_set
 
-    xs, targets, labels, n_pos, n_neg = _training_set(positives, negatives,
-                                                      cfg)
+    ts = _training_set(positives, negatives, cfg)
+    xs1 = np.hstack([ts.xs, np.ones((len(ts.xs), 1))])
+
+    def epoch_step(w_h, w_o):
+        h = 1.0 / (1.0 + np.exp(-(w_h @ xs1.T)))
+        o = 1.0 / (1.0 + np.exp(-((w_o[None, :-1] @ h)[0] + w_o[-1])))
+        err_rate = float((((o >= 0.5) != ts.labels) @ ts.weights) / ts.n)
+        d_o = o * (1.0 - o) * (ts.targets - o) * ts.weights
+        d_h = h * (1.0 - h) * (w_o[:-1, None] * d_o[None, :])
+        g_o = np.concatenate([(h @ d_o[:, None])[:, 0], [d_o.sum()]])
+        return err_rate, g_o / ts.n, (d_h @ xs1) / ts.n
+
+    return _restart_scan(epoch_step, ts.xs, ts.labels, n_hidden, cfg,
+                         ts.n_pos, ts.n_neg)
+
+
+def _tiled_reference_batch(positives, negatives, n_hidden, cfg):
+    """The one-restart-at-a-time loop on the tiled balanced set that the
+    trainer built before weighting examples: the minority class copied
+    with ``np.tile`` up to the majority's size."""
+    pos = np.atleast_2d(np.asarray(positives, dtype=float))
+    neg = np.atleast_2d(np.asarray(negatives, dtype=float))
+    train_pos, train_neg = pos, neg
+    if cfg.balance_classes and len(neg) < len(pos):
+        train_neg = np.tile(neg, (-(-len(pos) // len(neg)), 1))[:len(pos)]
+    elif cfg.balance_classes and len(pos) < len(neg):
+        train_pos = np.tile(pos, (-(-len(neg) // len(pos)), 1))[:len(neg)]
+    xs = np.vstack([train_pos, train_neg])
+    targets = np.concatenate([np.full(len(train_pos), cfg.positive_target),
+                              np.full(len(train_neg), cfg.negative_target)])
+    labels = targets >= 0.5
     n = len(xs)
+
+    def epoch_step(w_h, w_o):
+        h_in = xs @ w_h[:, :-1].T + w_h[:, -1]
+        h = 1.0 / (1.0 + np.exp(-h_in))
+        o_in = h @ w_o[:-1] + w_o[-1]
+        o = 1.0 / (1.0 + np.exp(-o_in))
+        err_rate = float(np.mean((o >= 0.5) != labels))
+        d_o = o * (1.0 - o) * (targets - o)
+        d_h = h * (1.0 - h) * np.outer(d_o, w_o[:-1])
+        g_o = np.concatenate([d_o @ h, [d_o.sum()]]) / n
+        g_h = np.hstack([d_h.T @ xs, d_h.sum(axis=0)[:, None]]) / n
+        return err_rate, g_o, g_h
+
+    return _restart_scan(epoch_step, xs, labels, n_hidden, cfg, len(pos),
+                         len(neg))
+
+
+def _restart_scan(epoch_step, xs, labels, n_hidden, cfg, n_pos, n_neg):
+    """Momentum descent with ``epoch_step(w_h, w_o) -> (error rate,
+    output gradient, hidden gradient)``, one restart at a time."""
+    from repro.nn.trainer import _accepted, _result
+
     best = None
     restart_epochs = []
     for r in range(max(1, cfg.restarts)):
@@ -96,11 +148,7 @@ def _reference_batch(positives, negatives, n_hidden, cfg):
         lr = cfg.batch_learning_rate
         history, err_rate, epoch, fit_epoch = [], 1.0, 0, None
         for epoch in range(1, cfg.max_epochs + 1):
-            h_in = xs @ w_h[:, :-1].T + w_h[:, -1]
-            h = 1.0 / (1.0 + np.exp(-h_in))
-            o_in = h @ w_o[:-1] + w_o[-1]
-            o = 1.0 / (1.0 + np.exp(-o_in))
-            err_rate = float(np.mean((o >= 0.5) != labels))
+            err_rate, g_o, g_h = epoch_step(w_h, w_o)
             history.append(err_rate)
             if err_rate <= cfg.target_error:
                 if fit_epoch is None:
@@ -109,10 +157,6 @@ def _reference_batch(positives, negatives, n_hidden, cfg):
                     break
             else:
                 fit_epoch = None
-            d_o = o * (1.0 - o) * (targets - o)
-            d_h = h * (1.0 - h) * np.outer(d_o, w_o[:-1])
-            g_o = np.concatenate([d_o @ h, [d_o.sum()]]) / n
-            g_h = np.hstack([d_h.T @ xs, d_h.sum(axis=0)[:, None]]) / n
             v_o = cfg.momentum * v_o + lr * g_o
             v_h = cfg.momentum * v_h + lr * g_h
             w_o += v_o
@@ -129,9 +173,13 @@ def _reference_batch(positives, negatives, n_hidden, cfg):
     return best
 
 
-def _assert_same_training(expected, actual):
-    assert np.array_equal(expected.net.read_weights(),
-                          actual.net.read_weights())
+def _assert_same_training(expected, actual, rtol=0.0):
+    if rtol:
+        np.testing.assert_allclose(actual.net.read_weights(),
+                                   expected.net.read_weights(), rtol=rtol)
+    else:
+        assert np.array_equal(expected.net.read_weights(),
+                              actual.net.read_weights())
     assert (expected.epochs, expected.history, expected.train_error,
             expected.worst_margin, expected.restart_epochs) == (
         actual.epochs, actual.history, actual.train_error,
@@ -174,6 +222,79 @@ class TestStackedRestarts:
         assert result.restart_epochs == [19, 15, 24, 19]
         _assert_same_training(_reference_batch(pos, neg[:3], 3, cfg),
                               result)
+
+
+class TestWeightedExamples:
+    """Class balancing weights the distinct examples instead of copying
+    the minority class: the same fit as the tiled balanced set."""
+
+    @pytest.mark.parametrize("n_pos,n_neg", [(9, 4), (3, 8), (6, 6)])
+    def test_matches_tiled_balanced_set(self, n_pos, n_neg):
+        pos, neg = _blobs(n_per=9, dim=4, seed=2)
+        cfg = TrainConfig(seed=5, max_epochs=400)
+        _assert_same_training(
+            _tiled_reference_batch(pos[:n_pos], neg[:n_neg], 3, cfg),
+            train_network(pos[:n_pos], neg[:n_neg], 3, config=cfg),
+            rtol=1e-9)
+
+    @pytest.mark.parametrize("n_pos,n_neg,weights", [
+        (5, 2, [1, 1, 1, 1, 1, 3, 2]),
+        (2, 7, [4, 3, 1, 1, 1, 1, 1, 1, 1]),
+        (3, 3, [1] * 6),
+        (4, 0, [1] * 4),
+    ])
+    def test_weights_count_tiled_copies(self, n_pos, n_neg, weights):
+        from repro.nn.trainer import _training_set
+
+        pos, neg = _blobs(n_per=7, dim=2)
+        ts = _training_set(pos[:n_pos], neg[:n_neg], TrainConfig())
+        assert ts.weights.tolist() == weights
+        assert ts.n == sum(weights)
+        assert len(ts.xs) == n_pos + n_neg
+
+    def test_tiled_order_is_the_tiled_set(self):
+        from repro.nn.trainer import _training_set
+
+        pos, neg = _blobs(n_per=7, dim=2)
+        ts = _training_set(pos, neg[:3], TrainConfig())
+        tiled = np.vstack([pos, np.tile(neg[:3], (3, 1))[:7]])
+        assert np.array_equal(ts.xs[ts.tiled_order()], tiled)
+
+    @pytest.mark.parametrize("empty", [[], None, np.empty((0, 4))])
+    def test_empty_negatives(self, empty):
+        pos, _ = _blobs(n_per=6)
+        result = train_network(pos, empty, 3,
+                               config=TrainConfig(max_epochs=50))
+        assert (result.n_positives, result.n_negatives) == (6, 0)
+        assert result.net.n_inputs == 4
+
+    @pytest.mark.parametrize("empty", [[], None, np.empty((0, 4))])
+    def test_empty_positives(self, empty):
+        _, neg = _blobs(n_per=6)
+        result = train_network(empty, neg, 3,
+                               config=TrainConfig(max_epochs=50))
+        assert (result.n_positives, result.n_negatives) == (0, 6)
+        assert (result.net.predict_batch(neg) < 0.5).all()
+
+    def test_no_examples_is_an_error(self):
+        from repro.common.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="at least one example"):
+            train_network([], np.empty((0, 4)), 3)
+
+    def test_sgd_path_trains_on_the_tiled_order(self):
+        from repro.nn.trainer import _fit_sgd
+
+        pos, neg = _blobs(n_per=9, dim=4, seed=2)
+        cfg = TrainConfig(batch=False, seed=3, max_epochs=20, restarts=1)
+        net = OneHiddenLayerNet(4, 3, seed=3)
+        xs = np.vstack([pos, np.tile(neg[:4], (3, 1))[:9]])
+        targets = np.array([0.9] * 9 + [0.1] * 9)
+        expected = _fit_sgd(net, xs, targets, targets >= 0.5, cfg, 3)
+        result = train_network(pos, neg[:4], 3, config=cfg)
+        assert (result.epochs, result.train_error, result.history) == \
+            expected
+        assert np.array_equal(result.net.read_weights(), net.read_weights())
 
 
 class TestRestarts:
@@ -236,6 +357,12 @@ class TestRestarts:
         pos, neg, n_hidden, cfg = tinybug_set
         _assert_same_training(_reference_batch(pos, neg, n_hidden, cfg),
                               train_network(pos, neg, n_hidden, config=cfg))
+
+    def test_equals_tiled_balanced_set(self, tinybug_set):
+        pos, neg, n_hidden, cfg = tinybug_set
+        _assert_same_training(
+            _tiled_reference_batch(pos, neg, n_hidden, cfg),
+            train_network(pos, neg, n_hidden, config=cfg), rtol=1e-9)
 
     def test_epoch_cap_hits_counted(self, tinybug_set):
         result, snap = self._train(tinybug_set, max_epochs=20)
