@@ -15,16 +15,12 @@ Reproduction of Alam & Muzahid, ISCA 2016. The package is organised as:
   figure of the paper's evaluation.
 """
 
-from repro.core.config import ACTConfig
-from repro.core.diagnosis import DiagnosisReport, diagnose_failure
-from repro.core.offline import OfflineTrainer, TrainedACT
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "ACTConfig",
-    "DiagnosisReport",
-    "diagnose_failure",
-    "OfflineTrainer",
-    "TrainedACT",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.config": ("ACTConfig",),
+    "repro.core.diagnosis": ("DiagnosisReport", "diagnose_failure"),
+    "repro.core.offline": ("OfflineTrainer", "TrainedACT"),
+})
 
 __version__ = "1.0.0"

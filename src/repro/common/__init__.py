@@ -1,6 +1,8 @@
 """Shared utilities: deterministic RNG, errors, table rendering."""
 
-from repro.common.errors import ReproError, SimulatedFailure
-from repro.common.rng import make_rng
+from repro.common.lazy import lazy_exports
 
-__all__ = ["ReproError", "SimulatedFailure", "make_rng"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.common.errors": ("ReproError", "SimulatedFailure"),
+    "repro.common.rng": ("make_rng",),
+})

@@ -8,35 +8,23 @@
 - :mod:`repro.core.offline` -- offline training and topology selection.
 - :mod:`repro.core.postprocess` -- pruning + ranking after a failure.
 - :mod:`repro.core.diagnosis` -- end-to-end failure diagnosis driver.
+
+The names below are imported from their submodules on first access.
+``repro.core.postprocess`` is the submodule; its function of the same
+name is ``repro.core.postprocess.postprocess``.
 """
 
-from repro.core.act_module import ACTModule, Mode
-from repro.core.buffers import DebugBuffer, DebugEntry, InputGeneratorBuffer
-from repro.core.config import ACTConfig
-from repro.core.deploy import DeploymentResult, deploy_on_run
-from repro.core.encoding import DepEncoder
-from repro.core.diagnosis import DiagnosisReport, diagnose_failure
-from repro.core.offline import OfflineTrainer, TrainedACT
-from repro.core.postprocess import CorrectSet, RankedFinding, postprocess
-from repro.core.thread_library import ACTThreadLibrary, ThreadId
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "ACTModule",
-    "Mode",
-    "DebugBuffer",
-    "DebugEntry",
-    "InputGeneratorBuffer",
-    "ACTConfig",
-    "DeploymentResult",
-    "deploy_on_run",
-    "DepEncoder",
-    "DiagnosisReport",
-    "diagnose_failure",
-    "OfflineTrainer",
-    "TrainedACT",
-    "CorrectSet",
-    "RankedFinding",
-    "postprocess",
-    "ACTThreadLibrary",
-    "ThreadId",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.act_module": ("ACTModule", "Mode"),
+    "repro.core.buffers": ("DebugBuffer", "DebugEntry",
+                           "InputGeneratorBuffer"),
+    "repro.core.config": ("ACTConfig",),
+    "repro.core.deploy": ("DeploymentResult", "deploy_on_run"),
+    "repro.core.encoding": ("DepEncoder",),
+    "repro.core.diagnosis": ("DiagnosisReport", "diagnose_failure"),
+    "repro.core.offline": ("OfflineTrainer", "TrainedACT"),
+    "repro.core.postprocess": ("CorrectSet", "RankedFinding"),
+    "repro.core.thread_library": ("ACTThreadLibrary", "ThreadId"),
+})

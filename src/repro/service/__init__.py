@@ -21,43 +21,20 @@ package turns the pipeline into an always-on local service:
 - :mod:`repro.service.client` -- ``repro submit`` / ``status`` /
   ``result`` / ``shutdown`` helpers.
 
-See ``docs/service.md`` for the protocol and job lifecycle.
+See ``docs/service.md`` for the protocol and job lifecycle. The names
+below are imported from their submodules on first access.
 """
 
-from repro.service.jobstore import (
-    JOB_DONE,
-    JOB_FAILED,
-    JOB_QUEUED,
-    JOB_RUNNING,
-    Job,
-    JobStore,
-)
-from repro.service.ops import (
-    CorpusRequest,
-    DiagnoseRequest,
-    Outcome,
-    ProfileRequest,
-    TraceRequest,
-    WarmStateCache,
-    request_from_payload,
-    request_to_payload,
-    run_request,
-)
-from repro.service.server import Server
-from repro.service.client import (
-    ping,
-    shutdown,
-    status,
-    submit,
-    wait_for,
-)
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "JOB_DONE", "JOB_FAILED", "JOB_QUEUED", "JOB_RUNNING",
-    "Job", "JobStore",
-    "CorpusRequest", "DiagnoseRequest", "Outcome", "ProfileRequest",
-    "TraceRequest", "WarmStateCache",
-    "request_from_payload", "request_to_payload", "run_request",
-    "Server",
-    "ping", "shutdown", "status", "submit", "wait_for",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.service.jobstore": ("JOB_DONE", "JOB_FAILED", "JOB_QUEUED",
+                               "JOB_RUNNING", "Job", "JobStore"),
+    "repro.service.ops": ("CorpusRequest", "DiagnoseRequest", "Outcome",
+                          "ProfileRequest", "TraceRequest",
+                          "WarmStateCache", "request_from_payload",
+                          "request_to_payload", "run_request"),
+    "repro.service.server": ("Server",),
+    "repro.service.client": ("ping", "shutdown", "status", "submit",
+                             "wait_for"),
+})

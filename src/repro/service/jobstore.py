@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from repro.common.errors import JobNotFound, ReproError
-from repro.faults.checkpoint import Checkpoint
 
 JOB_QUEUED = "queued"
 JOB_RUNNING = "running"
@@ -111,6 +110,9 @@ class JobStore:
         self.pruned = 0
         self._checkpoint = None
         if path is not None:
+            # Imported here: the CLI reads DEFAULT_HISTORY_LIMIT at start-up.
+            from repro.faults.checkpoint import Checkpoint
+
             self._checkpoint = Checkpoint.open(path, STORE_KIND,
                                                STORE_FINGERPRINT)
             self._restore()

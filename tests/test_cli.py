@@ -402,3 +402,54 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "gzip" in proc.stdout and "table5" in proc.stdout
+
+
+class TestStartup:
+    """``repro --version`` and ``import repro.cli`` stay below the numpy
+    import: package re-exports, the pipeline, the daemon and the
+    telemetry exporters load only in the commands that use them."""
+
+    HEAVY = ("numpy", "repro.service.server", "repro.service.ops",
+             "repro.core.diagnosis", "repro.telemetry.export")
+
+    def _imported(self, *args):
+        import os
+        import pathlib
+        env = dict(os.environ)
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        lines = [ln for ln in proc.stderr.splitlines()
+                 if ln.startswith("import time:")]
+        return proc.stdout, {ln.rsplit("|", 1)[1].strip() for ln in lines}
+
+    def test_version_loads_no_pipeline(self):
+        from repro import __version__
+
+        out, modules = self._imported("-m", "repro", "--version")
+        assert out.strip() == f"repro {__version__}"
+        assert "repro.cli" in modules
+        assert not modules & set(self.HEAVY)
+
+    def test_import_cli_loads_no_pipeline(self):
+        _, modules = self._imported("-c", "import repro.cli")
+        assert "repro.cli" in modules
+        assert not modules & set(self.HEAVY)
+
+    def test_package_exports_resolve_on_access(self):
+        import repro
+        import repro.core
+        import repro.service
+        import repro.workloads
+        from repro.core.diagnosis import diagnose_failure
+        from repro.workloads.registry import get_bug
+
+        assert repro.diagnose_failure is diagnose_failure
+        assert repro.core.diagnose_failure is diagnose_failure
+        assert repro.workloads.get_bug is get_bug
+        assert "Server" in dir(repro.service)
+        assert set(repro.core.__all__) <= set(dir(repro.core))
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            repro.core.nope
