@@ -24,8 +24,8 @@ from repro.core.encoding import DepEncoder
 from repro.nn.network import OneHiddenLayerNet, SigmoidTable
 from repro.nn.trainer import (
     TrainConfig,
-    _sgd_examples,
     evaluate_misprediction,
+    fit_from,
     search_topology,
     train_network,
 )
@@ -302,7 +302,7 @@ class TrainedACT:
                    topology=payload["topology"])
 
     def train_negative_feedback(self, invalid_seqs, support_runs=None,
-                                learning_rate=None, epochs=500):
+                                epochs=500):
         """Teach confirmed-invalid sequences as negative examples.
 
         Section III.C: "If the neural network predicts an invalid RAW
@@ -313,52 +313,38 @@ class TrainedACT:
         a negative example."
 
         Every stored weight set (the default and each thread's) is
-        updated in place. ``support_runs`` optionally supplies correct
-        runs whose sequences are rehearsed as positives during the
-        update so existing knowledge is not catastrophically forgotten.
+        updated in place by the offline recipe started from its current
+        weights (:func:`~repro.nn.trainer.fit_from`): class-balanced
+        full-batch descent, for at most ``epochs`` epochs, until the
+        negatives and the rehearsed positives are all classified right.
+        ``support_runs`` optionally supplies correct runs whose
+        sequences are rehearsed as positives during the update so
+        existing knowledge is not catastrophically forgotten.
 
         Returns the number of weight sets updated.
         """
-        lr = learning_rate or self.config.learning_rate
         seqs = list(invalid_seqs)
         if not seqs:
             return 0
-        xs_neg = [self.encoder.encode_seq(s) for s in seqs]
-        xs_pos = []
+        xs_neg = self.encoder.encode_many(seqs, seq_len=self.config.seq_len)
+        xs_pos = None
         if support_runs:
             pos, _neg = sequences_from_runs(
                 support_runs, self.config.seq_len,
                 filter_stack=self.config.filter_stack_loads)
-            xs_pos = [self.encoder.encode_seq(s)
-                      for s in dict.fromkeys(pos)]
-
-        neg_mat = np.asarray(xs_neg, dtype=float)
-        neg_targets = np.full(len(xs_neg), 0.1)
-        pos_mat = np.asarray(xs_pos, dtype=float) if xs_pos else None
-        pos_targets = np.full(len(xs_pos), 0.9)
+            xs_pos = self.encoder.encode_many(_dedupe(pos),
+                                              seq_len=self.config.seq_len)
+        train_config = TrainConfig(max_epochs=epochs)
 
         updated = 0
-        targets = list(self.weights.keys())
-        for key in [None] + targets:
+        for key in [None] + list(self.weights):
             net = OneHiddenLayerNet(
                 self.config.n_inputs, self.config.n_hidden,
                 max_inputs=self.config.max_inputs,
                 sigmoid=SigmoidTable(self.config.sigmoid_resolution))
             net.write_weights(self.default_weights if key is None
                               else self.weights[key])
-            for _ in range(epochs):
-                # Cross-entropy gradient: the network is confidently
-                # wrong about these sequences, so the plain sigmoid rule
-                # would be stuck in saturation. _sgd_examples is the
-                # trainer's inlined kernel -- bit-identical to calling
-                # train_example_ce/train_example per sequence.
-                _sgd_examples(net, neg_mat, neg_targets, lr,
-                              cross_entropy=True)
-                if pos_mat is not None:
-                    _sgd_examples(net, pos_mat, pos_targets, lr)
-                outputs, _risky = net.predict_batch_exact(neg_mat)
-                if not np.any(outputs >= 0.5):
-                    break
+            fit_from(net, xs_pos, xs_neg, train_config)
             flat = net.read_weights()
             if key is None:
                 self.default_weights = flat

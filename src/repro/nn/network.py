@@ -174,10 +174,11 @@ class OneHiddenLayerNet:
     def train_example_ce(self, x, target, lr):
         """One back-propagation step with the cross-entropy gradient.
 
-        The output error is ``t - o`` (the paper's threshold-function
-        rule), which does not vanish when the sigmoid saturates --
-        needed to *unlearn* a confidently-wrong prediction, as in the
-        programmer-feedback path.
+        The output error is ``t - o``, the gradient of the binary
+        cross-entropy, which does not vanish when the sigmoid saturates.
+        It is the per-example form of the offline full-batch rule
+        (``repro.nn.trainer._fit_restarts``); online training keeps the
+        sigmoid-derivative rule of :meth:`train_example`.
         """
         x = np.asarray(x, dtype=float)
         h, o = self.forward(x)

@@ -169,12 +169,12 @@ CATALOG = (
     MetricSpec("nn.train_epochs", COUNTER, "nn.trainer",
                "epochs run by winning trainings"),
     MetricSpec("nn.epochs_run", COUNTER, "nn.trainer",
-               "epochs run by every restart the restart scan reached"),
+               "epochs run by every restart"),
     MetricSpec("nn.epoch_cap_hits", COUNTER, "nn.trainer",
                "restarts that ran to the max_epochs cap"),
     MetricSpec("nn.train_error", HISTOGRAM, "nn.trainer",
                "final training error per trained network"),
-    MetricSpec("nn.epoch_loss", HISTOGRAM, "nn.trainer",
+    MetricSpec("nn.epoch_error", HISTOGRAM, "nn.trainer",
                "per-epoch training misclassification rate"),
     MetricSpec("nn.topologies_evaluated", COUNTER, "nn.trainer",
                "topology-search grid points trained and scored"),

@@ -80,8 +80,8 @@ class TestTrainNetwork:
 
 def _reference_batch(positives, negatives, n_hidden, cfg):
     """The full-batch trainer as it was before restarts were stacked:
-    each restart fitted alone, in order, until one is accepted, on the
-    distinct examples with their class-balancing weights."""
+    each restart fitted alone, in order, on the distinct examples with
+    their class-balancing weights."""
     from repro.nn.trainer import _training_set
 
     ts = _training_set(positives, negatives, cfg)
@@ -91,7 +91,7 @@ def _reference_batch(positives, negatives, n_hidden, cfg):
         h = 1.0 / (1.0 + np.exp(-(w_h @ xs1.T)))
         o = 1.0 / (1.0 + np.exp(-((w_o[None, :-1] @ h)[0] + w_o[-1])))
         err_rate = float((((o >= 0.5) != ts.labels) @ ts.weights) / ts.n)
-        d_o = o * (1.0 - o) * (ts.targets - o) * ts.weights
+        d_o = (ts.targets - o) * ts.weights
         d_h = h * (1.0 - h) * (w_o[:-1, None] * d_o[None, :])
         g_o = np.concatenate([(h @ d_o[:, None])[:, 0], [d_o.sum()]])
         return err_rate, g_o / ts.n, (d_h @ xs1) / ts.n
@@ -123,7 +123,7 @@ def _tiled_reference_batch(positives, negatives, n_hidden, cfg):
         o_in = h @ w_o[:-1] + w_o[-1]
         o = 1.0 / (1.0 + np.exp(-o_in))
         err_rate = float(np.mean((o >= 0.5) != labels))
-        d_o = o * (1.0 - o) * (targets - o)
+        d_o = targets - o
         d_h = h * (1.0 - h) * np.outer(d_o, w_o[:-1])
         g_o = np.concatenate([d_o @ h, [d_o.sum()]]) / n
         g_h = np.hstack([d_h.T @ xs, d_h.sum(axis=0)[:, None]]) / n
@@ -136,7 +136,7 @@ def _tiled_reference_batch(positives, negatives, n_hidden, cfg):
 def _restart_scan(epoch_step, xs, labels, n_hidden, cfg, n_pos, n_neg):
     """Momentum descent with ``epoch_step(w_h, w_o) -> (error rate,
     output gradient, hidden gradient)``, one restart at a time."""
-    from repro.nn.trainer import _accepted, _result
+    from repro.nn.trainer import _result
 
     best = None
     restart_epochs = []
@@ -167,8 +167,6 @@ def _restart_scan(epoch_step, xs, labels, n_hidden, cfg, n_pos, n_neg):
         if best is None or ((result.train_error, -result.worst_margin)
                             < (best.train_error, -best.worst_margin)):
             best = result
-        if _accepted(result, cfg):
-            break
     best.restart_epochs = restart_epochs
     return best
 
@@ -196,7 +194,7 @@ class TestStackedRestarts:
         {"patience_after_fit": 0},     # stop on the first fitted epoch
         {"restarts": 1},
         {"max_epochs": 0},
-        {"accept_margin": 2.0},        # nothing is accepted: all restarts
+        {"momentum": 0.0},             # plain gradient descent
         {"balance_classes": False, "restarts": 3},
     ])
     def test_matches_reference(self, changes):
@@ -207,21 +205,45 @@ class TestStackedRestarts:
 
     def test_restarts_stop_at_different_epochs(self):
         pos, neg = _blobs(n_per=8, seed=5)
-        cfg = TrainConfig(seed=1, max_epochs=300, accept_margin=0.45)
+        cfg = TrainConfig(seed=1, max_epochs=300)
         result = train_network(pos, neg, 2, config=cfg)
         assert len(set(result.restart_epochs)) > 1
         _assert_same_training(_reference_batch(pos, neg, 2, cfg), result)
 
-    def test_accepted_before_an_earlier_restart_stops(self):
-        # Restart 3 is accepted at epoch 19 while restart 2 runs on to
-        # epoch 24; restart 4 leaves the stack unfinished.
-        pos, neg = _blobs(n_per=6, dim=3, seed=0)
-        cfg = TrainConfig(seed=0, max_epochs=200, accept_margin=0.05,
-                          patience_after_fit=5)
-        result = train_network(pos, neg[:3], 3, config=cfg)
-        assert result.restart_epochs == [19, 15, 24, 19]
-        _assert_same_training(_reference_batch(pos, neg[:3], 3, cfg),
-                              result)
+
+class TestOutputDelta:
+    """What one full-batch step is: gradient descent on the weighted
+    mean binary cross-entropy (the ``t - o`` output delta)."""
+
+    def test_step_is_the_cross_entropy_gradient(self):
+        pos, neg = _blobs(n_per=3, dim=2, seed=4)
+        neg = neg[:1]  # balancing repeats the one negative 3 times
+        cfg = TrainConfig(seed=4, restarts=1, max_epochs=1, momentum=0.0)
+        start = OneHiddenLayerNet(2, 2, seed=cfg.seed)
+        result = train_network(pos, neg, 2, config=cfg)
+        assert result.epochs == 1
+
+        xs = np.vstack([pos, neg])
+        targets = np.array([cfg.positive_target] * 3
+                           + [cfg.negative_target])
+        weights = np.array([1.0, 1.0, 1.0, 3.0])
+
+        def loss(flat):
+            w_h = flat[:6].reshape(2, 3)
+            w_o = flat[6:]
+            h = 1.0 / (1.0 + np.exp(-(xs @ w_h[:, :-1].T + w_h[:, -1])))
+            o = 1.0 / (1.0 + np.exp(-(h @ w_o[:-1] + w_o[-1])))
+            bce = -(targets * np.log(o) + (1 - targets) * np.log(1 - o))
+            return (weights @ bce) / weights.sum()
+
+        w0 = start.read_weights()
+        eps = 1e-6
+        grad = np.array([
+            (loss(w0 + eps * e) - loss(w0 - eps * e)) / (2 * eps)
+            for e in np.eye(len(w0))])
+        step = result.net.read_weights() - w0
+        np.testing.assert_allclose(step, -cfg.batch_learning_rate * grad,
+                                   rtol=1e-6, atol=1e-9)
 
 
 class TestWeightedExamples:
@@ -289,7 +311,8 @@ class TestWeightedExamples:
         cfg = TrainConfig(batch=False, seed=3, max_epochs=20, restarts=1)
         net = OneHiddenLayerNet(4, 3, seed=3)
         xs = np.vstack([pos, np.tile(neg[:4], (3, 1))[:9]])
-        targets = np.array([0.9] * 9 + [0.1] * 9)
+        targets = np.array([cfg.positive_target] * 9
+                           + [cfg.negative_target] * 9)
         expected = _fit_sgd(net, xs, targets, targets >= 0.5, cfg, 3)
         result = train_network(pos, neg[:4], 3, config=cfg)
         assert (result.epochs, result.train_error, result.history) == \
@@ -298,9 +321,8 @@ class TestWeightedExamples:
 
 
 class TestRestarts:
-    """The restart scan and its counters, on TinyBug's training set: the
-    first three restarts fit without enough margin, the fourth (restart
-    3) is accepted, and restart 4 is stepped in lockstep until then."""
+    """The restart scan and its counters, on TinyBug's training set:
+    every restart fits it, and restart 0 wins."""
 
     @pytest.fixture
     def tinybug_set(self, tinybug, monkeypatch):
@@ -335,23 +357,23 @@ class TestRestarts:
 
     def test_restart_epochs_in_restart_order(self, tinybug_set):
         result, snap = self._train(tinybug_set)
-        assert result.restart_epochs == [58, 79, 70, 85]
-        assert result.epochs == 85
-        assert snap["counters"]["nn.train_restarts"] == 3
-        assert snap["counters"]["nn.epochs_run"] == 292
+        assert result.restart_epochs == [58, 71, 64, 74, 68]
+        assert result.epochs == 58
+        assert snap["counters"]["nn.train_restarts"] == 4
+        assert snap["counters"]["nn.epochs_run"] == 335
         assert snap["counters"]["nn.epoch_cap_hits"] == 0
-        assert snap["histograms"]["nn.epoch_loss"]["count"] == 292
+        assert snap["histograms"]["nn.epoch_error"]["count"] == 335
 
     def test_lockstep_restart_changes_nothing(self, tinybug_set):
-        five, snap5 = self._train(tinybug_set)
-        four, snap4 = self._train(tinybug_set, restarts=4)
+        # Restart 4 shares the stack with restarts 0-3 and leaves their
+        # fits as they are; restart 0 wins either way.
+        five, _ = self._train(tinybug_set)
+        four, _ = self._train(tinybug_set, restarts=4)
         assert np.array_equal(five.net.read_weights(),
                               four.net.read_weights())
-        assert (five.epochs, five.history, five.worst_margin,
-                five.restart_epochs) == (four.epochs, four.history,
-                                         four.worst_margin,
-                                         four.restart_epochs)
-        assert snap5["histograms"] == snap4["histograms"]
+        assert (five.epochs, five.history, five.worst_margin) == (
+            four.epochs, four.history, four.worst_margin)
+        assert five.restart_epochs[:4] == four.restart_epochs
 
     def test_equals_one_restart_at_a_time(self, tinybug_set):
         pos, neg, n_hidden, cfg = tinybug_set
@@ -370,7 +392,7 @@ class TestRestarts:
         assert snap["counters"]["nn.train_restarts"] == 4
         assert snap["counters"]["nn.epochs_run"] == 100
         assert snap["counters"]["nn.epoch_cap_hits"] == 5
-        assert snap["histograms"]["nn.epoch_loss"]["count"] == 100
+        assert snap["histograms"]["nn.epoch_error"]["count"] == 100
 
     def test_sgd_path_reports_restart_epochs(self):
         pos, neg = _blobs(n_per=6)
