@@ -59,7 +59,7 @@ TRACKED_METRICS = {
     "parallel.speedup_cold": "higher",
     "trace_io.read_speedup": "higher",
     "trace_io.write_speedup": "higher",
-    "serve.warm_speedup": "higher",
+    "cache.warm_speedup": "higher",
     "frontier.recall": "higher",
 }
 

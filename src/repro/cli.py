@@ -23,10 +23,7 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli diagnose gzip --policy rate=0.5,seed=3,backoff=1
     python -m repro.cli frontier --seed 7 --size 20 \
         --out frontier.json     # sampling-rate x FIFO Pareto frontier
-    python -m repro.cli serve --state jobs.json --jobs 2 &   # daemon
-    python -m repro.cli submit --wait diagnose gzip          # via daemon
-    python -m repro.cli status --out status.json
-    python -m repro.cli shutdown
+    python -m repro.cli diagnose gzip --cache-dir cache  # reuse training
 
 ``diagnose`` runs the full ACT pipeline against a bundled bug program
 or a generated one (``gen-<archetype>-<motif>-s<seed>``); ``trace``
@@ -50,12 +47,9 @@ emits folded stacks for flamegraph tooling, ``--critical-path`` the
 heaviest root-to-leaf span chain, and ``--openmetrics`` the OpenMetrics
 text exposition of the metrics.
 
-``serve`` runs the diagnosis-as-a-service daemon on a local socket;
-``submit``/``status``/``result``/``shutdown`` are its clients. A job
-submitted with ``submit --wait`` prints exactly what the equivalent
-cold command would have printed and exits with its exit code (the
-daemon runs the same :mod:`repro.service.ops` code the CLI does). See
-``docs/service.md``.
+``diagnose --cache-dir DIR`` keeps trained state on disk: a repeat
+diagnosis of the same program, engine, config and training runs loads
+it instead of retraining, and prints exactly what a cold run prints.
 """
 
 import argparse
@@ -64,16 +58,11 @@ import sys
 
 from repro import __version__
 from repro.analysis.experiments import experiment_names
-from repro.common.errors import ReproError
-from repro.service.jobstore import DEFAULT_HISTORY_LIMIT
-
-#: Default daemon socket, shared by serve and every client command.
-DEFAULT_SOCKET = ".repro-serve.sock"
 
 
 def _emit(outcome):
-    """Print an :class:`~repro.service.ops.Outcome` the way the inline
-    command bodies used to: stdout text, then stderr text, then rc."""
+    """Print an :class:`~repro.service.ops.Outcome`: stdout text, then
+    stderr text; return its exit code."""
     if outcome.out:
         print(outcome.out)
     if outcome.err:
@@ -94,8 +83,8 @@ def _cmd_list(_args):
 
 def _cmd_request(args):
     """``diagnose``, ``trace``, ``profile``, ``corpus``, ``shootout`` and
-    ``frontier``: the request built from the flags, run by the
-    :mod:`repro.service.ops` code the daemon runs too."""
+    ``frontier``: the request built from the flags, run by
+    :mod:`repro.service.ops`."""
     from repro.service import ops
 
     req = ops.REQUEST_TYPES[args.command].from_args(args)
@@ -113,141 +102,6 @@ def _cmd_experiment(args):
     if args.jobs is not None:
         preset = replace(preset, jobs=args.jobs)
     print(run_experiment(args.name, preset))
-    return 0
-
-
-# -- service commands --------------------------------------------------
-
-
-def _cmd_serve(args):
-    from repro.service.server import Server
-
-    try:
-        server = Server(args.socket, state_path=args.state, jobs=args.jobs,
-                        warm_capacity=args.warm_capacity,
-                        tick_clock=args.tick_clock,
-                        history_limit=args.history)
-    except ReproError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    print(f"repro serve: listening on {args.socket} (pid {os.getpid()})",
-          flush=True)
-    try:
-        completed = server.run()
-    except ReproError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    print(f"repro serve: shut down ({completed} jobs completed)")
-    return 0
-
-
-def _cmd_submit(args):
-    from repro.service import client, ops
-
-    req = ops.REQUEST_TYPES[args.kind].from_args(args)
-    try:
-        job = client.submit(args.socket, req)
-        if not args.wait:
-            print(job["id"])
-            return 0
-        reply = client.wait_for(args.socket, job["id"],
-                                timeout=args.timeout)
-    except ReproError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    result = reply.get("result") or {}
-    if result.get("out"):
-        print(result["out"])
-    if result.get("err"):
-        print(result["err"], file=sys.stderr)
-    return result.get("rc", 2)
-
-
-def _format_job_row(job):
-    rc = job.get("rc")
-    return (f"  {job['id']:<6} {job['kind']:<9} {job['state']:<8}"
-            + (f" rc {rc}" if rc is not None else ""))
-
-
-def _cmd_status(args):
-    import json
-
-    from repro.service import client
-
-    try:
-        reply = client.status(args.socket, job_id=args.job)
-    except ReproError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(reply, f, indent=2, sort_keys=True)
-            f.write("\n")
-    if args.job is not None:
-        print(_format_job_row(reply["job"]).strip())
-        if reply.get("profile") and not args.out:
-            spans = reply["profile"].get("spans") or []
-            print(f"profile: {len(spans)} top-level spans "
-                  f"(use --out to save the full JSON)")
-    else:
-        counts = reply["counts"]
-        warm = reply["warm"]
-        print(f"daemon pid {reply['pid']} (repro {reply['version']})")
-        pruned = counts.get("pruned", 0)
-        print(f"jobs: {counts['queued']} queued, {counts['running']} "
-              f"running, {counts['done']} done, {counts['failed']} failed"
-              + (f", {pruned} pruned" if pruned else ""))
-        print(f"warm cache: {warm['size']}/{warm['capacity']} entries, "
-              f"{warm['hits']} hits, {warm['misses']} misses, "
-              f"{warm['evictions']} evictions")
-        scheduler = reply.get("scheduler") or {}
-        if scheduler.get("errors") or not scheduler.get("alive", True):
-            state = "alive" if scheduler.get("alive") else "DEAD"
-            print(f"scheduler: {state}, {scheduler.get('errors', 0)} "
-                  f"errors (last: {scheduler.get('last_error')})",
-                  file=sys.stderr)
-        for job in reply["jobs"]:
-            print(_format_job_row(job))
-    if args.out:
-        print(f"status JSON written to {args.out}")
-    return 0
-
-
-def _cmd_result(args):
-    from repro.service import client
-    from repro.service.jobstore import JOB_DONE, JOB_FAILED
-
-    try:
-        if args.wait:
-            reply = client.wait_for(args.socket, args.job,
-                                    timeout=args.timeout)
-        else:
-            reply = client.result(args.socket, args.job)
-    except ReproError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    state = reply["job"]["state"]
-    if state not in (JOB_DONE, JOB_FAILED):
-        print(f"error: job {args.job} is still {state} "
-              "(use --wait to block)", file=sys.stderr)
-        return 2
-    result = reply.get("result") or {}
-    if result.get("out"):
-        print(result["out"])
-    if result.get("err"):
-        print(result["err"], file=sys.stderr)
-    return result.get("rc", 2)
-
-
-def _cmd_shutdown(args):
-    from repro.service import client
-
-    try:
-        client.shutdown(args.socket)
-    except ReproError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    print("daemon shutting down")
     return 0
 
 
@@ -275,7 +129,7 @@ def _add_telemetry_args(cmd):
 
 
 def _add_diagnose_args(d):
-    """``diagnose`` flags, shared with ``submit diagnose``."""
+    """``diagnose`` flags."""
     d.add_argument("bug", metavar="BUG",
                    help="a bundled bug name (see 'repro list') or a "
                         "generated name like gen-atomicity-pipeline-s7")
@@ -309,6 +163,10 @@ def _add_diagnose_args(d):
     d.add_argument("--quarantine-report", metavar="PATH",
                    help="write the quarantine report (skipped units and "
                         "why) as JSON")
+    d.add_argument("--cache-dir", metavar="DIR",
+                   help="keep trained state in DIR (created if missing) "
+                        "and reuse it on a repeat diagnosis instead of "
+                        "retraining; output is identical either way")
     _add_policy_arg(d)
 
 
@@ -331,7 +189,7 @@ def _csv_ints(text):
 
 
 def _add_trace_args(t):
-    """``trace`` flags, shared with ``submit trace``."""
+    """``trace`` flags."""
     t.add_argument("program",
                    help="workload name, or 'convert' to re-encode an "
                         "existing trace file")
@@ -351,7 +209,7 @@ def _add_trace_args(t):
 
 
 def _add_profile_args(p):
-    """``profile`` flags, shared with ``submit profile``."""
+    """``profile`` flags."""
     p.add_argument("programs", nargs="*")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--train-runs", type=int, default=6)
@@ -402,7 +260,7 @@ def _add_sweep_args(cmd, what, bench=None):
 
 
 def _add_corpus_args(c):
-    """``corpus`` flags, shared with ``submit corpus``."""
+    """``corpus`` flags."""
     _add_sweep_args(c, "metrics")
     c.add_argument("--engine", default="nn", metavar="NAME",
                    help="predictor engine to score (see docs/engines.md; "
@@ -431,7 +289,7 @@ def _add_corpus_args(c):
 
 
 def _add_shootout_args(s):
-    """``shootout`` flags, shared with ``submit shootout``."""
+    """``shootout`` flags."""
     _add_sweep_args(s, "shootout metrics",
                     bench="per-engine recall/top-1")
     s.add_argument("--engines", metavar="NAMES", default=None,
@@ -440,7 +298,7 @@ def _add_shootout_args(s):
 
 
 def _add_frontier_args(f):
-    """``frontier`` flags, shared with ``submit frontier``."""
+    """``frontier`` flags."""
     _add_sweep_args(f, "frontier metrics", bench="the frontier pick")
     f.add_argument("--rates", type=_csv_floats,
                    default=(1.0, 0.75, 0.5, 0.25), metavar="R,R,...",
@@ -459,12 +317,6 @@ def _add_frontier_args(f):
                    help="disable suspicion-directed tightening (sampled "
                         "passes then run blind, without the full-rate "
                         "pass's suspicious-PC feedback)")
-
-
-def _add_socket_arg(cmd):
-    cmd.add_argument("--socket", metavar="PATH", default=DEFAULT_SOCKET,
-                     help="daemon socket path "
-                          f"(default {DEFAULT_SOCKET})")
 
 
 def build_parser():
@@ -522,74 +374,6 @@ def build_parser():
                         "(results identical to serial; 0 = all CPUs)")
     _add_telemetry_args(e)
 
-    sv = sub.add_parser(
-        "serve",
-        help="run the diagnosis service daemon on a local socket")
-    _add_socket_arg(sv)
-    sv.add_argument("--state", metavar="PATH",
-                    help="durable jobstore checkpoint: queued/running "
-                         "jobs survive a daemon kill and resume on "
-                         "restart (in-memory queue when omitted)")
-    sv.add_argument("--jobs", type=int, default=None, metavar="N",
-                    help="default worker processes for jobs that do not "
-                         "set their own (results identical to serial; "
-                         "0 = all CPUs)")
-    sv.add_argument("--warm-capacity", type=int, default=8, metavar="N",
-                    help="LRU capacity of the warm trained-state cache "
-                         "(default 8)")
-    sv.add_argument("--history", type=int,
-                    default=DEFAULT_HISTORY_LIMIT, metavar="N",
-                    help="finished jobs retained (oldest pruned beyond "
-                         f"this, >= 1; default {DEFAULT_HISTORY_LIMIT})")
-    sv.add_argument("--tick-clock", action="store_true",
-                    help="run per-job telemetry on the deterministic "
-                         "tick clock")
-
-    sb = sub.add_parser(
-        "submit",
-        help="submit a job to the serve daemon (options before the "
-             "job kind: repro submit --wait diagnose gzip)")
-    _add_socket_arg(sb)
-    sb.add_argument("--wait", action="store_true",
-                    help="block until the job finishes, print exactly "
-                         "what the cold command would have printed, and "
-                         "exit with its exit code")
-    sb.add_argument("--timeout", type=float, default=600.0, metavar="SEC",
-                    help="--wait limit in seconds (default 600)")
-    sbsub = sb.add_subparsers(
-        dest="kind", required=True,
-        metavar="{diagnose,corpus,shootout,frontier,trace,profile}")
-    _add_diagnose_args(sbsub.add_parser("diagnose"))
-    _add_corpus_args(sbsub.add_parser("corpus"))
-    _add_shootout_args(sbsub.add_parser("shootout"))
-    _add_frontier_args(sbsub.add_parser("frontier"))
-    _add_trace_args(sbsub.add_parser("trace"))
-    _add_profile_args(sbsub.add_parser("profile"))
-
-    st = sub.add_parser("status",
-                        help="daemon status, or one job's status + "
-                             "telemetry profile")
-    st.add_argument("job", nargs="?", default=None,
-                    help="job id (daemon-wide status when omitted)")
-    _add_socket_arg(st)
-    st.add_argument("--out", metavar="PATH",
-                    help="write the full status reply (including the "
-                         "job's telemetry run profile) as JSON")
-
-    r = sub.add_parser("result",
-                       help="print a finished job's output and exit "
-                            "with its exit code")
-    r.add_argument("job", help="job id")
-    _add_socket_arg(r)
-    r.add_argument("--wait", action="store_true",
-                   help="block until the job finishes")
-    r.add_argument("--timeout", type=float, default=600.0, metavar="SEC",
-                   help="--wait limit in seconds (default 600)")
-
-    sd = sub.add_parser("shutdown",
-                        help="ask the serve daemon to shut down "
-                             "gracefully")
-    _add_socket_arg(sd)
     return parser
 
 
@@ -613,16 +397,10 @@ def main(argv=None):
         "shootout": _cmd_request,
         "frontier": _cmd_request,
         "experiment": _cmd_experiment,
-        "serve": _cmd_serve,
-        "submit": _cmd_submit,
-        "status": _cmd_status,
-        "result": _cmd_result,
-        "shutdown": _cmd_shutdown,
     }[args.command]
     telemetry_out = getattr(args, "telemetry", None)
     events_out = getattr(args, "events", None)
-    tick = (getattr(args, "tick_clock", False)
-            and args.command not in ("profile", "serve", "submit"))
+    tick = getattr(args, "tick_clock", False) and args.command != "profile"
     if not (telemetry_out or events_out or tick):
         return handler(args)
 

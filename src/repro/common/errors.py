@@ -109,45 +109,3 @@ class EngineError(ReproError):
 
     def __reduce__(self):
         return (self.__class__, (self.description, self.engine, self.known))
-
-
-class ServiceError(ReproError):
-    """Raised on diagnosis-service failures (daemon unreachable, job
-    rejected, jobstore unusable).
-
-    ``socket_path`` names the daemon endpoint involved so clients can
-    report which service they failed to talk to.
-    """
-
-    def __init__(self, description, socket_path=None):
-        super().__init__(description)
-        self.description = description
-        self.socket_path = socket_path
-
-    def __reduce__(self):
-        return (self.__class__, (self.description, self.socket_path))
-
-
-class JobNotFound(ServiceError):
-    """Raised when a job id is unknown to the daemon's jobstore."""
-
-    def __init__(self, description, job_id=None):
-        super().__init__(description)
-        self.description = description
-        self.job_id = job_id
-
-    def __reduce__(self):
-        return (self.__class__, (self.description, self.job_id))
-
-
-class ProtocolError(ServiceError):
-    """Raised on malformed service-protocol messages (bad JSON, missing
-    fields, oversized or truncated frames)."""
-
-    def __init__(self, description, frame=None):
-        super().__init__(description)
-        self.description = description
-        self.frame = frame
-
-    def __reduce__(self):
-        return (self.__class__, (self.description, self.frame))

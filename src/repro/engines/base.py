@@ -54,7 +54,7 @@ class EngineCapabilities:
     multithreaded_only: bool = False
     #: keeps learning during deployment (ACT's adaptivity argument)
     adapts_online: bool = False
-    #: serialized state is reusable across diagnoses (warm-cache eligible)
+    #: serialized state is reusable across diagnoses (--cache-dir eligible)
     warmable: bool = True
 
 

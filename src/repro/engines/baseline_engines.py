@@ -2,9 +2,10 @@
 
 Each engine reuses its ``repro.baselines`` module's statistics and
 ranking math but splits the flow into ``train`` (correct-run state,
-shared seed range, warm-cacheable) and ``report_trained`` (the
-failure-side protocol), so the serve daemon can warm-cache them and the
-shootout can run them on the exact corpus the NN engine sees.
+shared seed range, cacheable) and ``report_trained`` (the
+failure-side protocol), so ``diagnose --cache-dir`` can reuse their
+trained state and the shootout can run them on the exact corpus the NN
+engine sees.
 
 Candidate keys are ``store->load`` pc pairs for Aviso/PSet and
 ``pc=<pc>:<event>`` predicates for PBI; a candidate's ``hit`` flag uses

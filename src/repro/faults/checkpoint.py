@@ -2,9 +2,9 @@
 
 A :class:`Checkpoint` is a phase-keyed store persisted as a single JSON
 document with a SHA-256 checksum over its canonical serialisation.
-Writes are atomic (tmp file + ``os.replace``), so a run killed mid-save
-leaves either the previous complete snapshot or the new one -- never a
-torn file. Loads verify the checksum and refuse corrupt or truncated
+Writes are atomic (a unique tmp file + ``os.replace``), so a run killed
+mid-save leaves either the previous complete snapshot or the new one --
+never a torn file. Loads verify the checksum and refuse corrupt or truncated
 files with :class:`~repro.common.errors.CheckpointError`.
 
 A checkpoint also carries a *fingerprint*: the JSON-normalised identity
@@ -17,6 +17,7 @@ checkpoint would silently change the verdicts.
 import hashlib
 import json
 import os
+import tempfile
 
 from repro import telemetry
 from repro.common.errors import CheckpointError
@@ -61,17 +62,29 @@ class Checkpoint:
                 "phases": self.phases}
 
     def save(self):
-        """Atomically persist the snapshot (tmp file + rename)."""
+        """Atomically persist the snapshot (tmp file + rename).
+
+        The tmp file is unique per call, so concurrent saves to one
+        path (two processes filling the same cache entry) never share
+        it: each renames a complete file into place.
+        """
         body = {"format": FORMAT_VERSION}
         body.update(self._body())
         body["checksum"] = payload_checksum(self._body())
-        tmp = f"{self.path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(body, f, sort_keys=True)
-            f.write("\n")
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, self.path)
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(self.path) or ".",
+            prefix=os.path.basename(self.path) + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as f:
+                json.dump(body, f, sort_keys=True)
+                f.write("\n")
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, self.path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
         telemetry.get_registry().inc("checkpoint.saves")
 
     @classmethod

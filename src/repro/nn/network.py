@@ -171,25 +171,6 @@ class OneHiddenLayerNet:
         self.w_hidden[:, -1] += lr * err_h
         return o
 
-    def train_example_ce(self, x, target, lr):
-        """One back-propagation step with the cross-entropy gradient.
-
-        The output error is ``t - o``, the gradient of the binary
-        cross-entropy, which does not vanish when the sigmoid saturates.
-        It is the per-example form of the offline full-batch rule
-        (``repro.nn.trainer._fit_restarts``); online training keeps the
-        sigmoid-derivative rule of :meth:`train_example`.
-        """
-        x = np.asarray(x, dtype=float)
-        h, o = self.forward(x)
-        err_o = target - o
-        err_h = h * (1.0 - h) * (self.w_out[:-1] * err_o)
-        self.w_out[:-1] += lr * err_o * h
-        self.w_out[-1] += lr * err_o
-        self.w_hidden[:, :-1] += lr * np.outer(err_h, x)
-        self.w_hidden[:, -1] += lr * err_h
-        return o
-
     # ------------------------------------------------------------------
     # Weight register file (ldwt / stwt / chkwt model, Section IV.B)
     # ------------------------------------------------------------------

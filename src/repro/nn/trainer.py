@@ -243,15 +243,15 @@ def _train_once(positives, negatives, n_hidden, cfg, seed, max_inputs):
                    ts.n_pos, ts.n_neg)
 
 
-def _sgd_examples(net, xs, targets, lr, order=None, cross_entropy=False):
+def _sgd_examples(net, xs, targets, lr, order=None):
     """Inlined per-example SGD sweep, bit-identical to the method calls.
 
-    Runs the exact computation of ``net.train_example`` (or
-    ``train_example_ce``) for each row of ``xs`` in ``order``, with the
-    per-call overhead stripped: weight views, the sigmoid table and its
-    scale factors are hoisted out of the loop, and the table lookup is
-    applied inline. Every floating-point expression keeps the reference
-    kernel's operation order -- in particular the table index
+    Runs the exact computation of ``net.train_example`` for each row of
+    ``xs`` in ``order``, with the per-call overhead stripped: weight
+    views, the sigmoid table and its scale factors are hoisted out of
+    the loop, and the table lookup is applied inline. Every
+    floating-point expression keeps the reference kernel's operation
+    order -- in particular the table index
     ``(x + clip) * (resolution - 1) / (2 * clip)`` is *not* rewritten
     with a precomputed scale, which would perturb the last ulp and
     occasionally round to a different table entry.
@@ -259,9 +259,8 @@ def _sgd_examples(net, xs, targets, lr, order=None, cross_entropy=False):
     sig = net.sigmoid
     if not isinstance(sig, SigmoidTable):
         # Custom activation object: take the reference path.
-        step = net.train_example_ce if cross_entropy else net.train_example
         for idx in (order if order is not None else range(len(xs))):
-            step(xs[idx], targets[idx], lr)
+            net.train_example(xs[idx], targets[idx], lr)
         return
     table = sig._table
     clip = sig.clip
@@ -282,10 +281,7 @@ def _sgd_examples(net, xs, targets, lr, order=None, cross_entropy=False):
         o_in = wo @ h + w_out[-1]
         fo = (o_in + clip) * res1 / two_clip
         o = float(table[np.clip(np.rint(fo).astype(int), 0, res1)])
-        if cross_entropy:
-            err_o = target - o
-        else:
-            err_o = o * (1.0 - o) * (target - o)
+        err_o = o * (1.0 - o) * (target - o)
         err_h = h * (1.0 - h) * (wo * err_o)
         wo += lr * err_o * h
         w_out[-1] += lr * err_o

@@ -93,7 +93,7 @@ def resolve_jobs(jobs):
     """Normalise a ``--jobs`` value: None/1 -> serial, <=0 -> cpu count.
 
     This is the one shared "auto" resolution point: every caller
-    (CLI flags, ``REPRO_JOBS``, presets, the serve daemon) funnels its
+    (CLI flags, ``REPRO_JOBS``, presets) funnels its
     raw value through here, and the resolved worker count is recorded
     as the ``parallel.jobs_resolved`` gauge so run profiles say what
     "0 = all CPUs" actually meant on this host.
@@ -183,17 +183,10 @@ class PoolHandle:
             self._max_workers = 0
 
     def close(self):
-        """Deterministic, pre-atexit teardown for long-lived owners.
+        """Release the workers (the interpreter-exit hook).
 
-        Interpreter-exit teardown (the registered atexit hook) runs
-        *after* daemon signal handlers have already started unwinding,
-        which is too late for a server that must drain or checkpoint
-        running jobs first and *then* release its workers. Callers that
-        own the process lifecycle (the ``repro serve`` daemon) call
-        ``close()`` explicitly at the end of their graceful-shutdown
-        sequence; the atexit hook then finds nothing left to do.
         Idempotent, and the pool may still be rebuilt afterwards by the
-        next :meth:`executor` call (a restarted serve loop stays warm).
+        next :meth:`executor` call.
         """
         self.shutdown()
 

@@ -1,44 +1,30 @@
 """Service operations: the CLI command bodies as request/response data.
 
-Each pipeline-running command (``diagnose``, ``corpus``, ``trace``,
-``profile``) is a plain frozen request dataclass plus a ``run_*``
-function returning an :class:`Outcome` -- exit code, the exact text the
-CLI would have printed to stdout/stderr, and a JSON-safe result
-payload. The CLI builds a request from its parsed arguments and prints
-the outcome; the serve daemon builds the same request from a socket
-message and stores the outcome as the job result. Both therefore run
-*identical* code, which is what makes daemon round-trip output
-byte-identical to a cold CLI invocation (pinned by
-``tests/test_service.py``).
+Each pipeline-running command (``diagnose``, ``corpus``, ``shootout``,
+``frontier``, ``trace``, ``profile``) is a plain frozen request
+dataclass plus a ``run_*`` function returning an :class:`Outcome` --
+exit code and the exact text the CLI prints to stdout/stderr. The CLI
+builds a request from its parsed arguments and prints the outcome;
+tests and benchmarks call the same functions directly.
 
-Requests are JSON round-trippable (:func:`request_to_payload` /
-:func:`request_from_payload`) so they cross the socket and persist in
-the jobstore unchanged.
-
-:class:`WarmStateCache` is the daemon's LRU of trained state:
-:func:`run_diagnose` passes it to the engine as its trained-state store
+:class:`TrainedStateDir` is ``diagnose --cache-dir``: an on-disk
+trained-state store that :func:`run_diagnose` hands to the engine
 (:meth:`repro.engines.Predictor.store_key` builds the keys), so a
-repeat diagnosis skips offline retraining. Training is deterministic
-in the key, so a warm hit changes wall time and telemetry
-(``serve.warm_hits``, no ``diagnose.offline_train`` span) but never
-the report.
+repeat diagnosis in a fresh process skips offline retraining. Training
+is deterministic in the key, so a hit changes wall time and telemetry
+(``cache.hits``, no ``engine.train`` span) but never the report.
 """
 
+import hashlib
 import os
-from collections import OrderedDict
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro import telemetry
-from repro.common.errors import (
-    CheckpointError,
-    EngineError,
-    ProtocolError,
-    ReproError,
-)
+from repro.common.errors import CheckpointError, EngineError, ReproError
 from repro.core.config import ACTConfig
 from repro.core.diagnosis import diagnose_failure
-from repro.faults import FaultPlan, Quarantine
+from repro.faults import Checkpoint, FaultPlan, Quarantine
 from repro.telemetry import (
     TickClock,
     format_critical_path,
@@ -64,17 +50,15 @@ from repro.workloads.registry import (
 
 @dataclass
 class Outcome:
-    """What one operation produced: exit code, exact CLI text, payload.
+    """What one operation produced: exit code and exact CLI text.
 
     ``out``/``err`` hold the full stdout/stderr text (newline-joined,
-    no trailing newline; empty string = nothing printed). ``payload``
-    is a JSON-safe structured summary for service clients.
+    no trailing newline; empty string = nothing printed).
     """
 
     rc: int
     out: str = ""
     err: str = ""
-    payload: dict = field(default_factory=dict)
 
 
 def _fail(message):
@@ -106,6 +90,7 @@ class DiagnoseRequest:
     quarantine_report: Optional[str] = None
     checkpoint: Optional[str] = None
     resume: Optional[str] = None
+    cache_dir: Optional[str] = None
 
     kind = "diagnose"
 
@@ -119,7 +104,8 @@ class DiagnoseRequest:
                    fast=args.fast, engine=args.engine, faults=args.faults,
                    policy=args.policy,
                    quarantine_report=args.quarantine_report,
-                   checkpoint=args.checkpoint, resume=args.resume)
+                   checkpoint=args.checkpoint, resume=args.resume,
+                   cache_dir=args.cache_dir)
 
 
 def _parse_policy(req, engine="nn"):
@@ -155,9 +141,8 @@ def _quarantine_lines(quarantine, report_path):
     return lines
 
 
-def run_diagnose(req, store=None):
-    """Run a full diagnosis; ``store`` holds trained state across calls
-    (see :meth:`repro.engines.Predictor.store_key`)."""
+def run_diagnose(req):
+    """Run a full diagnosis, reusing trained state from ``cache_dir``."""
     from repro.engines import create
 
     try:
@@ -188,6 +173,12 @@ def run_diagnose(req, store=None):
     quarantine = None
     if plan is not None or req.quarantine_report:
         quarantine = Quarantine()
+    store = None
+    if req.cache_dir:
+        if os.path.exists(req.cache_dir) and not os.path.isdir(req.cache_dir):
+            return _fail(f"error: cache dir {req.cache_dir!r} is not a "
+                         "directory")
+        store = TrainedStateDir(req.cache_dir)
     try:
         report = engine.diagnose_report(
             program, n_train_runs=req.train_runs,
@@ -220,22 +211,11 @@ def run_diagnose(req, store=None):
             f"matched {f.matched}, output {f.output:.3f})")
     if quarantine is not None:
         lines.extend(_quarantine_lines(quarantine, req.quarantine_report))
-    payload = {
-        "program": report.program,
-        "failed": report.failed,
-        "found": report.found,
-        "rank": report.rank,
-        "n_deps": report.n_deps,
-        "n_invalid": report.n_invalid,
-        "filter_pct": float(report.filter_pct),
-        "notes": list(report.notes),
-    }
-    return Outcome(rc=0 if report.found else 1, out="\n".join(lines),
-                   payload=payload)
+    return Outcome(rc=0 if report.found else 1, out="\n".join(lines))
 
 
 def _engine_report_outcome(report, req, quarantine):
-    """CLI text + payload for a non-NN engine's candidate report."""
+    """CLI text for a non-NN engine's candidate report."""
     lines = [
         f"program          : {report.program}",
         f"engine           : {report.engine}",
@@ -254,18 +234,7 @@ def _engine_report_outcome(report, req, quarantine):
                      f"(score {cand['score']:.3f}{hit})")
     if quarantine is not None:
         lines.extend(_quarantine_lines(quarantine, req.quarantine_report))
-    payload = {
-        "program": report.program,
-        "engine": report.engine,
-        "applicable": report.applicable,
-        "failed": report.failed,
-        "found": report.found,
-        "rank": report.rank,
-        "n_candidates": len(report.candidates),
-        "notes": list(report.notes),
-    }
-    return Outcome(rc=0 if report.found else 1, out="\n".join(lines),
-                   payload=payload)
+    return Outcome(rc=0 if report.found else 1, out="\n".join(lines))
 
 
 # ---------------------------------------------------------------------
@@ -334,8 +303,7 @@ def _sweep_outcome(result, text, out, bench=None, tail=()):
         lines.append(f"accuracy trajectory: {bench} "
                      f"({len(doc['entries'])} entries)")
     lines.extend(tail)
-    return Outcome(rc=0, out="\n".join(lines),
-                   payload={"metrics": result.metrics})
+    return Outcome(rc=0, out="\n".join(lines))
 
 
 def run_corpus(req):
@@ -587,8 +555,7 @@ def _run_trace_convert(req):
                                "differ")
         lines.append(f"verified: both files decode to {len(a.events)} "
                      "identical events")
-    return Outcome(rc=0, out="\n".join(lines),
-                   payload={"format": fmt, "n_events": len(run.events)})
+    return Outcome(rc=0, out="\n".join(lines))
 
 
 def run_trace(req):
@@ -611,9 +578,7 @@ def run_trace(req):
     return Outcome(
         rc=0,
         out=f"wrote {len(run.events)} events "
-            f"({run.n_threads} threads, failed={run.failed}) to {req.out}",
-        payload={"n_events": len(run.events), "n_threads": run.n_threads,
-                 "failed": run.failed, "out": req.out})
+            f"({run.n_threads} threads, failed={run.failed}) to {req.out}")
 
 
 # ---------------------------------------------------------------------
@@ -716,7 +681,7 @@ def run_profile(req):
 
 
 # ---------------------------------------------------------------------
-# request (de)serialisation and dispatch
+# dispatch
 # ---------------------------------------------------------------------
 
 REQUEST_TYPES = {
@@ -738,110 +703,44 @@ _RUNNERS = {
 }
 
 
-def request_to_payload(req):
-    """JSON-safe wire/jobstore form of a request."""
-    return {"kind": req.kind, "args": asdict(req)}
-
-
-def request_from_payload(payload):
-    """Inverse of :func:`request_to_payload`; validates kind and fields."""
-    if not isinstance(payload, dict):
-        raise ProtocolError(f"job request must be an object, "
-                            f"got {type(payload).__name__}")
-    kind = payload.get("kind")
-    cls = REQUEST_TYPES.get(kind)
-    if cls is None:
-        raise ProtocolError(f"unknown job kind {kind!r} (expected one of "
-                            f"{sorted(REQUEST_TYPES)})")
-    args = payload.get("args")
-    if not isinstance(args, dict):
-        raise ProtocolError(f"job args must be an object, "
-                            f"got {type(args).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(args) - known)
-    if unknown:
-        raise ProtocolError(f"unknown {kind} request fields: {unknown}")
-    args = {key: (tuple(value) if isinstance(value, list) else value)
-            for key, value in args.items()}
-    try:
-        return cls(**args)
-    except TypeError as e:
-        raise ProtocolError(f"bad {kind} request: {e}")
-
-
-def run_request(req, store=None, default_jobs=None):
-    """Dispatch any request to its runner.
-
-    ``default_jobs`` fills an unset ``jobs`` field (the daemon's
-    ``--jobs``); parallelism never changes results, so this only
-    affects wall time. ``store`` is the daemon's
-    :class:`WarmStateCache` (diagnose only).
-    """
-    if (default_jobs is not None and hasattr(req, "jobs")
-            and req.jobs is None):
-        req = replace(req, jobs=default_jobs)
-    if req.kind == "diagnose":
-        return run_diagnose(req, store=store)
+def run_request(req):
+    """Dispatch any request to its runner."""
     return _RUNNERS[req.kind](req)
 
 
 # ---------------------------------------------------------------------
-# warm-state cache
+# trained-state cache directory
 # ---------------------------------------------------------------------
 
-class WarmStateCache:
-    """LRU trained-state store: ``Predictor.serialize`` payloads under
-    :meth:`~repro.engines.Predictor.store_key` keys.
+class TrainedStateDir:
+    """``diagnose --cache-dir``: trained state on disk, one file per key.
 
-    The daemon keeps one instance for its whole life, so a repeat
-    diagnosis skips offline retraining entirely -- observable as
-    ``serve.warm_hits`` in the job's telemetry profile and as the
-    absence of a ``diagnose.offline_train`` span, never as a different
-    report (training is deterministic in the key). An ensemble looks up
-    each member under the member's own key.
+    Plugs into the engines' store interface (``get`` plus item
+    assignment, keyed by :meth:`~repro.engines.Predictor.store_key`).
+    Each entry is a :class:`~repro.faults.Checkpoint` of kind
+    ``"trained-state"`` at ``DIR/<sha256(key)>.json``: the key is its
+    fingerprint and the ``Predictor.serialize`` payload its one phase.
+    A corrupt, edited or colliding entry is refused with
+    :class:`~repro.common.errors.CheckpointError`, never loaded.
     """
 
-    def __init__(self, capacity=8):
-        if capacity < 1:
-            raise ReproError(f"warm cache capacity must be >= 1, "
-                             f"got {capacity}")
-        self.capacity = capacity
-        self._entries = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+    KIND = "trained-state"
+
+    def __init__(self, path):
+        self.path = path
+
+    def _file(self, key):
+        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
+        return os.path.join(self.path, f"{digest}.json")
 
     def get(self, key):
-        """Cached payload for ``key`` (None on miss); counts the lookup."""
-        tele = telemetry.get_registry()
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            tele.inc("serve.warm_misses")
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        tele.inc("serve.warm_hits")
-        return entry
+        """Stored payload for ``key`` (None on miss); counts the lookup."""
+        entry = Checkpoint.open(self._file(key), self.KIND, key)
+        state = entry.phases.get("state")
+        telemetry.get_registry().inc(
+            "cache.misses" if state is None else "cache.hits")
+        return state
 
     def __setitem__(self, key, payload):
-        """Insert/refresh ``key``; evicts least-recently-used beyond
-        capacity."""
-        self._entries[key] = payload
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-            telemetry.get_registry().inc("serve.warm_evictions")
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __contains__(self, key):
-        return key in self._entries
-
-    def stats(self):
-        """JSON-safe cache statistics (part of the daemon status)."""
-        return {"size": len(self._entries), "capacity": self.capacity,
-                "hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions}
+        os.makedirs(self.path, exist_ok=True)
+        Checkpoint(self._file(key), self.KIND, key).put("state", payload)

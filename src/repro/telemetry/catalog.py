@@ -105,15 +105,13 @@ CATALOG = (
     MetricSpec("parallel.jobs_resolved", GAUGE, "repro.parallel",
                "worker count the most recent --jobs/REPRO_JOBS value "
                "resolved to (0 = auto = all CPUs)"),
-    # -- diagnosis service (repro.service) -----------------------------
-    MetricSpec("serve.warm_hits", COUNTER, "repro.service",
-               "diagnose jobs that reused warm trained state (offline "
+    # -- trained-state cache (diagnose --cache-dir) -------------------
+    MetricSpec("cache.hits", COUNTER, "repro.service",
+               "trained-state lookups served from --cache-dir (offline "
                "retraining skipped)"),
-    MetricSpec("serve.warm_misses", COUNTER, "repro.service",
-               "diagnose jobs that trained cold and populated the "
-               "warm-state cache"),
-    MetricSpec("serve.warm_evictions", COUNTER, "repro.service",
-               "warm-state cache entries evicted by the LRU bound"),
+    MetricSpec("cache.misses", COUNTER, "repro.service",
+               "trained-state lookups absent from --cache-dir (the "
+               "engine trains and stores the state)"),
     # -- fault injection & resilience (repro.faults) -------------------
     MetricSpec("faults.trace_drops", COUNTER, "trace.trace_io",
                "trace records dropped by the active fault plan"),

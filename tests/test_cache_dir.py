@@ -1,0 +1,182 @@
+"""Tests for ``repro diagnose --cache-dir``: trained state on disk.
+
+The contract is *byte identity*: a diagnosis that loads its trained
+state from the cache directory prints exactly what a cold diagnosis
+prints and exits with the same code. Reuse shows only in telemetry
+(``cache.hits``, no training span) -- never in the report. A damaged
+entry is refused, never loaded.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from repro import telemetry
+from repro.cli import main
+from repro.service import ops
+
+FAST = ["--train-runs", "4", "--pruning-runs", "6"]
+FAST_KW = {"train_runs": 4, "pruning_runs": 6}
+TRAIN_SPANS = {"engine.train", "diagnose.offline_train"}
+
+
+def _span_names(profile):
+    names = set()
+    stack = list(profile.get("spans") or [])
+    while stack:
+        span = stack.pop()
+        names.add(span["name"])
+        stack.extend(span.get("children") or [])
+    return names
+
+
+def _run(req):
+    """Run ``req`` under a fresh registry; returns the outcome, the
+    (cache.hits, cache.misses) pair and the set of span names."""
+    with telemetry.use_registry(telemetry.Registry()) as reg:
+        outcome = ops.run_diagnose(req)
+    profile = telemetry.profile_dict(reg)
+    counters = profile["counters"]
+    hits_misses = (counters.get("cache.hits", 0),
+                   counters.get("cache.misses", 0))
+    return outcome, hits_misses, _span_names(profile)
+
+
+def _text(outcome):
+    return outcome.rc, outcome.out, outcome.err
+
+
+def _request(cache_dir=None, **kwargs):
+    return ops.DiagnoseRequest(bug="gzip", cache_dir=cache_dir,
+                               **FAST_KW, **kwargs)
+
+
+class TestCacheDir:
+    def test_hit_is_byte_identical_and_trains_nothing(self, tmp_path):
+        cache = str(tmp_path / "c")
+        cold, _, cold_spans = _run(_request())
+        miss, miss_counts, miss_spans = _run(_request(cache))
+        hit, hit_counts, hit_spans = _run(_request(cache))
+        assert _text(miss) == _text(hit) == _text(cold)
+        assert cold.rc == 0
+        assert miss_counts == (0, 1) and hit_counts == (1, 0)
+        assert "diagnose.offline_train" in cold_spans & miss_spans
+        assert not hit_spans & TRAIN_SPANS
+        assert len(os.listdir(cache)) == 1
+
+    def test_faulted_requests_bypass_cache(self, tmp_path):
+        cache = tmp_path / "c"
+        _, counts, _ = _run(_request(str(cache), faults="seed=3"))
+        assert counts == (0, 0)
+        assert not cache.exists()
+
+    def test_engines_never_share_entries(self, tmp_path):
+        # The key carries the engine fingerprint, so two engines on the
+        # same workload miss independently and hold separate entries --
+        # serving NN weights to pset (or vice versa) would be silent
+        # corruption.
+        cache = str(tmp_path / "c")
+        for engine in ("nn", "pset"):
+            cold, _, _ = _run(_request(engine=engine))
+            miss, miss_counts, _ = _run(_request(cache, engine=engine))
+            hit, hit_counts, _ = _run(_request(cache, engine=engine))
+            assert (miss_counts, hit_counts) == ((0, 1), (1, 0))
+            assert _text(miss) == _text(hit) == _text(cold)
+        assert len(os.listdir(cache)) == 2
+
+    def test_ensemble_reuses_member_entries(self, tmp_path):
+        # An ensemble looks each member up under the member's own key,
+        # so standalone nn and pset runs leave nothing to train.
+        cache = str(tmp_path / "c")
+        for engine in ("nn", "pset"):
+            _run(_request(cache, engine=engine))
+        warm, counts, spans = _run(_request(cache,
+                                            engine="ensemble:nn+pset"))
+        assert counts == (2, 0)
+        assert not spans & TRAIN_SPANS
+        assert len(os.listdir(cache)) == 2
+        cold, _, _ = _run(_request(engine="ensemble:nn+pset"))
+        assert _text(warm) == _text(cold)
+
+    def test_key_is_order_independent(self):
+        from repro.engines import create
+        from repro.workloads.registry import get_bug
+
+        program = get_bug("gzip")
+        nn = create("nn")
+        assert (nn.store_key({}, program, 4, 0, {"buggy": False, "n": 2})
+                == nn.store_key({}, program, 4, 0, {"n": 2, "buggy": False}))
+
+
+class TestCacheDirCLI:
+    def _cli(self, capsys, *argv):
+        capsys.readouterr()
+        rc = main(["diagnose", "gzip", *FAST, *argv])
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    def test_hit_in_fresh_process_has_no_train_span(self, tmp_path):
+        env = dict(os.environ)
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        cache = str(tmp_path / "c")
+        profiles = []
+        for name in ("miss", "hit"):
+            tele = str(tmp_path / f"{name}.json")
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "diagnose", "gzip", *FAST,
+                 "--engine", "ensemble:nn+pset", "--cache-dir", cache,
+                 "--telemetry", tele],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr[-500:]
+            with open(tele, encoding="utf-8") as f:
+                profiles.append(json.load(f))
+        miss, hit = profiles
+        assert TRAIN_SPANS <= _span_names(miss)
+        assert not _span_names(hit) & TRAIN_SPANS
+        assert (hit["counters"]["cache.hits"],
+                hit["counters"]["cache.misses"]) == (2, 0)
+
+    def test_corrupted_entry_exits_2_and_names_file(self, capsys, tmp_path):
+        cache = tmp_path / "c"
+        cold = self._cli(capsys)
+        assert self._cli(capsys, "--cache-dir", str(cache)) == cold
+        (entry,) = cache.iterdir()
+        data = bytearray(entry.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        entry.write_bytes(bytes(data))
+        rc, out, err = self._cli(capsys, "--cache-dir", str(cache))
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {entry}: ")
+
+    def test_entry_under_another_key_is_refused(self, capsys, tmp_path):
+        # A file whose fingerprint is not the looked-up key (an edited
+        # or colliding entry) is refused rather than loaded.
+        cache = tmp_path / "c"
+        self._cli(capsys, "--cache-dir", str(cache))
+        (nn_entry,) = cache.iterdir()
+        self._cli(capsys, "--engine", "pset", "--cache-dir", str(cache))
+        (pset_entry,) = set(cache.iterdir()) - {nn_entry}
+        pset_entry.replace(nn_entry)
+        rc, _, err = self._cli(capsys, "--cache-dir", str(cache))
+        assert rc == 2
+        assert f"{nn_entry}: checkpoint fingerprint does not match" in err
+
+    def test_cache_dir_must_be_a_directory(self, capsys, tmp_path):
+        path = tmp_path / "file"
+        path.write_text("")
+        rc, _, err = self._cli(capsys, "--cache-dir", str(path))
+        assert rc == 2
+        assert "is not a directory" in err
+
+    @pytest.mark.parametrize("command", ["serve", "submit", "status",
+                                         "result", "shutdown"])
+    def test_daemon_commands_are_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -406,11 +406,11 @@ class TestModuleEntryPoint:
 
 class TestStartup:
     """``repro --version`` and ``import repro.cli`` stay below the numpy
-    import: package re-exports, the pipeline, the daemon and the
-    telemetry exporters load only in the commands that use them."""
+    import: package re-exports, the pipeline and the telemetry
+    exporters load only in the commands that use them."""
 
-    HEAVY = ("numpy", "repro.service.server", "repro.service.ops",
-             "repro.core.diagnosis", "repro.telemetry.export")
+    HEAVY = ("numpy", "repro.service.ops", "repro.core.diagnosis",
+             "repro.telemetry.export")
 
     def _imported(self, *args):
         import os
@@ -449,7 +449,7 @@ class TestStartup:
         assert repro.diagnose_failure is diagnose_failure
         assert repro.core.diagnose_failure is diagnose_failure
         assert repro.workloads.get_bug is get_bug
-        assert "Server" in dir(repro.service)
+        assert "TrainedStateDir" in dir(repro.service)
         assert set(repro.core.__all__) <= set(dir(repro.core))
         with pytest.raises(AttributeError, match="no attribute 'nope'"):
             repro.core.nope

@@ -11,10 +11,7 @@ from repro.common.errors import (
     ConfigError,
     EngineError,
     FaultInjected,
-    JobNotFound,
-    ProtocolError,
     ReproError,
-    ServiceError,
     SimulatedFailure,
     TraceError,
     WorkerKilled,
@@ -87,10 +84,6 @@ _ERROR_SAMPLES = [
                  known=("nn", "aviso", "pbi", "pset", "ensemble")),
      {"engine": "bogus",
       "known": ("nn", "aviso", "pbi", "pset", "ensemble")}),
-    (ServiceError("daemon unreachable", socket_path="/tmp/repro.sock"),
-     {"socket_path": "/tmp/repro.sock"}),
-    (JobNotFound("no such job", job_id="j42"), {"job_id": "j42"}),
-    (ProtocolError("bad frame", frame="{oops"), {"frame": "{oops"}),
 ]
 
 

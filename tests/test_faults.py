@@ -8,6 +8,9 @@ equivalence, kill/resume) live in tests/test_faults_differential.py.
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -322,8 +325,63 @@ class TestCheckpoint:
         cp = Checkpoint(str(path), "diagnosis", self.FP)
         for i in range(5):
             cp.put(f"phase{i}", list(range(i)))
-            assert not os.path.exists(f"{path}.tmp")
+            assert os.listdir(tmp_path) == ["ck.json"]  # no tmp left
             Checkpoint.load(str(path))  # every intermediate file is whole
+
+    def test_concurrent_saves_to_one_path_both_land(self, tmp_path,
+                                                    monkeypatch):
+        # A second save to the same path runs between the first save's
+        # write and its rename -- two processes filling one cache entry.
+        # With a shared tmp name the inner save renames the outer's file
+        # away and the outer rename fails (or moves a torn file in).
+        path = str(tmp_path / "ck.json")
+        outer = Checkpoint(path, "d", self.FP, {"p": "outer"})
+        inner = Checkpoint(path, "d", self.FP, {"p": "inner"})
+        real_replace = os.replace
+        calls = []
+
+        def replace(src, dst):
+            calls.append(src)
+            if len(calls) == 1:
+                inner.save()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        outer.save()
+        assert len(calls) == 2 and calls[0] != calls[1]
+        assert Checkpoint.load(path).phases == {"p": "outer"}
+        assert os.listdir(tmp_path) == ["ck.json"]
+
+    def test_concurrent_processes_saving_one_path(self, tmp_path):
+        # More writers than cores, each saving the same entry in a loop:
+        # every save must succeed and the file must always load whole.
+        path = str(tmp_path / "ck.json")
+        script = ("import sys\n"
+                  "from repro.faults import Checkpoint\n"
+                  "for i in range(40):\n"
+                  "    Checkpoint(sys.argv[1], 'd', {'a': 1},\n"
+                  "               {'w': sys.argv[2], 'i': i}).save()\n")
+        env = dict(os.environ)
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        procs = [subprocess.Popen([sys.executable, "-c", script, path,
+                                   str(n)], env=env,
+                                  stderr=subprocess.PIPE, text=True)
+                 for n in range(2 * (os.cpu_count() or 1) + 2)]
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err[-500:]
+        assert Checkpoint.load(path).phases["i"] == 39
+        assert os.listdir(tmp_path) == ["ck.json"]
+
+    def test_failed_save_removes_its_tmp_file(self, tmp_path, monkeypatch):
+        def replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="disk full"):
+            Checkpoint(str(tmp_path / "ck.json"), "d", self.FP).save()
+        assert os.listdir(tmp_path) == []
 
     def test_telemetry_counters(self, tmp_path):
         path = tmp_path / "ck.json"

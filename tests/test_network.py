@@ -145,31 +145,6 @@ class TestLearning:
         assert returned == pytest.approx(before)
 
 
-class TestCrossEntropyRule:
-    def test_escapes_saturation(self):
-        """The plain sigmoid rule stalls on a confidently-wrong
-        prediction; the cross-entropy rule does not."""
-        net = OneHiddenLayerNet(2, 3, seed=1)
-        x = np.array([0.4, 0.6])
-        # saturate the network toward "valid"
-        for _ in range(2000):
-            net.train_example(x, 0.999, lr=1.0)
-        assert net.output(x) > 0.98
-        stuck = net.clone()
-        for _ in range(200):
-            stuck.train_example(x, 0.1, lr=0.2)
-        for _ in range(200):
-            net.train_example_ce(x, 0.1, lr=0.2)
-        assert net.output(x) < 0.5
-        assert net.output(x) < stuck.output(x)
-
-    def test_returns_pre_update_output(self):
-        net = OneHiddenLayerNet(2, 2, seed=3)
-        x = np.array([0.2, 0.8])
-        before = net.output(x)
-        assert net.train_example_ce(x, 0.1, lr=0.1) == pytest.approx(before)
-
-
 class TestPredictBatchExact:
     def test_matches_scalar_output_bitwise(self):
         net = OneHiddenLayerNet(6, 5, seed=3)

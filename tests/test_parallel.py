@@ -17,7 +17,13 @@ from repro.core.config import ACTConfig
 from repro.core.diagnosis import diagnose_failure
 from repro.core.offline import OfflineTrainer, collect_correct_runs
 from repro.faults import FaultPlan, Quarantine, use_plan
-from repro.parallel import get_pool, resolve_jobs, run_tasks
+from repro.parallel import (
+    PoolHandle,
+    get_pool,
+    jobs_from_env,
+    resolve_jobs,
+    run_tasks,
+)
 from repro.workloads.registry import get_bug
 
 _CONFIG = ACTConfig()
@@ -402,3 +408,58 @@ class TestWarmPool:
         restarted = pool._executor
         assert run_tasks(_double, [9], jobs=2) == [18]
         assert pool._executor is restarted
+
+
+class TestPoolClose:
+    def test_close_is_idempotent_and_rebuildable(self):
+        handle = PoolHandle()
+        ex = handle.executor(1)
+        assert handle.max_workers == 1
+        handle.close()
+        handle.close()
+        assert handle.max_workers == 0
+        ex2 = handle.executor(1)  # a closed handle can come back warm
+        assert ex2 is not ex
+        handle.close()
+
+    def test_shared_pool_survives_close(self):
+        from repro.parallel import run_tasks
+
+        get_pool().close()
+        assert run_tasks(abs, [-1, -2], jobs=2) == [1, 2]
+        get_pool().close()
+
+
+class TestJobsFromEnv:
+    def test_unset_returns_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        assert jobs_from_env() is None
+        assert jobs_from_env(default=3) == 3
+
+    def test_zero_means_auto_passthrough(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        assert jobs_from_env() == 0
+
+    def test_auto_resolves_to_cpu_count(self, monkeypatch):
+        from repro.parallel import resolve_jobs
+
+        assert resolve_jobs(0) == (os.cpu_count() or 1)
+        assert resolve_jobs(None) == 1
+        assert resolve_jobs(3) == 3
+
+    def test_resolved_value_recorded_in_telemetry(self):
+        from repro import telemetry
+        from repro.parallel import resolve_jobs
+
+        with telemetry.use_registry(telemetry.Registry()) as reg:
+            resolve_jobs(0)
+        snapshot = reg.snapshot()
+        assert (snapshot["gauges"]["parallel.jobs_resolved"]
+                == (os.cpu_count() or 1))
+
+    def test_preset_from_env_honours_auto(self, monkeypatch):
+        from repro.analysis.presets import preset_from_env
+
+        monkeypatch.setenv("REPRO_PRESET", "fast")
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        assert preset_from_env().jobs == 0

@@ -469,17 +469,6 @@ class TestFastSgd:
                 ref.train_example(xs[i], targets[i], 0.2)
         assert np.array_equal(fast.read_weights(), ref.read_weights())
 
-    def test_kernel_bitwise_equals_method_loop_cross_entropy(self):
-        pos, neg = _blobs(n_per=12)
-        xs = np.vstack([pos, neg])
-        targets = np.array([0.9] * len(pos) + [0.1] * len(neg))
-        fast, ref = self._nets()
-        for _ in range(5):
-            _sgd_examples(fast, xs, targets, 0.2, cross_entropy=True)
-            for i in range(len(xs)):
-                ref.train_example_ce(xs[i], targets[i], 0.2)
-        assert np.array_equal(fast.read_weights(), ref.read_weights())
-
     def test_kernel_honours_visit_order(self):
         pos, neg = _blobs(n_per=8)
         xs = np.vstack([pos, neg])
