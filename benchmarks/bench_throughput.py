@@ -38,6 +38,8 @@ Four measurements, all recorded into ``benchmarks/results/`` and into
    of the same (workload, seed, config) saves.
 """
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -197,19 +199,22 @@ def test_throughput(preset, save_result):
     frontier_pick = frontier_result.metrics["frontier"]
 
     # --- cached diagnosis (a repeat diagnose --cache-dir) -------------
-    from repro.service import ops as service_ops
+    from repro import cli
 
-    cold_req = service_ops.DiagnoseRequest(
-        bug="gzip", train_runs=preset.corpus_train_runs,
-        pruning_runs=preset.corpus_pruning_runs)
-    cached_req = replace(cold_req, cache_dir=os.path.join(tmpdir, "cache"))
-    service_ops.run_diagnose(cached_req)  # populate
+    def diagnose(*flags):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["diagnose", "gzip",
+                           "--train-runs", str(preset.corpus_train_runs),
+                           "--pruning-runs", str(preset.corpus_pruning_runs),
+                           *flags])
+        return rc, out.getvalue(), err.getvalue()
+
+    cache_flags = ("--cache-dir", os.path.join(tmpdir, "cache"))
+    diagnose(*cache_flags)  # populate
     (t_diag_cold, t_diag_warm), (out_cold, out_warm) = _best_of_each(
-        [lambda: service_ops.run_diagnose(cold_req),
-         lambda: service_ops.run_diagnose(cached_req)],
-        rounds=3)
-    assert (out_warm.rc, out_warm.out, out_warm.err) == (
-        out_cold.rc, out_cold.out, out_cold.err)
+        [diagnose, lambda: diagnose(*cache_flags)], rounds=3)
+    assert out_warm == out_cold
     cache_speedup = t_diag_cold / t_diag_warm
 
     payload = {

@@ -28,7 +28,7 @@ from repro.workloads.framework import run_program
 
 @dataclass
 class AvisoResult:
-    """Outcome of the Aviso protocol for one bug."""
+    """Result of the Aviso protocol for one bug."""
 
     rank: Optional[int]
     n_failures_used: int

@@ -58,16 +58,75 @@ import sys
 
 from repro import __version__
 from repro.analysis.experiments import experiment_names
+from repro.common.errors import CheckpointError, EngineError, ReproError
 
 
-def _emit(outcome):
-    """Print an :class:`~repro.service.ops.Outcome`: stdout text, then
-    stderr text; return its exit code."""
-    if outcome.out:
-        print(outcome.out)
-    if outcome.err:
-        print(outcome.err, file=sys.stderr)
-    return outcome.rc
+def _fail(message):
+    """A command error: ``message`` on stderr, exit code 2."""
+    print(message, file=sys.stderr)
+    return 2
+
+
+def _missing_dir(what, *paths):
+    """Print the error for the first of ``paths`` whose directory does
+    not exist; return whether there was one."""
+    for path in paths:
+        out_dir = os.path.dirname(path) if path else ""
+        if out_dir and not os.path.isdir(out_dir):
+            _fail(f"error: {what} directory {out_dir!r} does not exist")
+            return True
+    return False
+
+
+def _run_options(args, engine):
+    """``--checkpoint``/``--resume``, ``--faults``, ``--policy`` and the
+    quarantine of ``diagnose`` and ``corpus``, as (checkpoint, plan,
+    policy, quarantine); None once an error is printed.
+
+    The adaptive layer is NN-path-only: an enabled policy with any
+    other ``engine`` is an error. No ``--policy`` means no policy (the
+    historical pipeline, byte-identical).
+    """
+    from repro.core.policy import PolicySpec
+    from repro.faults import FaultPlan, Quarantine
+
+    checkpoint = args.checkpoint
+    if args.resume:
+        if not os.path.isfile(args.resume):
+            _fail(f"error: checkpoint {args.resume!r} does not exist")
+            return None
+        checkpoint = args.resume
+    plan = None
+    if args.faults:
+        try:
+            plan = FaultPlan.from_spec(args.faults)
+        except ReproError as e:
+            _fail(f"error: bad --faults spec: {e}")
+            return None
+    policy = None
+    if args.policy:
+        try:
+            policy = PolicySpec.from_spec(args.policy)
+        except ReproError as e:
+            _fail(f"error: bad --policy spec: {e}")
+            return None
+        if policy.enabled and engine != "nn":
+            _fail(f"error: --policy is NN-path-only; engine {engine!r} "
+                  "does not support it")
+            return None
+    quarantine = None
+    if plan is not None or args.quarantine_report:
+        quarantine = Quarantine()
+    return checkpoint, plan, policy, quarantine
+
+
+def _print_quarantine(quarantine, report_path):
+    """The quarantine epilogue of ``diagnose`` and ``corpus``."""
+    if len(quarantine):
+        print(quarantine.summary())
+    if report_path:
+        quarantine.write_report(report_path)
+        print(f"quarantine report written to {report_path}")
 
 
 def _cmd_list(_args):
@@ -81,14 +140,350 @@ def _cmd_list(_args):
     return 0
 
 
-def _cmd_request(args):
-    """``diagnose``, ``trace``, ``profile``, ``corpus``, ``shootout`` and
-    ``frontier``: the request built from the flags, run by
-    :mod:`repro.service.ops`."""
-    from repro.service import ops
+def _cmd_diagnose(args):
+    """Diagnose one bug, reusing trained state from ``--cache-dir``."""
+    from repro.core.config import ACTConfig
+    from repro.engines import TrainedStateDir, create
+    from repro.workloads.registry import get_bug
 
-    req = ops.REQUEST_TYPES[args.command].from_args(args)
-    return _emit(ops.run_request(req))
+    try:
+        program = get_bug(args.bug)
+    except ReproError as e:
+        return _fail(f"error: {e}")
+    config = ACTConfig(seq_len=args.seq_len,
+                       debug_buffer=args.debug_buffer,
+                       mispred_threshold=args.threshold)
+    try:
+        engine = create(args.engine or "nn", config=config)
+    except EngineError as e:
+        return _fail(f"error: {e}")
+    options = _run_options(args, engine.name)
+    if options is None:
+        return 2
+    checkpoint, plan, policy, quarantine = options
+    store = None
+    if args.cache_dir:
+        if os.path.exists(args.cache_dir) and not os.path.isdir(
+                args.cache_dir):
+            return _fail(f"error: cache dir {args.cache_dir!r} is not a "
+                         "directory")
+        store = TrainedStateDir(args.cache_dir)
+    try:
+        report = engine.diagnose_report(
+            program, n_train_runs=args.train_runs,
+            n_pruning_runs=args.pruning_runs, failure_seed=args.seed,
+            fast=args.fast, jobs=args.jobs, faults=plan,
+            quarantine=quarantine, checkpoint=checkpoint, policy=policy,
+            store=store)
+    except (CheckpointError, EngineError) as e:
+        return _fail(f"error: {e}")
+    print(f"program          : {report.program}")
+    if report.engine is None:
+        print(f"failure          : {report.failure_description}")
+        print(f"deps observed    : {report.n_deps} "
+              f"({report.n_invalid} flagged invalid)")
+        print(f"debug buffer     : {report.n_debug_entries} entries"
+              f"{' (overflowed)' if report.debug_overflowed else ''}")
+        print(f"filtered         : {report.filter_pct:.0f}%")
+        findings = []
+        for f in report.top(args.top):
+            dep = f.mismatch_dep or f.seq[-1]
+            findings.append(
+                f"store {dep.store_pc:#x} -> load {dep.load_pc:#x} "
+                f"({'inter' if dep.inter_thread else 'intra'}-thread, "
+                f"matched {f.matched}, output {f.output:.3f})")
+    else:
+        print(f"engine           : {report.engine}")
+        print(f"failure          : {report.failure_description}")
+        print(f"candidates       : {len(report.candidates)}")
+        if not report.applicable:
+            print("applicable       : False")
+        findings = [f"{cand['key']} (score {cand['score']:.3f}"
+                    f"{', hit' if cand['hit'] else ''})"
+                    for cand in report.candidates[:args.top]]
+    print(f"root cause found : {report.found}"
+          + (f" at rank {report.rank}" if report.found else ""))
+    for note in report.notes:
+        print(f"note: {note}")
+    for i, finding in enumerate(findings, start=1):
+        print(f"  #{i}: {finding}")
+    if quarantine is not None:
+        _print_quarantine(quarantine, args.quarantine_report)
+    return 0 if report.found else 1
+
+
+def _sweep_spec(args):
+    """The spec fields every corpus experiment takes from the flags
+    :func:`_add_sweep_args` declares."""
+    from repro.core.config import ACTConfig
+
+    return dict(seed=args.seed, size=args.size, top_k=args.top,
+                n_train_runs=args.train_runs,
+                n_pruning_runs=args.pruning_runs,
+                config=ACTConfig(seq_len=args.seq_len))
+
+
+def _print_sweep(result, text, out, bench=None):
+    """Print a corpus experiment's rendered ``text``, write its metrics
+    JSON to ``out`` and append its trajectory entry to ``bench``,
+    noting each."""
+    from repro.analysis.accuracy import append_trajectory, metrics_json
+
+    print(text)
+    if out:
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(metrics_json(result))
+        print(f"metrics written to {out}")
+    if bench:
+        doc = append_trajectory(result.entry, bench)
+        print(f"accuracy trajectory: {bench} "
+              f"({len(doc['entries'])} entries)")
+
+
+def _cmd_corpus(args):
+    """Run the diagnosis-accuracy harness over a generated corpus."""
+    from repro.analysis.accuracy import (
+        CorpusSpec,
+        format_corpus,
+        run_corpus,
+        write_corpus_traces,
+    )
+    from repro.engines import create
+
+    if _missing_dir("output", args.out):
+        return 2
+    engine = args.engine or "nn"
+    # Corpus checkpoints hold per-program *records* (engine-agnostic,
+    # keyed by a fingerprint that includes the engine), so unlike
+    # diagnose no checkpoint restriction applies here.
+    try:
+        create(engine)
+    except EngineError as e:
+        return _fail(f"error: {e}")
+    options = _run_options(args, engine)
+    if options is None:
+        return 2
+    checkpoint, plan, policy, quarantine = options
+    spec = CorpusSpec(engine=engine, policy=policy, **_sweep_spec(args))
+    try:
+        result = run_corpus(spec, jobs=args.jobs, faults=plan,
+                            quarantine=quarantine, checkpoint=checkpoint)
+    except CheckpointError as e:
+        return _fail(f"error: {e}")
+    _print_sweep(result, format_corpus(result), args.out)
+    if args.trace_dir:
+        os.makedirs(args.trace_dir, exist_ok=True)
+        paths = write_corpus_traces(spec, args.trace_dir,
+                                    trace_format=args.trace_format)
+        print(f"wrote {len(paths)} {args.trace_format} failure traces "
+              f"to {args.trace_dir}")
+    if quarantine is not None:
+        _print_quarantine(quarantine, args.quarantine_report)
+    return 0
+
+
+def _cmd_shootout(args):
+    """Race every (selected) engine over the same corpus."""
+    from repro.analysis.shootout import (
+        ShootoutSpec,
+        format_shootout,
+        run_shootout,
+    )
+    from repro.engines import create
+
+    bench = None if args.no_bench else args.bench
+    if _missing_dir("output", args.out, bench):
+        return 2
+    for name in args.engines:
+        try:
+            create(name)
+        except EngineError as e:
+            return _fail(f"error: {e}")
+    spec = ShootoutSpec(engines=args.engines, **_sweep_spec(args))
+    result = run_shootout(spec, jobs=args.jobs)
+    _print_sweep(result, format_shootout(result), args.out, bench)
+    return 0
+
+
+def _cmd_frontier(args):
+    """Sweep sampling rates x FIFO depths into a Pareto table."""
+    from repro.analysis.frontier import (
+        FrontierSpec,
+        format_frontier,
+        run_frontier,
+    )
+
+    bench = None if args.no_bench else args.bench
+    if _missing_dir("output", args.out, bench):
+        return 2
+    try:
+        spec = FrontierSpec(rates=args.rates, fifo_sizes=args.fifo_sizes,
+                            policy_seed=args.policy_seed,
+                            backoff=args.backoff, tighten=args.tighten,
+                            **_sweep_spec(args))
+    except ReproError as e:
+        return _fail(f"error: {e}")
+    result = run_frontier(spec, jobs=args.jobs)
+    _print_sweep(result, format_frontier(result), args.out, bench)
+    return 0
+
+
+def _trace_convert(args):
+    """``trace convert IN OUT``: re-encode a trace file.
+
+    The output format is the *other* one by default (columnar input ->
+    JSON-lines output and vice versa); ``--trace-format`` forces it.
+    ``--verify`` reads both files back and diffs the decoded events.
+    """
+    from repro.trace import columnar, read_trace, write_trace
+
+    if len(args.paths) != 2:
+        return _fail("error: trace convert needs exactly IN and OUT paths")
+    src, dst = args.paths
+    if not os.path.isfile(src):
+        return _fail(f"error: trace {src!r} does not exist")
+    if _missing_dir("output", dst):
+        return 2
+    try:
+        run = read_trace(src)
+    except ReproError as e:
+        return _fail(f"error: {e}")
+    fmt = args.trace_format
+    if fmt is None:
+        fmt = "jsonl" if columnar.is_columnar(src) else "columnar"
+    write_trace(run, dst, trace_format=fmt)
+    print(f"converted {src} -> {dst} ({fmt}, {len(run.events)} events)")
+    if not args.verify:
+        return 0
+    a = read_trace(src)
+    b = read_trace(dst)
+    if (a.events, a.failed, a.n_threads, a.seed) != (
+            b.events, b.failed, b.n_threads, b.seed):
+        print("error: verify failed: decoded traces differ", file=sys.stderr)
+        return 1
+    print(f"verified: both files decode to {len(a.events)} identical events")
+    return 0
+
+
+def _cmd_trace(args):
+    """Record a workload trace, or convert one between formats."""
+    if args.program == "convert":
+        return _trace_convert(args)
+    if args.paths:
+        return _fail("error: unexpected extra arguments "
+                     f"{' '.join(args.paths)!r} (paths are only for "
+                     "'trace convert')")
+    if _missing_dir("output", args.out):
+        return 2
+    from repro.trace import write_trace
+    from repro.workloads.framework import run_program
+    from repro.workloads.registry import get_workload
+
+    try:
+        program = get_workload(args.program)
+    except ReproError as e:
+        return _fail(f"error: {e}")
+    run = run_program(program, seed=args.seed)
+    write_trace(run, args.out, trace_format=args.trace_format)
+    print(f"wrote {len(run.events)} events ({run.n_threads} threads, "
+          f"failed={run.failed}) to {args.out}")
+    return 0
+
+
+def _bug_run_profile(name, args):
+    """Diagnose ``name`` under a fresh registry; return the profile dict."""
+    from repro import telemetry
+    from repro.core.diagnosis import diagnose_failure
+    from repro.telemetry import TickClock, profile_dict, selfcost
+    from repro.workloads.registry import get_bug
+
+    program = get_bug(name)
+    registry = telemetry.Registry(
+        clock=TickClock() if args.tick_clock else None)
+    with telemetry.use_registry(registry):
+        report = diagnose_failure(program, n_train_runs=args.train_runs,
+                                  n_pruning_runs=args.pruning_runs)
+    meta = {"program": name, "found": report.found}
+    if report.rank is not None:
+        meta["rank"] = report.rank
+    return profile_dict(
+        registry, meta=meta, self_overhead=True,
+        calibration=selfcost.PINNED_CALIBRATION if args.tick_clock else None)
+
+
+def _rendered_profile(profile, args, title=None):
+    """The requested views of ``profile`` as text chunks."""
+    from repro.telemetry import (
+        format_critical_path,
+        format_flame,
+        format_profile,
+        render_openmetrics,
+    )
+
+    chunks = []
+    if args.flame:
+        chunks.append(format_flame(profile.get("spans") or []))
+    if args.critical_path:
+        chunks.append(format_critical_path(profile.get("spans") or []))
+    if args.openmetrics:
+        chunks.append(render_openmetrics(profile))
+    if not chunks:
+        chunks.append(format_profile(profile, title=title))
+    return chunks
+
+
+def _profile_programs(args):
+    """Run profiles of the named bugs, then one communication-profile
+    table of the named kernels (all kernels when none are named)."""
+    from repro.sim.trace_stats import profile_run, profile_table
+    from repro.workloads.framework import run_program
+    from repro.workloads.generator import parse_generated_name
+    from repro.workloads.registry import (
+        all_bug_names,
+        all_kernel_names,
+        get_kernel,
+    )
+
+    bug_names = set(all_bug_names())
+    comm_profiles = []
+    chunks = []
+    for name in args.programs or all_kernel_names():
+        if name in bug_names or parse_generated_name(name) is not None:
+            if chunks:
+                chunks.append("")
+            chunks.extend(_rendered_profile(_bug_run_profile(name, args),
+                                            args,
+                                            title=f"run profile: {name}"))
+        else:
+            run = run_program(get_kernel(name), seed=args.seed)
+            comm_profiles.append(profile_run(run, name=name))
+    if comm_profiles:
+        if chunks:
+            chunks.append("")
+        chunks.append(profile_table(comm_profiles))
+    return chunks
+
+
+def _cmd_profile(args):
+    """Render run profiles (fresh diagnoses, kernels, or saved files)."""
+    if args.load:
+        from repro.telemetry import (
+            is_event_stream,
+            read_events_profile,
+            read_profile,
+        )
+
+        if not os.path.isfile(args.load):
+            return _fail(f"error: profile {args.load!r} does not exist")
+        profile = (read_events_profile(args.load)
+                   if is_event_stream(args.load) else read_profile(args.load))
+        chunks = _rendered_profile(profile, args)
+    else:
+        chunks = _profile_programs(args)
+    text = "\n".join(chunks)
+    if text:
+        print(text)
+    return 0
 
 
 def _cmd_experiment(args):
@@ -108,6 +503,30 @@ def _cmd_experiment(args):
 # -- parser ------------------------------------------------------------
 
 
+def _positive_int(text):
+    """argparse type for a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _csv_names(text):
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+def _csv_floats(text):
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+def _csv_ints(text):
+    return tuple(int(v) for v in text.split(",") if v.strip())
+
+
 def _add_telemetry_args(cmd):
     """The telemetry trio shared by every pipeline-running command."""
     cmd.add_argument("--telemetry", metavar="PATH",
@@ -117,7 +536,7 @@ def _add_telemetry_args(cmd):
                           "its JSONL event stream (span open/close, "
                           "counter deltas, fault/quarantine events, "
                           "simulator samples) to PATH")
-    cmd.add_argument("--events-capacity", type=int, default=None,
+    cmd.add_argument("--events-capacity", type=_positive_int, default=None,
                      metavar="N",
                      help="flight-recorder ring size (default 65536; "
                           "oldest non-span events drop first)")
@@ -139,7 +558,7 @@ def _add_diagnose_args(d):
     d.add_argument("--seq-len", type=int, default=5)
     d.add_argument("--debug-buffer", type=int, default=60)
     d.add_argument("--threshold", type=float, default=0.05)
-    d.add_argument("--top", type=int, default=5)
+    d.add_argument("--top", type=_positive_int, default=5)
     d.add_argument("--jobs", type=int, default=None, metavar="N",
                    help="worker processes for independent runs "
                         "(results identical to serial; 0 = all CPUs)")
@@ -178,14 +597,6 @@ def _add_policy_arg(cmd):
                           "docs/adaptive.md). Omitted = full-rate "
                           "tracking, byte-identical to the policy-free "
                           "pipeline")
-
-
-def _csv_floats(text):
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
-def _csv_ints(text):
-    return tuple(int(v) for v in text.split(",") if v.strip())
 
 
 def _add_trace_args(t):
@@ -243,7 +654,7 @@ def _add_sweep_args(cmd, what, bench=None):
     cmd.add_argument("--seq-len", type=int, default=3,
                      help="dependences per NN input (generated programs "
                           "are sized for the default of 3)")
-    cmd.add_argument("--top", type=int, default=5, metavar="K",
+    cmd.add_argument("--top", type=_positive_int, default=5, metavar="K",
                      help="k for the top-k metrics")
     cmd.add_argument("--jobs", type=int, default=None, metavar="N",
                      help="worker processes for independent programs "
@@ -292,7 +703,8 @@ def _add_shootout_args(s):
     """``shootout`` flags."""
     _add_sweep_args(s, "shootout metrics",
                     bench="per-engine recall/top-1")
-    s.add_argument("--engines", metavar="NAMES", default=None,
+    s.add_argument("--engines", type=_csv_names, default=(),
+                   metavar="NAMES",
                    help="comma-separated engine names to race "
                         "(default: every registered engine)")
 
@@ -311,9 +723,9 @@ def _add_frontier_args(f):
                         "simulation (default 4,8,16)")
     f.add_argument("--policy-seed", type=int, default=0,
                    help="seed for the sampling hash (default 0)")
-    f.add_argument("--no-backoff", action="store_true",
+    f.add_argument("--no-backoff", dest="backoff", action="store_false",
                    help="disable load-shedding backoff at sampled rates")
-    f.add_argument("--no-tighten", action="store_true",
+    f.add_argument("--no-tighten", dest="tighten", action="store_false",
                    help="disable suspicion-directed tightening (sampled "
                         "passes then run blind, without the full-rate "
                         "pass's suspicious-PC feedback)")
@@ -377,25 +789,16 @@ def build_parser():
     return parser
 
 
-def _check_out_dir(path, what):
-    out_dir = os.path.dirname(path)
-    if out_dir and not os.path.isdir(out_dir):
-        print(f"error: {what} directory {out_dir!r} does not exist",
-              file=sys.stderr)
-        return False
-    return True
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     handler = {
         "list": _cmd_list,
-        "diagnose": _cmd_request,
-        "trace": _cmd_request,
-        "profile": _cmd_request,
-        "corpus": _cmd_request,
-        "shootout": _cmd_request,
-        "frontier": _cmd_request,
+        "diagnose": _cmd_diagnose,
+        "trace": _cmd_trace,
+        "profile": _cmd_profile,
+        "corpus": _cmd_corpus,
+        "shootout": _cmd_shootout,
+        "frontier": _cmd_frontier,
         "experiment": _cmd_experiment,
     }[args.command]
     telemetry_out = getattr(args, "telemetry", None)
@@ -404,9 +807,8 @@ def main(argv=None):
     if not (telemetry_out or events_out or tick):
         return handler(args)
 
-    if telemetry_out and not _check_out_dir(telemetry_out, "telemetry"):
-        return 2
-    if events_out and not _check_out_dir(events_out, "events"):
+    if (_missing_dir("telemetry", telemetry_out)
+            or _missing_dir("events", events_out)):
         return 2
     from repro import telemetry
     from repro.telemetry import (

@@ -97,7 +97,7 @@ class EngineError(ReproError):
     """Raised on unknown predictor-engine names or invalid engine use.
 
     ``engine`` is the offending name and ``known`` the tuple of names
-    registered at raise time, so every message (CLI, service, corpus)
+    registered at raise time, so every message (CLI, corpus)
     can steer the user to a valid ``--engine`` value.
     """
 

@@ -31,7 +31,7 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True)
 class PredictionRecord:
-    """Outcome of processing one RAW dependence."""
+    """Result of processing one RAW dependence."""
 
     seq: Tuple
     output: float

@@ -29,6 +29,8 @@ byte-identical to the direct one (reports, telemetry spans, artifacts
 through one keyed store (:meth:`Predictor.store_key`).
 """
 
+import hashlib
+import os
 from dataclasses import asdict, dataclass
 
 from repro import faults as _faults
@@ -37,7 +39,7 @@ from repro.common.errors import ConfigError, EngineError
 from repro.core import policy as _policy
 from repro.core.config import ACTConfig
 from repro.core.diagnosis import DiagnosisReport
-from repro.faults.checkpoint import canonical_json
+from repro.faults.checkpoint import Checkpoint, canonical_json
 
 
 @dataclass(frozen=True)
@@ -263,6 +265,40 @@ class Predictor:
         return self.report_trained(program, correct_params=correct_params,
                                    jobs=jobs, quarantine=quarantine,
                                    **kwargs)
+
+
+class TrainedStateDir:
+    """``diagnose --cache-dir``: trained state on disk, one file per key.
+
+    Plugs into the engines' store interface (``get`` plus item
+    assignment, keyed by :meth:`~repro.engines.Predictor.store_key`).
+    Each entry is a :class:`~repro.faults.Checkpoint` of kind
+    ``"trained-state"`` at ``DIR/<sha256(key)>.json``: the key is its
+    fingerprint and the ``Predictor.serialize`` payload its one phase.
+    A corrupt, edited or colliding entry is refused with
+    :class:`~repro.common.errors.CheckpointError`, never loaded.
+    """
+
+    KIND = "trained-state"
+
+    def __init__(self, path):
+        self.path = path
+
+    def _file(self, key):
+        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
+        return os.path.join(self.path, f"{digest}.json")
+
+    def get(self, key):
+        """Stored payload for ``key`` (None on miss); counts the lookup."""
+        entry = Checkpoint.open(self._file(key), self.KIND, key)
+        state = entry.phases.get("state")
+        telemetry.get_registry().inc(
+            "cache.misses" if state is None else "cache.hits")
+        return state
+
+    def __setitem__(self, key, payload):
+        os.makedirs(self.path, exist_ok=True)
+        Checkpoint(self._file(key), self.KIND, key).put("state", payload)
 
 
 def report_candidates(report):

@@ -6,7 +6,7 @@ order: the default ``nn`` first, then the baselines, then
 ``ensemble``). Unknown names raise
 :class:`~repro.common.errors.EngineError` whose message lists the
 registered names -- the one shared error path for ``--engine``
-everywhere (CLI, corpus, service).
+everywhere (CLI and corpus).
 
 Built-in engines are a static name -> ``"module:attr"`` table, so
 ``names()`` imports nothing and ``create(name)`` imports only that

@@ -79,7 +79,7 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    """Outcome of training one network."""
+    """Result of training one network."""
 
     net: OneHiddenLayerNet
     epochs: int

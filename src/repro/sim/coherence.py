@@ -28,7 +28,7 @@ class MESIState:
 
 @dataclass(frozen=True)
 class AccessResult:
-    """Outcome of one cache access."""
+    """Result of one cache access."""
 
     level: str                 # "l1" | "l2" | "c2c" | "mem" | "upgrade"
     latency: int

@@ -34,7 +34,7 @@ _SAMPLE_EVERY = 256
 
 @dataclass
 class MachineResult:
-    """Outcome of one timed replay.
+    """Result of one timed replay.
 
     ``overhead_proxy`` is the adaptive-tracking cost figure the
     ``frontier`` experiment sweeps (see docs/adaptive.md): the traced

@@ -106,10 +106,10 @@ CATALOG = (
                "worker count the most recent --jobs/REPRO_JOBS value "
                "resolved to (0 = auto = all CPUs)"),
     # -- trained-state cache (diagnose --cache-dir) -------------------
-    MetricSpec("cache.hits", COUNTER, "repro.service",
+    MetricSpec("cache.hits", COUNTER, "repro.engines",
                "trained-state lookups served from --cache-dir (offline "
                "retraining skipped)"),
-    MetricSpec("cache.misses", COUNTER, "repro.service",
+    MetricSpec("cache.misses", COUNTER, "repro.engines",
                "trained-state lookups absent from --cache-dir (the "
                "engine trains and stores the state)"),
     # -- fault injection & resilience (repro.faults) -------------------

@@ -7,6 +7,8 @@ prints and exits with the same code. Reuse shows only in telemetry
 entry is refused, never loaded.
 """
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -17,10 +19,8 @@ import pytest
 
 from repro import telemetry
 from repro.cli import main
-from repro.service import ops
 
 FAST = ["--train-runs", "4", "--pruning-runs", "6"]
-FAST_KW = {"train_runs": 4, "pruning_runs": 6}
 TRAIN_SPANS = {"engine.train", "diagnose.offline_train"}
 
 
@@ -34,25 +34,30 @@ def _span_names(profile):
     return names
 
 
-def _run(req):
-    """Run ``req`` under a fresh registry; returns the outcome, the
-    (cache.hits, cache.misses) pair and the set of span names."""
-    with telemetry.use_registry(telemetry.Registry()) as reg:
-        outcome = ops.run_diagnose(req)
+def _run(argv):
+    """Run ``repro`` with ``argv`` under a fresh registry; returns the
+    (exit code, stdout, stderr) triple, the (cache.hits, cache.misses)
+    pair and the set of span names."""
+    out, err = io.StringIO(), io.StringIO()
+    with telemetry.use_registry(telemetry.Registry()) as reg, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
     profile = telemetry.profile_dict(reg)
     counters = profile["counters"]
     hits_misses = (counters.get("cache.hits", 0),
                    counters.get("cache.misses", 0))
-    return outcome, hits_misses, _span_names(profile)
+    return (rc, out.getvalue(), err.getvalue()), hits_misses, \
+        _span_names(profile)
 
 
-def _text(outcome):
-    return outcome.rc, outcome.out, outcome.err
-
-
-def _request(cache_dir=None, **kwargs):
-    return ops.DiagnoseRequest(bug="gzip", cache_dir=cache_dir,
-                               **FAST_KW, **kwargs)
+def _request(cache_dir=None, engine=None, faults=None):
+    """``diagnose gzip`` argv with the given flags."""
+    argv = ["diagnose", "gzip", *FAST]
+    for flag, value in (("--cache-dir", cache_dir), ("--engine", engine),
+                        ("--faults", faults)):
+        if value is not None:
+            argv += [flag, value]
+    return argv
 
 
 class TestCacheDir:
@@ -61,8 +66,8 @@ class TestCacheDir:
         cold, _, cold_spans = _run(_request())
         miss, miss_counts, miss_spans = _run(_request(cache))
         hit, hit_counts, hit_spans = _run(_request(cache))
-        assert _text(miss) == _text(hit) == _text(cold)
-        assert cold.rc == 0
+        assert miss == hit == cold
+        assert cold[0] == 0
         assert miss_counts == (0, 1) and hit_counts == (1, 0)
         assert "diagnose.offline_train" in cold_spans & miss_spans
         assert not hit_spans & TRAIN_SPANS
@@ -85,7 +90,7 @@ class TestCacheDir:
             miss, miss_counts, _ = _run(_request(cache, engine=engine))
             hit, hit_counts, _ = _run(_request(cache, engine=engine))
             assert (miss_counts, hit_counts) == ((0, 1), (1, 0))
-            assert _text(miss) == _text(hit) == _text(cold)
+            assert miss == hit == cold
         assert len(os.listdir(cache)) == 2
 
     def test_ensemble_reuses_member_entries(self, tmp_path):
@@ -100,7 +105,7 @@ class TestCacheDir:
         assert not spans & TRAIN_SPANS
         assert len(os.listdir(cache)) == 2
         cold, _, _ = _run(_request(engine="ensemble:nn+pset"))
-        assert _text(warm) == _text(cold)
+        assert warm == cold
 
     def test_key_is_order_independent(self):
         from repro.engines import create

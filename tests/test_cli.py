@@ -409,8 +409,8 @@ class TestStartup:
     import: package re-exports, the pipeline and the telemetry
     exporters load only in the commands that use them."""
 
-    HEAVY = ("numpy", "repro.service.ops", "repro.core.diagnosis",
-             "repro.telemetry.export")
+    HEAVY = ("numpy", "repro.engines", "repro.faults",
+             "repro.core.diagnosis", "repro.telemetry.export")
 
     def _imported(self, *args):
         import os
@@ -441,7 +441,6 @@ class TestStartup:
     def test_package_exports_resolve_on_access(self):
         import repro
         import repro.core
-        import repro.service
         import repro.workloads
         from repro.core.diagnosis import diagnose_failure
         from repro.workloads.registry import get_bug
@@ -449,7 +448,67 @@ class TestStartup:
         assert repro.diagnose_failure is diagnose_failure
         assert repro.core.diagnose_failure is diagnose_failure
         assert repro.workloads.get_bug is get_bug
-        assert "TrainedStateDir" in dir(repro.service)
         assert set(repro.core.__all__) <= set(dir(repro.core))
         with pytest.raises(AttributeError, match="no attribute 'nope'"):
             repro.core.nope
+
+
+FAST = ["--train-runs", "2", "--pruning-runs", "2"]
+SMALL_SWEEP = ["--size", "1", *FAST]
+ENGINES_ERR = ("error: unknown engine 'bogus'; registered engines: "
+               "nn, aviso, pbi, pset, ensemble")
+
+
+class TestErrorExits:
+    """Every command error exits 2 with one exact line on stderr and
+    nothing on stdout."""
+
+    @pytest.mark.parametrize("argv, err", [
+        pytest.param(
+            ["diagnose", "gzip", "--engine", "pset", "--policy",
+             "rate=0.5"],
+            "error: --policy is NN-path-only; engine 'pset' does not "
+            "support it", id="policy-nn-only"),
+        pytest.param(["diagnose", "gzip", "--engine", "bogus"],
+                     ENGINES_ERR, id="diagnose-unknown-engine"),
+        pytest.param(["corpus", "--engine", "bogus"], ENGINES_ERR,
+                     id="corpus-unknown-engine"),
+        pytest.param(["shootout", "--engines", "bogus"], ENGINES_ERR,
+                     id="shootout-unknown-engine"),
+        pytest.param(["trace", "convert", "only_one.jsonl"],
+                     "error: trace convert needs exactly IN and OUT paths",
+                     id="trace-convert-one-path"),
+        pytest.param(["trace", "lu", "extra"],
+                     "error: unexpected extra arguments 'extra' (paths are "
+                     "only for 'trace convert')", id="trace-extra-path"),
+        pytest.param(["frontier", "--rates", "1.5", "--no-bench"],
+                     "error: frontier rate=1.5 not in (0, 1]",
+                     id="frontier-bad-rate"),
+    ])
+    def test_error_exit(self, argv, err, capsys):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == (2, "", err + "\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "gzip", *FAST, "--top", "-1"],
+        ["diagnose", "gzip", *FAST, "--top", "0"],
+        ["corpus", *SMALL_SWEEP, "--top", "0"],
+        ["shootout", *SMALL_SWEEP, "--no-bench", "--top", "0"],
+        ["frontier", *SMALL_SWEEP, "--no-bench", "--rates", "1.0",
+         "--fifo-sizes", "4", "--top", "0"],
+        ["diagnose", "gzip", *FAST, "--events", "flight.jsonl",
+         "--events-capacity", "0"],
+        ["diagnose", "gzip", *FAST, "--events", "flight.jsonl",
+         "--events-capacity", "-1"],
+        ["corpus", "--top", "many"],
+    ])
+    def test_counts_below_one_rejected_at_parse_time(self, argv, capsys,
+                                                     tmp_path,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expected an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "flight.jsonl").exists()

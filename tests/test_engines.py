@@ -259,14 +259,6 @@ class TestProtocolContract:
             create(name, config=CFG).diagnose_report(
                 tinybug, checkpoint="ck.json")
 
-    def test_unknown_engine_via_run_diagnose(self):
-        from repro.service import ops
-
-        out = ops.run_diagnose(ops.DiagnoseRequest(bug="gzip",
-                                                   engine="bogus"))
-        assert out.rc == 2
-        assert "registered engines" in out.err
-
 
 class TestStoreKey:
     """One key per trained state: everything that shapes training."""
