@@ -1,6 +1,6 @@
-"""Replay, orchestration, trace-I/O and corpus throughput.
+"""Replay, orchestration, corpus and cached-diagnosis throughput.
 
-Four measurements, all recorded into ``benchmarks/results/`` and into
+Five measurements, all recorded into ``benchmarks/results/`` and into
 ``BENCH_throughput.json`` at the repo root:
 
 1. **Batched replay** -- deps/sec of :func:`deploy_on_run` over a long
@@ -18,19 +18,14 @@ Four measurements, all recorded into ``benchmarks/results/`` and into
    recorded alongside: on a single-CPU host the warm speedup honestly
    tops out below 1x (there is no second core to win on); the gate's
    widened threshold absorbs host-to-host variance.
-3. **Trace I/O** -- write+read wall time of the long replay trace in
-   the JSON-lines format vs the columnar binary format
-   (:mod:`repro.trace.columnar`). Both decode to identical events;
-   columnar reads must be faster (that is the format's whole point, on
-   any host).
-4. **End-to-end corpus** -- wall seconds of the preset-scaled accuracy
+3. **End-to-end corpus** -- wall seconds of the preset-scaled accuracy
    corpus (``repro corpus``), the number a user actually waits on. Also
    exported flat as ``corpus_wall_seconds`` for the trend gate.
-5. **Adaptive frontier** -- the sampling-rate x FIFO sweep
+4. **Adaptive frontier** -- the sampling-rate x FIFO sweep
    (:mod:`repro.analysis.frontier`) at preset scale; the recorded
    ``frontier.overhead_proxy`` / ``frontier.top1`` ratios (the pick's
    fraction of full-rate overhead and top-1) feed the trend gates.
-6. **Cached diagnosis** -- wall seconds of a full diagnosis cold
+5. **Cached diagnosis** -- wall seconds of a full diagnosis cold
    (offline training included) vs a ``diagnose --cache-dir`` hit
    (training skipped, trained state read back from the cache
    directory). Reports are byte-identical; the recorded
@@ -53,7 +48,6 @@ from repro.core.config import ACTConfig
 from repro.core.deploy import deploy_on_run
 from repro.core.offline import OfflineTrainer, collect_correct_runs
 from repro.parallel import get_pool
-from repro.trace import read_trace, write_trace
 from repro.workloads.framework import run_program
 from repro.workloads.registry import get_kernel
 
@@ -165,22 +159,6 @@ def test_throughput(preset, save_result):
                for a, b in zip(runs_serial, runs_cold))
     t_startup = measure_pool_startup(jobs)
 
-    # --- trace I/O: JSON-lines vs columnar ---------------------------
-    tmpdir = tempfile.mkdtemp(prefix="bench_trace_")
-    jsonl_path = os.path.join(tmpdir, "lu.jsonl")
-    col_path = os.path.join(tmpdir, "lu.columnar")
-    (t_write_jsonl, t_write_col), _ = _best_of_each(
-        [lambda: write_trace(long_run, jsonl_path),
-         lambda: write_trace(long_run, col_path, trace_format="columnar")],
-        rounds=3)
-    (t_read_jsonl, t_read_col), (decoded_jsonl, decoded_col) = _best_of_each(
-        [lambda: read_trace(jsonl_path),
-         lambda: read_trace(col_path)],
-        rounds=3)
-    assert decoded_jsonl.events == decoded_col.events
-    read_speedup = t_read_jsonl / t_read_col
-    write_speedup = t_write_jsonl / t_write_col
-
     # --- end-to-end corpus wall time ---------------------------------
     t0 = time.perf_counter()
     corpus_result = run_corpus_for_preset(preset)
@@ -210,7 +188,7 @@ def test_throughput(preset, save_result):
                            *flags])
         return rc, out.getvalue(), err.getvalue()
 
-    cache_flags = ("--cache-dir", os.path.join(tmpdir, "cache"))
+    cache_flags = ("--cache-dir", tempfile.mkdtemp(prefix="bench_cache_"))
     diagnose(*cache_flags)  # populate
     (t_diag_cold, t_diag_warm), (out_cold, out_warm) = _best_of_each(
         [diagnose, lambda: diagnose(*cache_flags)], rounds=3)
@@ -241,16 +219,6 @@ def test_throughput(preset, save_result):
             "speedup": round(t_serial / t_warm, 2),
             "speedup_cold": round(t_serial / t_cold, 2),
             "speedup_warm": round(t_serial / t_warm, 2),
-        },
-        "trace_io": {
-            "program": "lu",
-            "n_events": len(long_run.events),
-            "jsonl_write_seconds": round(t_write_jsonl, 6),
-            "columnar_write_seconds": round(t_write_col, 6),
-            "jsonl_read_seconds": round(t_read_jsonl, 6),
-            "columnar_read_seconds": round(t_read_col, 6),
-            "write_speedup": round(write_speedup, 2),
-            "read_speedup": round(read_speedup, 2),
         },
         "corpus": {
             "size": corpus_result.spec.size,
@@ -295,14 +263,6 @@ def test_throughput(preset, save_result):
         f"  speedup warm/cold   : {t_serial / t_warm:.2f}x / "
         f"{t_serial / t_cold:.2f}x",
         "",
-        f"Trace I/O ({len(long_run.events)} events, program lu)",
-        f"  jsonl write/read    : {t_write_jsonl:.4f} s / "
-        f"{t_read_jsonl:.4f} s",
-        f"  columnar write/read : {t_write_col:.4f} s / "
-        f"{t_read_col:.4f} s",
-        f"  speedup write/read  : {write_speedup:.1f}x / "
-        f"{read_speedup:.1f}x",
-        "",
         f"Corpus end-to-end (size {corpus_result.spec.size}, "
         f"jobs={preset.jobs})",
         f"  wall time           : {corpus_wall:.1f} s",
@@ -325,11 +285,6 @@ def test_throughput(preset, save_result):
     assert fast_dps > scalar_dps, (
         f"batched replay slower than scalar: {fast_dps:.0f} vs "
         f"{scalar_dps:.0f} deps/sec")
-    # Columnar reads skip parsing entirely; slower-than-jsonl reads
-    # would mean the format lost its reason to exist.
-    assert read_speedup > 1.0, (
-        f"columnar read slower than jsonl: {t_read_col:.4f}s vs "
-        f"{t_read_jsonl:.4f}s")
     # A cache hit skips offline training entirely; the report is
     # byte-identical, so anything short of a speedup means the cache
     # stopped doing its one job.

@@ -57,8 +57,6 @@ TRACKED_METRICS = {
     "replay.scalar_deps_per_sec": "higher",
     "parallel.speedup_warm": "higher",
     "parallel.speedup_cold": "higher",
-    "trace_io.read_speedup": "higher",
-    "trace_io.write_speedup": "higher",
     "cache.warm_speedup": "higher",
     "frontier.recall": "higher",
 }

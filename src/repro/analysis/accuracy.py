@@ -413,13 +413,12 @@ def format_corpus(result):
     return "\n".join(lines)
 
 
-def write_corpus_traces(spec, trace_dir, trace_format="columnar"):
+def write_corpus_traces(spec, trace_dir):
     """Record each corpus program's failure run as a trace file.
 
     One file per program under ``trace_dir``, named
-    ``<program>.columnar``/``<program>.jsonl``, written via
-    :func:`repro.trace.write_trace` in the requested format. Returns
-    the list of paths written (corpus order).
+    ``<program>.jsonl``, written via :func:`repro.trace.write_trace`.
+    Returns the list of paths written (corpus order).
     """
     from repro.trace import write_trace
     from repro.workloads.framework import run_program
@@ -430,8 +429,8 @@ def write_corpus_traces(spec, trace_dir, trace_format="columnar"):
         # buggy build under the spec's failure seed.
         run = run_program(GeneratedProgram(ps), seed=spec.failure_seed,
                           buggy=True)
-        path = os.path.join(trace_dir, f"{ps.name}.{trace_format}")
-        write_trace(run, path, trace_format=trace_format)
+        path = os.path.join(trace_dir, f"{ps.name}.jsonl")
+        write_trace(run, path)
         paths.append(path)
     return paths
 

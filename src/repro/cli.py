@@ -273,9 +273,8 @@ def _cmd_corpus(args):
     _print_sweep(result, format_corpus(result), args.out)
     if args.trace_dir:
         os.makedirs(args.trace_dir, exist_ok=True)
-        paths = write_corpus_traces(spec, args.trace_dir,
-                                    trace_format=args.trace_format)
-        print(f"wrote {len(paths)} {args.trace_format} failure traces "
+        paths = write_corpus_traces(spec, args.trace_dir)
+        print(f"wrote {len(paths)} jsonl failure traces "
               f"to {args.trace_dir}")
     if quarantine is not None:
         _print_quarantine(quarantine, args.quarantine_report)
@@ -328,51 +327,8 @@ def _cmd_frontier(args):
     return 0
 
 
-def _trace_convert(args):
-    """``trace convert IN OUT``: re-encode a trace file.
-
-    The output format is the *other* one by default (columnar input ->
-    JSON-lines output and vice versa); ``--trace-format`` forces it.
-    ``--verify`` reads both files back and diffs the decoded events.
-    """
-    from repro.trace import columnar, read_trace, write_trace
-
-    if len(args.paths) != 2:
-        return _fail("error: trace convert needs exactly IN and OUT paths")
-    src, dst = args.paths
-    if not os.path.isfile(src):
-        return _fail(f"error: trace {src!r} does not exist")
-    if _missing_dir("output", dst):
-        return 2
-    try:
-        run = read_trace(src)
-    except ReproError as e:
-        return _fail(f"error: {e}")
-    fmt = args.trace_format
-    if fmt is None:
-        fmt = "jsonl" if columnar.is_columnar(src) else "columnar"
-    write_trace(run, dst, trace_format=fmt)
-    print(f"converted {src} -> {dst} ({fmt}, {len(run.events)} events)")
-    if not args.verify:
-        return 0
-    a = read_trace(src)
-    b = read_trace(dst)
-    if (a.events, a.failed, a.n_threads, a.seed) != (
-            b.events, b.failed, b.n_threads, b.seed):
-        print("error: verify failed: decoded traces differ", file=sys.stderr)
-        return 1
-    print(f"verified: both files decode to {len(a.events)} identical events")
-    return 0
-
-
 def _cmd_trace(args):
-    """Record a workload trace, or convert one between formats."""
-    if args.program == "convert":
-        return _trace_convert(args)
-    if args.paths:
-        return _fail("error: unexpected extra arguments "
-                     f"{' '.join(args.paths)!r} (paths are only for "
-                     "'trace convert')")
+    """Record a workload trace as a JSON-lines file."""
     if _missing_dir("output", args.out):
         return 2
     from repro.trace import write_trace
@@ -384,7 +340,7 @@ def _cmd_trace(args):
     except ReproError as e:
         return _fail(f"error: {e}")
     run = run_program(program, seed=args.seed)
-    write_trace(run, args.out, trace_format=args.trace_format)
+    write_trace(run, args.out)
     print(f"wrote {len(run.events)} events ({run.n_threads} threads, "
           f"failed={run.failed}) to {args.out}")
     return 0
@@ -601,22 +557,9 @@ def _add_policy_arg(cmd):
 
 def _add_trace_args(t):
     """``trace`` flags."""
-    t.add_argument("program",
-                   help="workload name, or 'convert' to re-encode an "
-                        "existing trace file")
-    t.add_argument("paths", nargs="*", metavar="PATH",
-                   help="for 'convert': the input and output trace files")
+    t.add_argument("program", help="workload name")
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", default="trace.jsonl")
-    t.add_argument("--trace-format", choices=("jsonl", "columnar"),
-                   default=None,
-                   help="on-disk trace format (default jsonl when "
-                        "recording; for 'convert' the default is the "
-                        "opposite of the input's format). Reads always "
-                        "auto-detect.")
-    t.add_argument("--verify", action="store_true",
-                   help="after 'convert', read both files back and "
-                        "check they decode to identical events")
 
 
 def _add_profile_args(p):
@@ -679,10 +622,6 @@ def _add_corpus_args(c):
     c.add_argument("--trace-dir", metavar="DIR",
                    help="also record each program's failure run as a "
                         "trace file under DIR (created if missing)")
-    c.add_argument("--trace-format", choices=("jsonl", "columnar"),
-                   default="columnar",
-                   help="format for --trace-dir trace files "
-                        "(default columnar)")
     c.add_argument("--checkpoint", metavar="PATH",
                    help="save per-program snapshots to PATH "
                         "(created if missing, resumed if present)")
@@ -747,7 +686,7 @@ def build_parser():
 
     t = sub.add_parser(
         "trace",
-        help="record a workload trace, or convert one between formats")
+        help="record a workload trace as a JSON-lines file")
     _add_trace_args(t)
     _add_telemetry_args(t)
 

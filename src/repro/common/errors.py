@@ -64,10 +64,11 @@ class FaultInjected(ReproError):
 class WorkerKilled(FaultInjected):
     """A parallel worker died mid-task (injected or real).
 
-    ``task_index`` is the item's position in the dispatched batch and
-    ``attempt`` the retry attempt that died; both cross the process-pool
-    boundary intact so the parent's bounded-retry loop can account for
-    them.
+    ``task_index`` is the item's task key (the ``keys`` entry given to
+    :func:`repro.parallel.run_tasks`, e.g. the run seed; the position
+    in the batch when no keys are given) and ``attempt`` the retry
+    attempt that died; both cross the process-pool boundary intact so
+    the parent's bounded-retry loop can account for them.
     """
 
     def __init__(self, description, task_index=None, attempt=None):

@@ -67,18 +67,13 @@ def collect_runs_for_seeds(program, seeds, jobs=None, quarantine=None,
     seeds (the differential suite pins this).
     """
     from repro.parallel import run_tasks
-    from repro.trace import columnar
 
     seeds = list(seeds)
     runs = run_tasks(
         _correct_run_task,
         [(program, seed, params) for seed in seeds],
         jobs=jobs, quarantine=quarantine, phase="offline.collect",
-        keys=seeds,
-        # Collected runs are almost entirely event lists; shipping them
-        # home as packed columns is far cheaper than pickling per-event
-        # dataclasses. Exact round trip, so serial stays identical.
-        codec=(columnar.pack_run, columnar.unpack_run))
+        keys=seeds)
     kept = []
     for seed, run in zip(seeds, runs):
         if run is None:  # quarantined by run_tasks

@@ -39,9 +39,8 @@ from repro.common.errors import ConfigError
 from repro.faults.plan import _hash01
 
 #: Decision-site names (the ``site`` component of every hash draw).
-#: ``dep`` gates live dependences entering an AM; ``trace_record``
-#: marks sampled records in exported trace files.
-SITES = ("dep", "trace_record")
+#: ``dep`` gates live dependences entering an AM.
+SITES = ("dep",)
 
 
 @dataclass(frozen=True)
@@ -103,17 +102,6 @@ class PolicySpec:
         """Does the suspicion-tightening set cover this dependence?"""
         sus = self._suspicious
         return bool(sus) and (store_pc in sus or load_pc in sus)
-
-    def samples_record(self, tid, ordinal, pc=None):
-        """Pure per-record sampling decision for the trace writer.
-
-        Backoff is a runtime signal and does not apply at write time;
-        the flags bit records the rate + suspicion decision only.
-        """
-        if pc is not None and pc in self._suspicious:
-            return True
-        return (self.rate >= 1.0
-                or self.uniform("trace_record", tid, ordinal) < self.rate)
 
     def state(self):
         """Fresh per-stream controller state (one per AM)."""

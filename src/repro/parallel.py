@@ -24,13 +24,8 @@ call in a process pays worker startup. Batches dispatch items in small
 *chunks* (up to :data:`MAX_CHUNK` per submission) to amortise pickling
 and future overhead over several work units; each item inside a chunk
 still runs under its own task span and child registry, so chunking is
-invisible to telemetry and to the serial-identity guarantee. Callers
-whose results are dominated by bulk data can pass a
-``codec=(encode, decode)`` pair -- ``encode`` runs in the worker,
-``decode`` in the parent, and the serial path skips both -- e.g.
-collected traces cross the process boundary as packed numpy columns
-(:func:`repro.trace.columnar.pack_run`) instead of pickled per-event
-dataclasses.
+invisible to telemetry and to the serial-identity guarantee. Results
+come home by plain pickle.
 
 Tracing v2 makes the stitching *structural*: the coordinator's open
 span context (trace id + span id) and its clock spec cross the process
@@ -268,13 +263,11 @@ def _invoke_chunk(payload):
     can apply retry/quarantine policy per item, exactly as if each had
     been submitted alone.
     """
-    fn, entries, tspec, plan, encode = payload
+    fn, entries, tspec, plan = payload
     out = []
     for item, key, attempt in entries:
         try:
             result, snap = _invoke_one(fn, item, tspec, plan, key, attempt)
-            if encode is not None:
-                result = encode(result)
             out.append(("ok", result, snap))
         except WorkerKilled as e:
             out.append(("killed", e, None))
@@ -338,11 +331,9 @@ def _chunk_size(n_items, n_workers):
     return max(1, min(-(-n_items // n_workers), MAX_CHUNK))
 
 
-def _run_pool(fn, items, keys, plan, quarantine, phase, tele, n_workers,
-              codec=None):
+def _run_pool(fn, items, keys, plan, quarantine, phase, tele, n_workers):
     """Dispatch items across the warm pool with bounded retries."""
     tspec = _tele_spec(tele, phase)
-    encode, decode = codec if codec is not None else (None, None)
     n = len(items)
     results = [None] * n
     snaps = [None] * n
@@ -363,7 +354,7 @@ def _run_pool(fn, items, keys, plan, quarantine, phase, tele, n_workers,
             entries = [(items[i], keys[i], pending[i]) for i in chunk]
             try:
                 fut = ex.submit(_invoke_chunk,
-                                (fn, entries, tspec, plan, encode))
+                                (fn, entries, tspec, plan))
             except BrokenProcessPool:
                 # The shared pool died between batches; treat the chunk
                 # like an in-flight crash below.
@@ -384,9 +375,9 @@ def _run_pool(fn, items, keys, plan, quarantine, phase, tele, n_workers,
                     tele.inc("faults.worker_kills")
                     if attempt >= plan.max_retries:
                         errors[index] = WorkerKilled(
-                            f"worker process died (task {index}, "
+                            f"worker process died (task {keys[index]}, "
                             f"attempt {attempt}); retries exhausted",
-                            task_index=index, attempt=attempt)
+                            task_index=keys[index], attempt=attempt)
                     else:
                         retry[index] = attempt + 1
                         tele.inc("parallel.retries")
@@ -394,7 +385,7 @@ def _run_pool(fn, items, keys, plan, quarantine, phase, tele, n_workers,
             for index, (tag, value, snap) in zip(chunk, outcomes):
                 attempt = pending[index]
                 if tag == "ok":
-                    results[index] = decode(value) if decode else value
+                    results[index] = value
                     snaps[index] = snap
                 elif tag == "killed":
                     tele.inc("faults.worker_kills")
@@ -429,7 +420,7 @@ def _run_pool(fn, items, keys, plan, quarantine, phase, tele, n_workers,
 
 
 def run_tasks(fn, items, jobs=None, quarantine=None, phase="parallel",
-              keys=None, codec=None):
+              keys=None):
     """Apply ``fn`` to every item, optionally across worker processes.
 
     Serial (``jobs`` None/1) and parallel execution produce identical
@@ -451,11 +442,6 @@ def run_tasks(fn, items, jobs=None, quarantine=None, phase="parallel",
         phase: quarantine phase label for failed items.
         keys: per-item identities for quarantine records (defaults to
             the item index).
-        codec: optional ``(encode, decode)`` pair of module-level
-            functions. ``encode`` maps a result to its wire form in the
-            worker, ``decode`` inverts it in the parent; together they
-            must round-trip exactly. The serial path skips both, so a
-            codec can only change transfer cost, never results.
 
     Returns the list of results in item order (``None`` holes for
     quarantined items).
@@ -470,7 +456,7 @@ def run_tasks(fn, items, jobs=None, quarantine=None, phase="parallel",
     if n_workers <= 1:
         return _run_serial(fn, items, keys, plan, quarantine, phase, tele)
     results, snaps = _run_pool(fn, items, keys, plan, quarantine, phase,
-                               tele, n_workers, codec=codec)
+                               tele, n_workers)
     if tele.enabled:
         tele.inc("parallel.batches")
         tele.inc("parallel.tasks", len(items))

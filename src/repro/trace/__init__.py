@@ -13,7 +13,7 @@ from repro.trace.raw import (
     extract_raw_deps,
     extract_raw_deps_with_negatives,
 )
-from repro.trace.trace_io import TRACE_FORMATS, read_trace, write_trace
+from repro.trace.trace_io import read_trace, write_trace
 
 __all__ = [
     "EventKind",
@@ -25,5 +25,4 @@ __all__ = [
     "extract_raw_deps_with_negatives",
     "read_trace",
     "write_trace",
-    "TRACE_FORMATS",
 ]

@@ -1,22 +1,16 @@
-"""Trace serialisation: JSON-lines plus the columnar binary format.
+"""Trace serialisation: JSON-lines.
 
-The historical format is JSON-lines -- one event per line so very long
-runs can be streamed; the first line is a header record with run-level
-metadata. :mod:`repro.trace.columnar` adds a packed, memory-mappable
-binary format; :func:`write_trace` selects between them via
-``trace_format`` and :func:`read_trace` auto-detects on read (columnar
-files start with a magic string no JSON header can produce).
+One event per line so very long runs can be streamed; the first line is
+a header record with run-level metadata.
 
 This layer is a fault boundary: :func:`write_trace` honours the active
 :class:`~repro.faults.FaultPlan` (records can be dropped, mangled or
 reordered on the way to disk -- modelling lossy production tracing),
 and :func:`read_trace` can *recover* from such damage by skipping
 malformed records instead of aborting, reporting what it skipped via
-telemetry, ``run.meta`` and an optional quarantine. The fault
-*decisions* (:func:`fault_decisions`) are format-agnostic: the same
-plan drops, corrupts and reorders the same records whether the trace is
-written as JSON-lines or columnar -- only the representation of the
-damage differs (a truncated line vs a poisoned kind byte).
+telemetry, ``run.meta`` and an optional quarantine. Every fault
+decision is a pure hash of ``(plan.seed, site, record index)``, so one
+plan damages the same records on every write.
 """
 
 import json
@@ -27,8 +21,6 @@ from repro.common.errors import TraceError
 from repro.trace.events import EventKind, TraceEvent, TraceRun
 
 _FORMAT_VERSION = 1
-
-TRACE_FORMATS = ("jsonl", "columnar")
 
 
 def _event_record(e):
@@ -52,81 +44,43 @@ def _mangle(line, plan, index):
     return line[:cut]
 
 
-def fault_decisions(n_events, plan, tele):
-    """Format-agnostic trace-fault decisions for one written trace.
+def _faulted_lines(events, plan, tele):
+    """Apply the plan's trace faults to the serialised event records.
 
-    Every decision is a pure hash of ``(plan.seed, site, index)``, so
-    the JSON-lines and columnar writers damage exactly the same
-    records. Returns ``(kept, corrupt, order)``:
-
-    - ``kept``: original indices that survive the drop site, in order;
-    - ``corrupt``: the subset of ``kept`` whose record is corrupted
-      (each format applies its own always-detectable damage);
-    - ``order``: the permutation of ``kept`` *positions* after the
-      adjacent-swap reorder site (keyed, per position, by the original
-      index sitting there before any swap).
+    Each record is dropped, or kept and maybe corrupted
+    (:func:`_mangle`); then adjacent survivors swap, each swap keyed by
+    the original index at that position before any swap.
     """
     kept = []
-    corrupt = set()
-    for index in range(n_events):
+    lines = []
+    for index, e in enumerate(events):
         if plan.fires("trace_drop", index):
             if tele.enabled:
                 tele.inc("faults.trace_drops")
             continue
+        line = json.dumps(_event_record(e))
         if plan.fires("trace_corrupt", index):
-            corrupt.add(index)
+            line = _mangle(line, plan, index)
             if tele.enabled:
                 tele.inc("faults.trace_corruptions")
         kept.append(index)
-    order = list(range(len(kept)))
-    for pos in range(len(kept) - 1):
+        lines.append(line)
+    for pos in range(len(lines) - 1):
         if plan.fires("trace_reorder", kept[pos]):
-            order[pos], order[pos + 1] = order[pos + 1], order[pos]
+            lines[pos], lines[pos + 1] = lines[pos + 1], lines[pos]
             if tele.enabled:
                 tele.inc("faults.trace_reorders")
-    return kept, corrupt, order
+    return lines
 
 
-def _faulted_lines(events, plan, tele):
-    """Apply the plan's trace faults to the serialised event records."""
-    kept, corrupt, order = fault_decisions(len(events), plan, tele)
-    lines = []
-    for index in kept:
-        line = json.dumps(_event_record(events[index]))
-        if index in corrupt:
-            line = _mangle(line, plan, index)
-        lines.append(line)
-    return [lines[pos] for pos in order]
-
-
-def write_trace(run, path, faults=None, trace_format=None, policy=None):
+def write_trace(run, path, faults=None):
     """Write a :class:`TraceRun` to ``path``.
-
-    ``trace_format`` selects the on-disk representation: ``"jsonl"``
-    (the default) or ``"columnar"`` (see
-    :mod:`repro.trace.columnar`). Both decode back to identical
-    :class:`TraceRun`\\ s via :func:`read_trace`, which auto-detects
-    the format.
 
     ``faults`` (or the process-wide active plan) may drop, corrupt or
     reorder event records on the way out; the header is always written
     intact. With a zero plan the output is byte-identical to the
     fault-free writer.
-
-    ``policy`` (an enabled :class:`~repro.core.policy.PolicySpec`) is
-    honoured by the columnar format only, which has a per-record flags
-    byte to stamp the FLAG_SAMPLED bit into; the JSON-lines format has
-    no record flags and ignores it.
     """
-    if trace_format not in (None, "jsonl"):
-        if trace_format != "columnar":
-            raise TraceError(f"unknown trace format {trace_format!r} "
-                             f"(expected one of {TRACE_FORMATS})")
-        from repro.trace import columnar
-
-        columnar.write_trace_columnar(run, path, faults=faults,
-                                      policy=policy)
-        return
     plan = faults if faults is not None else _faults.get_plan()
     with open(path, "w", encoding="utf-8") as f:
         header = {
@@ -159,49 +113,45 @@ def _parse_record(rec):
 
 
 def read_trace(path, recover=False, quarantine=None):
-    """Read a trace written by :func:`write_trace` (either format).
-
-    The format is auto-detected: columnar files start with the
-    :data:`repro.trace.columnar.MAGIC` byte string, which is never a
-    valid first byte sequence of a JSON-lines header, so sniffing the
-    first 8 bytes is unambiguous.
+    """Read a trace written by :func:`write_trace`.
 
     Args:
         path: trace file.
-        recover: skip malformed event records instead of raising.
-            Skipped records are counted in telemetry
-            (``faults.trace_records_skipped``) and in
-            ``run.meta["skipped_records"]``.
+        recover: skip malformed event records (not JSON, not UTF-8, or
+            not an event) instead of raising. Skipped records are
+            counted in telemetry (``faults.trace_records_skipped``) and
+            in ``run.meta["skipped_records"]``.
         quarantine: optional :class:`~repro.faults.Quarantine`; implies
             ``recover`` and receives one record per damaged file.
 
-    A missing or malformed *header* is never recoverable (there is no
-    run to attach events to) and always raises :class:`TraceError`.
+    A missing or malformed *header* -- including one that is not UTF-8
+    or lacks a run field -- is never recoverable (there is no run to
+    attach events to) and always raises :class:`TraceError`.
     """
-    from repro.trace import columnar
-
-    if columnar.is_columnar(path):
-        return columnar.read_trace_columnar(path, recover=recover,
-                                            quarantine=quarantine)
     recover = recover or quarantine is not None
     tele = telemetry.get_registry()
     skipped = 0
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:
         header_line = f.readline()
         if not header_line:
             raise TraceError(f"{path}: empty trace file")
         try:
-            header = json.loads(header_line)
+            header = json.loads(header_line.decode("utf-8"))
         except ValueError as e:
             raise TraceError(f"{path}: corrupt trace header ({e})")
         if not isinstance(header, dict):
             raise TraceError(f"{path}: corrupt trace header")
         if header.get("version") != _FORMAT_VERSION:
             raise TraceError(f"{path}: unsupported trace version")
+        missing = [k for k in ("failed", "n_threads", "seed")
+                   if k not in header]
+        if missing:
+            raise TraceError(f"{path}: trace header lacks "
+                             f"{', '.join(missing)}")
         events = []
         for lineno, line in enumerate(f, start=2):
             try:
-                events.append(_parse_record(json.loads(line)))
+                events.append(_parse_record(json.loads(line.decode("utf-8"))))
             except (ValueError, IndexError, KeyError, TypeError) as e:
                 if not recover:
                     raise TraceError(f"{path}:{lineno}: bad trace "

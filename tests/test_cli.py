@@ -475,12 +475,6 @@ class TestErrorExits:
                      id="corpus-unknown-engine"),
         pytest.param(["shootout", "--engines", "bogus"], ENGINES_ERR,
                      id="shootout-unknown-engine"),
-        pytest.param(["trace", "convert", "only_one.jsonl"],
-                     "error: trace convert needs exactly IN and OUT paths",
-                     id="trace-convert-one-path"),
-        pytest.param(["trace", "lu", "extra"],
-                     "error: unexpected extra arguments 'extra' (paths are "
-                     "only for 'trace convert')", id="trace-extra-path"),
         pytest.param(["frontier", "--rates", "1.5", "--no-bench"],
                      "error: frontier rate=1.5 not in (0, 1]",
                      id="frontier-bad-rate"),
@@ -489,6 +483,24 @@ class TestErrorExits:
         rc = main(argv)
         captured = capsys.readouterr()
         assert (rc, captured.out, captured.err) == (2, "", err + "\n")
+
+    @pytest.mark.parametrize("argv, extra", [
+        pytest.param(["trace", "lu", "extra"], "extra",
+                     id="trace-extra-path"),
+        pytest.param(["trace", "convert", "a", "b"], "a b",
+                     id="trace-convert-two-paths"),
+    ])
+    def test_trace_extra_paths_rejected_at_parse_time(self, argv, extra,
+                                                      capsys, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {extra}" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["diagnose", "gzip", *FAST, "--top", "-1"],

@@ -9,6 +9,7 @@ equivalence, kill/resume) live in tests/test_faults_differential.py.
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -106,96 +107,112 @@ class TestFaultPlan:
         assert get_plan() is ZERO_PLAN
 
 
-@pytest.mark.parametrize("fmt", ["jsonl", "columnar"])
-class TestTraceFaults:
-    """Every trace-fault pin holds under both on-disk formats.
+def _non_utf8_record(run, path):
+    """Write ``run`` to ``path``, then make one record line non-UTF-8."""
+    write_trace(run, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[3] = b"[0, \xff\xfe]\n"
+    path.write_bytes(b"".join(lines))
+    return 1
 
-    The decisions come from the shared, format-agnostic
-    :func:`repro.trace.trace_io.fault_decisions`, so the same plan
-    damages the same records whether the writer emits JSON lines or
-    packed columns.
-    """
+
+def _plan_corrupted(run, path):
+    """Write ``run`` to ``path`` under a corrupting fault plan."""
+    with telemetry.use_registry(telemetry.Registry()) as reg:
+        write_trace(run, path, faults=FaultPlan(seed=2, trace_corrupt=0.3))
+    return reg.snapshot()["counters"]["faults.trace_corruptions"]
+
+
+_RECORD_DAMAGE = [pytest.param(_plan_corrupted, id="plan-corrupt"),
+                  pytest.param(_non_utf8_record, id="non-utf8-record")]
+
+_HEADER_DAMAGE = [
+    pytest.param(b"{not json\n", id="not-json"),
+    pytest.param(b"\xff\xfe{}\n[0, 1, \"read\", 8]\n", id="non-utf8"),
+    pytest.param(b'{"version": 1, "n_threads": 2, "seed": 0}\n',
+                 id="missing-failed"),
+    pytest.param(b'{"version": 1, "failed": true, "seed": 0}\n',
+                 id="missing-n_threads"),
+    pytest.param(b'{"version": 1, "failed": true, "n_threads": 2}\n',
+                 id="missing-seed"),
+]
+
+
+class TestTraceFaults:
+    """The trace writer's fault sites and the reader's recovery."""
 
     def _run(self, pingpong):
         return run_program(pingpong, seed=1)
 
-    def test_zero_plan_output_byte_identical(self, pingpong, tmp_path, fmt):
+    def test_zero_plan_output_byte_identical(self, pingpong, tmp_path):
         run = self._run(pingpong)
         plain, faulted = tmp_path / "a.trace", tmp_path / "b.trace"
-        write_trace(run, plain, trace_format=fmt)
-        write_trace(run, faulted, faults=ZERO_PLAN, trace_format=fmt)
+        write_trace(run, plain)
+        write_trace(run, faulted, faults=ZERO_PLAN)
         assert plain.read_bytes() == faulted.read_bytes()
 
-    def test_dropped_records_shorten_trace(self, pingpong, tmp_path, fmt):
+    def test_dropped_records_shorten_trace(self, pingpong, tmp_path):
         run = self._run(pingpong)
         path = tmp_path / "t.trace"
-        write_trace(run, path, faults=FaultPlan(seed=2, trace_drop=0.3),
-                    trace_format=fmt)
+        write_trace(run, path, faults=FaultPlan(seed=2, trace_drop=0.3))
         back = read_trace(path)
         assert 0 < len(back.events) < len(run.events)
 
-    def test_corrupt_records_fail_closed(self, pingpong, tmp_path, fmt):
-        run = self._run(pingpong)
+    @pytest.mark.parametrize("damage", _RECORD_DAMAGE)
+    def test_corrupt_records_fail_closed(self, pingpong, tmp_path, damage):
         path = tmp_path / "t.trace"
-        write_trace(run, path, faults=FaultPlan(seed=2, trace_corrupt=0.3),
-                    trace_format=fmt)
-        with pytest.raises(TraceError):
+        damage(self._run(pingpong), path)
+        with pytest.raises(TraceError, match=re.escape(str(path))):
             read_trace(path)
 
-    def test_recovery_skips_and_reports(self, pingpong, tmp_path, fmt):
+    @pytest.mark.parametrize("damage", _RECORD_DAMAGE)
+    def test_recovery_skips_and_reports(self, pingpong, tmp_path, damage):
         run = self._run(pingpong)
         path = tmp_path / "t.trace"
-        plan = FaultPlan(seed=2, trace_corrupt=0.3)
+        damaged = damage(run, path)
         with telemetry.use_registry(telemetry.Registry()) as reg:
-            write_trace(run, path, faults=plan, trace_format=fmt)
             quarantine = Quarantine()
             back = read_trace(path, quarantine=quarantine)
         skipped = back.meta["skipped_records"]
-        assert skipped > 0
+        assert skipped == damaged > 0
         assert len(back.events) == len(run.events) - skipped
         assert len(quarantine) == 1
         record = quarantine.records[0]
         assert record.phase == "trace.read"
         assert record.key == str(path)
         snap = reg.snapshot()["counters"]
-        assert snap["faults.trace_corruptions"] == skipped
         assert snap["faults.trace_records_skipped"] == skipped
+        assert read_trace(path, recover=True).events == back.events
 
-    def test_reorder_swaps_adjacent_records(self, pingpong, tmp_path, fmt):
+    def test_reorder_swaps_adjacent_records(self, pingpong, tmp_path):
         run = self._run(pingpong)
         path = tmp_path / "t.trace"
-        write_trace(run, path, faults=FaultPlan(seed=5, trace_reorder=0.3),
-                    trace_format=fmt)
+        write_trace(run, path, faults=FaultPlan(seed=5, trace_reorder=0.3))
         back = read_trace(path)
         assert len(back.events) == len(run.events)
         assert back.events != run.events
         assert sorted(back.events, key=repr) == sorted(run.events, key=repr)
 
-    def test_same_plan_damages_same_records_in_both_formats(
-            self, pingpong, tmp_path, fmt):
+    def test_same_plan_writes_byte_identical_files(self, pingpong, tmp_path):
         run = self._run(pingpong)
         plan = FaultPlan(seed=13, trace_drop=0.2, trace_corrupt=0.2,
                          trace_reorder=0.2)
-        mine, other = tmp_path / "a.trace", tmp_path / "b.trace"
-        write_trace(run, mine, faults=plan, trace_format=fmt)
-        write_trace(run, other, faults=plan,
-                    trace_format="columnar" if fmt == "jsonl" else "jsonl")
-        a = read_trace(mine, recover=True)
-        b = read_trace(other, recover=True)
-        assert a.events == b.events
-        assert a.meta.get("skipped_records") == b.meta.get("skipped_records")
+        a, b = tmp_path / "a.trace", tmp_path / "b.trace"
+        write_trace(run, a, faults=plan)
+        write_trace(run, b, faults=plan)
+        assert a.read_bytes() == b.read_bytes()
+        plain = tmp_path / "c.trace"
+        write_trace(run, plain)
+        assert a.read_bytes() != plain.read_bytes()  # the plan did damage
 
-    def test_header_damage_never_recoverable(self, pingpong, tmp_path, fmt):
+    @pytest.mark.parametrize("data", _HEADER_DAMAGE)
+    def test_header_damage_never_recoverable(self, tmp_path, data):
         path = tmp_path / "t.trace"
-        if fmt == "jsonl":
-            path.write_text("{not json\n")
-        else:
-            write_trace(self._run(pingpong), path, trace_format="columnar")
-            data = bytearray(path.read_bytes())
-            data[14] ^= 0xFF  # inside the header JSON
-            path.write_bytes(bytes(data))
-        with pytest.raises(TraceError):
+        path.write_bytes(data)
+        with pytest.raises(TraceError, match=re.escape(str(path))):
             read_trace(path, recover=True)
+        with pytest.raises(TraceError, match=re.escape(str(path))):
+            read_trace(path, quarantine=Quarantine())
 
 
 class TestFifoOverflow:

@@ -48,6 +48,11 @@ def _crash_once_then_double(payload):
     return 2 * x
 
 
+def _always_crash(_x):
+    """Kill the worker process every time, as a task that OOMs would."""
+    os._exit(1)
+
+
 class TestResolveJobs:
     def test_defaults_to_serial(self):
         assert resolve_jobs(None) == 1
@@ -153,6 +158,16 @@ class TestWorkerDeathRecovery:
         counters = reg.snapshot()["counters"]
         assert counters["parallel.pool_restarts"] >= 1
         assert counters["faults.worker_kills"] >= 1
+
+    def test_real_crash_names_the_task_key(self):
+        # A genuine crash reports the task key, as the serial and
+        # injected-kill paths do -- not the item's position in the batch.
+        plan = FaultPlan(seed=0, max_retries=0)
+        with use_plan(plan):
+            with pytest.raises(WorkerKilled) as err:
+                run_tasks(_always_crash, [0, 1], jobs=2, keys=[100, 101])
+        assert err.value.task_index == 100
+        assert "task 100," in str(err.value)
 
     def test_keys_must_match_items(self):
         with pytest.raises(ReproError):
@@ -335,15 +350,6 @@ class TestTrainingAndDiagnosis:
         assert serial == parallel
 
 
-def _encode_triple(x):
-    return ("wire", x)
-
-
-def _decode_triple(payload):
-    tag, x = payload
-    assert tag == "wire"
-    return x
-
 
 class TestWarmPool:
     """The process-wide pool is created once and reused across batches."""
@@ -378,15 +384,6 @@ class TestWarmPool:
         pool.warm(2)
         assert pool.max_workers >= 2
         assert run_tasks(_double, [3], jobs=2) == [6]
-
-    def test_codec_round_trips_results(self):
-        items = list(range(5))
-        expected = [2 * i for i in items]
-        assert run_tasks(_double, items, jobs=2,
-                         codec=(_encode_triple, _decode_triple)) == expected
-        # Serial path never encodes: results are the raw values.
-        assert run_tasks(_double, items,
-                         codec=(_encode_triple, _decode_triple)) == expected
 
     def test_two_consecutive_diagnoses_identical_to_serial(self):
         # Warm-pool reuse determinism: the second --jobs diagnosis runs

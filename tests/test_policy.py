@@ -151,14 +151,13 @@ class TestPolicyOffIdentity:
         off = diagnose_failure(program, policy=NULL_POLICY, jobs=2, **_RUNS)
         assert plain == off
 
-    @pytest.mark.parametrize("fmt", ["jsonl", "columnar"])
-    def test_trace_files_byte_identical(self, fmt, tmp_path):
+    def test_trace_files_byte_identical(self, tmp_path):
         run = run_program(get_bug("gzip"), seed=1, buggy=True)
-        plain_path = tmp_path / f"plain.{fmt}"
-        off_path = tmp_path / f"off.{fmt}"
-        write_trace(run, plain_path, trace_format=fmt)
+        plain_path = tmp_path / "plain.jsonl"
+        off_path = tmp_path / "off.jsonl"
+        write_trace(run, plain_path)
         with use_policy(NULL_POLICY):
-            write_trace(run, off_path, trace_format=fmt)
+            write_trace(run, off_path)
         assert plain_path.read_bytes() == off_path.read_bytes()
 
     def test_simulator_results_identical(self, tinybug):
@@ -248,8 +247,6 @@ class TestSamplingProperties:
         assert 0.0 <= draw < 1.0
         # Same (seed, site, key) => same draw, whatever the other knobs.
         assert draw == b.uniform("dep", *key)
-        assert a.uniform("trace_record", *key) == b.uniform("trace_record",
-                                                            *key)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2 ** 16),
@@ -257,10 +254,12 @@ class TestSamplingProperties:
            n=st.integers(1, 200))
     def test_sampled_count_monotone_in_rate(self, seed, lo, hi, n):
         lo, hi = min(lo, hi), max(lo, hi)
-        low = PolicySpec(seed=seed, rate=lo)
-        high = PolicySpec(seed=seed, rate=hi)
-        low_set = {i for i in range(n) if low.samples_record(0, i)}
-        high_set = {i for i in range(n) if high.samples_record(0, i)}
+        # Backoff off, no suspicion set: admission is the rate draw.
+        deps = [RawDep(store_pc=100 + i, load_pc=200 + i) for i in range(n)]
+        low = PolicySpec(seed=seed, rate=lo).state()
+        high = PolicySpec(seed=seed, rate=hi).state()
+        low_set = {i for i, d in enumerate(deps) if low.admit(d, tid=0)}
+        high_set = {i for i, d in enumerate(deps) if high.admit(d, tid=0)}
         assert low_set <= high_set
         if hi >= 1.0:
             assert len(high_set) == n

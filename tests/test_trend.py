@@ -140,7 +140,6 @@ def _full_payload(speedup=3.0, pspeed=0.9, wall=5.0, overhead=0.5,
                   top1=1.0):
     payload = _payload(speedup=speedup)
     payload["parallel"]["speedup"] = pspeed
-    payload["trace_io"] = {"read_speedup": 2.0, "write_speedup": 3.0}
     payload["corpus_wall_seconds"] = wall
     payload["frontier"] = {"rate": 0.5, "fifo": 4,
                            "overhead_proxy": overhead, "top1": top1,
@@ -240,12 +239,3 @@ class TestDirectionalGates:
         rc, text = _run(tmp_path, _full_payload())
         assert rc == 0
         assert "gate unavailable" not in text
-
-    def test_trace_io_speedups_are_tracked_not_gated(self, tmp_path):
-        _run(tmp_path, _full_payload())
-        worse = _full_payload()
-        worse["trace_io"]["read_speedup"] = 0.1
-        rc, _ = _run(tmp_path, worse)
-        assert rc == 0
-        entries = trend.load_history(tmp_path / "hist.jsonl")
-        assert entries[-1]["metrics"]["trace_io.read_speedup"] == 0.1
