@@ -1,6 +1,6 @@
 """Replay, orchestration, corpus and cached-diagnosis throughput.
 
-Five measurements, all recorded into ``benchmarks/results/`` and into
+Six measurements, all recorded into ``benchmarks/results/`` and into
 ``BENCH_throughput.json`` at the repo root:
 
 1. **Batched replay** -- deps/sec of :func:`deploy_on_run` over a long
@@ -31,6 +31,12 @@ Five measurements, all recorded into ``benchmarks/results/`` and into
    directory). Reports are byte-identical; the recorded
    ``cache.warm_speedup`` is what a repeat ``repro diagnose --cache-dir``
    of the same (workload, seed, config) saves.
+6. **Telemetry cost** -- wall seconds of the same gzip diagnosis under
+   the disabled :class:`~repro.telemetry.NullRegistry` and under a
+   recording :class:`~repro.telemetry.Registry` (what ``--telemetry``
+   installs), rounds interleaved. Reports are equal; the recorded
+   ``telemetry.overhead_pct`` is the measured price of recording a run
+   profile, tracked in the trend history but not gated.
 """
 
 import contextlib
@@ -43,6 +49,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
+from repro import telemetry
 from repro.analysis.accuracy import run_corpus_for_preset
 from repro.core.config import ACTConfig
 from repro.core.deploy import deploy_on_run
@@ -195,6 +202,22 @@ def test_throughput(preset, save_result):
     assert out_warm == out_cold
     cache_speedup = t_diag_cold / t_diag_warm
 
+    # --- telemetry cost: NullRegistry vs a recording Registry ----------
+    from repro.core.diagnosis import diagnose_failure
+    from repro.workloads.registry import get_bug
+
+    def diagnose_under(registry):
+        with telemetry.use_registry(registry):
+            return diagnose_failure(
+                get_bug("gzip"), n_train_runs=preset.corpus_train_runs,
+                n_pruning_runs=preset.corpus_pruning_runs)
+
+    (t_null, t_live), (report_null, report_live) = _best_of_each(
+        [lambda: diagnose_under(telemetry.NullRegistry()),
+         lambda: diagnose_under(telemetry.Registry())], rounds=3)
+    assert report_live == report_null
+    telemetry_pct = 100.0 * (t_live - t_null) / t_null
+
     payload = {
         "preset": preset.name,
         "host_cpus": os.cpu_count(),
@@ -243,6 +266,14 @@ def test_throughput(preset, save_result):
             "warm_seconds": round(t_diag_warm, 6),
             "warm_speedup": round(cache_speedup, 2),
         },
+        "telemetry": {
+            "program": "gzip",
+            "train_runs": preset.corpus_train_runs,
+            "pruning_runs": preset.corpus_pruning_runs,
+            "null_seconds": round(t_null, 6),
+            "live_seconds": round(t_live, 6),
+            "overhead_pct": round(telemetry_pct, 2),
+        },
     }
     (REPO_ROOT / "BENCH_throughput.json").write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -277,6 +308,11 @@ def test_throughput(preset, save_result):
         f"  cold                : {t_diag_cold:.3f} s",
         f"  cache hit           : {t_diag_warm:.3f} s",
         f"  speedup             : {cache_speedup:.1f}x",
+        "",
+        "Telemetry cost (gzip diagnosis, NullRegistry vs Registry)",
+        f"  telemetry off       : {t_null:.3f} s",
+        f"  recording registry  : {t_live:.3f} s",
+        f"  overhead            : {telemetry_pct:+.1f}%",
     ]
     save_result("throughput", "\n".join(lines))
 

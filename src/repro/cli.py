@@ -33,19 +33,18 @@ diagnosis-accuracy harness over a seeded generated corpus and prints
 precision/recall/rank tables (see ``docs/accuracy.md``); ``frontier``
 sweeps adaptive sampling rates against FIFO depths and prints the
 overhead-vs-accuracy Pareto table (see ``docs/adaptive.md``).
-``diagnose``/``trace``/``corpus``/``experiment`` accept ``--telemetry
-PATH`` to export a run profile (counters + nested phase spans, see
-:mod:`repro.telemetry`), ``--events PATH`` to attach the bounded
-flight recorder and flush its JSONL event stream, and ``--tick-clock``
-to drive all telemetry timestamps from a deterministic tick clock
-(byte-identical exports across reruns, including ``--jobs N`` runs).
-``profile`` renders profiles for humans -- given a bug name it runs a
-telemetry-enabled diagnosis and prints the phase/counter tables, given
-kernel names it prints the communication profile, and ``--load``
-re-renders a saved profile JSON *or* a flight recording; ``--flame``
-emits folded stacks for flamegraph tooling, ``--critical-path`` the
-heaviest root-to-leaf span chain, and ``--openmetrics`` the OpenMetrics
-text exposition of the metrics.
+``diagnose``/``trace``/``corpus``/``shootout``/``frontier``/
+``experiment`` accept ``--telemetry PATH`` to export the run profile
+(counters + nested phase spans, see :mod:`repro.telemetry`), the one
+telemetry record, and ``--tick-clock`` (only together with
+``--telemetry``) to drive its timestamps from a deterministic tick
+clock (byte-identical profiles across reruns, including ``--jobs N``
+runs). ``profile`` renders profiles for humans -- given a bug name it
+runs a telemetry-enabled diagnosis and prints the phase/counter tables,
+given kernel names it prints the communication profile, and ``--load``
+re-renders a saved profile JSON; ``--flame`` emits folded stacks for
+flamegraph tooling and ``--critical-path`` the heaviest root-to-leaf
+span chain.
 
 ``diagnose --cache-dir DIR`` keeps trained state on disk: a repeat
 diagnosis of the same program, engine, config and training runs loads
@@ -350,7 +349,7 @@ def _bug_run_profile(name, args):
     """Diagnose ``name`` under a fresh registry; return the profile dict."""
     from repro import telemetry
     from repro.core.diagnosis import diagnose_failure
-    from repro.telemetry import TickClock, profile_dict, selfcost
+    from repro.telemetry import TickClock, profile_dict
     from repro.workloads.registry import get_bug
 
     program = get_bug(name)
@@ -362,9 +361,7 @@ def _bug_run_profile(name, args):
     meta = {"program": name, "found": report.found}
     if report.rank is not None:
         meta["rank"] = report.rank
-    return profile_dict(
-        registry, meta=meta, self_overhead=True,
-        calibration=selfcost.PINNED_CALIBRATION if args.tick_clock else None)
+    return profile_dict(registry, meta=meta)
 
 
 def _rendered_profile(profile, args, title=None):
@@ -373,7 +370,6 @@ def _rendered_profile(profile, args, title=None):
         format_critical_path,
         format_flame,
         format_profile,
-        render_openmetrics,
     )
 
     chunks = []
@@ -381,8 +377,6 @@ def _rendered_profile(profile, args, title=None):
         chunks.append(format_flame(profile.get("spans") or []))
     if args.critical_path:
         chunks.append(format_critical_path(profile.get("spans") or []))
-    if args.openmetrics:
-        chunks.append(render_openmetrics(profile))
     if not chunks:
         chunks.append(format_profile(profile, title=title))
     return chunks
@@ -423,16 +417,16 @@ def _profile_programs(args):
 def _cmd_profile(args):
     """Render run profiles (fresh diagnoses, kernels, or saved files)."""
     if args.load:
-        from repro.telemetry import (
-            is_event_stream,
-            read_events_profile,
-            read_profile,
-        )
+        from repro.telemetry import read_profile
 
+        if os.path.isdir(args.load):
+            return _fail(f"error: profile {args.load!r} is not a file")
         if not os.path.isfile(args.load):
             return _fail(f"error: profile {args.load!r} does not exist")
-        profile = (read_events_profile(args.load)
-                   if is_event_stream(args.load) else read_profile(args.load))
+        try:
+            profile = read_profile(args.load)
+        except ReproError as e:
+            return _fail(f"error: {e}")
         chunks = _rendered_profile(profile, args)
     else:
         chunks = _profile_programs(args)
@@ -484,23 +478,13 @@ def _csv_ints(text):
 
 
 def _add_telemetry_args(cmd):
-    """The telemetry trio shared by every pipeline-running command."""
+    """The telemetry pair shared by every pipeline-running command."""
     cmd.add_argument("--telemetry", metavar="PATH",
-                     help="export a telemetry run profile (json/jsonl)")
-    cmd.add_argument("--events", metavar="PATH",
-                     help="attach the bounded flight recorder and flush "
-                          "its JSONL event stream (span open/close, "
-                          "counter deltas, fault/quarantine events, "
-                          "simulator samples) to PATH")
-    cmd.add_argument("--events-capacity", type=_positive_int, default=None,
-                     metavar="N",
-                     help="flight-recorder ring size (default 65536; "
-                          "oldest non-span events drop first)")
+                     help="export the telemetry run profile as JSON")
     cmd.add_argument("--tick-clock", action="store_true",
-                     help="drive telemetry timestamps from a deterministic "
-                          "tick clock: exports and event streams become "
-                          "byte-identical across reruns (self-overhead is "
-                          "then modelled from pinned unit costs)")
+                     help="with --telemetry: drive profile timestamps "
+                          "from a deterministic tick clock, so the "
+                          "profile is byte-identical across reruns")
 
 
 def _add_diagnose_args(d):
@@ -569,15 +553,12 @@ def _add_profile_args(p):
     p.add_argument("--train-runs", type=int, default=6)
     p.add_argument("--pruning-runs", type=int, default=8)
     p.add_argument("--load", metavar="PATH",
-                   help="render a previously saved telemetry profile or "
-                        "flight recording")
+                   help="render a previously saved telemetry profile")
     p.add_argument("--flame", action="store_true",
                    help="print folded stacks (flamegraph.pl/speedscope "
                         "input) instead of tables")
     p.add_argument("--critical-path", action="store_true",
                    help="print the heaviest root-to-leaf span chain")
-    p.add_argument("--openmetrics", action="store_true",
-                   help="print the metrics in OpenMetrics text format")
     p.add_argument("--tick-clock", action="store_true",
                    help="use the deterministic tick clock for fresh "
                         "profile runs")
@@ -741,44 +722,26 @@ def main(argv=None):
         "experiment": _cmd_experiment,
     }[args.command]
     telemetry_out = getattr(args, "telemetry", None)
-    events_out = getattr(args, "events", None)
     tick = getattr(args, "tick_clock", False) and args.command != "profile"
-    if not (telemetry_out or events_out or tick):
+    if not telemetry_out:
+        if tick:
+            return _fail("error: --tick-clock only applies to the "
+                         "--telemetry profile; give --telemetry PATH")
         return handler(args)
 
-    if (_missing_dir("telemetry", telemetry_out)
-            or _missing_dir("events", events_out)):
+    if _missing_dir("telemetry", telemetry_out):
         return 2
     from repro import telemetry
-    from repro.telemetry import (
-        FlightRecorder,
-        TickClock,
-        profile_dict,
-        selfcost,
-    )
+    from repro.telemetry import TickClock
 
     registry = telemetry.Registry(clock=TickClock() if tick else None)
-    recorder = None
-    if events_out:
-        capacity = getattr(args, "events_capacity", None)
-        recorder = registry.attach_recorder(
-            FlightRecorder(capacity=capacity)
-            if capacity else FlightRecorder())
     with telemetry.use_registry(registry):
         rc = handler(args)
     meta = {"command": args.command, "version": __version__}
     if tick:
         meta["clock"] = "tick"
-    calibration = selfcost.PINNED_CALIBRATION if tick else None
-    if telemetry_out:
-        telemetry.write_profile(registry, telemetry_out, meta=meta,
-                                self_overhead=True, calibration=calibration)
-        print(f"telemetry profile written to {telemetry_out}")
-    if recorder is not None:
-        profile = profile_dict(registry, meta=meta, self_overhead=True,
-                               calibration=calibration)
-        recorder.flush(events_out, meta=profile["meta"])
-        print(f"flight recording written to {events_out}")
+    telemetry.write_profile(registry, telemetry_out, meta=meta)
+    print(f"telemetry profile written to {telemetry_out}")
     return rc
 
 

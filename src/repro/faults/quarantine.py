@@ -38,10 +38,7 @@ class Quarantine:
                                   error_type=type(error).__name__,
                                   message=str(error), attempts=attempts)
         self.records.append(record)
-        tele = telemetry.get_registry()
-        tele.inc("faults.quarantined")
-        tele.event("quarantine", phase=phase, key=key,
-                   error_type=record.error_type, attempts=attempts)
+        telemetry.get_registry().inc("faults.quarantined")
         return record
 
     def keys(self, phase=None):

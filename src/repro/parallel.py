@@ -27,18 +27,17 @@ still runs under its own task span and child registry, so chunking is
 invisible to telemetry and to the serial-identity guarantee. Results
 come home by plain pickle.
 
-Tracing v2 makes the stitching *structural*: the coordinator's open
-span context (trace id + span id) and its clock spec cross the process
-boundary with each task, the worker tracks its spans under a
-deterministic per-task scope (``b<batch>.w<key>.``), and the parent
-adopts the worker's span trees as children of the dispatching span --
-a ``--jobs N`` run yields one coherent trace tree whose ids depend
-only on the work, never on which OS process executed it (or whether
-that process was freshly spawned or warm). When the parent registry has
-a flight recorder attached, workers record their own bounded event
-streams and ship them home too. A task whose worker died for good
-(retries exhausted, quarantined) leaves a closed span flagged
-``orphaned`` at its dispatch site instead of a dangling tree.
+Tracing v2 makes the stitching *structural*: each batch ships one
+telemetry spec tuple (:func:`_tele_spec`: clock spec, trace id, the
+dispatching span's id, batch scope, phase) with its tasks, the worker
+tracks its spans under a deterministic per-task scope
+(``b<batch>.w<key>.``), and the parent adopts the worker's span trees
+as children of the dispatching span -- a ``--jobs N`` run yields one
+coherent trace tree whose ids depend only on the work, never on which
+OS process executed it (or whether that process was freshly spawned or
+warm). A task whose worker died for good (retries exhausted,
+quarantined) leaves a closed span flagged ``orphaned`` at its dispatch
+site instead of a dangling tree.
 
 This is also the pipeline's worker fault boundary:
 
@@ -75,7 +74,6 @@ from repro import faults as _faults
 from repro import telemetry
 from repro.common.errors import ReproError, WorkerKilled
 from repro.telemetry.clock import clock_from_spec, clock_spec
-from repro.telemetry.events import FlightRecorder
 
 #: Upper bound on items per pool submission. Chunking amortises pickle
 #: and future overhead across work units a few milliseconds long; the
@@ -204,20 +202,17 @@ def _backoff(plan, attempt):
 def _tele_spec(tele, phase):
     """The picklable telemetry context one batch ships to its workers.
 
-    ``(clock spec, trace id, parent span id, batch scope, phase,
-    events capacity)`` -- everything a worker needs to rebuild a child
-    registry whose spans and events stitch deterministically under the
-    coordinator's dispatching span.
+    ``(clock spec, trace id, parent span id, batch scope, phase)`` --
+    everything a worker needs to rebuild a child registry whose spans
+    stitch deterministically under the coordinator's dispatching span.
     """
     if not tele.enabled:
         return None
     open_span = tele.tracer.open_span()
     parent_id = (open_span.span_id if open_span is not None
                  else tele.tracer.remote_parent)
-    events_capacity = (tele.recorder.capacity
-                       if tele.recorder is not None else 0)
     return (clock_spec(tele.clock), tele.tracer.trace_id, parent_id,
-            tele.tracer.next_batch_scope(), phase, events_capacity)
+            tele.tracer.next_batch_scope(), phase)
 
 
 def _invoke_one(fn, item, tspec, plan, key, attempt):
@@ -235,23 +230,16 @@ def _invoke_one(fn, item, tspec, plan, key, attempt):
                 task_index=key, attempt=attempt)
         if tspec is None:
             return fn(item), None
-        cspec, trace_id, parent_id, batch_scope, phase, events_cap = tspec
+        cspec, trace_id, parent_id, batch_scope, phase = tspec
         reg = telemetry.Registry(preregister_catalog=False,
                                  clock=clock_from_spec(cspec))
         reg.tracer.trace_id = trace_id
         reg.tracer.remote_parent = parent_id
         reg.tracer.scope = f"{batch_scope}w{key}."
-        recorder = None
-        if events_cap:
-            recorder = reg.attach_recorder(FlightRecorder(capacity=events_cap))
         with telemetry.use_registry(reg):
             with reg.span("parallel.task", phase=phase, key=key):
                 out = fn(item)
-        snap = reg.snapshot()
-        snap["ops"] = reg.op_counts()
-        if recorder is not None:
-            snap["events"] = recorder.events()
-        return out, snap
+        return out, reg.snapshot()
 
 
 def _invoke_chunk(payload):
@@ -277,12 +265,11 @@ def _invoke_chunk(payload):
 
 
 def _orphaned(tele, phase, key, attempts):
-    """Flag a task lost for good: a closed ``orphaned`` span + an event."""
+    """Flag a task lost for good with a closed ``orphaned`` span."""
     if not tele.enabled:
         return
     tele.tracer.orphan("parallel.task", phase=phase, key=key,
                        attempts=attempts)
-    tele.event("task_orphaned", phase=phase, key=key, attempts=attempts)
 
 
 def _run_serial(fn, items, keys, plan, quarantine, phase, tele):
@@ -466,8 +453,4 @@ def run_tasks(fn, items, jobs=None, quarantine=None, phase="parallel",
             tele.merge_snapshot(snap)
             if snap.get("spans"):
                 tele.tracer.attach(snap["spans"])
-            if snap.get("ops"):
-                tele.merge_ops(snap["ops"])
-            if tele.recorder is not None and snap.get("events"):
-                tele.recorder.extend(snap["events"])
     return results

@@ -27,10 +27,6 @@ from repro.sim.params import MachineParams
 from repro.trace.events import EventKind
 from repro.core.act_module import Mode
 
-# One flight-recorder sample per this many dependences offered to the
-# NN pipeline (deterministic: keyed on the dependence count, not time).
-_SAMPLE_EVERY = 256
-
 
 @dataclass
 class MachineResult:
@@ -145,15 +141,6 @@ class Machine:
                                 occupancy / pipe.fifo_depth)
                         if track:
                             tele.observe("sim.fifo_occupancy", occupancy)
-                            if deps_offered % _SAMPLE_EVERY == 0:
-                                # Periodic flight-recorder sample: the
-                                # event-rate/stall signal the adaptive
-                                # throttling layers consume.
-                                tele.event("sim_sample",
-                                           deps_offered=deps_offered,
-                                           deps_stalled=deps_stalled,
-                                           stall_cycles=round(stall_total, 4),
-                                           cycle=int(clock))
                         accepted, retry = pipe.offer(int(clock),
                                                      training=training)
                         if not accepted:

@@ -11,8 +11,10 @@ reports into a process-wide *active registry*:
 - **spans** (:mod:`repro.telemetry.spans`) -- nested wall-time phases:
   one ``diagnose`` root decomposes into offline training, the failure
   run, deployment, pruning runs and post-processing.
-- **run profiles** (:mod:`repro.telemetry.export`) -- JSON/JSONL export
-  of a registry snapshot, and table rendering for humans.
+- **run profiles** (:mod:`repro.telemetry.export`) -- the one
+  telemetry record: a registry snapshot written as one JSON object,
+  rendered for humans as tables, folded flame stacks or the critical
+  path (:mod:`repro.telemetry.flame`).
 
 The default active registry is a :class:`NullRegistry`: every mutator
 is a no-op and ``enabled`` is False, so instrumentation is zero-cost
@@ -25,8 +27,9 @@ per run::
         diagnose_failure(program)
     telemetry.write_profile(reg, "profile.json")
 
-or process-wide with :func:`install` (what ``--telemetry`` does).
-Instrumented code fetches the registry at call time
+or process-wide with :func:`set_registry`. The CLI installs a
+recording registry only when ``--telemetry PATH`` is given, and writes
+its profile there when the command returns. Instrumented code fetches the registry at call time
 (``telemetry.get_registry()``), so installation order never matters;
 hot paths guard multi-metric blocks with ``if tele.enabled``.
 """
@@ -35,13 +38,6 @@ from contextlib import contextmanager
 
 from repro.telemetry.catalog import CATALOG, MetricSpec, format_catalog
 from repro.telemetry.clock import WALL, TickClock, clock_from_spec, clock_spec
-from repro.telemetry.events import (
-    FlightRecorder,
-    events_to_profile,
-    is_event_stream,
-    read_events,
-    read_events_profile,
-)
 from repro.telemetry.export import (
     format_profile,
     profile_dict,
@@ -54,7 +50,6 @@ from repro.telemetry.flame import (
     format_critical_path,
     format_flame,
 )
-from repro.telemetry.openmetrics import render_openmetrics
 from repro.telemetry.registry import (
     Counter,
     Gauge,
@@ -62,19 +57,17 @@ from repro.telemetry.registry import (
     NullRegistry,
     Registry,
 )
-from repro.telemetry.spans import Span, SpanContext, SpanTracer
+from repro.telemetry.spans import Span, SpanTracer
 
 __all__ = [
     "CATALOG", "MetricSpec", "format_catalog",
     "WALL", "TickClock", "clock_from_spec", "clock_spec",
-    "FlightRecorder", "events_to_profile", "is_event_stream",
-    "read_events", "read_events_profile",
     "Counter", "Gauge", "Histogram", "NullRegistry", "Registry",
-    "Span", "SpanContext", "SpanTracer",
+    "Span", "SpanTracer",
     "critical_path", "folded_stacks", "format_critical_path",
-    "format_flame", "render_openmetrics",
+    "format_flame",
     "format_profile", "profile_dict", "read_profile", "write_profile",
-    "enabled", "get_registry", "install", "set_registry", "use_registry",
+    "enabled", "get_registry", "set_registry", "use_registry",
 ]
 
 _NULL = NullRegistry()
@@ -97,13 +90,6 @@ def set_registry(registry):
 def enabled():
     """True when the active registry records anything."""
     return _active.enabled
-
-
-def install():
-    """Create, install and return a fresh recording :class:`Registry`."""
-    registry = Registry()
-    set_registry(registry)
-    return registry
 
 
 @contextmanager

@@ -2,11 +2,11 @@
 
 Every metric the instrumented pipeline reports is declared here with
 its kind, owning layer and meaning. A fresh :class:`Registry`
-pre-registers the catalog, so exported run profiles always carry the
-full key set (a counter that stayed at zero -- no mode switches, no
-FIFO stalls -- still shows up as 0 instead of silently missing), and
-``docs/observability.md`` renders from the same source of truth via
-:func:`format_catalog`.
+pre-registers the catalog, so every run profile carries the full key
+set (a counter that stayed at zero -- no mode switches, no FIFO stalls
+-- still shows up as 0 instead of silently missing).
+:func:`format_catalog` renders the table; ``docs/observability.md``
+keeps a hand-grouped copy of it.
 
 Instrumentation may still report undeclared names (ad-hoc metrics are
 not an error), but everything intended to be stable API belongs in this

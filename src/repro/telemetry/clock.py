@@ -1,16 +1,14 @@
 """Injectable clocks for the telemetry layer.
 
-Every timestamp telemetry records -- span start/end, flight-recorder
-event times, events/sec gauges -- comes from the owning registry's
-*clock*, a zero-argument callable returning seconds. Two
-implementations:
+Every timestamp telemetry records -- span start/end, events/sec
+gauges -- comes from the owning registry's *clock*, a zero-argument
+callable returning seconds. Two implementations:
 
 - :data:`WALL` -- ``time.perf_counter``, the default: real wall time.
 - :class:`TickClock` -- a deterministic counter that advances by a
   fixed ``step`` on every call. Two runs that make the same sequence
   of telemetry calls read the same sequence of timestamps, which is
-  what makes exported profiles and event streams *byte-identical*
-  across reruns (the golden-file tests and the seed-pinned CLI
+  what makes exported profiles *byte-identical* across reruns (the golden-file tests and the seed-pinned CLI
   acceptance check both rely on it).
 
 Clocks cross the process-pool boundary as *specs* (plain tuples), not

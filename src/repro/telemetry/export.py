@@ -1,99 +1,57 @@
 """Run-profile export and rendering.
 
 A *run profile* is one registry's snapshot plus free-form metadata --
-the structured artifact a telemetry-enabled run leaves behind. Two
-on-disk formats, chosen by file extension:
-
-- ``*.json``: the whole profile as one indented JSON object (the
-  default; what ``--telemetry out.json`` writes).
-- ``*.jsonl``: one JSON record per line (``meta`` / ``counter`` /
-  ``gauge`` / ``histogram`` / ``span``), append-friendly for harnesses
-  that collect many runs into one stream.
+the one telemetry record a ``--telemetry PATH`` run leaves behind,
+written as a single indented JSON object with sorted keys (so a
+tick-clock run's profile is byte-stable).
 
 :func:`format_profile` renders a profile as the human-readable
-phase/counter tables ``repro.cli profile`` prints.
+phase/counter tables ``repro.cli profile`` prints; :mod:`.flame`
+renders its span trees as folded stacks or the critical path.
 """
 
 import json
 
+from repro.common.errors import ReproError
 from repro.common.texttable import render_table
 
 
-def profile_dict(registry, meta=None, self_overhead=False, calibration=None):
-    """Snapshot ``registry`` into a profile dict with ``meta`` attached.
-
-    With ``self_overhead``, the profile's meta gains the
-    ``telemetry_self_overhead_pct`` figure (estimated telemetry cost
-    over root-span wall time, see :mod:`repro.telemetry.selfcost`);
-    pass a pinned ``calibration`` to keep it machine-independent in
-    deterministic runs.
-    """
+def profile_dict(registry, meta=None):
+    """Snapshot ``registry`` into a profile dict with ``meta`` attached."""
     out = {"meta": dict(meta or {})}
-    if self_overhead:
-        from repro.telemetry import selfcost
-
-        pct = selfcost.overhead_pct(registry, calibration=calibration)
-        if pct is not None:
-            out["meta"]["telemetry_self_overhead_pct"] = round(pct, 4)
     out.update(registry.snapshot())
     return out
 
 
-def write_profile(registry, path, meta=None, self_overhead=False,
-                  calibration=None):
-    """Write a registry snapshot to ``path`` (format from extension)."""
+def write_profile(registry, path, meta=None):
+    """Write a registry snapshot to ``path`` as one JSON object."""
     path = str(path)
-    profile = profile_dict(registry, meta=meta, self_overhead=self_overhead,
-                           calibration=calibration)
-    if path.endswith(".jsonl"):
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in _jsonl_records(profile):
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(profile, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(profile_dict(registry, meta=meta), fh, indent=2,
+                  sort_keys=True)
+        fh.write("\n")
     return path
 
 
-def _jsonl_records(profile):
-    yield {"type": "meta", "meta": profile.get("meta", {})}
-    for name, value in profile.get("counters", {}).items():
-        yield {"type": "counter", "name": name, "value": value}
-    for name, value in profile.get("gauges", {}).items():
-        yield {"type": "gauge", "name": name, "value": value}
-    for name, stats in profile.get("histograms", {}).items():
-        yield {"type": "histogram", "name": name, **stats}
-    for span in profile.get("spans", ()):
-        yield {"type": "span", "span": span}
-
-
 def read_profile(path):
-    """Read a profile written by :func:`write_profile` (json or jsonl)."""
+    """Read a profile written by :func:`write_profile`.
+
+    Raises :class:`~repro.common.errors.ReproError` naming ``path`` when
+    the file is not UTF-8, not JSON (a JSON-lines file included) or not
+    a JSON object.
+    """
     path = str(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        if not path.endswith(".jsonl"):
-            return json.load(fh)
-        profile = {"meta": {}, "counters": {}, "gauges": {},
-                   "histograms": {}, "spans": []}
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            kind = record.pop("type")
-            if kind == "meta":
-                profile["meta"].update(record.get("meta", {}))
-            elif kind == "counter":
-                profile["counters"][record["name"]] = record["value"]
-            elif kind == "gauge":
-                profile["gauges"][record["name"]] = record["value"]
-            elif kind == "histogram":
-                name = record.pop("name")
-                profile["histograms"][name] = record
-            elif kind == "span":
-                profile["spans"].append(record["span"])
-        return profile
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            profile = json.load(fh)
+    except UnicodeDecodeError:
+        raise ReproError(f"profile {path!r} is not UTF-8 text") from None
+    except json.JSONDecodeError as e:
+        raise ReproError(f"profile {path!r} is not JSON ({e.msg} at "
+                         f"line {e.lineno})") from None
+    if not isinstance(profile, dict):
+        raise ReproError(f"profile {path!r} is not a JSON object")
+    return profile
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,7 @@
 """Flame-graph and critical-path rendering of a span tree.
 
-Both surfaces consume the *span dicts* of an exported run profile (or a
-profile reconstructed from a flight recording via
-:func:`~repro.telemetry.events.events_to_profile`), so they render
-equally from ``--telemetry`` output, a live registry snapshot, or an
-``--events`` stream:
+Both surfaces consume the *span dicts* of a run profile, so they render
+equally from a ``--telemetry`` file and a live registry snapshot:
 
 - :func:`folded_stacks` emits the classic folded-stack format
   (``root;child;leaf <microseconds>``, one line per unique stack, self
@@ -28,8 +25,12 @@ def folded_stacks(spans, scale=1_000_000):
 
     ``scale`` converts span seconds into the integer sample counts the
     flamegraph tools expect (microseconds by default). A frame's value
-    is its *self* time -- duration minus its children -- so stack
-    totals add up exactly to each root's duration.
+    is its *self* time -- duration minus its children, floored at zero.
+    In a serial run children run one after another, so stack totals
+    add up to each root's duration. Under ``--jobs`` they need not:
+    stitched worker spans run side by side and time on their own
+    clocks, so a phase's children can sum to more than the phase, and
+    the stacks then add up to more than the root.
     """
     totals = {}
     order = []

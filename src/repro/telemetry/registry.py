@@ -17,7 +17,7 @@ telemetry zero-cost for paper-fidelity runs.
 
 from repro.telemetry import catalog as _catalog
 from repro.telemetry import clock as _clock
-from repro.telemetry.spans import NULL_SPAN_CONTEXT, SpanTracer
+from repro.telemetry.spans import NULL_SPAN_SCOPE, SpanTracer
 
 
 class Counter:
@@ -92,14 +92,13 @@ class Histogram:
 
 
 class Registry:
-    """One run's worth of metrics, spans and (optionally) an event feed.
+    """One run's worth of metrics and spans.
 
     ``clock`` supplies every timestamp the registry and its tracer
     record (``time.perf_counter`` by default; inject a
     :class:`~repro.telemetry.clock.TickClock` for byte-stable exports).
-    Attaching a :class:`~repro.telemetry.events.FlightRecorder` turns
-    every counter increment, gauge set and span open/close into an
-    event in the bounded stream.
+    Mutators only aggregate: nothing is streamed, so the registry's
+    :meth:`snapshot` is the whole record of a run.
     """
 
     enabled = True
@@ -110,19 +109,9 @@ class Registry:
         self._histograms = {}
         self.clock = clock if clock is not None else _clock.WALL
         self.tracer = SpanTracer(clock=self.clock)
-        self.recorder = None
-        self._n_inc = 0
-        self._n_gauge = 0
-        self._n_observe = 0
         self._preregister = preregister_catalog
         if preregister_catalog:
             self._register_catalog()
-
-    def attach_recorder(self, recorder):
-        """Feed every mutation into ``recorder`` (the flight recorder)."""
-        self.recorder = recorder
-        self.tracer.recorder = recorder
-        return recorder
 
     def _register_catalog(self):
         # Declared metrics always appear in exports, even at zero --
@@ -158,55 +147,16 @@ class Registry:
     # -- mutators (the only calls instrumentation sites make) ----------
 
     def inc(self, name, n=1):
-        self._n_inc += 1
         self.counter(name).inc(n)
-        if self.recorder is not None:
-            self.recorder.record("counter", self.clock(), name=name, delta=n)
 
     def set_gauge(self, name, value):
-        self._n_gauge += 1
         self.gauge(name).set(value)
-        if self.recorder is not None:
-            self.recorder.record("gauge", self.clock(), name=name,
-                                 value=value)
 
     def observe(self, name, value):
-        # Histogram observations aggregate only: they are the highest-
-        # rate mutator (per-dependence occupancies), so they never
-        # stream individually into the flight recorder.
-        self._n_observe += 1
         self.histogram(name).observe(value)
 
     def span(self, name, **attrs):
         return self.tracer.span(name, **attrs)
-
-    def event(self, type_, **fields):
-        """Record an ad-hoc flight-recorder event (no-op when detached)."""
-        if self.recorder is not None:
-            self.recorder.record(type_, self.clock(), **fields)
-
-    def op_counts(self):
-        """How many telemetry calls this registry serviced, per kind.
-
-        The input to the self-overhead model (:mod:`.selfcost`):
-        ``overhead = sum(count[kind] * calibrated_ns[kind])``.
-        """
-        return {"inc": self._n_inc, "gauge": self._n_gauge,
-                "observe": self._n_observe, "span": self.tracer.n_spans,
-                "event": (self.recorder.n_recorded
-                          if self.recorder is not None else 0)}
-
-    def merge_ops(self, ops):
-        """Fold a worker registry's mutator counts into this one.
-
-        Span and event counts are excluded: adopting worker spans
-        (:meth:`~repro.telemetry.spans.SpanTracer.attach`) and worker
-        events (:meth:`~repro.telemetry.events.FlightRecorder.extend`)
-        already advances those totals.
-        """
-        self._n_inc += ops.get("inc", 0)
-        self._n_gauge += ops.get("gauge", 0)
-        self._n_observe += ops.get("observe", 0)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -220,7 +170,6 @@ class Registry:
         self._gauges.clear()
         self._histograms.clear()
         self.tracer.reset()
-        self._n_inc = self._n_gauge = self._n_observe = 0
         if self._preregister:
             self._register_catalog()
 
@@ -328,18 +277,8 @@ class NullRegistry(Registry):
     def observe(self, name, value):
         pass
 
-    def event(self, type_, **fields):
-        pass
-
     def merge_snapshot(self, snap):
         pass
 
-    def merge_ops(self, ops):
-        pass
-
-    def attach_recorder(self, recorder):
-        # Telemetry is off: the recorder is not attached, nothing streams.
-        return None
-
     def span(self, name, **attrs):
-        return NULL_SPAN_CONTEXT
+        return NULL_SPAN_SCOPE

@@ -8,17 +8,18 @@ root wall time decomposes into the phases the paper's workflow names
 post-processing).
 
 v2 makes spans *structured*: every span carries a stable
-``(trace_id, span_id, parent_id)`` triple and a status, timestamps come
-from the owning registry's injectable clock (:mod:`.clock`), and a
-:class:`SpanContext` can cross the ``ProcessPoolExecutor`` boundary so
-pool workers record spans that stitch back under the coordinator's
-dispatching span -- a parallel diagnosis yields one coherent trace
-tree, not per-worker snapshots.
+``(trace_id, span_id, parent_id)`` triple and a status, and timestamps
+come from the owning registry's injectable clock (:mod:`.clock`). Pool
+workers set their tracer's ``trace_id``, ``remote_parent`` and
+``scope`` from the telemetry spec :mod:`repro.parallel` ships with each
+task, and the coordinator :meth:`SpanTracer.attach`-es the trees they
+send home under its dispatching span -- a parallel diagnosis yields one
+coherent trace tree, not per-worker snapshots.
 
 Identifiers are deterministic, never random: a tracer numbers its
 spans ``s1, s2, ...`` in creation order, and a worker-side tracer
 prefixes them with a scope derived from the task's *work key* (e.g.
-``w104.s1``) -- the same identity quarantine uses -- so IDs are
+``b1.w104.s1``) -- the same identity quarantine uses -- so IDs are
 reproducible across reruns regardless of which OS process executed the
 task.
 
@@ -36,19 +37,6 @@ from typing import Optional
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
 STATUS_ORPHANED = "orphaned"   # worker died while the span was open
-STATUS_UNCLOSED = "unclosed"   # open at flush time (flight recorder)
-
-
-@dataclass(frozen=True)
-class SpanContext:
-    """The propagatable identity of an open span.
-
-    This is what crosses a process boundary: the worker parents its
-    root spans under ``span_id`` and stamps them with ``trace_id``.
-    """
-
-    trace_id: str
-    span_id: str
 
 
 @dataclass
@@ -64,9 +52,6 @@ class Span:
     duration: float = 0.0
     status: str = STATUS_OK
     children: list = field(default_factory=list)
-
-    def context(self):
-        return SpanContext(trace_id=self.trace_id, span_id=self.span_id)
 
     def to_dict(self):
         out = {"name": self.name, "id": self.span_id,
@@ -106,8 +91,6 @@ class SpanTracer:
 
     ``clock`` supplies timestamps (``time.perf_counter`` by default; a
     :class:`~repro.telemetry.clock.TickClock` makes them deterministic).
-    ``recorder``, when attached, receives a ``span_open`` /
-    ``span_close`` event pair per span (the flight-recorder feed).
     """
 
     def __init__(self, clock=None, trace_id="t0", scope="",
@@ -116,12 +99,10 @@ class SpanTracer:
         self.trace_id = trace_id
         self.scope = scope
         self.remote_parent = remote_parent  # parent span_id across processes
-        self.recorder = None
         self.roots = []
         self._stack = []
         self._seq = 0
         self._batch_seq = 0
-        self.n_spans = 0
 
     def next_batch_scope(self):
         """A fresh ``bN.`` prefix for one fan-out batch's worker scopes.
@@ -134,17 +115,6 @@ class SpanTracer:
         """
         self._batch_seq += 1
         return f"b{self._batch_seq}."
-
-    def adopt_context(self, context, scope):
-        """Continue ``context``'s trace: roots parent under its span.
-
-        Used by pool workers; ``scope`` prefixes every span id minted
-        here (derived from the task key, so IDs are deterministic no
-        matter which process runs the task).
-        """
-        self.trace_id = context.trace_id
-        self.remote_parent = context.span_id
-        self.scope = scope
 
     def _next_id(self):
         self._seq += 1
@@ -162,25 +132,15 @@ class SpanTracer:
         else:
             self.roots.append(span)
         self._stack.append(span)
-        self.n_spans += 1
         span.start = self.clock()
-        if self.recorder is not None:
-            self.recorder.record("span_open", span.start, name=name,
-                                 id=span.span_id, parent=span.parent_id)
         try:
             yield span
         except BaseException:
             span.status = STATUS_ERROR
             raise
         finally:
-            end = self.clock()
-            span.duration = end - span.start
+            span.duration = self.clock() - span.start
             self._stack.pop()
-            if self.recorder is not None:
-                self.recorder.record("span_close", end, name=name,
-                                     id=span.span_id,
-                                     duration_s=span.duration,
-                                     status=span.status)
 
     def open_span(self):
         """The innermost open span, or None outside any span."""
@@ -204,13 +164,6 @@ class SpanTracer:
             parent.children.append(span)
         else:
             self.roots.append(span)
-        self.n_spans += 1
-        if self.recorder is not None:
-            self.recorder.record("span_open", span.start, name=name,
-                                 id=span.span_id, parent=span.parent_id)
-            self.recorder.record("span_close", span.start, name=name,
-                                 id=span.span_id, duration_s=0.0,
-                                 status=STATUS_ORPHANED)
         return span
 
     def attach(self, span_dicts):
@@ -230,7 +183,6 @@ class SpanTracer:
                 parent.children.append(span)
             else:
                 self.roots.append(span)
-            self.n_spans += sum(1 for _ in span.walk())
             adopted.append(span)
         return adopted
 
@@ -239,10 +191,9 @@ class SpanTracer:
         self._stack = []
         self._seq = 0
         self._batch_seq = 0
-        self.n_spans = 0
 
 
-class _NullSpanContext:
+class _NullSpanScope:
     """Reusable no-op context manager; what a disabled registry hands out."""
 
     __slots__ = ()
@@ -255,4 +206,4 @@ class _NullSpanContext:
 
 
 NULL_SPAN = Span(name="null")
-NULL_SPAN_CONTEXT = _NullSpanContext()
+NULL_SPAN_SCOPE = _NullSpanScope()

@@ -74,7 +74,7 @@ class TraceRun:
     seed: int = 0
     meta: dict = field(default_factory=dict)
 
-    def thread_events(self, tid):
+    def events_of_thread(self, tid):
         """Events of one thread, in that thread's program order."""
         return [e for e in self.events if e.tid == tid]
 

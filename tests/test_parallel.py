@@ -197,7 +197,6 @@ class TestSpanStitching:
 
     def _dispatch(self, jobs, plan=None, quarantine=None):
         reg = telemetry.Registry(clock=telemetry.TickClock())
-        reg.attach_recorder(telemetry.FlightRecorder())
         with use_plan(plan or FaultPlan()):
             with telemetry.use_registry(reg):
                 with reg.span("dispatch"):
@@ -220,7 +219,6 @@ class TestSpanStitching:
         first, _ = self._dispatch(jobs=2)
         second, _ = self._dispatch(jobs=2)
         assert first.snapshot()["spans"] == second.snapshot()["spans"]
-        assert first.recorder.events() == second.recorder.events()
 
     def test_serial_records_the_same_task_spans(self):
         reg, _ = self._dispatch(jobs=None)
@@ -248,10 +246,6 @@ class TestSpanStitching:
         assert orphans[0]["duration_s"] == 0.0
         survivors = [t for t in tasks if t.get("status") != "orphaned"]
         assert len(survivors) == 2
-        events = reg.recorder.events()
-        assert [e for e in events if e["type"] == "task_orphaned"
-                and e["key"] == 1]
-        assert [e for e in events if e["type"] == "quarantine"]
 
     def test_batches_get_distinct_scopes(self):
         reg = telemetry.Registry(clock=telemetry.TickClock())

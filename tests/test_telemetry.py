@@ -1,7 +1,5 @@
 """Tests for the telemetry subsystem (registry, spans, export, e2e)."""
 
-import json
-
 import pytest
 
 from repro import telemetry
@@ -163,25 +161,6 @@ class TestExport:
         (root,) = profile["spans"]
         assert root["name"] == "root"
         assert root["children"][0]["name"] == "leaf"
-
-    def test_jsonl_roundtrip_matches_json(self, tmp_path):
-        registry = telemetry.Registry(preregister_catalog=False)
-        self._populate(registry)
-        telemetry.write_profile(registry, tmp_path / "p.json", meta={"k": 1})
-        telemetry.write_profile(registry, tmp_path / "p.jsonl", meta={"k": 1})
-        p_json = telemetry.read_profile(tmp_path / "p.json")
-        p_jsonl = telemetry.read_profile(tmp_path / "p.jsonl")
-        assert p_json == p_jsonl
-
-    def test_jsonl_is_one_record_per_line(self, tmp_path):
-        registry = telemetry.Registry(preregister_catalog=False)
-        self._populate(registry)
-        path = tmp_path / "p.jsonl"
-        telemetry.write_profile(registry, path)
-        lines = path.read_text().strip().splitlines()
-        records = [json.loads(line) for line in lines]
-        kinds = {r["type"] for r in records}
-        assert kinds == {"meta", "counter", "gauge", "histogram", "span"}
 
     def test_format_profile_renders_tables(self):
         registry = telemetry.Registry(preregister_catalog=False)

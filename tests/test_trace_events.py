@@ -42,9 +42,9 @@ class TestTraceRun:
         ]
         return TraceRun(events=events, n_threads=2)
 
-    def test_thread_events_preserve_order(self):
+    def test_events_of_thread_preserve_order(self):
         run = self._run()
-        t0 = run.thread_events(0)
+        t0 = run.events_of_thread(0)
         assert [e.pc for e in t0] == [0x1000, 0x1008]
 
     def test_memory_events(self):

@@ -144,6 +144,8 @@ def _full_payload(speedup=3.0, pspeed=0.9, wall=5.0, overhead=0.5,
     payload["frontier"] = {"rate": 0.5, "fifo": 4,
                            "overhead_proxy": overhead, "top1": top1,
                            "recall": 1.0}
+    payload["telemetry"] = {"null_seconds": 0.5, "live_seconds": 0.51,
+                            "overhead_pct": 2.0}
     return payload
 
 
@@ -216,14 +218,20 @@ class TestDirectionalGates:
         assert rc == 1
         assert "frontier.top1" in text
 
-    def test_frontier_recall_is_tracked_not_gated(self, tmp_path):
+    @pytest.mark.parametrize("path, worse_value", [
+        pytest.param("frontier.recall", 0.1, id="frontier.recall"),
+        pytest.param("telemetry.overhead_pct", 40.0,
+                     id="telemetry.overhead_pct"),
+    ])
+    def test_tracked_metric_is_not_gated(self, tmp_path, path, worse_value):
         _run(tmp_path, _full_payload())
         worse = _full_payload()
-        worse["frontier"]["recall"] = 0.1
+        section, key = path.split(".")
+        worse[section][key] = worse_value
         rc, _ = _run(tmp_path, worse)
         assert rc == 0
         entries = trend.load_history(tmp_path / "hist.jsonl")
-        assert entries[-1]["metrics"]["frontier.recall"] == 0.1
+        assert entries[-1]["metrics"][path] == worse_value
 
     def test_unavailable_gate_is_logged_every_run(self, tmp_path):
         # A gated metric the payload never produced must be called out
