@@ -6,14 +6,14 @@ one JSONL entry to ``BENCH_history.jsonl`` and compares the *gated*
 metrics against the last recorded entry, failing (exit 1) when any of
 them regresses beyond the threshold (30% by default).
 
-Gated metrics are machine-portable ratios (the replay and warm-pool
-speedups) plus the end-to-end corpus wall time, each with its own
-direction and threshold: a CI runner two times slower than the last
-machine should not trip the ratio gates, a fast path that lost its
-speedup should, and a corpus run that doubled in wall time (the widened
-``corpus_wall_seconds`` gate) signals a real pipeline regression, not
-scheduler noise. Absolute throughput and the cold/warm speedup split
-are still recorded in every entry so the trajectory can be plotted.
+Gated metrics are machine-portable ratios (the warm-pool speedup and
+the adaptive-frontier pick) plus the end-to-end corpus wall time, each
+with its own direction and threshold: a CI runner two times slower than
+the last machine should not trip the ratio gates, and a corpus run that
+doubled in wall time (the widened ``corpus_wall_seconds`` gate) signals
+a real pipeline regression, not scheduler noise. Absolute throughput
+(replay deps/sec) and the cold/warm speedup split are still recorded in
+every entry so the trajectory can be plotted.
 
 Usage (what the ``bench-trend`` CI job runs)::
 
@@ -30,16 +30,14 @@ DEFAULT_THRESHOLD = 0.30
 
 # Gated metrics fail the run on regression; tracked metrics are
 # recorded for the trajectory only. Each gate declares a direction
-# ("higher" is better, or "lower" -- wall-clock style) and may widen
-# the threshold beyond the run default: the replay speedup divides two
-# multi-hundred-millisecond measurements of deterministic compute and
-# gates tightly, while the warm-pool speedup and the corpus wall time
-# depend on the host's core count and scheduler, so they only gate
-# against collapses, not noise. A gated metric absent from either entry
-# is skipped with a logged reason (new metrics must not fail the first
-# run that records them, and old histories must not fail new gates).
+# ("higher" is better, or "lower" -- wall-clock style) and may set
+# its own threshold; a gate that sets none takes the run default.
+# The warm-pool speedup and the corpus wall time depend on the host's
+# core count and scheduler, so they only gate against collapses, not
+# noise. A gated metric absent from either entry is skipped with a
+# logged reason (new metrics must not fail the first run that records
+# them, and old histories must not fail new gates).
 GATED_METRICS = {
-    "replay.speedup": {"direction": "higher"},
     "parallel.speedup": {"direction": "higher", "threshold": 0.50},
     "corpus_wall_seconds": {"direction": "lower", "threshold": 0.50},
     # The adaptive-frontier pick (benchmarks/bench_throughput.py runs
@@ -53,8 +51,7 @@ GATED_METRICS = {
     "frontier.top1": {"direction": "higher", "threshold": 0.25},
 }
 TRACKED_METRICS = {
-    "replay.batched_deps_per_sec": "higher",
-    "replay.scalar_deps_per_sec": "higher",
+    "replay.deps_per_sec": "higher",
     "parallel.speedup_warm": "higher",
     "parallel.speedup_cold": "higher",
     "cache.warm_speedup": "higher",

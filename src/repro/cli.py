@@ -171,7 +171,7 @@ def _cmd_diagnose(args):
         report = engine.diagnose_report(
             program, n_train_runs=args.train_runs,
             n_pruning_runs=args.pruning_runs, failure_seed=args.seed,
-            fast=args.fast, jobs=args.jobs, faults=plan,
+            jobs=args.jobs, faults=plan,
             quarantine=quarantine, checkpoint=checkpoint, policy=policy,
             store=store)
     except (CheckpointError, EngineError) as e:
@@ -506,9 +506,6 @@ def _add_diagnose_args(d):
                    help="predictor engine (see docs/engines.md): nn "
                         "(default), aviso, pbi, pset, ensemble, or "
                         "ensemble:a+b for explicit members")
-    d.add_argument("--no-fast", dest="fast", action="store_false",
-                   help="replay the failure run through the scalar "
-                        "reference path instead of the batched fast path")
     d.add_argument("--checkpoint", metavar="PATH",
                    help="save checksummed phase snapshots to PATH "
                         "(created if missing, resumed if present)")

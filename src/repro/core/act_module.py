@@ -125,7 +125,8 @@ class ACTModule:
         if pstate is not None and not pstate.admit(dep, self.tid):
             return None
         self.stats.deps_processed += 1
-        telemetry.get_registry().inc("act.deps_processed")
+        tele = telemetry.get_registry()
+        tele.inc("act.deps_processed")
         self.input_buffer.push(dep)
         seq = self.input_buffer.sequence(self.config.seq_len)
         if seq is None:
@@ -153,7 +154,6 @@ class ACTModule:
                 self.stats.online_trained += 1
                 trained = True
 
-        tele = telemetry.get_registry()
         if tele.enabled:
             tele.inc("act.predictions")
             if invalid:

@@ -45,31 +45,14 @@ class InputGeneratorBuffer:
             telemetry.get_registry().inc("faults.fifo_overflows")
         self._deps.append(dep)
 
-    def extend(self, deps):
-        """Push many dependences at once (the batched replay path).
-
-        Fault plans never fire here: an active plan routes deployment
-        through the scalar path, whose per-push site is authoritative.
-        """
-        deps = list(deps)
-        self._pushes += len(deps)
-        self._deps.extend(deps)
-
     @property
     def pushes(self):
-        """Total dependences ever pushed (the per-core ordinal that keys
-        deterministic per-push decisions -- fault-plan FIFO overruns
-        here, and the sampling draws in :mod:`repro.core.policy`, which
-        gate *before* the push so a shed dependence never advances this
-        counter)."""
+        """Total dependences ever pushed through :meth:`push`, the only
+        way in (the per-core ordinal that keys deterministic per-push
+        decisions -- fault-plan FIFO overruns here, and the sampling
+        draws in :mod:`repro.core.policy`, which gate *before* the push
+        so a shed dependence never advances this counter)."""
         return self._pushes
-
-    def tail(self, k):
-        """The newest ``k`` dependences, oldest first (fewer while the
-        buffer is still warming up)."""
-        if k <= 0:
-            return []
-        return list(self._deps)[-k:]
 
     def sequence(self, n):
         """The newest ``n`` dependences (oldest first), or None if not warm."""

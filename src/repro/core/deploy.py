@@ -3,7 +3,7 @@
 One :class:`~repro.core.act_module.ACTModule` per thread (threads are
 pinned one-per-core, Section IV.C/D); a shared last-writer tracker forms
 each retired load's RAW dependence exactly as the extended cache lines
-would, and hands it to the owning core's AM.
+would, and hands it to the owning core's AM, one dependence at a time.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +14,6 @@ import numpy as np
 from repro import faults as _faults
 from repro import telemetry
 from repro.common.errors import FaultInjected
-from repro.core import policy as _policy
 from repro.trace.raw import RawDepExtractor
 
 
@@ -88,9 +87,14 @@ def _heal_module(module, trained, tid, quarantine):
     return module
 
 
-def deploy_on_run(trained, run, keep_records=False, fast=True,
-                  chunk_size=None, quarantine=None):
+def deploy_on_run(trained, run, keep_records=False, quarantine=None):
     """Feed every RAW dependence of ``run`` through per-thread AMs.
+
+    One path serves every replay: each dependence goes through its
+    core's :meth:`ACTModule.process_dep`, the same per-dependence step
+    the timing simulator drives, so fault plans (the per-push
+    FIFO-overrun site) and sampling policies (the per-dependence admit
+    gate) act here with no special case.
 
     Args:
         trained: a :class:`~repro.core.offline.TrainedACT`.
@@ -98,14 +102,6 @@ def deploy_on_run(trained, run, keep_records=False, fast=True,
             diagnosis this is the failure execution).
         keep_records: retain each :class:`PredictionRecord` (memory-heavy
             for long runs; used by analysis code).
-        fast: route through the batched replay fast path
-            (:mod:`repro.core.fastpath`), which is bit-identical to the
-            scalar replay; pass ``fast=False`` to force the reference
-            per-dependence path. An active fault plan also forces the
-            scalar path -- the per-push FIFO-overrun site lives there --
-            as does an active sampling policy (the per-dependence admit
-            gate is scalar-path-only; see :mod:`repro.core.policy`).
-        chunk_size: fast-path chunk size override (None for the default).
         quarantine: optional :class:`~repro.faults.Quarantine`; records
             healed weight damage instead of replaying with NaN weights.
 
@@ -113,17 +109,7 @@ def deploy_on_run(trained, run, keep_records=False, fast=True,
         :class:`DeploymentResult` with the AMs (and their debug buffers)
         in their end-of-run state.
     """
-    plan = _faults.get_plan()
-    active_policy = _policy.get_policy()
-    if plan.enabled or active_policy.enabled:
-        fast = False
-    heal = plan.enabled or quarantine is not None
-    if fast:
-        from repro.core import fastpath
-        if chunk_size is None:
-            chunk_size = fastpath.DEFAULT_CHUNK_SIZE
-        return fastpath.replay_run(trained, run, keep_records=keep_records,
-                                   chunk_size=chunk_size)
+    heal = _faults.get_plan().enabled or quarantine is not None
     cfg = trained.config
 
     def fresh_module(tid):

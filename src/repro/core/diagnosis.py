@@ -1,8 +1,8 @@
 """End-to-end failure diagnosis (the full ACT workflow of Figure 1).
 
 1. Offline-train from correct runs (or reuse a provided TrainedACT).
-2. Execute the failure run, replaying its dependences through per-core
-   ACT Modules in online testing/training mode.
+2. Execute the failure run, replaying its dependences one at a time
+   through per-core ACT Modules in online testing/training mode.
 3. After the failure, collect the Debug Buffers, build a Correct Set
    from ~20 fresh correct runs, prune and rank.
 4. Report where the ground-truth root-cause dependence landed.
@@ -77,7 +77,7 @@ def _fingerprint(program, config, n_train_runs, train_seed0, failure_seed,
                  n_pruning_runs, pruning_seed0, failure_params,
                  correct_params, pruning_params, root_cause, policy=None):
     """Checkpoint identity for one diagnosis: everything that shapes the
-    result. ``jobs``/``fast`` are excluded -- they never change outputs,
+    result. ``jobs`` is excluded -- it never changes outputs,
     so a serial run may resume a parallel one and vice versa. A disabled
     policy is elided so pre-policy checkpoints keep resuming."""
     fp = {
@@ -164,8 +164,7 @@ def diagnose_failure(program, config=None, trained=None,
                      failure_seed=12345,
                      n_pruning_runs=20, pruning_seed0=100,
                      failure_params=None, correct_params=None,
-                     pruning_params=None, root_cause=None,
-                     fast=True, jobs=None,
+                     pruning_params=None, root_cause=None, jobs=None,
                      faults=None, quarantine=None, checkpoint=None,
                      trained_sink=None, policy=None):
     """Diagnose ``program``'s failure with the full ACT pipeline.
@@ -188,10 +187,6 @@ def diagnose_failure(program, config=None, trained=None,
             dependences from the code sections where the dependence
             sequences of the Debug Buffer belong").
         root_cause: override the program's ground-truth dependence keys.
-        fast: replay the failure run through the batched fast path
-            (bit-identical to the scalar replay; ``fast=False`` forces
-            the reference per-dependence path). An active fault plan
-            forces the scalar path regardless.
         jobs: run independent units (correct-run collection, pruning
             runs, offline training) across ``jobs`` worker processes.
             ``None``/1 keeps everything serial; results are identical
@@ -238,14 +233,14 @@ def diagnose_failure(program, config=None, trained=None,
             return _diagnose_phases(
                 program, config, trained, tele, n_train_runs, train_seed0,
                 failure_seed, n_pruning_runs, pruning_seed0, failure_params,
-                correct_params, pruning_params, root_cause, fast, jobs,
+                correct_params, pruning_params, root_cause, jobs,
                 quarantine, checkpoint, trained_sink)
 
 
 def _diagnose_phases(program, config, trained, tele, n_train_runs,
                      train_seed0, failure_seed, n_pruning_runs,
                      pruning_seed0, failure_params, correct_params,
-                     pruning_params, root_cause, fast=True, jobs=None,
+                     pruning_params, root_cause, jobs=None,
                      quarantine=None, checkpoint=None, trained_sink=None):
     if checkpoint is not None:
         cached = checkpoint.get("report")
@@ -287,7 +282,7 @@ def _diagnose_phases(program, config, trained, tele, n_train_runs,
     if not report.root_cause:
         report.notes.append("program provides no ground-truth root cause")
 
-    deployment = deploy_phase(trained, failure_run, report, fast=fast,
+    deployment = deploy_phase(trained, failure_run, report,
                               quarantine=quarantine)
 
     # --- Offline post-processing --------------------------------------
@@ -337,13 +332,13 @@ def failure_report(program, failure_run, root_cause=None):
         failure_description=str(failure_run.failure) if failure_run.failure else "")
 
 
-def deploy_phase(trained, failure_run, report, fast=True, quarantine=None):
+def deploy_phase(trained, failure_run, report, quarantine=None):
     """Replay the failure run through the ACT Modules under the ambient
     policy; fills the report's deployment counts and Debug Buffer
     position. Returns the deployment."""
     tele = telemetry.get_registry()
     with tele.span("diagnose.deploy"):
-        deployment = deploy_on_run(trained, failure_run, fast=fast,
+        deployment = deploy_on_run(trained, failure_run,
                                    quarantine=quarantine)
     report.n_deps = deployment.n_deps
     report.n_invalid = deployment.n_invalid

@@ -18,13 +18,15 @@ library-id + offset scheme.
 Two encoding paths exist and produce bit-identical values:
 
 - the scalar path (:meth:`DepEncoder.encode_dep` /
-  :meth:`DepEncoder.encode_seq`), one dependence at a time -- what the
-  per-dependence AM step uses;
+  :meth:`DepEncoder.encode_seq`), one window at a time from the pc-code
+  dict -- what the per-dependence AM step uses, in deployment replay and
+  in the timing simulator alike;
 - the vectorised path (:meth:`DepEncoder.codes_of` /
-  :meth:`DepEncoder.encode_stream` / :meth:`DepEncoder.encode_windows`),
-  which maps whole dependence streams through precomputed numpy code
-  arrays and materialises every sliding window with stride tricks --
-  what the batched replay fast path and offline training use.
+  :meth:`DepEncoder.encode_stream` / :meth:`DepEncoder.encode_windows` /
+  :meth:`DepEncoder.encode_many`), which maps whole dependence streams
+  through precomputed numpy code arrays and materialises every sliding
+  window with stride tricks -- what offline training and the engines'
+  batched scoring use.
 """
 
 import numpy as np
@@ -99,10 +101,10 @@ class DepEncoder:
 
     def encode_seq(self, seq):
         """Flat input vector for a sequence of dependences (oldest first)."""
-        out = np.empty(2 * len(seq))
-        for i, dep in enumerate(seq):
-            out[2 * i], out[2 * i + 1] = self.encode_dep(dep)
-        return out
+        flat = []
+        for dep in seq:
+            flat.extend(self.encode_dep(dep))
+        return np.array(flat)
 
     def encode_stream(self, deps):
         """Flat ``(2 * len(deps),)`` encoding of a dependence stream.

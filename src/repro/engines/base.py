@@ -193,8 +193,8 @@ class Predictor:
     def report_trained(self, program, failure_seed=12345,
                        n_pruning_runs=20, pruning_seed0=100,
                        failure_params=None, correct_params=None,
-                       pruning_params=None, root_cause=None, fast=True,
-                       jobs=None, quarantine=None):
+                       pruning_params=None, root_cause=None, jobs=None,
+                       quarantine=None):
         """Diagnose with existing state (requires :attr:`trained`)."""
         raise NotImplementedError
 
@@ -202,7 +202,7 @@ class Predictor:
                         failure_seed=12345, n_pruning_runs=20,
                         pruning_seed0=100, failure_params=None,
                         correct_params=None, pruning_params=None,
-                        root_cause=None, fast=True, jobs=None,
+                        root_cause=None, jobs=None,
                         faults=None, quarantine=None, checkpoint=None,
                         policy=None, store=None):
         """Train if cold, then diagnose; the engine-routed entry point.
@@ -235,7 +235,7 @@ class Predictor:
                     failure_params=failure_params,
                     correct_params=dict(correct_params or {"buggy": False}),
                     pruning_params=pruning_params, root_cause=root_cause,
-                    fast=fast, jobs=jobs, quarantine=quarantine)
+                    jobs=jobs, quarantine=quarantine)
                 if tele.enabled:
                     tele.inc("engine.diagnoses")
                 if quarantine is not None and len(quarantine):

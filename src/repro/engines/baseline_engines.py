@@ -111,8 +111,8 @@ class AvisoEngine(Predictor):
     def report_trained(self, program, failure_seed=12345,
                        n_pruning_runs=20, pruning_seed0=100,
                        failure_params=None, correct_params=None,
-                       pruning_params=None, root_cause=None, fast=True,
-                       jobs=None, quarantine=None):
+                       pruning_params=None, root_cause=None, jobs=None,
+                       quarantine=None):
         first = _failure_run(program, failure_seed, failure_params)
         truth = _truth(first, root_cause)
         if not self._multithreaded:
@@ -228,8 +228,8 @@ class PBIEngine(Predictor):
     def report_trained(self, program, failure_seed=12345,
                        n_pruning_runs=20, pruning_seed0=100,
                        failure_params=None, correct_params=None,
-                       pruning_params=None, root_cause=None, fast=True,
-                       jobs=None, quarantine=None):
+                       pruning_params=None, root_cause=None, jobs=None,
+                       quarantine=None):
         run = _failure_run(program, failure_seed, failure_params)
         truth = _truth(run, root_cause)
         if not run.failed:
@@ -303,8 +303,8 @@ class PSetEngine(Predictor):
     def report_trained(self, program, failure_seed=12345,
                        n_pruning_runs=20, pruning_seed0=100,
                        failure_params=None, correct_params=None,
-                       pruning_params=None, root_cause=None, fast=True,
-                       jobs=None, quarantine=None):
+                       pruning_params=None, root_cause=None, jobs=None,
+                       quarantine=None):
         run = _failure_run(program, failure_seed, failure_params)
         truth = _truth(run, root_cause)
         if not run.failed:

@@ -27,7 +27,10 @@ class SigmoidTable:
     """Quantised sigmoid lookup table, as in the hardware neuron.
 
     Inputs outside ``[-clip, clip]`` saturate. ``resolution`` entries are
-    spread uniformly across the clipped range.
+    spread uniformly across the clipped range. The float table index is
+    clamped to ``[0, resolution - 1]`` before it is rounded, so any input
+    past the range (``inf`` included) saturates to the end entry on its
+    side; NaN reads entry 0.
     """
 
     def __init__(self, resolution=2048, clip=8.0):
@@ -37,12 +40,30 @@ class SigmoidTable:
         self.clip = clip
         xs = np.linspace(-clip, clip, resolution)
         self._table = 1.0 / (1.0 + np.exp(-xs))
+        self._entries = self._table.tolist()
 
     def __call__(self, x):
         """Evaluate the table at ``x`` (scalar or ndarray)."""
-        idx = (np.asarray(x) + self.clip) * (self.resolution - 1) / (2 * self.clip)
-        idx = np.clip(np.rint(idx).astype(int), 0, self.resolution - 1)
-        return self._table[idx]
+        res1 = self.resolution - 1
+        idx = (np.asarray(x) + self.clip) * res1 / (2 * self.clip)
+        # fmax/fmin (not np.clip) map NaN to 0 and skip np.clip's
+        # per-call wrapper cost.
+        idx = np.fmin(np.fmax(idx, 0.0), res1)
+        return self._table[np.rint(idx).astype(np.intp)]
+
+    def scalar(self, x):
+        """:meth:`__call__` for one Python float, returning a float.
+
+        Same operation order as the array lookup, and ``round`` is
+        round-half-even like ``np.rint``, so the entry is bit-identical.
+        """
+        res1 = self.resolution - 1
+        idx = (x + self.clip) * res1 / (2 * self.clip)
+        if idx >= res1:
+            return self._entries[res1]
+        if idx >= 0.0:
+            return self._entries[round(idx)]
+        return self._entries[0]  # below the range, or NaN
 
     def boundary_risk(self, x, tol=1e-6):
         """True where an ulp-scale perturbation of ``x`` could change the
@@ -95,10 +116,10 @@ class OneHiddenLayerNet:
     def forward(self, x):
         """Return (hidden activations, output) for input vector ``x``."""
         x = np.asarray(x, dtype=float)
-        h_in = self.w_hidden[:, :-1] @ x + self.w_hidden[:, -1]
-        h = self.sigmoid(h_in)
-        o_in = self.w_out[:-1] @ h + self.w_out[-1]
-        o = float(self.sigmoid(o_in))
+        w_h = self.w_hidden
+        h = self.sigmoid(w_h[:, :-1] @ x + w_h[:, -1])
+        w_o = self.w_out
+        o = self.sigmoid.scalar(float(w_o[:-1] @ h + w_o[-1]))
         return h, o
 
     def output(self, x):

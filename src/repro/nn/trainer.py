@@ -249,9 +249,10 @@ def _sgd_examples(net, xs, targets, lr, order=None):
     Runs the exact computation of ``net.train_example`` for each row of
     ``xs`` in ``order``, with the per-call overhead stripped: weight
     views, the sigmoid table and its scale factors are hoisted out of
-    the loop, and the table lookup is applied inline. Every
-    floating-point expression keeps the reference kernel's operation
-    order -- in particular the table index
+    the loop, and the hidden layer's table lookup (with the same
+    saturation clamp) is applied inline. Every floating-point expression
+    keeps the reference kernel's operation order -- in particular the
+    table index
     ``(x + clip) * (resolution - 1) / (2 * clip)`` is *not* rewritten
     with a precomputed scale, which would perturb the last ulp and
     occasionally round to a different table entry.
@@ -276,11 +277,9 @@ def _sgd_examples(net, xs, targets, lr, order=None):
         x = xs[idx]
         target = targets[idx]
         h_in = wh @ x + whb
-        fi = (h_in + clip) * res1 / two_clip
-        h = table[np.clip(np.rint(fi).astype(int), 0, res1)]
-        o_in = wo @ h + w_out[-1]
-        fo = (o_in + clip) * res1 / two_clip
-        o = float(table[np.clip(np.rint(fo).astype(int), 0, res1)])
+        fi = np.fmin(np.fmax((h_in + clip) * res1 / two_clip, 0.0), res1)
+        h = table[np.rint(fi).astype(np.intp)]
+        o = sig.scalar(float(wo @ h + w_out[-1]))
         err_o = o * (1.0 - o) * (target - o)
         err_h = h * (1.0 - h) * (wo * err_o)
         wo += lr * err_o * h

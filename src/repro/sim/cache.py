@@ -41,8 +41,9 @@ class Cache:
         self.assoc = assoc
         self.line_size = line_size
         # set index -> OrderedDict(line_addr -> CacheLine); order = LRU
-        # (oldest first).
-        self._sets = [OrderedDict() for _ in range(n_sets)]
+        # (oldest first). A set's container is made on its first insert:
+        # most of a large cache's sets are never touched by a short run.
+        self._sets = {}
 
     def _index(self, line_addr):
         return (line_addr // self.line_size) % self.n_sets
@@ -53,7 +54,9 @@ class Cache:
     def lookup(self, addr, touch=True):
         """Return the resident :class:`CacheLine` or None."""
         la = self.line_addr(addr)
-        s = self._sets[self._index(la)]
+        s = self._sets.get(self._index(la))
+        if s is None:
+            return None
         line = s.get(la)
         if line is not None and touch:
             s.move_to_end(la)
@@ -62,7 +65,10 @@ class Cache:
     def insert(self, addr, state):
         """Insert a line; returns (line, evicted_line_or_None)."""
         la = self.line_addr(addr)
-        s = self._sets[self._index(la)]
+        index = self._index(la)
+        s = self._sets.get(index)
+        if s is None:
+            s = self._sets[index] = OrderedDict()
         if la in s:
             line = s[la]
             line.state = state
@@ -78,12 +84,13 @@ class Cache:
     def invalidate(self, addr):
         """Remove a line; returns it (or None)."""
         la = self.line_addr(addr)
-        s = self._sets[self._index(la)]
-        return s.pop(la, None)
+        s = self._sets.get(self._index(la))
+        return None if s is None else s.pop(la, None)
 
     def resident_lines(self):
-        for s in self._sets:
-            yield from s.values()
+        """Every resident line, set by set in index order (LRU first)."""
+        for index in sorted(self._sets):
+            yield from self._sets[index].values()
 
     def __contains__(self, addr):
         return self.lookup(addr, touch=False) is not None

@@ -25,6 +25,7 @@ from repro.nn.pipeline import ACTPipelineModel, NeuronTiming
 from repro.sim.coherence import CoherentMemorySystem
 from repro.sim.params import MachineParams
 from repro.trace.events import EventKind
+from repro.trace.raw import DepRecord, RawDep
 from repro.core.act_module import Mode
 
 
@@ -122,7 +123,6 @@ class Machine:
                         and not (filter_stack and event.is_stack)
                         and res.writer is not None):
                     module, pipe = self._act_for(event.tid)
-                    from repro.trace.raw import RawDep
                     wpc, wtid = res.writer
                     dep = RawDep(wpc, event.pc,
                                  inter_thread=wtid != self._core_of(event.tid))
@@ -237,8 +237,6 @@ def cache_dep_streams(run, params=None, filter_stack=True):
     Used by the false-sharing study to quantify how line granularity,
     eviction dropping and piggyback filtering perturb the dependences.
     """
-    from repro.trace.raw import DepRecord, RawDep
-
     memory = CoherentMemorySystem(params or MachineParams())
     streams: Dict[int, List[DepRecord]] = {
         tid: [] for tid in range(run.n_threads)}

@@ -67,8 +67,6 @@ CATALOG = (
                "mode alternations during the failure run"),
     MetricSpec("deploy.runs", COUNTER, "core.deploy",
                "trace replays through per-core AMs"),
-    MetricSpec("deploy.fast_runs", COUNTER, "core.deploy",
-               "replays routed through the batched fast path"),
     MetricSpec("policy.deps_sampled", COUNTER, "core.policy",
                "dependences admitted by an active sampling policy"),
     MetricSpec("policy.deps_shed", COUNTER, "core.policy",
@@ -79,20 +77,6 @@ CATALOG = (
                "backoff control windows that engaged load shedding"),
     MetricSpec("deploy.deps", COUNTER, "core.deploy",
                "dependences fed to AMs during replays"),
-    # -- batched replay fast path (core.fastpath) ----------------------
-    MetricSpec("fastpath.chunks", COUNTER, "core.fastpath",
-               "TESTING-mode chunks scored with batched prediction"),
-    MetricSpec("fastpath.batched_predictions", COUNTER, "core.fastpath",
-               "predictions produced by batched chunk scoring"),
-    MetricSpec("fastpath.scalar_deps", COUNTER, "core.fastpath",
-               "dependences replayed scalar (warm-up/TRAINING fallback)"),
-    MetricSpec("fastpath.exact_recomputes", COUNTER, "core.fastpath",
-               "batched rows re-scored scalar because a pre-activation "
-               "sat near a sigmoid-table rounding boundary"),
-    MetricSpec("fastpath.chunk_mode_exits", COUNTER, "core.fastpath",
-               "chunks cut short by a mode switch out of TESTING"),
-    MetricSpec("fastpath.chunk_size", HISTOGRAM, "core.fastpath",
-               "dependences committed per batched chunk"),
     # -- parallel run orchestration (repro.parallel) -------------------
     MetricSpec("parallel.batches", COUNTER, "repro.parallel",
                "work batches dispatched to the process pool"),

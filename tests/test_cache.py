@@ -1,5 +1,7 @@
 """Tests for the set-associative cache."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -94,3 +96,45 @@ class TestPropertyLRU:
                 reference.append(addr)
             resident = {line.addr for line in c.resident_lines()}
             assert resident == set(reference)
+
+
+class TestLazySets:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_one_set_per_index_reference(self, seed):
+        """A 1,024-set cache behaves as 1,024 independent one-set caches:
+        same hits, evictions, invalidations and resident-line order."""
+        n_sets, assoc, line = 1024, 2, 64
+        cache = Cache(n_sets=n_sets, assoc=assoc, line_size=line)
+        refs = {}
+        rng = random.Random(seed)
+        hot = rng.sample(range(n_sets), 24)
+
+        def ref_for(addr):
+            index = (addr // line) % n_sets
+            if index not in refs:
+                refs[index] = Cache(n_sets=1, assoc=assoc, line_size=line)
+            return refs[index]
+
+        def addr_of(x):
+            return None if x is None else x.addr
+
+        for _ in range(3000):
+            addr = ((rng.randrange(6) * n_sets + rng.choice(hot)) * line
+                    + rng.randrange(line))
+            op = rng.random()
+            if op < 0.45:
+                got, evicted = cache.insert(addr, "E")
+                want, want_evicted = ref_for(addr).insert(addr, "E")
+                assert got.addr == want.addr
+                assert addr_of(evicted) == addr_of(want_evicted)
+            elif op < 0.85:
+                touch = op < 0.75
+                assert (addr_of(cache.lookup(addr, touch=touch))
+                        == addr_of(ref_for(addr).lookup(addr, touch=touch)))
+            else:
+                assert (addr_of(cache.invalidate(addr))
+                        == addr_of(ref_for(addr).invalidate(addr)))
+        want_order = [ln.addr for index in sorted(refs)
+                      for ln in refs[index].resident_lines()]
+        assert [ln.addr for ln in cache.resident_lines()] == want_order
+        assert len(want_order) > assoc

@@ -34,6 +34,98 @@ class TestSigmoidTable:
         assert out.shape == (3, 4)
 
 
+def _bits(value):
+    """A float's exact bit pattern (NaN-safe equality for lookups)."""
+    return np.float64(value).tobytes()
+
+
+class TestSigmoidLookupDifferential:
+    """``SigmoidTable.scalar`` equals the array lookup bit for bit."""
+
+    def _check(self, table, xs):
+        xs = np.asarray(xs, dtype=float)
+        arr = table(xs)
+        for x, a in zip(xs.tolist(), arr.tolist()):
+            s = table.scalar(x)
+            assert type(s) is float
+            assert _bits(s) == _bits(a), x
+            assert _bits(table(np.float64(x))) == _bits(a), x
+
+    @pytest.mark.parametrize("resolution, clip", [(2048, 8.0), (1024, 6.0),
+                                                  (2, 1.0)])
+    def test_random_inputs(self, resolution, clip):
+        rng = np.random.default_rng(resolution)
+        table = SigmoidTable(resolution=resolution, clip=clip)
+        self._check(table, np.concatenate([
+            rng.normal(0.0, clip, 4000), rng.uniform(-2 * clip, 2 * clip,
+                                                     4000)]))
+
+    def test_exact_half_ties(self):
+        # Inputs whose scaled index is exactly k + 0.5: round-half-even
+        # must pick the same entry on both paths.
+        table = SigmoidTable()
+        res1 = table.resolution - 1
+        ties = {}
+        for k in range(0, res1, 7):
+            x = (k + 0.5) * (2 * table.clip) / res1 - table.clip
+            for _ in range(64):
+                idx = (x + table.clip) * res1 / (2 * table.clip)
+                if idx == k + 0.5:
+                    ties[x] = k
+                    break
+                x = np.nextafter(x, np.inf if idx < k + 0.5 else -np.inf)
+        assert len(ties) > 100
+        self._check(table, list(ties))
+        for x, k in ties.items():  # the even neighbour wins each tie
+            assert table.scalar(x) == table._table[k + k % 2]
+
+    def test_clip_edges_and_one_ulp_either_side(self):
+        table = SigmoidTable()
+        edges = []
+        for c in (table.clip, -table.clip):
+            edges += [c, np.nextafter(c, np.inf), np.nextafter(c, -np.inf)]
+        self._check(table, edges)
+        assert table.scalar(table.clip) == table._table[-1]
+        assert table.scalar(-table.clip) == table._table[0]
+
+    @pytest.mark.parametrize("x, entry", [
+        pytest.param(np.inf, -1, id="+inf"),
+        pytest.param(7.3e16, -1, id="+7.3e16"),
+        pytest.param(1e17, -1, id="+1e17"),
+        pytest.param(1e300, -1, id="+1e300"),
+        pytest.param(-np.inf, 0, id="-inf"),
+        pytest.param(-7.3e16, 0, id="-7.3e16"),
+        pytest.param(-1e17, 0, id="-1e17"),
+        pytest.param(-1e300, 0, id="-1e300"),
+        pytest.param(np.nan, 0, id="nan"),
+    ])
+    def test_saturation(self, x, entry):
+        # Past about +-7.2e16 the float index exceeds 2**63; it must
+        # still saturate to the end entry on its side (NaN reads 0).
+        table = SigmoidTable()
+        expected = table._table[entry]
+        assert table(x) == expected
+        assert table(np.array([x, 0.0]))[0] == expected
+        assert table.scalar(x) == expected
+
+
+class TestForwardDifferential:
+    @pytest.mark.parametrize("n_inputs", [10, 6])
+    def test_forward_matches_reference_expression(self, n_inputs):
+        rng = np.random.default_rng(n_inputs)
+        for seed in range(20):
+            net = OneHiddenLayerNet(n_inputs, 10, seed=seed,
+                                    init_scale=0.5 + seed)
+            sig = net.sigmoid
+            w_h, w_o = net.w_hidden, net.w_out
+            for x in rng.uniform(-1.0, 1.0, size=(50, n_inputs)):
+                h_ref = sig(w_h[:, :-1] @ x + w_h[:, -1])
+                o_ref = float(sig(w_o[:-1] @ h_ref + w_o[-1]))
+                h, o = net.forward(x)
+                assert h.tobytes() == h_ref.tobytes()
+                assert _bits(o) == _bits(o_ref)
+
+
 class TestNetworkStructure:
     def test_input_bounds_enforced(self):
         with pytest.raises(ConfigError):

@@ -132,7 +132,7 @@ class TestZeroCostAudit:
             for _ in range(5):
                 with telemetry.use_registry(registry):
                     t0 = time.perf_counter()
-                    deploy_on_run(trained_tinybug, long_run, fast=True)
+                    deploy_on_run(trained_tinybug, long_run)
                     dt = time.perf_counter() - t0
                 if best is None or dt < best:
                     best = dt
@@ -140,7 +140,7 @@ class TestZeroCostAudit:
 
         t_null = timed(telemetry.NullRegistry())
         t_live = timed(telemetry.Registry())
-        # Aggregate-only instrumentation is amortised per chunk, not per
+        # Aggregate-only instrumentation is a few counter bumps per
         # dependence; 10% is the audit budget (plus a 2ms floor so a
         # sub-ms run cannot flake the ratio).
         assert t_live <= 1.10 * t_null + 0.002, (

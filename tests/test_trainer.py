@@ -452,7 +452,7 @@ class TestSearchTopology:
 
 class TestFastSgd:
     """The vectorised SGD kernel is bit-compatible with the per-example
-    method loop, like the ``core.fastpath`` replay equivalence."""
+    method loop."""
 
     def _nets(self, n_inputs=4, n_hidden=3, seed=7):
         return (OneHiddenLayerNet(n_inputs, n_hidden, seed=seed),

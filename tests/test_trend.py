@@ -16,9 +16,9 @@ _spec.loader.exec_module(trend)
 def _payload(speedup=3.0, warm=2.0):
     return {
         "preset": "fast",
-        "replay": {"speedup": speedup, "batched_deps_per_sec": 1e6,
-                   "scalar_deps_per_sec": 1e6 / speedup},
-        "parallel": {"speedup_warm": warm, "speedup_cold": warm / 2},
+        "replay": {"deps_per_sec": 5e4},
+        "parallel": {"speedup": speedup, "speedup_warm": warm,
+                     "speedup_cold": warm / 2},
     }
 
 
@@ -35,7 +35,7 @@ def _run(tmp_path, payload, name="bench.json", history="hist.jsonl",
 class TestMetrics:
     def test_get_metric_resolves_dotted_paths(self):
         payload = _payload(speedup=4.5)
-        assert trend.get_metric(payload, "replay.speedup") == 4.5
+        assert trend.get_metric(payload, "parallel.speedup") == 4.5
         assert trend.get_metric(payload, "replay.missing") is None
         assert trend.get_metric(payload, "nope.deep.er") is None
 
@@ -43,7 +43,7 @@ class TestMetrics:
         entry = trend.make_entry(_payload(), timestamp=42.0, source="ci")
         assert entry["timestamp"] == 42.0
         assert entry["source"] == "ci"
-        assert entry["metrics"]["replay.speedup"] == 3.0
+        assert entry["metrics"]["parallel.speedup"] == 3.0
         assert entry["metrics"]["parallel.speedup_warm"] == 2.0
         assert "parallel.speedup_cold" in entry["metrics"]
         assert "host_cpus" not in entry
@@ -72,11 +72,12 @@ class TestHistory:
 
 class TestGate:
     def test_synthetic_regression_fails(self, tmp_path):
-        # >30% drop in a gated ratio must fail the run (the CI contract).
+        # A gated ratio dropping past its threshold (50% here) must
+        # fail the run (the CI contract).
         _run(tmp_path, _payload(speedup=3.0))
-        rc, text = _run(tmp_path, _payload(speedup=1.5))
+        rc, text = _run(tmp_path, _payload(speedup=1.2))
         assert rc == 1
-        assert "REGRESSION" in text and "replay.speedup" in text
+        assert "REGRESSION" in text and "parallel.speedup" in text
 
     def test_small_change_passes(self, tmp_path):
         _run(tmp_path, _payload(speedup=3.0, warm=2.0))
@@ -89,7 +90,10 @@ class TestGate:
         rc, _ = _run(tmp_path, _payload(speedup=9.0))
         assert rc == 0
 
-    def test_threshold_is_configurable(self, tmp_path):
+    def test_threshold_is_configurable(self, tmp_path, monkeypatch):
+        # A gate that sets no threshold of its own takes the run's.
+        monkeypatch.setitem(trend.GATED_METRICS, "parallel.speedup",
+                            {"direction": "higher"})
         _run(tmp_path, _payload(speedup=3.0))
         rc, _ = _run(tmp_path, _payload(speedup=2.5), threshold=0.10)
         assert rc == 1
@@ -98,8 +102,7 @@ class TestGate:
         # Same ratios on a machine 10x slower: records, does not fail.
         fast_box = _payload()
         slow_box = _payload()
-        slow_box["replay"]["batched_deps_per_sec"] = 1e5
-        slow_box["replay"]["scalar_deps_per_sec"] = 1e5 / 3.0
+        slow_box["replay"]["deps_per_sec"] = 5e3
         _run(tmp_path, fast_box)
         rc, _ = _run(tmp_path, slow_box)
         assert rc == 0
@@ -113,19 +116,20 @@ class TestGate:
 
     def test_check_regressions_reports_both_values(self):
         prev = trend.make_entry(_payload(speedup=4.0), timestamp=0.0)
-        cur = trend.make_entry(_payload(speedup=2.0), timestamp=1.0)
+        cur = trend.make_entry(_payload(speedup=1.0), timestamp=1.0)
         (reg,) = trend.check_regressions(prev, cur)
-        assert reg["metric"] == "replay.speedup"
-        assert reg["previous"] == 4.0 and reg["current"] == 2.0
-        assert reg["drop"] == pytest.approx(0.5)
+        assert reg["metric"] == "parallel.speedup"
+        assert reg["previous"] == 4.0 and reg["current"] == 1.0
+        assert reg["drop"] == pytest.approx(0.75)
 
     def test_real_bench_payload_round_trips(self, tmp_path):
         # The actual benchmark output shape (see bench_throughput.py)
         # feeds the gate without modification.
         payload = {
             "preset": "fast",
-            "replay": {"speedup": 3.2, "batched_deps_per_sec": 2.1e6,
-                       "scalar_deps_per_sec": 6.5e5},
+            "replay": {"program": "lu", "n_deps": 6400,
+                       "seconds": 0.12, "deps_per_sec": 5.3e4,
+                       "mode_switches": 0},
             "parallel": {"speedup": 1.4, "speedup_cold": 1.4,
                          "speedup_warm": 2.8,
                          "pool_startup_seconds": 0.12},
@@ -136,10 +140,8 @@ class TestGate:
         assert entry["metrics"]["parallel.speedup_warm"] == 2.8
 
 
-def _full_payload(speedup=3.0, pspeed=0.9, wall=5.0, overhead=0.5,
-                  top1=1.0):
+def _full_payload(speedup=3.0, wall=5.0, overhead=0.5, top1=1.0):
     payload = _payload(speedup=speedup)
-    payload["parallel"]["speedup"] = pspeed
     payload["corpus_wall_seconds"] = wall
     payload["frontier"] = {"rate": 0.5, "fifo": 4,
                            "overhead_proxy": overhead, "top1": top1,
@@ -170,10 +172,10 @@ class TestDirectionalGates:
     def test_parallel_speedup_gate_is_widened(self, tmp_path):
         # The run default (30%) does not apply: the warm-pool gate only
         # trips on a collapse beyond its own 50% threshold.
-        _run(tmp_path, _full_payload(pspeed=1.0))
-        rc, _ = _run(tmp_path, _full_payload(pspeed=0.6))  # -40% < 50%
+        _run(tmp_path, _full_payload(speedup=1.0))
+        rc, _ = _run(tmp_path, _full_payload(speedup=0.6))  # -40% < 50%
         assert rc == 0
-        rc, text = _run(tmp_path, _full_payload(pspeed=0.2))  # -67% > 50%
+        rc, text = _run(tmp_path, _full_payload(speedup=0.2))  # -67% > 50%
         assert rc == 1
         assert "parallel.speedup" in text and "50%" in text
 
@@ -194,7 +196,7 @@ class TestDirectionalGates:
         assert regs == []
         skipped = {s["metric"] for s in skips}
         assert "corpus_wall_seconds" in skipped
-        assert "parallel.speedup" in skipped
+        assert "frontier.top1" in skipped
 
     def test_frontier_overhead_growth_fails(self, tmp_path):
         # The pick suddenly costing >50% more of full-rate overhead
