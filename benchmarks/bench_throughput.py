@@ -1,6 +1,6 @@
-"""Replay, orchestration, corpus and cached-diagnosis throughput.
+"""Execution, replay, orchestration, corpus and cached-diagnosis throughput.
 
-Six measurements, all recorded into ``benchmarks/results/`` and into
+Seven measurements, all recorded into ``benchmarks/results/`` and into
 ``BENCH_throughput.json`` at the repo root:
 
 1. **Replay** -- deps/sec of :func:`deploy_on_run` over a long
@@ -36,6 +36,14 @@ Six measurements, all recorded into ``benchmarks/results/`` and into
    installs), rounds interleaved. Reports are equal; the recorded
    ``telemetry.overhead_pct`` is the measured price of recording a run
    profile, tracked in the trend history but not gated.
+7. **Program execution** -- runs/sec, events/sec and deps/sec of
+   executing every bundled bug on the generator scheduler and
+   extracting its RAW dependences (word granularity, the streams the
+   Correct Set and deployment consume), at fixed seeds: the correct
+   runs a diagnosis prunes with and the failure run. Best of 3. Every
+   diagnosis pays this path once per run, so it is most of a
+   diagnosis once training is cached. ``execution.events_per_sec`` is
+   tracked in the trend history but not gated (it is absolute).
 """
 
 import contextlib
@@ -54,8 +62,9 @@ from repro.core.config import ACTConfig
 from repro.core.deploy import deploy_on_run
 from repro.core.offline import OfflineTrainer, collect_correct_runs
 from repro.parallel import get_pool
+from repro.trace.raw import extract_raw_deps
 from repro.workloads.framework import run_program
-from repro.workloads.registry import get_kernel
+from repro.workloads.registry import all_bug_names, get_bug, get_kernel
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
@@ -64,6 +73,10 @@ REPO_ROOT = pathlib.Path(__file__).parent.parent
 # stream (the production steady state of an always-on deployment).
 REPEATS = {"fast": 80, "bench": 200, "full": 500}
 N_PARALLEL_RUNS = {"fast": 8, "bench": 16, "full": 32}
+# Correct-run seeds per bundled bug in the execution measurement (the
+# pruning seeds of a diagnosis start at 100); plus the failure run.
+N_EXECUTION_SEEDS = {"fast": 20, "bench": 50, "full": 100}
+FAILURE_SEED = 12345
 
 
 def _noop(_):
@@ -116,11 +129,35 @@ def _best_of_each(fns, rounds=3):
     return bests, outs
 
 
+def execute_bugs(n_seeds):
+    """Execute and extract every bundled bug at fixed seeds.
+
+    Returns ``(runs, events, deps)`` counts; the same on every call.
+    """
+    runs = [(seed, False) for seed in range(100, 100 + n_seeds)]
+    runs.append((FAILURE_SEED, True))
+    n_runs = n_events = n_deps = 0
+    for name in all_bug_names():
+        program = get_bug(name)
+        for seed, buggy in runs:
+            run = run_program(program, seed=seed, buggy=buggy)
+            streams = extract_raw_deps(run)
+            n_runs += 1
+            n_events += len(run.events)
+            n_deps += sum(len(s) for s in streams.values())
+    return n_runs, n_events, n_deps
+
+
 def test_throughput(preset, save_result):
     prog = get_kernel("lu")
     config = ACTConfig()
     trained = OfflineTrainer(config=config).train(
         prog, n_runs=preset.n_train_traces, seed0=0)
+
+    # --- program execution and dependence extraction ----------------
+    n_exec_seeds = N_EXECUTION_SEEDS[preset.name]
+    t_exec, (exec_runs, exec_events, exec_deps) = _best_of(
+        lambda: execute_bugs(n_exec_seeds), rounds=3)
 
     # --- replay throughput -------------------------------------------
     base = run_program(prog, seed=99)
@@ -211,6 +248,16 @@ def test_throughput(preset, save_result):
     payload = {
         "preset": preset.name,
         "host_cpus": os.cpu_count(),
+        "execution": {
+            "programs": "bundled bugs",
+            "runs": exec_runs,
+            "events": exec_events,
+            "deps": exec_deps,
+            "seconds": round(t_exec, 6),
+            "runs_per_sec": round(exec_runs / t_exec, 1),
+            "events_per_sec": round(exec_events / t_exec, 1),
+            "deps_per_sec": round(exec_deps / t_exec, 1),
+        },
         "replay": {
             "program": "lu",
             "n_deps": deployment.n_deps,
@@ -266,6 +313,12 @@ def test_throughput(preset, save_result):
         json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
     lines = [
+        f"Program execution + RAW extraction ({exec_runs} runs of the "
+        "bundled bugs)",
+        f"  runs                : {exec_runs / t_exec:,.0f} runs/sec",
+        f"  events              : {exec_events / t_exec:,.0f} events/sec",
+        f"  dependences         : {exec_deps / t_exec:,.0f} deps/sec",
+        "",
         "Replay throughput (TESTING-dominated deploy, program lu)",
         f"  deps replayed       : {deployment.n_deps}",
         f"  throughput          : {replay_dps:,.0f} deps/sec",

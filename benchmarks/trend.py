@@ -12,8 +12,9 @@ with its own direction and threshold: a CI runner two times slower than
 the last machine should not trip the ratio gates, and a corpus run that
 doubled in wall time (the widened ``corpus_wall_seconds`` gate) signals
 a real pipeline regression, not scheduler noise. Absolute throughput
-(replay deps/sec) and the cold/warm speedup split are still recorded in
-every entry so the trajectory can be plotted.
+(program-execution events/sec, replay deps/sec) and the cold/warm
+speedup split are still recorded in every entry so the trajectory can
+be plotted.
 
 Usage (what the ``bench-trend`` CI job runs)::
 
@@ -51,6 +52,7 @@ GATED_METRICS = {
     "frontier.top1": {"direction": "higher", "threshold": 0.25},
 }
 TRACKED_METRICS = {
+    "execution.events_per_sec": "higher",
     "replay.deps_per_sec": "higher",
     "parallel.speedup_warm": "higher",
     "parallel.speedup_cold": "higher",

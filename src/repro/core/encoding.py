@@ -22,15 +22,12 @@ Two encoding paths exist and produce bit-identical values:
   dict -- what the per-dependence AM step uses, in deployment replay and
   in the timing simulator alike;
 - the vectorised path (:meth:`DepEncoder.codes_of` /
-  :meth:`DepEncoder.encode_stream` / :meth:`DepEncoder.encode_windows` /
-  :meth:`DepEncoder.encode_many`), which maps whole dependence streams
-  through precomputed numpy code arrays and materialises every sliding
-  window with stride tricks -- what offline training and the engines'
-  batched scoring use.
+  :meth:`DepEncoder.encode_stream` / :meth:`DepEncoder.encode_many`),
+  which maps whole dependence streams through precomputed numpy code
+  arrays -- what offline training and the engines' batched scoring use.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.common.errors import ConfigError
 
@@ -127,18 +124,6 @@ class DepEncoder:
         out[0::2] = s
         out[1::2] = self.codes_of(loads)
         return out
-
-    def encode_windows(self, deps, seq_len):
-        """Input matrix of every sliding window over a dependence stream.
-
-        Row ``r`` is ``encode_seq(deps[r:r + seq_len])``; the stream is
-        encoded once and the windows are stride-tricked views into the
-        flat array (no per-dependence Python loop, no copies).
-        """
-        if len(deps) < seq_len:
-            return np.empty((0, 2 * seq_len))
-        flat = self.encode_stream(deps)
-        return sliding_window_view(flat, 2 * seq_len)[::2]
 
     def encode_many(self, seqs, seq_len=None):
         """2-D array of encodings for an iterable of equal-length sequences.

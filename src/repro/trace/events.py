@@ -23,9 +23,13 @@ class EventKind(enum.Enum):
         return self in (EventKind.LOAD, EventKind.STORE)
 
 
-@dataclass(frozen=True)
+_MEMORY_KINDS = frozenset((EventKind.LOAD, EventKind.STORE))
+_FIELDS = ("tid", "pc", "kind", "addr", "is_stack", "taken")
+_set = object.__setattr__
+
+
 class TraceEvent:
-    """One dynamic instruction.
+    """One dynamic instruction (immutable).
 
     Attributes:
         tid: id of the thread that executed the instruction. Thread ids
@@ -37,18 +41,55 @@ class TraceEvent:
         is_stack: True for stack accesses; ACT filters these loads
             (Section V, "Filtering of Loads").
         taken: branch outcome for BRANCH events, else ``None``.
+        value: the value a STORE writes, which the scheduler commits to
+            program memory. It is execution state, not part of the trace
+            record: equality, hashing, ``repr`` and the trace file leave
+            it out.
+
+    A slotted class rather than a frozen dataclass: the scheduler builds
+    one per executed instruction, and this costs about a third less.
     """
 
-    tid: int
-    pc: int
-    kind: EventKind
-    addr: Optional[int] = None
-    is_stack: bool = False
-    taken: Optional[bool] = None
+    __slots__ = _FIELDS + ("value",)
 
-    def __post_init__(self):
-        if self.kind.is_memory() and self.addr is None:
-            raise ValueError(f"memory event at pc={self.pc} needs an address")
+    def __init__(self, tid, pc, kind, addr=None, is_stack=False,
+                 taken=None, value=None):
+        if addr is None and kind in _MEMORY_KINDS:
+            raise ValueError(f"memory event at pc={pc} needs an address")
+        _set(self, "tid", tid)
+        _set(self, "pc", pc)
+        _set(self, "kind", kind)
+        _set(self, "addr", addr)
+        _set(self, "is_stack", is_stack)
+        _set(self, "taken", taken)
+        _set(self, "value", value)
+
+    def _record(self):
+        return (self.tid, self.pc, self.kind, self.addr, self.is_stack,
+                self.taken)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TraceEvent is immutable (cannot set {name!r})")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"TraceEvent is immutable (cannot delete {name!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._record() == other._record()
+
+    def __hash__(self):
+        return hash(self._record())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in _FIELDS)
+        return f"TraceEvent({body})"
+
+    def __reduce__(self):
+        return TraceEvent, self._record() + (self.value,)
 
 
 @dataclass

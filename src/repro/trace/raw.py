@@ -12,14 +12,21 @@ is the store before the last store to the same address (if one exists).
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.trace.events import EventKind
 
+_LOAD = EventKind.LOAD
+_STORE = EventKind.STORE
 
-@dataclass(frozen=True, order=True)
-class RawDep:
-    """A RAW dependence ``store_pc -> load_pc`` with its thread label."""
+
+class RawDep(NamedTuple):
+    """A RAW dependence ``store_pc -> load_pc`` with its thread label.
+
+    An immutable record compared, hashed and ordered as its field tuple
+    (cheap as a dict key: Correct Set tries and sequence dedupe hash
+    every dependence).
+    """
 
     store_pc: int
     load_pc: int
@@ -65,33 +72,36 @@ class RawDepExtractor:
         self._last_writer = {}  # tracking-unit key -> (store_pc, tid)
         self._prev_writer = {}
 
-    def _key(self, addr):
-        return addr - (addr % self.granularity)
-
     def feed(self, event, index=0):
         """Process one trace event; return a :class:`DepRecord` or None."""
-        if event.kind == EventKind.STORE:
-            key = self._key(event.addr)
-            if self.track_previous_writer and key in self._last_writer:
-                self._prev_writer[key] = self._last_writer[key]
-            self._last_writer[key] = (event.pc, event.tid)
+        kind = event.kind
+        if kind is _STORE:
+            addr = event.addr
+            key = addr - (addr % self.granularity)
+            last_writer = self._last_writer
+            if self.track_previous_writer:
+                writer = last_writer.get(key)
+                if writer is not None:
+                    self._prev_writer[key] = writer
+            last_writer[key] = (event.pc, event.tid)
             return None
-        if event.kind != EventKind.LOAD:
+        if kind is not _LOAD or (self.filter_stack and event.is_stack):
             return None
-        if self.filter_stack and event.is_stack:
-            return None
-        writer = self._last_writer.get(self._key(event.addr))
+        addr = event.addr
+        key = addr - (addr % self.granularity)
+        writer = self._last_writer.get(key)
         if writer is None:
             # No known writer: the paper simply fails to form a dependence.
             return None
         store_pc, store_tid = writer
-        dep = RawDep(store_pc, event.pc, inter_thread=store_tid != event.tid)
+        tid, pc = event.tid, event.pc
         negative = None
-        prev = self._prev_writer.get(self._key(event.addr))
-        if prev is not None and prev[0] != store_pc:
-            negative = RawDep(prev[0], event.pc, inter_thread=prev[1] != event.tid)
-        return DepRecord(dep=dep, tid=event.tid, addr=event.addr, index=index,
-                         negative=negative)
+        if self.track_previous_writer:
+            prev = self._prev_writer.get(key)
+            if prev is not None and prev[0] != store_pc:
+                negative = RawDep(prev[0], pc, prev[1] != tid)
+        return DepRecord(RawDep(store_pc, pc, store_tid != tid), tid, addr,
+                         index, negative)
 
 
 def extract_raw_deps(run, filter_stack=True):
@@ -115,8 +125,9 @@ def extract_raw_deps_with_negatives(run, filter_stack=True, granularity=4):
 
 def _collect(run, extractor):
     streams = {tid: [] for tid in range(run.n_threads)}
+    feed = extractor.feed
     for index, event in enumerate(run.events):
-        rec = extractor.feed(event, index=index)
+        rec = feed(event, index)
         if rec is not None:
             streams.setdefault(rec.tid, []).append(rec)
     return streams

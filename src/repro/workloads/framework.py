@@ -25,7 +25,7 @@ value semantics are exactly sequential consistency in trace order.
 import enum
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro import telemetry
 from repro.common.errors import ReproError, SimulatedFailure, TraceError
@@ -176,12 +176,16 @@ class _CtrlKind(enum.Enum):
     YIELD = "yield"
 
 
-@dataclass(frozen=True)
-class _Ctrl:
+class _Ctrl(NamedTuple):
     """A scheduler-directed (non-traced) operation yielded by a thread."""
 
     kind: _CtrlKind
     name: str = ""
+
+
+_YIELD = _CtrlKind.YIELD
+_LOAD = EventKind.LOAD
+_STORE = EventKind.STORE
 
 
 class ThreadCtx:
@@ -191,23 +195,20 @@ class ThreadCtx:
         self.tid = tid
 
     def load(self, pc, addr):
-        return TraceEvent(self.tid, pc, EventKind.LOAD, addr=addr)
+        return TraceEvent(self.tid, pc, EventKind.LOAD, addr)
 
     def store(self, pc, addr, value=None):
-        # Values ride along out-of-band (the scheduler reads _value).
-        ev = TraceEvent(self.tid, pc, EventKind.STORE, addr=addr)
-        object.__setattr__(ev, "_value", value)
-        return ev
+        # The value rides on the event; the scheduler commits it.
+        return TraceEvent(self.tid, pc, EventKind.STORE, addr, value=value)
 
     def stack_load(self, pc, slot=0):
         addr = _STACK_BASE + self.tid * _STACK_STRIDE + slot * WORD_SIZE
-        return TraceEvent(self.tid, pc, EventKind.LOAD, addr=addr, is_stack=True)
+        return TraceEvent(self.tid, pc, EventKind.LOAD, addr, True)
 
     def stack_store(self, pc, slot=0, value=None):
         addr = _STACK_BASE + self.tid * _STACK_STRIDE + slot * WORD_SIZE
-        ev = TraceEvent(self.tid, pc, EventKind.STORE, addr=addr, is_stack=True)
-        object.__setattr__(ev, "_value", value)
-        return ev
+        return TraceEvent(self.tid, pc, EventKind.STORE, addr, True,
+                          value=value)
 
     def branch(self, pc, taken):
         return TraceEvent(self.tid, pc, EventKind.BRANCH, taken=bool(taken))
@@ -292,17 +293,22 @@ class Scheduler:
         # interleaving must be reproducible across runs.
         rng = make_rng(self.seed,
                        stream=zlib.crc32(instance.name.encode()) & 0xFFFF)
-        gens = []
-        for tid, body in enumerate(instance.bodies):
-            gens.append(body(ThreadCtx(tid)))
+        random, choice = rng.random, rng.choice
+        switch_prob, max_steps = self.switch_prob, self.max_steps
+        ready, ctrl_blocks, apply_ctrl = (self._ready, self._ctrl_blocks,
+                                          self._apply_ctrl)
+        gens = [body(ThreadCtx(tid))
+                for tid, body in enumerate(instance.bodies)]
         alive = set(range(len(gens)))
         blocked: Dict[int, _Ctrl] = {}
         flags = set()
         locks: Dict[str, int] = {}
         memory: Dict[int, object] = {}
+        memory_get = memory.get
         events = []
+        append = events.append
         failure = None
-        send_values: Dict[int, object] = {tid: None for tid in alive}
+        send_values = [None] * len(gens)
 
         tele = telemetry.get_registry()
         # The registry clock (not perf_counter directly) keeps the
@@ -314,22 +320,30 @@ class Scheduler:
         steps = 0
         while alive:
             steps += 1
-            if steps > self.max_steps:
+            if steps > max_steps:
                 raise TraceError(
-                    f"{instance.name}: exceeded {self.max_steps} steps "
+                    f"{instance.name}: exceeded {max_steps} steps "
                     "(possible livelock)")
-            runnable = [t for t in sorted(alive)
-                        if self._is_runnable(t, blocked, flags, locks)]
-            if not runnable:
-                raise TraceError(f"{instance.name}: deadlock ({blocked})")
-            if current not in runnable or rng.random() < self.switch_prob:
-                current = rng.choice(runnable)
+            # The current thread keeps its quantum if it is runnable and
+            # the switch draw misses: random() is drawn only for a
+            # runnable current thread. Otherwise choice() picks from
+            # the sorted runnable threads, a list built only then.
+            if not (current in alive
+                    and (current not in blocked
+                         or ready(blocked[current], flags, locks))
+                    and random() >= switch_prob):
+                runnable = [t for t in sorted(alive) if t not in blocked
+                            or ready(blocked[t], flags, locks)]
+                if not runnable:
+                    raise TraceError(f"{instance.name}: deadlock ({blocked})")
+                current = choice(runnable)
                 quanta += 1
             tid = current
 
-            pending = blocked.pop(tid, None)
-            if pending is not None:
-                self._apply_ctrl(tid, pending, flags, locks)
+            if blocked:
+                pending = blocked.pop(tid, None)
+                if pending is not None:
+                    apply_ctrl(tid, pending, flags, locks)
             try:
                 item = gens[tid].send(send_values[tid])
             except StopIteration:
@@ -342,20 +356,21 @@ class Scheduler:
                 break
             send_values[tid] = None
 
-            if isinstance(item, _Ctrl):
-                if item.kind == _CtrlKind.YIELD:
+            if item.__class__ is _Ctrl:
+                if item.kind is _YIELD:
                     current = None  # force a re-pick next step
-                elif self._ctrl_blocks(item, flags, locks, tid):
+                elif ctrl_blocks(item, flags, locks, tid):
                     blocked[tid] = item
                 else:
-                    self._apply_ctrl(tid, item, flags, locks)
+                    apply_ctrl(tid, item, flags, locks)
                 continue
 
-            events.append(item)
-            if item.kind == EventKind.LOAD:
-                send_values[tid] = memory.get(item.addr, 0)
-            elif item.kind == EventKind.STORE:
-                memory[item.addr] = getattr(item, "_value", None)
+            append(item)
+            kind = item.kind
+            if kind is _LOAD:
+                send_values[tid] = memory_get(item.addr, 0)
+            elif kind is _STORE:
+                memory[item.addr] = item.value
 
         if tele.enabled:
             elapsed = tele.clock() - started
@@ -380,32 +395,33 @@ class Scheduler:
         )
 
     @staticmethod
-    def _is_runnable(tid, blocked, flags, locks):
-        ctrl = blocked.get(tid)
-        if ctrl is None:
-            return True
-        if ctrl.kind == _CtrlKind.WAIT:
+    def _ready(ctrl, flags, locks):
+        """Whether a thread blocked on ``ctrl`` may run now."""
+        kind = ctrl.kind
+        if kind is _CtrlKind.WAIT:
             return ctrl.name in flags
-        if ctrl.kind == _CtrlKind.ACQUIRE:
+        if kind is _CtrlKind.ACQUIRE:
             return locks.get(ctrl.name) is None
         return True
 
     @staticmethod
     def _ctrl_blocks(ctrl, flags, locks, tid):
-        if ctrl.kind == _CtrlKind.WAIT:
+        kind = ctrl.kind
+        if kind is _CtrlKind.WAIT:
             return ctrl.name not in flags
-        if ctrl.kind == _CtrlKind.ACQUIRE:
+        if kind is _CtrlKind.ACQUIRE:
             holder = locks.get(ctrl.name)
             return holder is not None and holder != tid
         return False
 
     @staticmethod
     def _apply_ctrl(tid, ctrl, flags, locks):
-        if ctrl.kind == _CtrlKind.SET:
+        kind = ctrl.kind
+        if kind is _CtrlKind.SET:
             flags.add(ctrl.name)
-        elif ctrl.kind == _CtrlKind.ACQUIRE:
+        elif kind is _CtrlKind.ACQUIRE:
             locks[ctrl.name] = tid
-        elif ctrl.kind == _CtrlKind.RELEASE:
+        elif kind is _CtrlKind.RELEASE:
             if locks.get(ctrl.name) != tid:
                 raise TraceError(f"thread {tid} released lock "
                                  f"{ctrl.name!r} it does not hold")

@@ -111,20 +111,16 @@ class TestVectorisedPaths:
             assert flat[2 * i] == s
             assert flat[2 * i + 1] == l
 
-    def test_encode_windows_matches_encode_seq(self):
+    def test_encode_many_sliding_windows_match_encode_seq(self):
         enc = self._encoder()
         deps = self._stream(25)
         for seq_len in (1, 2, 3, 5):
-            xs = enc.encode_windows(deps, seq_len)
+            windows = [tuple(deps[r:r + seq_len])
+                       for r in range(len(deps) - seq_len + 1)]
+            xs = enc.encode_many(windows, seq_len)
             assert xs.shape == (len(deps) - seq_len + 1, 2 * seq_len)
-            for r in range(xs.shape[0]):
-                ref = enc.encode_seq(tuple(deps[r:r + seq_len]))
-                assert np.array_equal(xs[r], ref)
-
-    def test_encode_windows_short_stream_is_empty(self):
-        enc = self._encoder()
-        xs = enc.encode_windows(self._stream(2), 5)
-        assert xs.shape == (0, 10)
+            for row, window in zip(xs, windows):
+                assert np.array_equal(row, enc.encode_seq(window))
 
     def test_encode_many_empty_with_seq_len_hint(self):
         enc = self._encoder()

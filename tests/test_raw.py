@@ -1,5 +1,8 @@
 """Tests for RAW-dependence extraction, including property-based checks."""
 
+import pickle
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.trace.events import EventKind, TraceEvent, TraceRun
@@ -20,6 +23,41 @@ def _st(tid, pc, addr):
 
 def _ld(tid, pc, addr, stack=False):
     return TraceEvent(tid, pc, EventKind.LOAD, addr=addr, is_stack=stack)
+
+
+class TestRawDepRecord:
+    """RawDep is compared, hashed and ordered as its field tuple, like
+    the frozen ordered dataclass it replaced, so set and dict orders of
+    dependences (Correct Set tries, sequence dedupe) stay the same."""
+
+    def test_field_equality(self):
+        assert RawDep(0x10, 0x20, True) == RawDep(0x10, 0x20, True)
+        assert RawDep(0x10, 0x20) == RawDep(0x10, 0x20, False)
+        assert RawDep(0x10, 0x20, True) != RawDep(0x10, 0x20, False)
+        assert RawDep(0x10, 0x20) != RawDep(0x10, 0x24)
+
+    def test_hash_is_the_field_tuple_hash(self):
+        for dep in (RawDep(0x1000, 0x1004), RawDep(7, 3, True)):
+            assert hash(dep) == hash((dep.store_pc, dep.load_pc,
+                                      dep.inter_thread))
+
+    def test_ordering_is_field_order(self):
+        deps = [RawDep(2, 1), RawDep(1, 3, True), RawDep(1, 3), RawDep(1, 2)]
+        assert sorted(deps) == [RawDep(1, 2), RawDep(1, 3),
+                                RawDep(1, 3, True), RawDep(2, 1)]
+        assert RawDep(1, 9) < RawDep(2, 0)
+
+    def test_str_and_repr(self):
+        assert str(RawDep(4096, 4100)) == "4096->4100"
+        assert str(RawDep(4096, 4100, True)) == "4096=>4100"
+        assert repr(RawDep(1, 2)) == \
+            "RawDep(store_pc=1, load_pc=2, inter_thread=False)"
+
+    def test_immutable_and_picklable(self):
+        dep = RawDep(1, 2, True)
+        with pytest.raises(AttributeError):
+            dep.store_pc = 5
+        assert pickle.loads(pickle.dumps(dep)) == dep
 
 
 class TestExtractor:

@@ -48,7 +48,9 @@ def test_scalar_step_matches_batch_scoring(name):
     n_checked = 0
     for tid, deps in sorted(_thread_streams(trained, run).items()):
         module = trained.make_module(tid)
-        xs = module.encoder.encode_windows(deps, seq_len)
+        xs = module.encoder.encode_many(
+            [tuple(deps[r:r + seq_len])
+             for r in range(len(deps) - seq_len + 1)], seq_len)
         batch, _ = trained.make_network(tid).predict_batch_exact(xs)
         for i, dep in enumerate(deps):
             pred = module.process_dep(dep)

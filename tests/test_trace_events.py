@@ -1,5 +1,7 @@
 """Tests for trace event records and TraceRun helpers."""
 
+import pickle
+
 import pytest
 
 from repro.trace.events import EventKind, TraceEvent, TraceRun
@@ -30,6 +32,32 @@ class TestTraceEvent:
         e = TraceEvent(0, 0x1000, EventKind.ALU)
         with pytest.raises(Exception):
             e.pc = 5
+
+    def test_fields_cannot_be_deleted(self):
+        e = TraceEvent(0, 0x1000, EventKind.ALU)
+        with pytest.raises(AttributeError):
+            del e.pc
+
+    def test_store_value_is_not_part_of_the_record(self):
+        a = TraceEvent(0, 0x1000, EventKind.STORE, addr=8, value=1)
+        b = TraceEvent(0, 0x1000, EventKind.STORE, addr=8, value=2)
+        assert a.value == 1 and a == b and hash(a) == hash(b)
+        assert repr(a) == ("TraceEvent(tid=0, pc=4096, kind=<EventKind.STORE:"
+                           " 'store'>, addr=8, is_stack=False, taken=None)")
+        with pytest.raises(AttributeError):
+            a.value = 3
+
+    def test_field_equality(self):
+        e = TraceEvent(1, 0x1000, EventKind.LOAD, addr=8, is_stack=True)
+        assert e == TraceEvent(1, 0x1000, EventKind.LOAD, addr=8,
+                               is_stack=True)
+        assert e != TraceEvent(1, 0x1000, EventKind.LOAD, addr=8)
+        assert e != (1, 0x1000, EventKind.LOAD, 8, True, None)
+
+    def test_pickle_keeps_fields_and_value(self):
+        e = TraceEvent(2, 0x1004, EventKind.STORE, addr=12, value=(3, 3))
+        back = pickle.loads(pickle.dumps(e))
+        assert back == e and back.value == (3, 3)
 
 
 class TestTraceRun:

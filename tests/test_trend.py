@@ -148,6 +148,8 @@ def _full_payload(speedup=3.0, wall=5.0, overhead=0.5, top1=1.0):
                            "recall": 1.0}
     payload["telemetry"] = {"null_seconds": 0.5, "live_seconds": 0.51,
                             "overhead_pct": 2.0}
+    payload["execution"] = {"runs_per_sec": 4e3, "events_per_sec": 2e5,
+                            "deps_per_sec": 8e4}
     return payload
 
 
@@ -224,6 +226,8 @@ class TestDirectionalGates:
         pytest.param("frontier.recall", 0.1, id="frontier.recall"),
         pytest.param("telemetry.overhead_pct", 40.0,
                      id="telemetry.overhead_pct"),
+        pytest.param("execution.events_per_sec", 2e4,
+                     id="execution.events_per_sec"),
     ])
     def test_tracked_metric_is_not_gated(self, tmp_path, path, worse_value):
         _run(tmp_path, _full_payload())
