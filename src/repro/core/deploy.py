@@ -14,6 +14,7 @@ import numpy as np
 from repro import faults as _faults
 from repro import telemetry
 from repro.common.errors import FaultInjected
+from repro.core.act_module import publish_stats
 from repro.trace.raw import RawDepExtractor
 
 
@@ -137,4 +138,5 @@ def deploy_on_run(trained, run, keep_records=False, quarantine=None):
     if tele.enabled:
         tele.inc("deploy.runs")
         tele.inc("deploy.deps", result.n_deps)
+        publish_stats(modules.values())
     return result

@@ -90,6 +90,11 @@ class OneHiddenLayerNet:
     output is at least 0.5. :meth:`margin` exposes the signed quantity
     ``output - 0.5`` that the paper uses as prediction confidence (the
     ranking tie-break wants the "most negative neural network output").
+
+    ``version`` counts weight updates: :meth:`train_example`,
+    :meth:`write_weights` and any code that edits the weight arrays in
+    place bump it, so a cached output is valid only while the network's
+    version is the one it was computed at.
     """
 
     def __init__(self, n_inputs, n_hidden, seed=0, max_inputs=DEFAULT_MAX_INPUTS,
@@ -108,6 +113,7 @@ class OneHiddenLayerNet:
         # +1 column holds the bias weight (input fixed at 1.0).
         self.w_hidden = (rng.random((n_hidden, n_inputs + 1)) - 0.5) * 2 * init_scale
         self.w_out = (rng.random(n_hidden + 1) - 0.5) * 2 * init_scale
+        self.version = 0
 
     # ------------------------------------------------------------------
     # Inference
@@ -184,6 +190,7 @@ class OneHiddenLayerNet:
         """
         x = np.asarray(x, dtype=float)
         h, o = self.forward(x)
+        self.version += 1
         err_o = o * (1.0 - o) * (target - o)
         err_h = h * (1.0 - h) * (self.w_out[:-1] * err_o)
         self.w_out[:-1] += lr * err_o * h
@@ -214,6 +221,7 @@ class OneHiddenLayerNet:
         k = self.w_hidden.size
         self.w_hidden = flat[:k].reshape(self.w_hidden.shape).copy()
         self.w_out = flat[k:].copy()
+        self.version += 1
 
     def clone(self):
         """An independent copy (same weights, shared sigmoid table)."""

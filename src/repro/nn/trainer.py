@@ -267,6 +267,7 @@ def _sgd_examples(net, xs, targets, lr, order=None):
     clip = sig.clip
     res1 = sig.resolution - 1
     two_clip = 2 * sig.clip
+    net.version += 1  # the sweep below edits the weights in place
     w_out = net.w_out
     wh = net.w_hidden[:, :-1]
     whb = net.w_hidden[:, -1]

@@ -26,7 +26,7 @@ from repro.sim.coherence import CoherentMemorySystem
 from repro.sim.params import MachineParams
 from repro.trace.events import EventKind
 from repro.trace.raw import DepRecord, RawDep
-from repro.core.act_module import Mode
+from repro.core.act_module import Mode, publish_stats
 
 
 @dataclass
@@ -177,6 +177,7 @@ class Machine:
             tele.inc("sim.deps_offered", deps_offered)
             tele.set_gauge("sim.overhead_proxy", round(proxy, 4))
             self.memory.publish_telemetry(tele)
+            publish_stats(self._modules.values())
         return MachineResult(cycles=cycles, core_cycles=clocks,
                              act_stall_cycles=stall_total,
                              deps_offered=deps_offered,

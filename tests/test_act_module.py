@@ -169,3 +169,108 @@ class TestWindowRateBounding:
     def test_tail_validated(self):
         with pytest.raises(Exception):
             ACTConfig(window_rate_tail=0)
+
+
+class TestWindowOutputReuse:
+    """Each distinct window is scored once per network weight version."""
+
+    @staticmethod
+    def _stream(n, seed):
+        import random
+        rng = random.Random(seed)
+        return [RawDep(0x100 + 4 * rng.randrange(5),
+                       0x100 + 4 * rng.randrange(5),
+                       rng.random() < 0.3) for _ in range(n)]
+
+    @staticmethod
+    def _count_forward(net):
+        calls = []
+        forward = net.forward
+
+        def counted(x):
+            calls.append(1)
+            return forward(x)
+        net.forward = counted
+        return calls
+
+    @pytest.mark.parametrize("seed", [0, 4, 7])
+    def test_records_match_scoring_every_window(self, seed):
+        m = _module(seq_len=2, window=8, threshold=0.05, seed=seed)
+        calls = self._count_forward(m.net)
+        records = []
+        for dep in self._stream(600, seed):
+            before = m.net.clone()
+            rec = m.process_dep(dep)
+            if rec is None:
+                continue
+            records.append(rec)
+            # The reference encodes the window and runs the network at
+            # the weights the step started from.
+            output = before.output(m.encoder.encode_seq(rec.seq))
+            assert rec.output == output
+            assert rec.predicted_invalid == (output < 0.5)
+        assert m.stats.online_trained > 0
+        assert m.stats.mode_switches > 0
+        # Hits skipped the forward pass; every online update ran one.
+        assert len(calls) - m.stats.online_trained < len(records)
+
+    def test_repeated_window_scored_once(self):
+        m = _module(seq_len=2, window=10_000)
+        calls = self._count_forward(m.net)
+        for _ in range(50):
+            m.process_dep(_dep(0))
+        assert m.stats.predictions == 49
+        assert len(calls) == 1
+
+    # Each case replaces the weights between two occurrences of the same
+    # window; the second must be scored with the new weights.
+
+    def _rescored(self, mutate):
+        m = _module(seq_len=2, window=10_000)
+        first = [m.process_dep(_dep(0)) for _ in range(3)][-1]
+        mutate(m)
+        rec = [m.process_dep(_dep(0)) for _ in range(3)][-1]
+        assert rec.output == m.net.output(m.encoder.encode_seq(rec.seq))
+        assert rec.output != first.output
+
+    @staticmethod
+    def _zeros(m):
+        return np.zeros(m.net.n_weight_registers)
+
+    def test_restore_weights_invalidates(self):
+        self._rescored(lambda m: m.restore_weights(self._zeros(m)))
+
+    def test_context_switch_in_invalidates(self):
+        self._rescored(lambda m: m.context_switch_in(self._zeros(m)))
+
+    def test_heal_write_weights_invalidates(self):
+        from types import SimpleNamespace
+
+        from repro.core.deploy import _heal_module
+
+        def damage_then_heal(m):
+            flat = m.save_weights()
+            flat[0] = np.nan
+            m.restore_weights(flat)
+            m.process_dep(_dep(0))  # scored with the damaged weights
+            trained = SimpleNamespace(default_weights=self._zeros(m))
+            assert _heal_module(m, trained, 0, None) is m
+        self._rescored(damage_then_heal)
+
+    def test_new_network_object_invalidates(self):
+        from repro.nn.network import OneHiddenLayerNet
+
+        def swap(m):
+            net = OneHiddenLayerNet(m.net.n_inputs, m.net.n_hidden, seed=7,
+                                    sigmoid=m.net.sigmoid)
+            assert net.version == m.net.version
+            m.net = net
+        self._rescored(swap)
+
+    def test_sgd_examples_invalidates(self):
+        from repro.nn.trainer import _sgd_examples
+
+        def sweep(m):
+            x = m.encoder.encode_seq((_dep(0), _dep(0)))
+            _sgd_examples(m.net, np.array([x]), np.array([0.0]), 5.0)
+        self._rescored(sweep)

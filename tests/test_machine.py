@@ -1,8 +1,11 @@
 """Tests for the trace-driven timing machine."""
 
+import hashlib
+
 import pytest
 
 from repro.core.config import ACTConfig
+from repro.core.offline import OfflineTrainer
 from repro.sim.machine import (
     annotate_run,
     cache_dep_streams,
@@ -104,3 +107,134 @@ class TestCacheDepStreams:
         params = MachineParams(lw_word_granularity=False)
         cache = cache_dep_streams(lu_run, params)
         assert sum(len(s) for s in cache.values()) > 0
+
+
+
+# ----------------------------------------------------------------------
+# Simulator-cycle identity
+# ----------------------------------------------------------------------
+#
+# SHA-256 over the timed replay of every Table III kernel (default kernel
+# parameters, trace seed 7, state trained on 2 correct runs): base and
+# ACT cycles, deps offered and stalled, ACT stall cycles, and each AM's
+# AMStats, mode and Debug Buffer. At default parameters no kernel
+# mispredicts, so MISMATCHED also replays kernels with another kernel's
+# trained state ("fft<lu": fft with lu's) and an 8-dependence check
+# window: those AMs log invalid
+# windows, switch into online training and stall the pipeline in it.
+# A change to how the functional model scores windows must leave every
+# digest unchanged. To regenerate after an intended behaviour change,
+# run this file as a script and paste its output below.
+
+KERNEL_SEED = 7
+TABLE_III_KERNELS = ("barnes", "bc", "bzip2", "canneal", "fft",
+                     "fluidanimate", "lu", "mcf", "ocean", "radix",
+                     "streamcluster", "swaptions")
+MISMATCHED = {"fft<lu": ("fft", "lu"), "lu<fft": ("lu", "fft"),
+              "barnes<radix": ("barnes", "radix"),
+              "bzip2<mcf": ("bzip2", "mcf")}
+
+
+def _float_text(x):
+    return repr(float(x))
+
+
+def _seq_text(seq):
+    return ",".join(f"{d.store_pc}:{d.load_pc}:{int(d.inter_thread)}"
+                    for d in seq)
+
+
+def _module_lines(tid, module):
+    s = module.stats
+    lines = [f"am {tid} deps={s.deps_processed} pred={s.predictions} "
+             f"invalid={s.invalid_predictions} "
+             f"trained={s.online_trained} switches={s.mode_switches} "
+             f"windows={s.windows_checked} "
+             f"rate_sum={_float_text(s.window_rate_sum)} "
+             f"rate_max={_float_text(s.window_rate_max)} "
+             f"mode={module.mode.value}",
+             "rates " + ",".join(_float_text(r) for r in s.window_rates),
+             f"debug logged={module.debug_buffer.total_logged}"]
+    for e in module.debug_buffer.entries:
+        lines.append(f"{e.index}|{e.tid}|{_float_text(e.output)}|"
+                     f"{_seq_text(e.seq)}")
+    return lines
+
+
+def cycle_digest(kernel, trained_on=None, check_window=None):
+    """SHA-256 over one kernel's base and ACT replay (see above)."""
+    trained = OfflineTrainer(config=ACTConfig()).train(
+        get_kernel(trained_on or kernel), n_runs=2, seed0=0)
+    act_config = None
+    if check_window is not None:
+        act_config = trained.config.with_(check_window=check_window)
+    run = run_program(get_kernel(kernel), seed=KERNEL_SEED)
+    base = simulate_run(run)
+    act = simulate_run(run, trained=trained, act_config=act_config)
+    lines = [f"base={base.cycles}", f"act={act.cycles}",
+             f"offered={act.deps_offered}", f"stalled={act.deps_stalled}",
+             f"stall_cycles={_float_text(act.act_stall_cycles)}"]
+    for tid in sorted(act.act_modules or {}):
+        lines.extend(_module_lines(tid, act.act_modules[tid]))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _all_cycle_digests():
+    out = {name: cycle_digest(name) for name in TABLE_III_KERNELS}
+    for label, (kernel, trained_on) in MISMATCHED.items():
+        out[label] = cycle_digest(kernel, trained_on, check_window=8)
+    return out
+
+
+# Generated before window outputs were reused within a replay.
+CYCLE_DIGESTS = {
+    'barnes':
+        '9488f99cfc3998702d67dcdfdbf34974a100f679e4f9fcc89ab70e3a4ba1215d',
+    'bc':
+        '826fe89c5630406997a5b11e6ec6ceeaeae991bb6239dc4cb16c8fa2549d69d9',
+    'bzip2':
+        '746bd63531f54c024e3c6d844a4b2013a2b38d5c014df38ce1c2ad436788bde2',
+    'canneal':
+        'bcbc9124b7763e44e4087e216e99fc80d2a91de9004d017fcbc22112d8308f3b',
+    'fft':
+        'a972c8fa48129c413ed61b8d9d55901dd1aa0ae960d4a2d29aad27e193ef0a98',
+    'fluidanimate':
+        '48ea8935d0bbc185ec72779da51bb44a6b56888f5c76925c8a71cbb536da8c6a',
+    'lu':
+        '7935d7caf012f5d275552732fe9dd5fa723394ef3e09666c22353ee5d1ee242d',
+    'mcf':
+        'a5a2ae265736deff6fbaa04db779d92dc1c25efd47cbc65926ef53c0fa0dedfe',
+    'ocean':
+        '2449affb4a8e83e907d8c4d23aba232e5ac581373eaef32f8132627346db1e2e',
+    'radix':
+        '1e036544ffa78e2ad00136701bbc1d8e8bdf988461ab9eae4bbdb299276014be',
+    'streamcluster':
+        '9d85ae191df168b3b27bfe50c3be88008dc1ff5f3728442a456443bbdc33a332',
+    'swaptions':
+        '32923b8ff415888a17a9b6012063d8f96a6057df457d5a8a35b6f8794521558b',
+    'fft<lu':
+        '4c877b42ac53b94e02de5b2d065829631f0f40077c912148f06496a8859eaacd',
+    'lu<fft':
+        '463232dbc57fca9ef124f27bf42b4a12f0d2a855ee5c64b68907fdbd748a00c3',
+    'barnes<radix':
+        '9dca518cd02dcb91bd0e27ed3f63b19667d355b52115c861a1a2e0d55987cf41',
+    'bzip2<mcf':
+        'ac81c083ae016262ec850d527f4d3ad50cd9f8c8f0d8a0d82afc1c5764ed3a81',
+}
+
+
+class TestSimulatorCycleIdentity:
+    @pytest.mark.parametrize("name", TABLE_III_KERNELS)
+    def test_kernel_digest(self, name):
+        assert cycle_digest(name) == CYCLE_DIGESTS[name]
+
+    @pytest.mark.parametrize("label", sorted(MISMATCHED))
+    def test_mismatched_state_digest(self, label):
+        kernel, trained_on = MISMATCHED[label]
+        assert (cycle_digest(kernel, trained_on, check_window=8)
+                == CYCLE_DIGESTS[label])
+
+
+if __name__ == "__main__":
+    for _label, _digest in _all_cycle_digests().items():
+        print(f"    {_label!r}:\n        {_digest!r},")
