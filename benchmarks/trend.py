@@ -12,9 +12,9 @@ with its own direction and threshold: a CI runner two times slower than
 the last machine should not trip the ratio gates, and a corpus run that
 doubled in wall time (the widened ``corpus_wall_seconds`` gate) signals
 a real pipeline regression, not scheduler noise. Absolute throughput
-(program-execution events/sec, replay deps/sec) and the cold/warm
-speedup split are still recorded in every entry so the trajectory can
-be plotted.
+(program-execution events/sec, replay deps/sec, simulated memory
+accesses/sec) and the cold/warm speedup split are still recorded in
+every entry so the trajectory can be plotted.
 
 Usage (what the ``bench-trend`` CI job runs)::
 
@@ -54,6 +54,7 @@ GATED_METRICS = {
 TRACKED_METRICS = {
     "execution.events_per_sec": "higher",
     "replay.deps_per_sec": "higher",
+    "sim.accesses_per_sec": "higher",
     "parallel.speedup_warm": "higher",
     "parallel.speedup_cold": "higher",
     "cache.warm_speedup": "higher",

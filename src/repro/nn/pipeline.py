@@ -18,6 +18,7 @@ for that back-pressure).
 """
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -84,17 +85,17 @@ class ACTPipelineModel:
             (accepted, retry_cycle): ``retry_cycle`` is the cycle at
             which the caller should retry when rejected, else ``cycle``.
         """
-        while self._pending_starts and self._pending_starts[0] <= cycle:
-            self._pending_starts.popleft()
-        if len(self._pending_starts) >= self.fifo_depth:
+        starts = self._pending_starts
+        while starts and starts[0] <= cycle:
+            starts.popleft()
+        if len(starts) >= self.fifo_depth:
             self.rejected += 1
-            return False, self._pending_starts[0]
-        interval = self.service_interval(training)
-        if self._last_start is None:
-            start = cycle
-        else:
-            start = max(cycle, self._last_start + interval)
-        self._pending_starts.append(start)
+            return False, starts[0]
+        start = cycle
+        if self._last_start is not None:
+            start = max(cycle, self._last_start
+                        + self.service_interval(training))
+        starts.append(start)
         self._last_start = start
         self.accepted += 1
         return True, cycle
@@ -110,7 +111,10 @@ class ACTPipelineModel:
 
     def occupancy(self, cycle):
         """FIFO entries still waiting at ``cycle`` (for tests/stats)."""
-        return sum(1 for s in self._pending_starts if s > cycle)
+        # Starts are non-decreasing (each is max(cycle, previous start +
+        # interval)), so the entries after ``cycle`` are a suffix.
+        starts = self._pending_starts
+        return len(starts) - bisect_right(starts, cycle)
 
     def reset(self):
         self._pending_starts.clear()

@@ -43,18 +43,17 @@ class Cache:
         # set index -> OrderedDict(line_addr -> CacheLine); order = LRU
         # (oldest first). A set's container is made on its first insert:
         # most of a large cache's sets are never touched by a short run.
-        self._sets = {}
-
-    def _index(self, line_addr):
-        return (line_addr // self.line_size) % self.n_sets
+        # Public because the coherent memory system's load and store
+        # paths read it directly, with the set arithmetic inlined.
+        self.sets = {}
 
     def line_addr(self, addr):
         return addr - (addr % self.line_size)
 
     def lookup(self, addr, touch=True):
         """Return the resident :class:`CacheLine` or None."""
-        la = self.line_addr(addr)
-        s = self._sets.get(self._index(la))
+        la = addr - addr % self.line_size
+        s = self.sets.get((la // self.line_size) % self.n_sets)
         if s is None:
             return None
         line = s.get(la)
@@ -64,13 +63,13 @@ class Cache:
 
     def insert(self, addr, state):
         """Insert a line; returns (line, evicted_line_or_None)."""
-        la = self.line_addr(addr)
-        index = self._index(la)
-        s = self._sets.get(index)
+        la = addr - addr % self.line_size
+        index = (la // self.line_size) % self.n_sets
+        s = self.sets.get(index)
         if s is None:
-            s = self._sets[index] = OrderedDict()
-        if la in s:
-            line = s[la]
+            s = self.sets[index] = OrderedDict()
+        line = s.get(la)
+        if line is not None:
             line.state = state
             s.move_to_end(la)
             return line, None
@@ -83,14 +82,14 @@ class Cache:
 
     def invalidate(self, addr):
         """Remove a line; returns it (or None)."""
-        la = self.line_addr(addr)
-        s = self._sets.get(self._index(la))
+        la = addr - addr % self.line_size
+        s = self.sets.get((la // self.line_size) % self.n_sets)
         return None if s is None else s.pop(la, None)
 
     def resident_lines(self):
         """Every resident line, set by set in index order (LRU first)."""
-        for index in sorted(self._sets):
-            yield from self._sets[index].values()
+        for index in sorted(self.sets):
+            yield from self.sets[index].values()
 
     def __contains__(self, addr):
         return self.lookup(addr, touch=False) is not None

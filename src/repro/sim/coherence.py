@@ -10,8 +10,7 @@ last-writer metadata per Section V:
   for dirty lines unless ``lw_piggyback_dirty_only`` is disabled.
 """
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.sim.cache import Cache
 from repro.sim.params import MachineParams
@@ -26,8 +25,7 @@ class MESIState:
     INVALID = "I"
 
 
-@dataclass(frozen=True)
-class AccessResult:
+class AccessResult(NamedTuple):
     """Result of one cache access."""
 
     level: str                 # "l1" | "l2" | "c2c" | "mem" | "upgrade"
@@ -57,6 +55,11 @@ class CoherentMemorySystem:
                       "c2c": 0, "mem": 0, "upgrades": 0, "evictions": 0,
                       "lw_dropped": 0}
         self._published = dict.fromkeys(self.stats, 0)
+        # Every core has the same geometry; the load and store paths
+        # compute a line's address and set indices once from these.
+        self._line_size = self.params.line_size
+        self._l1_n_sets = self.params.l1_sets
+        self._l2_n_sets = self.params.l2_sets
 
     def publish_telemetry(self, registry, prefix="sim.cache."):
         """Mirror the access counters into a telemetry registry.
@@ -64,8 +67,9 @@ class CoherentMemorySystem:
         Publishes only the delta since the previous call, so a machine
         that replays several traces through one memory system reports
         each replay once. ``lw_dropped`` is the Section V last-writer-
-        metadata loss (dirty evictions whose writer info is discarded);
-        ``mem`` is the miss-to-memory count.
+        metadata loss: evictions that discarded last-writer metadata,
+        whether the line was dirty or a clean copy that received the
+        metadata by piggyback; ``mem`` is the miss-to-memory count.
         """
         if not registry.enabled:
             return
@@ -76,14 +80,6 @@ class CoherentMemorySystem:
             self._published[key] = value
 
     # ------------------------------------------------------------------
-
-    def _word_offset(self, addr, line_addr):
-        return (addr - line_addr) // 4
-
-    def _lw_key(self, addr, line_addr):
-        if self.params.lw_word_granularity:
-            return addr - (addr % 4)
-        return line_addr
 
     def _evict(self, core, evicted):
         if evicted is None:
@@ -101,142 +97,130 @@ class CoherentMemorySystem:
         elif evicted.last_writer:
             self.stats["lw_dropped"] += 1
 
-    def _remote_holders(self, core, line_addr):
+    def _fetch(self, core, addr, line_addr, key, l2_index):
+        """Serve a miss from a remote L2 or from memory.
+
+        Returns (level, latency, supplier line or None, the writer map
+        the new line starts with). Every core's L2 has the same
+        geometry, so the other cores are snooped at one set index.
+        """
+        p = self.params
         holders = []
         for c, caches in enumerate(self._cores):
-            if c == core:
-                continue
-            line = caches.l2.lookup(line_addr, touch=False)
-            if line is not None and line.state != MESIState.INVALID:
-                holders.append((c, line))
-        return holders
+            if c != core:
+                s = caches.l2.sets.get(l2_index)
+                line = None if s is None else s.get(line_addr)
+                if line is not None and line.state != MESIState.INVALID:
+                    holders.append(line)
+        if holders:
+            self.stats["c2c"] += 1
+            for src in holders:
+                if src.state == MESIState.MODIFIED:
+                    # Dirty cache-to-cache transfer: metadata piggybacks.
+                    return ("c2c", p.cache_to_cache_latency, src,
+                            dict(src.last_writer))
+            src = holders[0]
+            writer_map = ({} if p.lw_piggyback_dirty_only
+                          else dict(src.last_writer))
+            return "c2c", p.cache_to_cache_latency, src, writer_map
+        self.stats["mem"] += 1
+        mw = self._main_lw.get(addr - addr % 4 if p.lw_word_granularity
+                               else line_addr)
+        return "mem", p.memory_latency, None, {} if mw is None else {key: mw}
 
-    def _main_writer(self, addr, line_addr):
-        return self._main_lw.get(self._lw_key(addr, line_addr))
-
-    # ------------------------------------------------------------------
+    # The load and store paths below inline Cache.lookup on the L2 and
+    # L1 sets: about 98 % of accesses hit L1, and for those the set
+    # arithmetic, two dict probes and the LRU touches are the whole cost.
 
     def load(self, core, addr):
         """Perform a load; returns an :class:`AccessResult`."""
-        self.stats["loads"] += 1
-        p = self.params
+        stats = self.stats
+        stats["loads"] += 1
         caches = self._cores[core]
-        line_addr = caches.l2.line_addr(addr)
-        offset = self._word_offset(addr, line_addr)
-        l2_line = caches.l2.lookup(addr)
-        state_before = l2_line.state if l2_line else MESIState.INVALID
-
-        if l2_line is not None and l2_line.state != MESIState.INVALID:
-            writer = l2_line.get_writer(offset, p.lw_word_granularity)
-            if caches.l1.lookup(addr) is not None:
-                self.stats["l1_hits"] += 1
-                return AccessResult("l1", p.l1_latency, state_before,
-                                    writer, line_addr)
-            self.stats["l2_hits"] += 1
-            _, ev1 = caches.l1.insert(addr, l2_line.state)
-            return AccessResult("l2", p.l2_latency, state_before, writer,
-                                line_addr)
-
-        holders = self._remote_holders(core, line_addr)
-        dirty = [(c, ln) for c, ln in holders
-                 if ln.state == MESIState.MODIFIED]
-        writer = None
-        if dirty:
-            self.stats["c2c"] += 1
-            level, latency = "c2c", p.cache_to_cache_latency
-            src = dirty[0][1]
-            src.state = MESIState.SHARED
-            writer_map = dict(src.last_writer)  # piggybacked (dirty c2c)
-            new_state = MESIState.SHARED
-        elif holders:
-            self.stats["c2c"] += 1
-            level, latency = "c2c", p.cache_to_cache_latency
-            src = holders[0][1]
-            src.state = MESIState.SHARED
-            if p.lw_piggyback_dirty_only:
-                writer_map = {}
-            else:
-                writer_map = dict(src.last_writer)
-            new_state = MESIState.SHARED
+        line_size = self._line_size
+        line_addr = addr - addr % line_size
+        block = line_addr // line_size
+        key = (addr - line_addr) // 4 if self.params.lw_word_granularity else 0
+        l2_set = caches.l2.sets.get(block % self._l2_n_sets)
+        l2_line = None if l2_set is None else l2_set.get(line_addr)
+        if l2_line is None:
+            state_before = MESIState.INVALID
         else:
-            self.stats["mem"] += 1
-            level, latency = "mem", p.memory_latency
-            writer_map = {}
-            mw = self._main_writer(addr, line_addr)
-            if mw is not None:
-                key = offset if p.lw_word_granularity else 0
-                writer_map[key] = mw
-            new_state = MESIState.EXCLUSIVE
+            l2_set.move_to_end(line_addr)
+            state_before = l2_line.state
+            if state_before != MESIState.INVALID:
+                writer = l2_line.last_writer.get(key)
+                l1_set = caches.l1.sets.get(block % self._l1_n_sets)
+                if l1_set is not None and line_addr in l1_set:
+                    l1_set.move_to_end(line_addr)
+                    stats["l1_hits"] += 1
+                    return AccessResult("l1", self.params.l1_latency,
+                                        state_before, writer, line_addr)
+                stats["l2_hits"] += 1
+                caches.l1.insert(addr, state_before)
+                return AccessResult("l2", self.params.l2_latency,
+                                    state_before, writer, line_addr)
 
+        level, latency, src, writer_map = self._fetch(
+            core, addr, line_addr, key, block % self._l2_n_sets)
+        new_state = MESIState.EXCLUSIVE
+        if src is not None:
+            src.state = new_state = MESIState.SHARED
         line, evicted = caches.l2.insert(addr, new_state)
         self._evict(core, evicted)
         line.last_writer = writer_map
         caches.l1.insert(addr, new_state)
-        writer = line.get_writer(offset, p.lw_word_granularity)
-        return AccessResult(level, latency, state_before, writer, line_addr)
+        return AccessResult(level, latency, state_before,
+                            writer_map.get(key), line_addr)
 
     def store(self, core, addr, pc):
         """Perform a store by ``core`` at instruction ``pc``."""
-        self.stats["stores"] += 1
-        p = self.params
+        stats = self.stats
+        stats["stores"] += 1
         caches = self._cores[core]
-        line_addr = caches.l2.line_addr(addr)
-        offset = self._word_offset(addr, line_addr)
-        l2_line = caches.l2.lookup(addr)
-        state_before = l2_line.state if l2_line else MESIState.INVALID
+        line_size = self._line_size
+        line_addr = addr - addr % line_size
+        block = line_addr // line_size
+        key = (addr - line_addr) // 4 if self.params.lw_word_granularity else 0
+        l2_set = caches.l2.sets.get(block % self._l2_n_sets)
+        l2_line = None if l2_set is None else l2_set.get(line_addr)
+        if l2_line is None:
+            state_before = MESIState.INVALID
+        else:
+            l2_set.move_to_end(line_addr)
+            state_before = l2_line.state
 
-        if l2_line is not None and l2_line.state == MESIState.MODIFIED:
-            level, latency = "l1", p.l1_latency
-        elif l2_line is not None and l2_line.state == MESIState.EXCLUSIVE:
-            l2_line.state = MESIState.MODIFIED
-            level, latency = "l1", p.l1_latency
-        elif l2_line is not None and l2_line.state == MESIState.SHARED:
+        if (state_before == MESIState.MODIFIED
+                or state_before == MESIState.EXCLUSIVE):
+            level, latency = "l1", self.params.l1_latency
+        elif state_before == MESIState.SHARED:
             self._invalidate_remotes(core, line_addr)
-            l2_line.state = MESIState.MODIFIED
-            self.stats["upgrades"] += 1
-            level, latency = "upgrade", p.upgrade_latency
+            stats["upgrades"] += 1
+            level, latency = "upgrade", self.params.upgrade_latency
         else:
             # Read-for-ownership.
-            holders = self._remote_holders(core, line_addr)
-            dirty = [(c, ln) for c, ln in holders
-                     if ln.state == MESIState.MODIFIED]
-            if dirty:
-                self.stats["c2c"] += 1
-                level, latency = "c2c", p.cache_to_cache_latency
-                writer_map = dict(dirty[0][1].last_writer)
-            elif holders:
-                self.stats["c2c"] += 1
-                level, latency = "c2c", p.cache_to_cache_latency
-                if p.lw_piggyback_dirty_only:
-                    writer_map = {}
-                else:
-                    writer_map = dict(holders[0][1].last_writer)
-            else:
-                self.stats["mem"] += 1
-                level, latency = "mem", p.memory_latency
-                writer_map = {}
-                mw = self._main_writer(addr, line_addr)
-                if mw is not None:
-                    key = offset if p.lw_word_granularity else 0
-                    writer_map[key] = mw
+            level, latency, _, writer_map = self._fetch(
+                core, addr, line_addr, key, block % self._l2_n_sets)
             self._invalidate_remotes(core, line_addr)
             l2_line, evicted = caches.l2.insert(addr, MESIState.MODIFIED)
             self._evict(core, evicted)
             l2_line.last_writer = writer_map
 
         l2_line.state = MESIState.MODIFIED
-        l2_line.set_writer(offset, pc, core, p.lw_word_granularity)
-        caches.l1.insert(addr, MESIState.MODIFIED)
+        l2_line.last_writer[key] = (pc, core)
+        l1_set = caches.l1.sets.get(block % self._l1_n_sets)
+        l1_line = None if l1_set is None else l1_set.get(line_addr)
+        if l1_line is None:
+            caches.l1.insert(addr, MESIState.MODIFIED)
+        else:
+            l1_line.state = MESIState.MODIFIED
+            l1_set.move_to_end(line_addr)
         return AccessResult(level, latency, state_before, None, line_addr)
 
     def _invalidate_remotes(self, core, line_addr):
+        # Dirty data moves to the requester; its metadata travels only
+        # by the piggyback rules in _fetch. L1 is inclusive in L2, so a
+        # core without the L2 line has no L1 copy either.
         for c, caches in enumerate(self._cores):
-            if c == core:
-                continue
-            line = caches.l2.invalidate(line_addr)
-            caches.l1.invalidate(line_addr)
-            if line is not None and line.state == MESIState.MODIFIED:
-                # Dirty data is transferred to the requester; the
-                # metadata travels with it only via the piggyback rules
-                # handled by the caller.
-                pass
+            if c != core and caches.l2.invalidate(line_addr) is not None:
+                caches.l1.invalidate(line_addr)

@@ -78,13 +78,10 @@ class Machine:
         self._modules = {}
         self._pipes = {}
 
-    def _core_of(self, tid):
-        return tid % self.params.n_cores
-
     def _act_for(self, tid):
         if self.trained is None:
             return None, None
-        core = self._core_of(tid)
+        core = tid % self.params.n_cores
         if core not in self._modules:
             module = self.trained.make_module(tid)
             if self._act_cfg is not None:
@@ -111,26 +108,37 @@ class Machine:
                         if self._act_cfg else True)
         tele = telemetry.get_registry()
         track = tele.enabled
+        # Per-event constants and bound methods, hoisted out of the loop.
+        n_cores = p.n_cores
+        store_cap = p.l1_latency
+        with_act = self.trained is not None
+        load, store = self.memory.load, self.memory.store
+        act_for = self._act_for
+        units = {}  # core -> (module, pipe), filled on first dependence
+        LOAD, STORE, TRAINING = EventKind.LOAD, EventKind.STORE, Mode.TRAINING
 
         for event in run.events:
-            core = self._core_of(event.tid)
-            clock = clocks.get(core, 0.0)
-            clock += base_cost
-            if event.kind == EventKind.LOAD:
-                res = self.memory.load(core, event.addr)
+            kind = event.kind
+            core = event.tid % n_cores
+            clock = clocks.get(core, 0.0) + base_cost
+            if kind is LOAD:
+                res = load(core, event.addr)
                 clock += res.latency
-                if (self.trained is not None
-                        and not (filter_stack and event.is_stack)
-                        and res.writer is not None):
-                    module, pipe = self._act_for(event.tid)
-                    wpc, wtid = res.writer
-                    dep = RawDep(wpc, event.pc,
-                                 inter_thread=wtid != self._core_of(event.tid))
-                    pred = module.process_dep(dep)
+                writer = res.writer
+                if (with_act and writer is not None
+                        and not (filter_stack and event.is_stack)):
+                    unit = units.get(core)
+                    if unit is None:
+                        unit = units[core] = act_for(event.tid)
+                    module, pipe = unit
+                    wpc, wtid = writer
+                    pred = module.process_dep(
+                        RawDep(wpc, event.pc, wtid != core))
                     if pred is not None:
                         deps_offered += 1
-                        training = module.mode is Mode.TRAINING
-                        occupancy = pipe.occupancy(int(clock))
+                        training = module.mode is TRAINING
+                        cycle = int(clock)
+                        occupancy = pipe.occupancy(cycle)
                         occ_sum += occupancy
                         occ_n += 1
                         pstate = module.policy_state
@@ -141,7 +149,7 @@ class Machine:
                                 occupancy / pipe.fifo_depth)
                         if track:
                             tele.observe("sim.fifo_occupancy", occupancy)
-                        accepted, retry = pipe.offer(int(clock),
+                        accepted, retry = pipe.offer(cycle,
                                                      training=training)
                         if not accepted:
                             deps_stalled += 1
@@ -154,11 +162,11 @@ class Machine:
                             if track:
                                 tele.inc("sim.fifo_stalls")
                                 tele.inc("sim.act_stall_cycles", stall)
-            elif event.kind == EventKind.STORE:
-                res = self.memory.store(core, event.addr, event.pc)
+            elif kind is STORE:
+                res = store(core, event.addr, event.pc)
                 # Stores retire through the write buffer; only the
                 # occupancy of an upgrade/miss shows at retirement.
-                clock += min(res.latency, p.l1_latency)
+                clock += min(res.latency, store_cap)
             # Branch/ALU events are covered by the amortised base cost.
             clocks[core] = clock
 
@@ -218,12 +226,13 @@ def annotate_run(run, params=None):
     events map to None.
     """
     memory = CoherentMemorySystem(params or MachineParams())
+    n_cores = memory.params.n_cores
     out = []
     for event in run.events:
-        core = event.tid % memory.params.n_cores
-        if event.kind == EventKind.LOAD:
+        core = event.tid % n_cores
+        if event.kind is EventKind.LOAD:
             out.append(memory.load(core, event.addr))
-        elif event.kind == EventKind.STORE:
+        elif event.kind is EventKind.STORE:
             out.append(memory.store(core, event.addr, event.pc))
         else:
             out.append(None)
@@ -241,11 +250,12 @@ def cache_dep_streams(run, params=None, filter_stack=True):
     memory = CoherentMemorySystem(params or MachineParams())
     streams: Dict[int, List[DepRecord]] = {
         tid: [] for tid in range(run.n_threads)}
+    n_cores = memory.params.n_cores
     for index, event in enumerate(run.events):
-        core = event.tid % memory.params.n_cores
-        if event.kind == EventKind.STORE:
+        core = event.tid % n_cores
+        if event.kind is EventKind.STORE:
             memory.store(core, event.addr, event.pc)
-        elif event.kind == EventKind.LOAD:
+        elif event.kind is EventKind.LOAD:
             if filter_stack and event.is_stack:
                 continue
             res = memory.load(core, event.addr)

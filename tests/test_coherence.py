@@ -128,6 +128,18 @@ class TestLastWriter:
         assert res.writer == (0x10, 0)
 
 
+    def test_clean_line_with_piggybacked_metadata_drops_once(self):
+        # Two L2 sets of one way: lines 0 and 128 share set 0.
+        m = _sys(l2_size=128, l2_assoc=1, l1_size=64, l1_assoc=1)
+        m.store(0, 0, pc=0x10)
+        m.load(1, 0)          # dirty c2c: core 1 gets S plus the metadata
+        assert m._cores[1].l2.lookup(0, touch=False).state == MESIState.SHARED
+        assert m.stats["lw_dropped"] == 0
+        m.load(1, 128)        # evicts core 1's clean S copy of line 0
+        assert m.stats["evictions"] == 1
+        assert m.stats["lw_dropped"] == 1
+
+
 class TestStats:
     def test_counters_accumulate(self):
         m = _sys()

@@ -107,6 +107,23 @@ class TestPipelineModel:
                 assert accepted2
             assert pipe.occupancy(cycle) <= depth
 
+    @given(st.lists(st.tuples(st.integers(0, 200), st.booleans()),
+                    min_size=1, max_size=60),
+           st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_start_queue_non_decreasing(self, offers, depth):
+        """occupancy() bisects the start queue, so it must stay sorted:
+        each start is max(cycle, previous start + interval), whatever
+        order the offer cycles arrive in and whichever mode is set."""
+        pipe = ACTPipelineModel(fifo_depth=depth)
+        for cycle, training in offers:
+            pipe.offer(cycle, training=training)
+            starts = list(pipe._pending_starts)
+            assert starts == sorted(starts)
+            for probe in (cycle - 1, cycle, cycle + 7, cycle + 40):
+                assert pipe.occupancy(probe) == sum(1 for s in starts
+                                                    if s > probe)
+
 
 class TestTimeMux:
     def test_rounds(self):

@@ -107,6 +107,18 @@ class TestGate:
         rc, _ = _run(tmp_path, slow_box)
         assert rc == 0
 
+    def test_sim_accesses_are_tracked_not_gated(self, tmp_path):
+        fast_box = _payload()
+        fast_box["sim"] = {"accesses_per_sec": 4e5}
+        slow_box = _payload()
+        slow_box["sim"] = {"accesses_per_sec": 4e4}
+        _run(tmp_path, fast_box)
+        rc, _ = _run(tmp_path, slow_box)
+        assert rc == 0
+        entry = trend.load_history(tmp_path / "hist.jsonl")[-1]
+        assert entry["metrics"]["sim.accesses_per_sec"] == 4e4
+        assert "sim.accesses_per_sec" not in trend.GATED_METRICS
+
     def test_new_gated_metric_skips_first_comparison(self, tmp_path):
         old = _payload()
         del old["parallel"]  # a history entry from before the metric
