@@ -1,8 +1,11 @@
 """Execution, replay, simulation, orchestration, corpus and cached-diagnosis
 throughput.
 
-Eight measurements, all recorded into ``benchmarks/results/`` and into
-``BENCH_throughput.json`` at the repo root:
+Nine measurements, all recorded into ``benchmarks/results/`` and into
+``BENCH_throughput.json`` at the repo root. The execution, replay,
+simulation and training figures are each the median of rounds repeated
+until they add up to at least a second of work (and at least three
+rounds): a best-of-3 over 0.1-0.2 s moves with the host's phase.
 
 1. **Replay** -- deps/sec of :func:`deploy_on_run` over many distinct
    correct lu runs (one per seed), each through a fresh deployment, one
@@ -44,15 +47,21 @@ Eight measurements, all recorded into ``benchmarks/results/`` and into
    executing every bundled bug on the generator scheduler and
    extracting its RAW dependences (word granularity, the streams the
    Correct Set and deployment consume), at fixed seeds: the correct
-   runs a diagnosis prunes with and the failure run. Best of 3. Every
+   runs a diagnosis prunes with and the failure run. Every
    diagnosis pays this path once per run, so it is most of a
    diagnosis once training is cached. ``execution.events_per_sec`` is
    tracked in the trend history but not gated (it is absolute).
 8. **Simulation** -- memory accesses/sec of the timing simulator: base
    and ACT :func:`simulate_run` of the 12 Table III kernels at
-   ``LARGE_PARAMS``, best of 3. ``sim.accesses_per_sec`` counts every
+   ``LARGE_PARAMS``. ``sim.accesses_per_sec`` counts every
    load and store both replays perform; it is tracked in the trend
    history but not gated (it is absolute).
+9. **Offline training** -- stacked epochs/sec of
+   :func:`~repro.nn.trainer.train_network` on the training sets of the
+   bundled bugs at the CLI's ``--train-runs 4`` (what a ``repro
+   diagnose`` of each fits). A stacked epoch steps every restart still
+   running; ``training.epochs_per_sec`` counts them and is tracked in
+   the trend history but not gated (it is absolute).
 """
 
 import contextlib
@@ -60,6 +69,7 @@ import io
 import json
 import os
 import pathlib
+import statistics
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -67,9 +77,11 @@ from concurrent.futures import ProcessPoolExecutor
 from repro import telemetry
 from repro.analysis.accuracy import run_corpus_for_preset
 from repro.analysis.scale import LARGE_PARAMS
+from repro.core import offline
 from repro.core.config import ACTConfig
 from repro.core.deploy import deploy_on_run
 from repro.core.offline import OfflineTrainer, collect_correct_runs
+from repro.nn.trainer import train_network
 from repro.parallel import get_pool
 from repro.sim.machine import simulate_run
 from repro.trace.raw import extract_raw_deps
@@ -112,10 +124,18 @@ def measure_pool_startup(jobs, rounds=2):
     return best
 
 
-def _best_of(fn, rounds=3):
-    """Smallest wall time over ``rounds`` calls; returns (seconds, result)."""
-    (best,), (out,) = _best_of_each([fn], rounds=rounds)
-    return best, out
+def _median_of(fn, min_seconds=1.0, min_rounds=3):
+    """Median wall time of rounds of ``fn``; returns (seconds, result).
+
+    Rounds repeat until they add up to at least ``min_seconds`` and
+    number at least ``min_rounds``.
+    """
+    times = []
+    while len(times) < min_rounds or sum(times) < min_seconds:
+        t0 = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), out
 
 
 def _best_of_each(fns, rounds=3):
@@ -178,7 +198,33 @@ def simulate_kernels(inputs):
     return n_accesses
 
 
-def test_throughput(preset, save_result):
+def bundled_training_sets(monkeypatch):
+    """The arguments of every ``train_network`` call offline training
+    makes for the bundled bugs at ``repro diagnose --train-runs 4``."""
+    sets = []
+    real = offline.train_network
+
+    def recording(positives, negatives, n_hidden, **kwargs):
+        sets.append((positives, negatives, n_hidden, kwargs))
+        return real(positives, negatives, n_hidden, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(offline, "train_network", recording)
+        for name in all_bug_names():
+            OfflineTrainer(config=ACTConfig()).train(get_bug(name), n_runs=4,
+                                                     seed0=0)
+    return sets
+
+
+def fit_networks(sets):
+    """Fit each training set; returns the stacked epochs run (one steps
+    every restart still running, so a fit runs its longest restart's
+    epoch count)."""
+    return sum(max(train_network(pos, neg, n_hidden, **kwargs).restart_epochs)
+               for pos, neg, n_hidden, kwargs in sets)
+
+
+def test_throughput(preset, save_result, monkeypatch):
     prog = get_kernel("lu")
     config = ACTConfig()
     trained = OfflineTrainer(config=config).train(
@@ -186,14 +232,14 @@ def test_throughput(preset, save_result):
 
     # --- program execution and dependence extraction ----------------
     n_exec_seeds = N_EXECUTION_SEEDS[preset.name]
-    t_exec, (exec_runs, exec_events, exec_deps) = _best_of(
-        lambda: execute_bugs(n_exec_seeds), rounds=3)
+    t_exec, (exec_runs, exec_events, exec_deps) = _median_of(
+        lambda: execute_bugs(n_exec_seeds))
 
     # --- replay throughput -------------------------------------------
     replay_inputs = [run_program(prog, seed=99 + i)
                      for i in range(REPEATS[preset.name])]
-    t_replay, (replay_deps, replay_switches) = _best_of(
-        lambda: replay_runs(trained, replay_inputs), rounds=4)
+    t_replay, (replay_deps, replay_switches) = _median_of(
+        lambda: replay_runs(trained, replay_inputs))
     replay_dps = replay_deps / t_replay
 
     # --- timing simulation of the Table III kernels -------------------
@@ -204,8 +250,11 @@ def test_throughput(preset, save_result):
             run_program(kernel, seed=7, **params),
             OfflineTrainer(config=config).train(
                 kernel, n_runs=preset.n_train_traces, seed0=0, **params)))
-    t_sim, sim_accesses = _best_of(
-        lambda: simulate_kernels(sim_inputs), rounds=3)
+    t_sim, sim_accesses = _median_of(lambda: simulate_kernels(sim_inputs))
+
+    # --- offline training of the bundled bugs' networks ---------------
+    training_sets = bundled_training_sets(monkeypatch)
+    t_train, train_epochs = _median_of(lambda: fit_networks(training_sets))
 
     # --- parallel run collection vs serial ---------------------------
     n_runs = N_PARALLEL_RUNS[preset.name]
@@ -313,6 +362,13 @@ def test_throughput(preset, save_result):
             "seconds": round(t_sim, 6),
             "accesses_per_sec": round(sim_accesses / t_sim, 1),
         },
+        "training": {
+            "programs": "bundled bugs",
+            "networks": len(training_sets),
+            "stacked_epochs": train_epochs,
+            "seconds": round(t_train, 6),
+            "epochs_per_sec": round(train_epochs / t_train, 1),
+        },
         "parallel": {
             "program": "lu",
             "n_runs": n_runs,
@@ -376,6 +432,11 @@ def test_throughput(preset, save_result):
         "scale, base + ACT)",
         f"  accesses simulated  : {sim_accesses}",
         f"  throughput          : {sim_accesses / t_sim:,.0f} accesses/sec",
+        "",
+        f"Offline training ({len(training_sets)} networks of the bundled "
+        "bugs, restarts stacked)",
+        f"  stacked epochs      : {train_epochs}",
+        f"  throughput          : {train_epochs / t_train:,.0f} epochs/sec",
         "",
         f"Run collection ({n_runs} correct runs, jobs={jobs}, "
         f"host_cpus={os.cpu_count()})",

@@ -55,6 +55,7 @@ TRACKED_METRICS = {
     "execution.events_per_sec": "higher",
     "replay.deps_per_sec": "higher",
     "sim.accesses_per_sec": "higher",
+    "training.epochs_per_sec": "higher",
     "parallel.speedup_warm": "higher",
     "parallel.speedup_cold": "higher",
     "cache.warm_speedup": "higher",

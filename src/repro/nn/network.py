@@ -15,12 +15,23 @@ We implement the standard rule and treat the paper's formula as an
 abbreviation.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.common.errors import ConfigError
 from repro.common.rng import make_np_rng
 
 DEFAULT_MAX_INPUTS = 10
+
+
+@lru_cache(maxsize=None)
+def _sigmoid_entries(resolution, clip):
+    """The table of ``(resolution, clip)`` as a read-only array and a
+    tuple of floats, built once and shared by every such table."""
+    table = 1.0 / (1.0 + np.exp(-np.linspace(-clip, clip, resolution)))
+    table.flags.writeable = False
+    return table, tuple(table.tolist())
 
 
 class SigmoidTable:
@@ -38,9 +49,7 @@ class SigmoidTable:
             raise ConfigError("sigmoid table needs at least 2 entries")
         self.resolution = resolution
         self.clip = clip
-        xs = np.linspace(-clip, clip, resolution)
-        self._table = 1.0 / (1.0 + np.exp(-xs))
-        self._entries = self._table.tolist()
+        self._table, self._entries = _sigmoid_entries(resolution, clip)
 
     def __call__(self, x):
         """Evaluate the table at ``x`` (scalar or ndarray)."""

@@ -318,15 +318,6 @@ def _fit_sgd(net, xs, targets, labels, cfg, seed):
     return epoch, err_rate, history
 
 
-def _sigmoid_inplace(x):
-    """``1.0 / (1.0 + np.exp(-x))`` into ``x``, rounding exactly as that
-    expression does (the stacked loop keeps one buffer per activation)."""
-    np.negative(x, out=x)
-    np.exp(x, out=x)
-    x += 1.0
-    np.divide(1.0, x, out=x)
-
-
 def fit_from(net, positives, negatives, config=None):
     """Continue fitting ``net`` on a new training set, in place.
 
@@ -352,9 +343,23 @@ def _fit_restarts(ts, nets, cfg):
     each keeps its own patience-after-fit stop and leaves the stack when
     it stops. Every expression is the one-network computation with a
     restart axis in front (``np.matmul`` makes the same BLAS call per
-    restart; products and sums are taken in the same order, in place
-    or into preallocated buffers where that saves temporaries), so each
-    network is bit-identical to fitting it alone.
+    restart; products and sums are taken in the same order, into
+    buffers allocated once per stack size), so each network is
+    bit-identical to fitting it alone. Two rewrites keep the bits while
+    saving passes:
+
+    - The hidden layer multiplies by the negated inputs ``-xs1.T``,
+      built once. Negation is exact and round-to-nearest is symmetric,
+      so every product, partial sum and the result are the exact
+      negatives of those the BLAS call makes on ``xs1.T`` (same shapes
+      and strides): ``w_h @ -xs1.T`` is ``-(w_h @ xs1.T)`` bit for bit,
+      the argument the sigmoid's ``exp`` wants, with no negation pass
+      over the hidden stack.
+    - The misclassified weight is an exact integer either way: a
+      positive is wrong below 0.5 and a negative at or above it, so it
+      is the positives' total weight plus ``(o >= 0.5) @ signed`` with
+      ``signed`` the weights negated on positives -- one product instead
+      of a comparison, a ``!=`` and a product.
 
     The set ``ts`` is the distinct examples with class-balancing weights
     (:class:`_TrainingSet`): the gradient is the one the tiled balanced
@@ -374,10 +379,12 @@ def _fit_restarts(ts, nets, cfg):
     """
     xs, targets, labels, n = ts.xs, ts.targets, ts.labels, ts.n
     weight = ts.weights.astype(float)
+    signed = np.where(labels, -ts.weights, ts.weights)
+    pos_total = int(ts.weights[labels].sum())
     # The inputs with a constant-1 column, so that one product also
-    # takes the hidden bias: (rows, inputs+1) and its transpose.
+    # takes the hidden bias: (rows, inputs+1) and its negated transpose.
     xs1 = np.hstack([xs, np.ones((len(xs), 1))])
-    xs1_t = np.ascontiguousarray(xs1.T)
+    xs1_t_neg = -np.ascontiguousarray(xs1.T)
     # One row per restart holds all its weights in register-file order
     # (hidden, then output), so a single momentum step updates both
     # layers; w_h (A, hidden, inputs+1) and w_o (A, hidden+1) are views.
@@ -391,12 +398,12 @@ def _fit_restarts(ts, nets, cfg):
     w = np.stack([net.read_weights() for net in nets])
     v = np.zeros_like(w)
     g = np.empty_like(w)
-    w_h, w_o = layers(w)
-    g_h, g_o = layers(g)
-    lr = cfg.batch_learning_rate
+    lr, momentum, target = (cfg.batch_learning_rate, cfg.momentum,
+                            cfg.target_error)
     # Stack row a holds restart active[a]; fit_epoch 0 means "not fit".
     active = list(range(len(nets)))
     fit_epoch = [0] * len(nets)
+    fitting = False
     err = [1.0] * len(nets)
     histories = [[] for _ in nets]
     results = [None] * len(nets)
@@ -410,54 +417,76 @@ def _fit_restarts(ts, nets, cfg):
                                  histories[r], ts.n_pos, ts.n_neg)
 
     while active and epoch < cfg.max_epochs:
-        epoch += 1
-        # Rows on the last axis keep every elementwise pass contiguous.
-        h = w_h @ xs1_t                       # (A, hidden, rows)
-        _sigmoid_inplace(h)
-        o = (w_o[:, None, :-1] @ h)[:, 0]     # (A, rows)
-        o += w_o[:, -1:]
-        _sigmoid_inplace(o)
-
-        # Misclassified rows of the balanced set: an exact integer count.
-        wrong = (((o >= 0.5) != labels) @ ts.weights).tolist()
-        err = [count / n for count in wrong]
+        # Work buffers and views for this stack size. Rows on the last
+        # axis keep every elementwise pass contiguous.
+        w_h, w_o = layers(w)
+        g_h, g_o = layers(g)
+        o_in, o_bias, o_col = w_o[:, None, :-1], w_o[:, -1:], w_o[:, :-1, None]
+        g_o_w, g_o_bias = g_o[:, :-1, None], g_o[:, -1]
+        h = np.empty((len(w), hidden_shape[0], len(xs)))
+        d_h, t = np.empty_like(h), np.empty_like(h)
+        o3 = np.empty((len(w), 1, len(xs)))
+        o = o3[:, 0]
+        d_o = np.empty_like(o)
+        d_o_row, d_o_col = d_o[:, None, :], d_o[:, :, None]
+        above = np.empty(o.shape, dtype=bool)
+        stacked_histories = [histories[r] for r in active]
         stop = []
-        for a, e in enumerate(err):
-            histories[active[a]].append(e)
-            if e > cfg.target_error:
-                fit_epoch[a] = 0
-                continue
-            fit_epoch[a] = fit_epoch[a] or epoch
-            if epoch - fit_epoch[a] >= cfg.patience_after_fit:
-                stop.append(a)
+        while not stop and epoch < cfg.max_epochs:
+            epoch += 1
+            np.matmul(w_h, xs1_t_neg, out=h)  # (A, hidden, rows)
+            np.exp(h, out=h)
+            h += 1.0
+            np.divide(1.0, h, out=h)
+            np.matmul(o_in, h, out=o3)
+            o += o_bias
+            np.negative(o, out=o)
+            np.exp(o, out=o)
+            o += 1.0
+            np.divide(1.0, o, out=o)
+
+            np.greater_equal(o, 0.5, out=above)
+            err = [(count + pos_total) / n
+                   for count in (above @ signed).tolist()]
+            for history, e in zip(stacked_histories, err):
+                history.append(e)
+            # Only a restart at or below the target, now or on the last
+            # epoch, has a fit epoch to set, clear or stop on.
+            if fitting or min(err) <= target:
+                for a, e in enumerate(err):
+                    if e > target:
+                        fit_epoch[a] = 0
+                        continue
+                    fit_epoch[a] = fit_epoch[a] or epoch
+                    if epoch - fit_epoch[a] >= cfg.patience_after_fit:
+                        stop.append(a)
+                fitting = any(fit_epoch)
+                finish(stop)
+
+            # Each distinct row's error term counts as often as the
+            # balanced set repeats the row. A restart that just stopped
+            # takes this step too; its row leaves the stack below.
+            np.subtract(targets, o, out=d_o)
+            d_o *= weight
+            np.subtract(1.0, h, out=d_h)
+            d_h *= h
+            np.multiply(o_col, d_o_row, out=t)
+            d_h *= t
+            np.matmul(h, d_o_col, out=g_o_w)
+            np.add.reduce(d_o, axis=1, out=g_o_bias)
+            np.matmul(d_h, xs1, out=g_h)
+            g /= n
+            g *= lr
+            v *= momentum
+            v += g
+            w += v
         if stop:
-            finish(stop)
             keep = [a for a in range(len(active)) if a not in stop]
             active = [active[a] for a in keep]
-            if not active:
-                break
             fit_epoch = [fit_epoch[a] for a in keep]
+            fitting = any(fit_epoch)
             err = [err[a] for a in keep]
             w, v, g = w[keep], v[keep], g[:len(keep)]
-            w_h, w_o = layers(w)
-            g_h, g_o = layers(g)
-            h, o = h[keep], o[keep]
-
-        # Each distinct row's error term counts as often as the balanced
-        # set repeats the row.
-        d_o = targets - o
-        d_o *= weight
-        d_h = 1.0 - h
-        d_h *= h
-        d_h *= w_o[:, :-1, None] * d_o[:, None, :]
-        np.matmul(h, d_o[:, :, None], out=g_o[:, :-1, None])
-        d_o.sum(axis=1, out=g_o[:, -1])
-        np.matmul(d_h, xs1, out=g_h)
-        g /= n
-        g *= lr
-        v *= cfg.momentum
-        v += g
-        w += v
     finish(range(len(active)))  # the epoch cap
     return results
 

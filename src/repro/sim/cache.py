@@ -22,14 +22,6 @@ class CacheLine:
         # uses the single key 0 for the whole line.
         self.last_writer = {}
 
-    def set_writer(self, offset, pc, tid, word_granularity):
-        key = offset if word_granularity else 0
-        self.last_writer[key] = (pc, tid)
-
-    def get_writer(self, offset, word_granularity):
-        key = offset if word_granularity else 0
-        return self.last_writer.get(key)
-
 
 class Cache:
     """One level of a private cache hierarchy."""
@@ -46,9 +38,6 @@ class Cache:
         # Public because the coherent memory system's load and store
         # paths read it directly, with the set arithmetic inlined.
         self.sets = {}
-
-    def line_addr(self, addr):
-        return addr - (addr % self.line_size)
 
     def lookup(self, addr, touch=True):
         """Return the resident :class:`CacheLine` or None."""

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigError
-from repro.sim.cache import Cache, CacheLine
+from repro.sim.cache import Cache
+from repro.sim.coherence import CoherentMemorySystem
+from repro.sim.params import MachineParams
 
 
 class TestBasics:
@@ -19,8 +21,8 @@ class TestBasics:
 
     def test_line_alignment(self):
         c = Cache(n_sets=4, assoc=2, line_size=64)
-        assert c.line_addr(130) == 128
-        c.insert(130, "E")
+        line, _ = c.insert(130, "E")
+        assert line.addr == 128
         assert c.lookup(190) is not None  # same line
         assert c.lookup(192) is None      # next line
 
@@ -53,25 +55,36 @@ class TestBasics:
             Cache(n_sets=1, assoc=0, line_size=64)
 
 
+def _memory(word_granularity):
+    return CoherentMemorySystem(MachineParams(
+        n_cores=4, l1_size=1024, l1_assoc=2, l2_size=4096, l2_assoc=4,
+        line_size=64, lw_word_granularity=word_granularity))
+
+
 class TestLineMetadata:
+    """The last-writer metadata a line carries, seen through stores and
+    the writer a later load of another core reports."""
+
     def test_word_granularity_writers(self):
-        line = CacheLine(0)
-        line.set_writer(0, 0x10, 1, word_granularity=True)
-        line.set_writer(1, 0x14, 2, word_granularity=True)
-        assert line.get_writer(0, True) == (0x10, 1)
-        assert line.get_writer(1, True) == (0x14, 2)
+        m = _memory(word_granularity=True)
+        m.store(0, 128, pc=0x10)       # word 0 of line 128
+        m.store(1, 132, pc=0x14)       # word 1, same line
+        assert m.load(2, 128).writer == (0x10, 0)
+        assert m.load(2, 132).writer == (0x14, 1)
 
     def test_line_granularity_single_writer(self):
-        line = CacheLine(0)
-        line.set_writer(0, 0x10, 1, word_granularity=False)
-        line.set_writer(5, 0x14, 2, word_granularity=False)
+        m = _memory(word_granularity=False)
+        m.store(0, 128, pc=0x10)
+        m.store(1, 148, pc=0x14)       # word 5, same line
         # one writer per line: the later store wins for every word
-        assert line.get_writer(0, False) == (0x14, 2)
-        assert line.get_writer(9, False) == (0x14, 2)
+        assert m.load(2, 128).writer == (0x14, 1)
+        assert m.load(2, 164).writer == (0x14, 1)
 
     def test_missing_writer(self):
-        line = CacheLine(0)
-        assert line.get_writer(3, True) is None
+        m = _memory(word_granularity=True)
+        m.store(0, 128, pc=0x10)
+        assert m.load(1, 140).writer is None   # word 3, never stored
+        assert m.load(1, 256).writer is None   # a line never stored
 
 
 class TestPropertyLRU:

@@ -34,6 +34,31 @@ class TestSigmoidTable:
         assert out.shape == (3, 4)
 
 
+class TestSharedSigmoidTable:
+    """Tables of one ``(resolution, clip)`` share one read-only array."""
+
+    def test_equal_tables_share_one_array(self):
+        a, b = SigmoidTable(), SigmoidTable(2048, 8.0)
+        assert a._table is b._table
+        assert a._entries is b._entries
+        assert SigmoidTable(1024)._table is not a._table
+        assert SigmoidTable(clip=4.0)._table is not a._table
+
+    def test_shared_array_is_read_only(self):
+        table = SigmoidTable()
+        with pytest.raises(ValueError):
+            table._table[0] = 0.5
+        assert not table._table.flags.writeable
+
+    @pytest.mark.parametrize("resolution,clip", [(2048, 8.0), (257, 3.5)])
+    def test_entries_are_the_exact_sigmoid(self, resolution, clip):
+        table = SigmoidTable(resolution, clip)
+        xs = np.linspace(-clip, clip, resolution)
+        exact = 1.0 / (1.0 + np.exp(-xs))
+        assert table._table.tobytes() == exact.tobytes()
+        assert np.array(table._entries).tobytes() == exact.tobytes()
+
+
 def _bits(value):
     """A float's exact bit pattern (NaN-safe equality for lookups)."""
     return np.float64(value).tobytes()

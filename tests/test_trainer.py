@@ -18,10 +18,10 @@ from repro.nn.trainer import (
 from repro.workloads.registry import all_bug_names, get_bug
 
 
-def _blobs(n_per=20, dim=4, seed=0):
+def _blobs(n_per=20, dim=4, seed=0, means=(0.25, 0.75), sd=0.05):
     rng = np.random.default_rng(seed)
-    pos = rng.normal(0.25, 0.05, size=(n_per, dim))
-    neg = rng.normal(0.75, 0.05, size=(n_per, dim))
+    pos = rng.normal(means[0], sd, size=(n_per, dim))
+    neg = rng.normal(means[1], sd, size=(n_per, dim))
     return pos, neg
 
 
@@ -78,13 +78,9 @@ class TestTrainNetwork:
                (single.train_error, -single.worst_margin)
 
 
-def _reference_batch(positives, negatives, n_hidden, cfg):
-    """The full-batch trainer as it was before restarts were stacked:
-    each restart fitted alone, in order, on the distinct examples with
-    their class-balancing weights."""
-    from repro.nn.trainer import _training_set
-
-    ts = _training_set(positives, negatives, cfg)
+def _batch_step(ts):
+    """One full-batch epoch of a single network on the distinct examples
+    of ``ts`` with their class-balancing weights."""
     xs1 = np.hstack([ts.xs, np.ones((len(ts.xs), 1))])
 
     def epoch_step(w_h, w_o):
@@ -96,7 +92,17 @@ def _reference_batch(positives, negatives, n_hidden, cfg):
         g_o = np.concatenate([(h @ d_o[:, None])[:, 0], [d_o.sum()]])
         return err_rate, g_o / ts.n, (d_h @ xs1) / ts.n
 
-    return _restart_scan(epoch_step, ts.xs, ts.labels, n_hidden, cfg,
+    return epoch_step
+
+
+def _reference_batch(positives, negatives, n_hidden, cfg):
+    """The full-batch trainer as it was before restarts were stacked:
+    each restart fitted alone, in order, on the distinct examples with
+    their class-balancing weights."""
+    from repro.nn.trainer import _training_set
+
+    ts = _training_set(positives, negatives, cfg)
+    return _restart_scan(_batch_step(ts), ts.xs, ts.labels, n_hidden, cfg,
                          ts.n_pos, ts.n_neg)
 
 
@@ -136,39 +142,44 @@ def _tiled_reference_batch(positives, negatives, n_hidden, cfg):
 def _restart_scan(epoch_step, xs, labels, n_hidden, cfg, n_pos, n_neg):
     """Momentum descent with ``epoch_step(w_h, w_o) -> (error rate,
     output gradient, hidden gradient)``, one restart at a time."""
-    from repro.nn.trainer import _result
-
     best = None
     restart_epochs = []
     for r in range(max(1, cfg.restarts)):
         net = OneHiddenLayerNet(xs.shape[1], n_hidden,
                                 seed=cfg.seed + 7919 * r)
-        w_h, w_o = net.w_hidden, net.w_out
-        v_h, v_o = np.zeros_like(w_h), np.zeros_like(w_o)
-        lr = cfg.batch_learning_rate
-        history, err_rate, epoch, fit_epoch = [], 1.0, 0, None
-        for epoch in range(1, cfg.max_epochs + 1):
-            err_rate, g_o, g_h = epoch_step(w_h, w_o)
-            history.append(err_rate)
-            if err_rate <= cfg.target_error:
-                if fit_epoch is None:
-                    fit_epoch = epoch
-                if epoch - fit_epoch >= cfg.patience_after_fit:
-                    break
-            else:
-                fit_epoch = None
-            v_o = cfg.momentum * v_o + lr * g_o
-            v_h = cfg.momentum * v_h + lr * g_h
-            w_o += v_o
-            w_h += v_h
-        result = _result(net, xs, labels, epoch, err_rate, history, n_pos,
-                         n_neg)
-        restart_epochs.append(epoch)
+        result = _fit_alone(epoch_step, xs, labels, net, cfg, n_pos, n_neg)
+        restart_epochs.append(result.epochs)
         if best is None or ((result.train_error, -result.worst_margin)
                             < (best.train_error, -best.worst_margin)):
             best = result
     best.restart_epochs = restart_epochs
     return best
+
+
+def _fit_alone(epoch_step, xs, labels, net, cfg, n_pos, n_neg):
+    """Momentum descent of ``net`` alone, in place, with its own
+    patience-after-fit stop; returns its result."""
+    from repro.nn.trainer import _result
+
+    w_h, w_o = net.w_hidden, net.w_out
+    v_h, v_o = np.zeros_like(w_h), np.zeros_like(w_o)
+    lr = cfg.batch_learning_rate
+    history, err_rate, epoch, fit_epoch = [], 1.0, 0, None
+    for epoch in range(1, cfg.max_epochs + 1):
+        err_rate, g_o, g_h = epoch_step(w_h, w_o)
+        history.append(err_rate)
+        if err_rate <= cfg.target_error:
+            if fit_epoch is None:
+                fit_epoch = epoch
+            if epoch - fit_epoch >= cfg.patience_after_fit:
+                break
+        else:
+            fit_epoch = None
+        v_o = cfg.momentum * v_o + lr * g_o
+        v_h = cfg.momentum * v_h + lr * g_h
+        w_o += v_o
+        w_h += v_h
+    return _result(net, xs, labels, epoch, err_rate, history, n_pos, n_neg)
 
 
 def _assert_same_training(expected, actual, rtol=0.0):
@@ -209,6 +220,96 @@ class TestStackedRestarts:
         result = train_network(pos, neg, 2, config=cfg)
         assert len(set(result.restart_epochs)) > 1
         _assert_same_training(_reference_batch(pos, neg, 2, cfg), result)
+
+    @staticmethod
+    def _fit_each(pos, neg, n_hidden, cfg):
+        """Every restart's result from the stacked loop, each checked
+        against the same restart fitted alone by the reference loop."""
+        from repro.nn.trainer import _fit_restarts, _training_set
+
+        ts = _training_set(pos, neg, cfg)
+        nets = [OneHiddenLayerNet(ts.xs.shape[1], n_hidden,
+                                  seed=cfg.seed + 7919 * r)
+                for r in range(cfg.restarts)]
+        expected = [_fit_alone(_batch_step(ts), ts.xs, ts.labels,
+                               net.clone(), cfg, ts.n_pos, ts.n_neg)
+                    for net in nets]
+        actual = _fit_restarts(ts, nets, cfg)
+        for want, got in zip(expected, actual):
+            _assert_same_training(want, got)
+        return actual
+
+    @staticmethod
+    def _overlapping(seed):
+        """Overlapping classes that no restart fits exactly."""
+        return _blobs(n_per=12, dim=3, seed=seed, means=(0.4, 0.6),
+                      sd=0.15)
+
+    def test_target_error_above_zero(self):
+        pos, neg = self._overlapping(1)
+        cfg = TrainConfig(seed=1, max_epochs=300, target_error=0.1,
+                          patience_after_fit=20)
+        results = self._fit_each(pos, neg[:7], 3, cfg)
+        assert all(0.0 < r.train_error <= cfg.target_error
+                   for r in results)
+        assert all(r.epochs < cfg.max_epochs for r in results)
+
+    def test_fit_lost_restarts_the_patience(self):
+        pos, neg = self._overlapping(3)
+        cfg = TrainConfig(seed=3, max_epochs=300, target_error=0.05,
+                          patience_after_fit=20)
+        results = self._fit_each(pos, neg[:7], 3, cfg)
+        for r in results:
+            first_fit = next(i for i, e in enumerate(r.history)
+                             if e <= cfg.target_error)
+            # Fitted, lost the fit, and ran past the first patience.
+            assert max(r.history[first_fit:]) > cfg.target_error
+            assert r.epochs > first_fit + 1 + cfg.patience_after_fit
+
+    def test_stack_shrinks_from_the_middle(self):
+        pos, neg = self._overlapping(3)
+        cfg = TrainConfig(seed=3, max_epochs=300, target_error=0.05,
+                          patience_after_fit=20)
+        epochs = [r.epochs for r in self._fit_each(pos, neg[:7], 3, cfg)]
+        # Restart 1 leaves first, between restarts that keep running.
+        assert min(epochs) == epochs[1] < min(epochs[0], epochs[2],
+                                              epochs[4])
+        assert epochs[4] == max(epochs) < cfg.max_epochs
+
+    def test_stop_on_the_last_epoch(self):
+        pos, neg = self._overlapping(3)
+        cfg = TrainConfig(seed=3, max_epochs=108, target_error=0.05,
+                          patience_after_fit=20)
+        results = self._fit_each(pos, neg[:7], 3, cfg)
+        # Restart 1's patience runs out on the cap's own epoch; the
+        # others end at the cap.
+        assert [r.epochs for r in results] == [108] * 5
+        assert max(results[1].history[-21:]) <= cfg.target_error
+        assert len({r.train_error for r in results}) > 1
+
+    def test_restarts_stop_on_the_same_epoch(self):
+        pos, neg = self._overlapping(9)
+        cfg = TrainConfig(seed=9, max_epochs=300, target_error=0.1,
+                          patience_after_fit=20)
+        epochs = [r.epochs for r in self._fit_each(pos, neg[:7], 3, cfg)]
+        # Restarts 1 and 2 stop together, ahead of the rest.
+        assert epochs[1] == epochs[2] == min(epochs)
+        assert epochs.count(min(epochs)) == 2
+
+    def test_fit_from_trained_weights(self):
+        from repro.nn.trainer import _training_set, fit_from
+
+        pos, neg = _blobs(n_per=9, dim=4, seed=2)
+        cfg = TrainConfig(seed=5, max_epochs=400)
+        trained = train_network(pos, neg[:4], 3, config=cfg).net
+        new_pos, new_neg = _blobs(n_per=7, dim=4, seed=8)
+        ts = _training_set(new_pos, new_neg[:5], cfg)
+        expected = _fit_alone(_batch_step(ts), ts.xs, ts.labels,
+                              trained.clone(), cfg, ts.n_pos, ts.n_neg)
+        result = fit_from(trained, new_pos, new_neg[:5], config=cfg)
+        assert result.net is trained
+        assert 1 < result.epochs < cfg.max_epochs
+        _assert_same_training(expected, result)
 
 
 class TestOutputDelta:
