@@ -36,13 +36,19 @@ rounds): a best-of-3 over 0.1-0.2 s moves with the host's phase.
    (training skipped, trained state read back from the cache
    directory). Reports are byte-identical; the recorded
    ``cache.warm_speedup`` is what a repeat ``repro diagnose --cache-dir``
-   of the same (workload, seed, config) saves.
+   of the same (workload, seed, config) saves. Also an in-process
+   re-diagnosis of the same gzip program object with ``trained=``,
+   which skips training and reuses the Correct Set the first
+   diagnosis kept; ``cache.rediagnose_speedup`` (cold over re-diagnosis,
+   median of alternating pairs) is tracked in the trend history but
+   not gated.
 6. **Telemetry cost** -- wall seconds of the same gzip diagnosis under
    the disabled :class:`~repro.telemetry.NullRegistry` and under a
    recording :class:`~repro.telemetry.Registry` (what ``--telemetry``
-   installs), rounds interleaved. Reports are equal; the recorded
-   ``telemetry.overhead_pct`` is the measured price of recording a run
-   profile, tracked in the trend history but not gated.
+   installs), from the median of alternating null/live pairs. Reports
+   are equal; the recorded ``telemetry.overhead_pct`` is the measured
+   price of recording a run profile, tracked in the trend history but
+   not gated.
 7. **Program execution** -- runs/sec, events/sec and deps/sec of
    executing every bundled bug on the generator scheduler and
    extracting its RAW dependences (word granularity, the streams the
@@ -157,6 +163,27 @@ def _best_of_each(fns, rounds=3):
             if bests[j] is None or dt < bests[j]:
                 bests[j], outs[j] = dt, result
     return bests, outs
+
+
+def _median_pair(fn_a, fn_b, pairs=9):
+    """Wall times of ``fn_a`` and ``fn_b`` from the median of pairs.
+
+    Each pair times the two back to back, in alternating order, so a
+    shift in host speed between pairs hits both sides of a pair alike;
+    the pair with the median ``b / a`` ratio is returned, as
+    ``(seconds a, seconds b, result a, result b)``. The best of each
+    side could come from different host speeds.
+    """
+    samples = []
+    for i in range(pairs):
+        t, out = [0.0, 0.0], [None, None]
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            t0 = time.perf_counter()
+            out[side] = (fn_a, fn_b)[side]()
+            t[side] = time.perf_counter() - t0
+        samples.append((t[1] / t[0], t[0], t[1], out[0], out[1]))
+    samples.sort(key=lambda sample: sample[0])
+    return samples[len(samples) // 2][1:]
 
 
 def execute_bugs(n_seeds):
@@ -319,19 +346,28 @@ def test_throughput(preset, save_result, monkeypatch):
     assert out_warm == out_cold
     cache_speedup = t_diag_cold / t_diag_warm
 
-    # --- telemetry cost: NullRegistry vs a recording Registry ----------
+    # --- in-process re-diagnosis with trained= ------------------------
     from repro.core.diagnosis import diagnose_failure
-    from repro.workloads.registry import get_bug
 
+    gzip = get_bug("gzip")
+    diagnose_runs = {"n_train_runs": preset.corpus_train_runs,
+                     "n_pruning_runs": preset.corpus_pruning_runs}
+    sink = []
+    diagnose_failure(gzip, trained_sink=sink.append, **diagnose_runs)
+    t_rediag_cold, t_rediag, report_cold, report_rediag = _median_pair(
+        lambda: diagnose_failure(gzip, **diagnose_runs),
+        lambda: diagnose_failure(gzip, trained=sink[0], **diagnose_runs))
+    assert report_rediag == report_cold
+    rediagnose_speedup = t_rediag_cold / t_rediag
+
+    # --- telemetry cost: NullRegistry vs a recording Registry ----------
     def diagnose_under(registry):
         with telemetry.use_registry(registry):
-            return diagnose_failure(
-                get_bug("gzip"), n_train_runs=preset.corpus_train_runs,
-                n_pruning_runs=preset.corpus_pruning_runs)
+            return diagnose_failure(gzip, **diagnose_runs)
 
-    (t_null, t_live), (report_null, report_live) = _best_of_each(
-        [lambda: diagnose_under(telemetry.NullRegistry()),
-         lambda: diagnose_under(telemetry.Registry())], rounds=3)
+    t_null, t_live, report_null, report_live = _median_pair(
+        lambda: diagnose_under(telemetry.NullRegistry()),
+        lambda: diagnose_under(telemetry.Registry()))
     assert report_live == report_null
     telemetry_pct = 100.0 * (t_live - t_null) / t_null
 
@@ -403,6 +439,9 @@ def test_throughput(preset, save_result, monkeypatch):
             "cold_seconds": round(t_diag_cold, 6),
             "warm_seconds": round(t_diag_warm, 6),
             "warm_speedup": round(cache_speedup, 2),
+            "rediagnose_cold_seconds": round(t_rediag_cold, 6),
+            "rediagnose_seconds": round(t_rediag, 6),
+            "rediagnose_speedup": round(rediagnose_speedup, 2),
         },
         "telemetry": {
             "program": "gzip",
@@ -461,6 +500,11 @@ def test_throughput(preset, save_result, monkeypatch):
         f"  cold                : {t_diag_cold:.3f} s",
         f"  cache hit           : {t_diag_warm:.3f} s",
         f"  speedup             : {cache_speedup:.1f}x",
+        "",
+        "In-process re-diagnosis (gzip, trained=, Correct Set kept)",
+        f"  cold                : {t_rediag_cold:.4f} s",
+        f"  re-diagnosis        : {t_rediag:.4f} s",
+        f"  speedup             : {rediagnose_speedup:.1f}x",
         "",
         "Telemetry cost (gzip diagnosis, NullRegistry vs Registry)",
         f"  telemetry off       : {t_null:.3f} s",

@@ -59,6 +59,7 @@ TRACKED_METRICS = {
     "parallel.speedup_warm": "higher",
     "parallel.speedup_cold": "higher",
     "cache.warm_speedup": "higher",
+    "cache.rediagnose_speedup": "higher",
     "frontier.recall": "higher",
     # Measured cost of a recording registry over NullRegistry; it sits
     # near zero and goes negative in noise, so a relative gate would

@@ -70,7 +70,6 @@ def ablate_debug_buffer(bug="mysql1", sizes=(15, 30, 60, 120, 240),
     out = []
     for size in sizes:
         sized = cfg.with_(debug_buffer=size)
-        sized_trained = trained
         report = diagnose_failure(program, config=sized,
                                   trained=_rebuffer(trained, sized),
                                   n_pruning_runs=n_pruning)
@@ -81,12 +80,19 @@ def ablate_debug_buffer(bug="mysql1", sizes=(15, 30, 60, 120, 240),
 
 
 def _rebuffer(trained, config):
-    """A TrainedACT clone with a different hardware config."""
+    """A TrainedACT clone with a different hardware config.
+
+    The clone shares the original's Correct Sets: the Debug Buffer size
+    is not part of their key, so the pruning runs are collected once
+    across every size.
+    """
     from repro.core.offline import TrainedACT
-    return TrainedACT(config=config, encoder=trained.encoder,
-                      weights=dict(trained.weights),
-                      default_weights=trained.default_weights,
-                      topology=trained.topology)
+    clone = TrainedACT(config=config, encoder=trained.encoder,
+                       weights=dict(trained.weights),
+                       default_weights=trained.default_weights,
+                       topology=trained.topology)
+    clone._correct_sets = trained._correct_sets
+    return clone
 
 
 @dataclass

@@ -4,7 +4,8 @@
 2. Execute the failure run, replaying its dependences one at a time
    through per-core ACT Modules in online testing/training mode.
 3. After the failure, collect the Debug Buffers, build a Correct Set
-   from ~20 fresh correct runs, prune and rank.
+   from ~20 fresh correct runs (or reuse the one a provided TrainedACT
+   kept from an earlier diagnosis of the same program), prune and rank.
 4. Report where the ground-truth root-cause dependence landed.
 
 Resilience hooks (all inert by default, zero-fault runs are
@@ -176,6 +177,14 @@ def diagnose_failure(program, config=None, trained=None,
             ``buggy=True`` unless overridden via the param dicts.
         config: :class:`ACTConfig` (default config when omitted).
         trained: reuse an existing :class:`TrainedACT` (skips step 1).
+            It is the whole warm state: a diagnosis also keeps its
+            Correct Set in it, and a later diagnosis of the same
+            program object with the same pruning seeds, pruning params,
+            ``seq_len`` and ``filter_stack_loads`` reuses that set
+            instead of re-running the pruning programs. Nothing is
+            kept or reused under an enabled fault plan or a
+            ``checkpoint``, or from a build that quarantined a run, so
+            the report is the same either way.
         failure_params: params for the failure execution
             (default ``{"buggy": True}``).
         correct_params: params for training executions
@@ -203,7 +212,9 @@ def diagnose_failure(program, config=None, trained=None,
         trained_sink: optional callable invoked with the
             :class:`TrainedACT` once training state is in hand (freshly
             trained or reloaded). The NN engine's trained-state store
-            hangs off this hook; it never changes the report.
+            hangs off this hook; it never changes the report. The sink
+            gets the object this diagnosis then prunes with, so its
+            Correct Set is kept there too.
         policy: :class:`~repro.core.policy.PolicySpec` governing
             adaptive tracking during the failure-run deployment
             (defaults to the ambient policy; a disabled policy is a
@@ -286,11 +297,25 @@ def _diagnose_phases(program, config, trained, tele, n_train_runs,
                               quarantine=quarantine)
 
     # --- Offline post-processing --------------------------------------
-    correct_set = pruning_phase(
-        program, config,
-        list(range(pruning_seed0, pruning_seed0 + n_pruning_runs)),
-        jobs=jobs, quarantine=quarantine, checkpoint=checkpoint,
-        **pruning_params)
+    # A clean Correct Set is kept in ``trained`` for later diagnoses of
+    # the same program. Faulted and checkpointed builds (a checkpoint
+    # keeps its own per-seed store) are neither kept nor reused, and a
+    # build that quarantined a run is not kept.
+    seeds = list(range(pruning_seed0, pruning_seed0 + n_pruning_runs))
+    memo = ({} if checkpoint is not None or _faults.get_plan().enabled
+            else trained._correct_sets)
+    key = _pruning_key(program, config, seeds, pruning_params)
+    if key in memo:
+        correct_set = memo[key][1]
+    else:
+        n_quarantined = len(quarantine) if quarantine is not None else 0
+        correct_set = pruning_phase(
+            program, config, seeds, jobs=jobs, quarantine=quarantine,
+            checkpoint=checkpoint, **pruning_params)
+        if quarantine is None or len(quarantine) == n_quarantined:
+            # The program rides along so its id is not reused by
+            # another object while the entry lives.
+            memo[key] = (program, correct_set)
     rank_phase(deployment, correct_set, report)
     if tele.enabled:
         tele.inc("diagnose.runs")
@@ -371,6 +396,14 @@ def deploy_phase(trained, failure_run, report, quarantine=None):
                 "root cause not in debug buffer; buffer overflowed -- "
                 "retry with a larger debug_buffer (the MySQL#1 case)")
     return deployment
+
+
+def _pruning_key(program, config, seeds, params):
+    """What a Correct Set is a function of, besides the fault plan: the
+    program object (by identity), the pruning seeds and params, and the
+    sequence length and stack filter of its sequences."""
+    return (id(program), tuple(seeds), repr(sorted(params.items())),
+            config.seq_len, config.filter_stack_loads)
 
 
 def pruning_phase(program, config, seeds, jobs=None, quarantine=None,

@@ -230,6 +230,11 @@ class TrainedACT:
     test_mispred_rate: float = 0.0
     topology: str = ""
     metrics: dict = field(default_factory=dict)
+    #: Correct Sets built by diagnoses that used this state, by pruning
+    #: key (see :func:`repro.core.diagnosis.diagnose_failure`). A cache:
+    #: not serialised, not compared, not a constructor argument.
+    _correct_sets: dict = field(default_factory=dict, init=False,
+                                repr=False, compare=False)
 
     def has_weights(self, tid):
         """The ``chkwt`` instruction: does this thread have saved weights?"""

@@ -130,18 +130,19 @@ def train_network(positives, negatives, n_hidden, config=None, seed=None,
     best = None
     best_key = None
     restart_epochs = []
+    epoch_errors = []
     tele = telemetry.get_registry()
     for result in runs:
         restart_epochs.append(result.epochs)
         if tele.enabled:
-            for error in result.history:
-                tele.observe("nn.epoch_error", error)
+            epoch_errors.extend(result.history)
         key = (result.train_error, -result.worst_margin)
         if best_key is None or key < best_key:
             best, best_key = result, key
     best.restart_epochs = restart_epochs
     if tele.enabled:
-        # One event per counter and network; zero deltas are not sent.
+        # One event per metric and network; zero deltas are not sent.
+        tele.observe_many("nn.epoch_error", epoch_errors)
         if len(restart_epochs) > 1:
             tele.inc("nn.train_restarts", len(restart_epochs) - 1)
         tele.inc("nn.networks_trained")

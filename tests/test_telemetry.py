@@ -48,6 +48,23 @@ class TestGaugesAndHistograms:
         registry.observe("h", 0.123449)
         assert registry.histogram("h").buckets == {0.1235: 1, 0.1234: 1}
 
+    def test_observe_many_equals_single_observes(self, registry):
+        # Sums that builtin sum() (compensated on 3.12) would round
+        # differently from one-at-a-time addition.
+        values = [0.1] * 10 + [1e16, 1.0, -1e16, 0.3, 3, 0.0, -0.0, 1,
+                               0.30000001, 0.1]
+        single = telemetry.Registry(preregister_catalog=False)
+        registry.observe("h", 0.7)
+        single.observe("h", 0.7)
+        for v in values:
+            single.observe("h", v)
+        registry.observe_many("h", values)
+        registry.observe_many("h", [])
+        assert (registry.histogram("h").to_dict()
+                == single.histogram("h").to_dict())
+        assert repr(registry.histogram("h").sum) == repr(
+            single.histogram("h").sum)
+
 
 class TestLifecycle:
     def test_reset_clears_and_keeps_catalog(self, registry):
@@ -82,6 +99,8 @@ class TestNullRegistry:
         null = telemetry.NullRegistry()
         null.inc("x", 5)
         null.observe("h", 1)
+        null.observe_many("h", [1, 2])
+        null.histogram("h").observe_many([3])
         null.set_gauge("g", 2)
         with null.span("s") as span:
             assert span.name == "null"
