@@ -6,15 +6,16 @@ one JSONL entry to ``BENCH_history.jsonl`` and compares the *gated*
 metrics against the last recorded entry, failing (exit 1) when any of
 them regresses beyond the threshold (30% by default).
 
-Gated metrics are machine-portable ratios (the warm-pool speedup and
-the adaptive-frontier pick) plus the end-to-end corpus wall time, each
-with its own direction and threshold: a CI runner two times slower than
-the last machine should not trip the ratio gates, and a corpus run that
-doubled in wall time (the widened ``corpus_wall_seconds`` gate) signals
-a real pipeline regression, not scheduler noise. Absolute throughput
-(program-execution events/sec, replay deps/sec, simulated memory
-accesses/sec) and the cold/warm speedup split are still recorded in
-every entry so the trajectory can be plotted.
+Gated metrics are machine-portable ratios (the corpus fan-out speedup
+and the adaptive-frontier pick) plus the end-to-end corpus wall time,
+each with its own direction and threshold: a CI runner two times slower
+than the last machine should not trip the ratio gates, and a corpus run
+that doubled in wall time (the widened ``corpus_wall_seconds`` gate)
+signals a real pipeline regression, not scheduler noise. Absolute
+throughput (program-execution events/sec, replay deps/sec, simulated
+memory accesses/sec) and the host reference loop ``host.ref_s`` are
+still recorded in every entry so the trajectory can be plotted, and a
+faster host told apart from faster code.
 
 Usage (what the ``bench-trend`` CI job runs)::
 
@@ -33,13 +34,13 @@ DEFAULT_THRESHOLD = 0.30
 # recorded for the trajectory only. Each gate declares a direction
 # ("higher" is better, or "lower" -- wall-clock style) and may set
 # its own threshold; a gate that sets none takes the run default.
-# The warm-pool speedup and the corpus wall time depend on the host's
-# core count and scheduler, so they only gate against collapses, not
-# noise. A gated metric absent from either entry is skipped with a
+# The corpus fan-out speedup and the corpus wall time depend on the
+# host's core count and scheduler, so they only gate against collapses,
+# not noise. A gated metric absent from either entry is skipped with a
 # logged reason (new metrics must not fail the first run that records
 # them, and old histories must not fail new gates).
 GATED_METRICS = {
-    "parallel.speedup": {"direction": "higher", "threshold": 0.50},
+    "parallel.corpus_speedup": {"direction": "higher", "threshold": 0.50},
     "corpus_wall_seconds": {"direction": "lower", "threshold": 0.50},
     # The adaptive-frontier pick (benchmarks/bench_throughput.py runs
     # the sweep; see docs/adaptive.md). Both are ratios against the
@@ -56,8 +57,9 @@ TRACKED_METRICS = {
     "replay.deps_per_sec": "higher",
     "sim.accesses_per_sec": "higher",
     "training.epochs_per_sec": "higher",
-    "parallel.speedup_warm": "higher",
-    "parallel.speedup_cold": "higher",
+    # Seconds of a fixed pure-Python loop: the host's speed, not the
+    # code's.
+    "host.ref_s": "lower",
     "cache.warm_speedup": "higher",
     "cache.rediagnose_speedup": "higher",
     "frontier.recall": "higher",

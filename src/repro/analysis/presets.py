@@ -18,8 +18,9 @@ class Preset:
     """Knobs shared by the experiment runners."""
 
     name: str
-    # Worker processes for independent units (None/1 = serial); results
-    # are identical either way. Set via --jobs or REPRO_JOBS.
+    # Worker processes for the corpus sweeps and the Table IV topology
+    # grid (None/1 = serial); results are identical either way. Set via
+    # --jobs or REPRO_JOBS.
     jobs: Optional[int] = None
     # Table IV / Fig 7a
     n_train_traces: int = 10

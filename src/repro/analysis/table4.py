@@ -42,7 +42,7 @@ def run_table4(preset=FULL, config=None) -> List[Table4Row]:
         program = get_kernel(name)
         runs = collect_correct_runs(
             program, preset.n_train_traces + preset.n_test_traces, seed0=0,
-            jobs=preset.jobs, **workload_params(name, preset.trace_scale))
+            **workload_params(name, preset.trace_scale))
         train_runs = runs[:preset.n_train_traces]
         test_runs = runs[preset.n_train_traces:]
         trainer = OfflineTrainer(config=config)

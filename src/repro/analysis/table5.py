@@ -60,8 +60,7 @@ def run_table5(preset=FULL, config=None, bugs=None) -> List[Table5Row]:
         report, buffer_used = diagnose_with_buffer_escalation(
             program, config=config,
             n_train_runs=preset.n_train_traces,
-            n_pruning_runs=preset.n_pruning_runs,
-            jobs=preset.jobs)
+            n_pruning_runs=preset.n_pruning_runs)
         a = aviso.diagnose(get_bug(name),
                            max_failures=preset.aviso_max_failures)
         p = pbi.diagnose(get_bug(name))

@@ -171,9 +171,8 @@ def _cmd_diagnose(args):
         report = engine.diagnose_report(
             program, n_train_runs=args.train_runs,
             n_pruning_runs=args.pruning_runs, failure_seed=args.seed,
-            jobs=args.jobs, faults=plan,
-            quarantine=quarantine, checkpoint=checkpoint, policy=policy,
-            store=store)
+            faults=plan, quarantine=quarantine, checkpoint=checkpoint,
+            policy=policy, store=store)
     except (CheckpointError, EngineError) as e:
         return _fail(f"error: {e}")
     print(f"program          : {report.program}")
@@ -453,16 +452,18 @@ def _cmd_experiment(args):
 # -- parser ------------------------------------------------------------
 
 
-def _positive_int(text):
-    """argparse type for a count that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {text!r}")
-    return value
+def _at_least(floor):
+    """argparse type for an integer count of at least ``floor``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = floor - 1
+        if value < floor:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {floor}, got {text!r}")
+        return value
+    return parse
 
 
 def _csv_names(text):
@@ -498,10 +499,7 @@ def _add_diagnose_args(d):
     d.add_argument("--seq-len", type=int, default=5)
     d.add_argument("--debug-buffer", type=int, default=60)
     d.add_argument("--threshold", type=float, default=0.05)
-    d.add_argument("--top", type=_positive_int, default=5)
-    d.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="worker processes for independent runs "
-                        "(results identical to serial; 0 = all CPUs)")
+    d.add_argument("--top", type=_at_least(1), default=5)
     d.add_argument("--engine", default="nn", metavar="NAME",
                    help="predictor engine (see docs/engines.md): nn "
                         "(default), aviso, pbi, pset, ensemble, or "
@@ -575,9 +573,9 @@ def _add_sweep_args(cmd, what, bench=None):
     cmd.add_argument("--seq-len", type=int, default=3,
                      help="dependences per NN input (generated programs "
                           "are sized for the default of 3)")
-    cmd.add_argument("--top", type=_positive_int, default=5, metavar="K",
+    cmd.add_argument("--top", type=_at_least(1), default=5, metavar="K",
                      help="k for the top-k metrics")
-    cmd.add_argument("--jobs", type=int, default=None, metavar="N",
+    cmd.add_argument("--jobs", type=_at_least(0), default=None, metavar="N",
                      help="worker processes for independent programs "
                           "(results identical to serial; 0 = all CPUs)")
     cmd.add_argument("--out", metavar="PATH",
@@ -698,9 +696,10 @@ def build_parser():
     e.add_argument("name", choices=experiment_names())
     e.add_argument("--preset", choices=("fast", "bench", "full"),
                    default="fast")
-    e.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="worker processes for independent runs "
-                        "(results identical to serial; 0 = all CPUs)")
+    e.add_argument("--jobs", type=_at_least(0), default=None, metavar="N",
+                   help="worker processes for the corpus sweeps and the "
+                        "Table IV topology grid (results identical to "
+                        "serial; 0 = all CPUs)")
     _add_telemetry_args(e)
 
     return parser

@@ -37,7 +37,6 @@ from repro.core.offline import (OfflineTrainer, TrainedACT,
                                 sequences_from_payload, sequences_to_payload)
 from repro.core.postprocess import CorrectSet, postprocess, run_sequences
 from repro.faults import Checkpoint
-from repro.parallel import resolve_jobs
 from repro.workloads.framework import run_program
 
 @dataclass
@@ -78,9 +77,8 @@ def _fingerprint(program, config, n_train_runs, train_seed0, failure_seed,
                  n_pruning_runs, pruning_seed0, failure_params,
                  correct_params, pruning_params, root_cause, policy=None):
     """Checkpoint identity for one diagnosis: everything that shapes the
-    result. ``jobs`` is excluded -- it never changes outputs,
-    so a serial run may resume a parallel one and vice versa. A disabled
-    policy is elided so pre-policy checkpoints keep resuming."""
+    result. A disabled policy is elided so pre-policy checkpoints keep
+    resuming."""
     fp = {
         "program": getattr(program, "name", "?"),
         "config": asdict(config),
@@ -165,9 +163,9 @@ def diagnose_failure(program, config=None, trained=None,
                      failure_seed=12345,
                      n_pruning_runs=20, pruning_seed0=100,
                      failure_params=None, correct_params=None,
-                     pruning_params=None, root_cause=None, jobs=None,
-                     faults=None, quarantine=None, checkpoint=None,
-                     trained_sink=None, policy=None):
+                     pruning_params=None, root_cause=None, faults=None,
+                     quarantine=None, checkpoint=None, trained_sink=None,
+                     policy=None):
     """Diagnose ``program``'s failure with the full ACT pipeline.
 
     Args:
@@ -196,10 +194,6 @@ def diagnose_failure(program, config=None, trained=None,
             dependences from the code sections where the dependence
             sequences of the Debug Buffer belong").
         root_cause: override the program's ground-truth dependence keys.
-        jobs: run independent units (correct-run collection, pruning
-            runs, offline training) across ``jobs`` worker processes.
-            ``None``/1 keeps everything serial; results are identical
-            either way.
         faults: :class:`~repro.faults.FaultPlan` to activate for the
             whole diagnosis (defaults to the ambient plan; the zero
             plan is a no-op and preserves bit-identical output).
@@ -244,15 +238,15 @@ def diagnose_failure(program, config=None, trained=None,
             return _diagnose_phases(
                 program, config, trained, tele, n_train_runs, train_seed0,
                 failure_seed, n_pruning_runs, pruning_seed0, failure_params,
-                correct_params, pruning_params, root_cause, jobs,
+                correct_params, pruning_params, root_cause,
                 quarantine, checkpoint, trained_sink)
 
 
 def _diagnose_phases(program, config, trained, tele, n_train_runs,
                      train_seed0, failure_seed, n_pruning_runs,
                      pruning_seed0, failure_params, correct_params,
-                     pruning_params, root_cause, jobs=None,
-                     quarantine=None, checkpoint=None, trained_sink=None):
+                     pruning_params, root_cause, quarantine=None,
+                     checkpoint=None, trained_sink=None):
     if checkpoint is not None:
         cached = checkpoint.get("report")
         if cached is not None:
@@ -268,8 +262,7 @@ def _diagnose_phases(program, config, trained, tele, n_train_runs,
         else:
             try:
                 trained = train_phase(program, config, n_train_runs,
-                                      train_seed0, jobs=jobs,
-                                      quarantine=quarantine,
+                                      train_seed0, quarantine=quarantine,
                                       **correct_params)
             except ReproError as e:
                 if quarantine is None:
@@ -310,7 +303,7 @@ def _diagnose_phases(program, config, trained, tele, n_train_runs,
     else:
         n_quarantined = len(quarantine) if quarantine is not None else 0
         correct_set = pruning_phase(
-            program, config, seeds, jobs=jobs, quarantine=quarantine,
+            program, config, seeds, quarantine=quarantine,
             checkpoint=checkpoint, **pruning_params)
         if quarantine is None or len(quarantine) == n_quarantined:
             # The program rides along so its id is not reused by
@@ -332,14 +325,14 @@ def _diagnose_phases(program, config, trained, tele, n_train_runs,
 # ``diagnose.*`` telemetry span; the frontier sweep reuses the policy-
 # independent ones and repeats deploy + rank once per sampling rate.
 
-def train_phase(program, config, n_runs, seed0=0,
-                jobs=None, quarantine=None, **params):
+def train_phase(program, config, n_runs, seed0=0, quarantine=None,
+                **params):
     """Offline training from ``n_runs`` correct runs."""
     with telemetry.get_registry().span("diagnose.offline_train",
                                        n_runs=n_runs):
         return OfflineTrainer(config=config).train(
-            program, n_runs=n_runs, seed0=seed0, jobs=jobs,
-            quarantine=quarantine, **params)
+            program, n_runs=n_runs, seed0=seed0, quarantine=quarantine,
+            **params)
 
 
 def failure_report(program, failure_run, root_cause=None):
@@ -406,7 +399,7 @@ def _pruning_key(program, config, seeds, params):
             config.seq_len, config.filter_stack_loads)
 
 
-def pruning_phase(program, config, seeds, jobs=None, quarantine=None,
+def pruning_phase(program, config, seeds, quarantine=None,
                   checkpoint=None, **params):
     """The Correct Set from one fresh correct run per seed."""
     with telemetry.get_registry().span("diagnose.pruning_runs",
@@ -414,15 +407,13 @@ def pruning_phase(program, config, seeds, jobs=None, quarantine=None,
         correct_set = CorrectSet(config.seq_len,
                                  filter_stack=config.filter_stack_loads)
         if checkpoint is None:
-            for run in collect_runs_for_seeds(program, seeds, jobs=jobs,
+            for run in collect_runs_for_seeds(program, seeds,
                                               quarantine=quarantine,
                                               **params):
-                if run is not None:
-                    correct_set.add_run(run)
+                correct_set.add_run(run)
         else:
-            _pruning_with_checkpoint(program, config, seeds, jobs,
-                                     quarantine, checkpoint, params,
-                                     correct_set)
+            _pruning_with_checkpoint(program, config, seeds, quarantine,
+                                     checkpoint, params, correct_set)
     return correct_set
 
 
@@ -440,53 +431,29 @@ def rank_phase(deployment, correct_set, report):
         report.found = report.rank is not None
 
 
-def _pruning_with_checkpoint(program, config, seeds, jobs, quarantine,
+def _pruning_with_checkpoint(program, config, seeds, quarantine,
                              checkpoint, pruning_params, correct_set):
     """Collect pruning runs with per-seed checkpoint snapshots.
 
     Each finished run's dependence sequences are persisted under the
-    ``pruning:<seed>`` phase; a resumed diagnosis replays the cached
-    sequences and collects only the missing seeds. Serial collection
-    saves after every seed (a crash loses at most one run); parallel
-    collection saves the whole batch once.
+    ``pruning:<seed>`` phase, saved after every seed (a crash loses at
+    most one run); a resumed diagnosis replays the cached sequences and
+    collects only the missing seeds.
     """
-    seq_by_seed = {}
-    pending = []
     for seed in seeds:
         cached = checkpoint.get(f"pruning:{seed}")
         if cached is not None:
-            seq_by_seed[seed] = sequences_from_payload(cached["sequences"])
-        else:
-            pending.append(seed)
-    if pending and resolve_jobs(jobs) <= 1:
-        for seed in pending:
-            run = collect_runs_for_seeds(program, [seed],
-                                         quarantine=quarantine,
-                                         **pruning_params)[0]
-            if run is None:
-                continue
+            correct_set.add_sequences(sequences_from_payload(
+                cached["sequences"]))
+            continue
+        for run in collect_runs_for_seeds(program, [seed],
+                                          quarantine=quarantine,
+                                          **pruning_params):
             seqs = run_sequences(run, config.seq_len,
                                  filter_stack=config.filter_stack_loads)
-            seq_by_seed[seed] = seqs
             checkpoint.put(f"pruning:{seed}",
                            {"sequences": sequences_to_payload(seqs)})
-    elif pending:
-        runs = collect_runs_for_seeds(program, pending, jobs=jobs,
-                                      quarantine=quarantine,
-                                      **pruning_params)
-        for seed, run in zip(pending, runs):
-            if run is None:
-                continue
-            seqs = run_sequences(run, config.seq_len,
-                                 filter_stack=config.filter_stack_loads)
-            seq_by_seed[seed] = seqs
-            checkpoint.put(f"pruning:{seed}",
-                           {"sequences": sequences_to_payload(seqs)},
-                           save=False)
-        checkpoint.save()
-    for seed in seeds:
-        if seed in seq_by_seed:
-            correct_set.add_sequences(seq_by_seed[seed])
+            correct_set.add_sequences(seqs)
 
 
 def diagnose_with_buffer_escalation(program, config=None, max_buffer=960,

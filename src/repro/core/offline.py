@@ -4,10 +4,14 @@ Section III.B: traces from correct runs (test-suite executions) are
 turned into positive sequence examples plus synthesised negatives
 (store-before-last), then a network is trained per program. The paper
 trains one topology for all threads with per-thread weights; our
-workloads' threads run symmetric code, so by default the trainer pools
-all threads' sequences into one weight set and replicates it per thread
-(weights then diverge during online training). Per-thread training is
-available via ``pool_threads=False``.
+workloads' threads run symmetric code, so the trainer pools all
+threads' sequences into one weight set that every thread starts from.
+Per-thread weights arise only online: the thread library saves each
+thread's weights at exit (see DESIGN.md).
+
+Collection and training run serially: within one diagnosis a worker
+round trip costs more than it saves. The corpus sweeps and the Table IV
+topology grid are what fan out (see :mod:`repro.parallel`).
 """
 
 from dataclasses import dataclass, field
@@ -51,14 +55,13 @@ def _correct_run_task(payload):
     return run
 
 
-def collect_runs_for_seeds(program, seeds, jobs=None, quarantine=None,
-                           **params):
+def collect_runs_for_seeds(program, seeds, quarantine=None, **params):
     """Run ``program`` once per seed; every run must pass.
 
     These model the paper's test-suite executions used for offline
-    training and for building the post-processing Correct Set. Seeds
-    are fixed up front, so ``jobs > 1`` collects the exact same runs
-    across a process pool.
+    training and for building the post-processing Correct Set. The
+    runs go through :func:`repro.parallel.run_tasks` serially, the
+    worker fault boundary (kill site, retries, quarantine keys).
 
     Without a quarantine, a failed or corrupt run aborts the whole
     collection (the historical strict behaviour). With one, bad runs
@@ -72,8 +75,7 @@ def collect_runs_for_seeds(program, seeds, jobs=None, quarantine=None,
     runs = run_tasks(
         _correct_run_task,
         [(program, seed, params) for seed in seeds],
-        jobs=jobs, quarantine=quarantine, phase="offline.collect",
-        keys=seeds)
+        quarantine=quarantine, phase="offline.collect", keys=seeds)
     kept = []
     for seed, run in zip(seeds, runs):
         if run is None:  # quarantined by run_tasks
@@ -92,44 +94,32 @@ def collect_runs_for_seeds(program, seeds, jobs=None, quarantine=None,
     return kept
 
 
-def collect_correct_runs(program, n_runs, seed0=0, jobs=None,
-                         quarantine=None, **params):
+def collect_correct_runs(program, n_runs, seed0=0, quarantine=None,
+                         **params):
     """Collect runs for the contiguous seed range ``seed0 .. seed0+n-1``.
 
     See :func:`collect_runs_for_seeds` for the quarantine semantics.
     """
     return collect_runs_for_seeds(
-        program, [seed0 + i for i in range(n_runs)], jobs=jobs,
-        quarantine=quarantine, **params)
+        program, [seed0 + i for i in range(n_runs)], quarantine=quarantine,
+        **params)
 
 
-def sequences_from_runs(runs, seq_len, filter_stack=True, pool_threads=True,
-                        granularity=4):
-    """Extract (positive, negative) sequence lists from runs.
+def sequences_from_runs(runs, seq_len, filter_stack=True, granularity=4):
+    """Extract (positive, negative) sequence lists from runs, every
+    thread's sequences pooled.
 
     ``granularity`` is the last-writer tracking unit in bytes (4 =
     perfect word table; a line size = what the deployed hardware sees).
-
-    Returns either flat lists (pooled) or ``{tid: (pos, neg)}``.
     """
     pooled_pos, pooled_neg = [], []
-    per_thread: Dict[int, tuple] = {}
     for run in runs:
         streams = extract_raw_deps_with_negatives(
             run, filter_stack=filter_stack, granularity=granularity)
-        for tid, stream in streams.items():
-            pos = dep_sequences(stream, seq_len)
-            neg = negative_sequences(stream, seq_len)
-            if pool_threads:
-                pooled_pos.extend(pos)
-                pooled_neg.extend(neg)
-            else:
-                prev = per_thread.setdefault(tid, ([], []))
-                prev[0].extend(pos)
-                prev[1].extend(neg)
-    if pool_threads:
-        return pooled_pos, pooled_neg
-    return per_thread
+        for stream in streams.values():
+            pooled_pos.extend(dep_sequences(stream, seq_len))
+            pooled_neg.extend(negative_sequences(stream, seq_len))
+    return pooled_pos, pooled_neg
 
 
 def _dedupe(seqs):
@@ -206,12 +196,6 @@ def augment_negative_sequences(pos_seqs, seed=0, per_positive=2,
             bad = RawDep(s, last.load_pc, inter_thread=last.inter_thread)
             out.append(seq[:-1] + (bad,))
     return _dedupe(out)
-
-
-def _train_one_task(payload):
-    """Picklable work item: train one thread's weight set."""
-    trainer, pos, neg, encoder, store_universe = payload
-    return trainer._train_one(pos, neg, encoder, store_universe)
 
 
 @dataclass
@@ -369,56 +353,41 @@ class OfflineTrainer:
         self.train_line_view = train_line_view
 
     def train(self, program=None, runs=None, n_runs=10, seed0=0,
-              pool_threads=True, encoder=None, jobs=None, quarantine=None,
-              **params) -> TrainedACT:
+              encoder=None, quarantine=None, **params) -> TrainedACT:
         """Train from a program (running it) or from pre-collected runs.
 
-        ``jobs`` parallelises the independent units (run collection and,
-        with ``pool_threads=False``, the per-thread trainings) across
-        worker processes; results are identical to the serial path.
         ``quarantine`` lets corrupt training runs be skipped-and-reported
         (training proceeds on the clean subset); training on an empty
         clean subset raises :class:`~repro.common.errors.ReproError`.
         """
         with telemetry.get_registry().span(
-                "offline.train",
-                program=getattr(program, "name", "runs")):
-            return self._train(program=program, runs=runs, n_runs=n_runs,
-                               seed0=seed0, pool_threads=pool_threads,
-                               encoder=encoder, jobs=jobs,
-                               quarantine=quarantine, **params)
+                "offline.train", program=getattr(program, "name", "runs")):
+            if runs is None:
+                if program is None:
+                    raise ReproError("need a program or pre-collected runs")
+                runs = collect_correct_runs(program, n_runs, seed0=seed0,
+                                            quarantine=quarantine, **params)
+                if not runs:
+                    raise ReproError(
+                        "no correct training run survived quarantine "
+                        f"({len(quarantine)} of {n_runs} runs quarantined)"
+                        if quarantine is not None else
+                        "no correct training runs collected")
+            if encoder is None:
+                code_map = runs[0].code_map
+                if code_map is None:
+                    raise ReproError("runs carry no code map; pass an encoder")
+                encoder = DepEncoder(code_map=code_map)
 
-    def _train(self, program=None, runs=None, n_runs=10, seed0=0,
-               pool_threads=True, encoder=None, jobs=None, quarantine=None,
-               **params) -> TrainedACT:
-        if runs is None:
-            if program is None:
-                raise ReproError("need a program or pre-collected runs")
-            runs = collect_correct_runs(program, n_runs, seed0=seed0,
-                                        jobs=jobs, quarantine=quarantine,
-                                        **params)
-            if not runs:
-                raise ReproError(
-                    "no correct training run survived quarantine "
-                    f"({len(quarantine)} of {n_runs} runs quarantined)"
-                    if quarantine is not None else
-                    "no correct training runs collected")
-        if encoder is None:
-            code_map = runs[0].code_map
-            if code_map is None:
-                raise ReproError("runs carry no code map; pass an encoder")
-            encoder = DepEncoder(code_map=code_map)
-
-        cfg = self.config
-        store_universe = _store_universe(runs[0].code_map)
-        if self.augment_negatives:
-            from repro.trace.raw import line_level_pairs
-            self._protected_pairs = line_level_pairs(
-                runs, line_size=cfg.line_size,
-                filter_stack=cfg.filter_stack_loads)
-        else:
-            self._protected_pairs = set()
-        if pool_threads:
+            cfg = self.config
+            store_universe = _store_universe(runs[0].code_map)
+            if self.augment_negatives:
+                from repro.trace.raw import line_level_pairs
+                self._protected_pairs = line_level_pairs(
+                    runs, line_size=cfg.line_size,
+                    filter_stack=cfg.filter_stack_loads)
+            else:
+                self._protected_pairs = set()
             pos, neg = sequences_from_runs(
                 runs, cfg.seq_len, filter_stack=cfg.filter_stack_loads)
             if not cfg.lw_word_granularity and self.train_line_view:
@@ -432,36 +401,13 @@ class OfflineTrainer:
                 pos = pos + line_pos
             weights, result = self._train_one(pos, neg, encoder,
                                               store_universe)
-            per_thread = {}
-            default = weights
-            train_error = result.train_error
-        else:
-            from repro.parallel import run_tasks
 
-            per_stream = sequences_from_runs(
-                runs, cfg.seq_len, filter_stack=cfg.filter_stack_loads,
-                pool_threads=False)
-            tids = [tid for tid, (pos, _neg) in sorted(per_stream.items())
-                    if pos]
-            if not tids:
-                raise ReproError("no thread produced any dependence sequence")
-            outs = run_tasks(
-                _train_one_task,
-                [(self, per_stream[tid][0], per_stream[tid][1], encoder,
-                  store_universe) for tid in tids],
-                jobs=jobs)
-            per_thread = {}
-            errors = []
-            for tid, (weights, result) in zip(tids, outs):
-                per_thread[tid] = weights
-                errors.append(result.train_error)
-            default = per_thread[tids[0]]
-            train_error = float(np.mean(errors)) if errors else 0.0
-
-        telemetry.get_registry().set_gauge("offline.train_error", train_error)
-        return TrainedACT(config=cfg, encoder=encoder, weights=per_thread,
-                          default_weights=default, train_error=train_error,
-                          topology=f"{cfg.n_inputs}-{cfg.n_hidden}-1")
+            telemetry.get_registry().set_gauge("offline.train_error",
+                                               result.train_error)
+            return TrainedACT(config=cfg, encoder=encoder, weights={},
+                              default_weights=weights,
+                              train_error=result.train_error,
+                              topology=f"{cfg.n_inputs}-{cfg.n_hidden}-1")
 
     def _train_one(self, pos_seqs, neg_seqs, encoder, store_universe=None):
         pos_unique, neg_unique = self.prepare_examples(
@@ -521,8 +467,8 @@ class OfflineTrainer:
 
         Training examples come from ``train_runs``; the misprediction
         rate is the dynamic false-positive rate over ``test_runs``.
-        ``jobs`` spreads run collection and the topology grid across
-        worker processes (identical results to serial).
+        ``jobs`` spreads the topology grid across worker processes
+        (identical results to serial); runs are collected serially.
 
         ``checkpoint`` (a path) persists every evaluated grid point as a
         checksummed snapshot; a killed search resumed with the same
@@ -550,7 +496,7 @@ class OfflineTrainer:
                                          fingerprint)
         if train_runs is None or test_runs is None:
             runs = collect_correct_runs(program, n_train_runs + n_test_runs,
-                                        seed0=seed0, jobs=jobs, **params)
+                                        seed0=seed0, **params)
             train_runs = runs[:n_train_runs]
             test_runs = runs[n_train_runs:]
         encoder = DepEncoder(code_map=train_runs[0].code_map)

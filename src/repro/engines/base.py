@@ -120,8 +120,8 @@ class Predictor:
     def trained(self):
         raise NotImplementedError
 
-    def train(self, program, n_runs=10, seed0=0, jobs=None,
-              quarantine=None, **params):
+    def train(self, program, n_runs=10, seed0=0, quarantine=None,
+              **params):
         """Build engine state from ``n_runs`` correct executions."""
         raise NotImplementedError
 
@@ -193,8 +193,7 @@ class Predictor:
     def report_trained(self, program, failure_seed=12345,
                        n_pruning_runs=20, pruning_seed0=100,
                        failure_params=None, correct_params=None,
-                       pruning_params=None, root_cause=None, jobs=None,
-                       quarantine=None):
+                       pruning_params=None, root_cause=None, quarantine=None):
         """Diagnose with existing state (requires :attr:`trained`)."""
         raise NotImplementedError
 
@@ -202,9 +201,8 @@ class Predictor:
                         failure_seed=12345, n_pruning_runs=20,
                         pruning_seed0=100, failure_params=None,
                         correct_params=None, pruning_params=None,
-                        root_cause=None, jobs=None,
-                        faults=None, quarantine=None, checkpoint=None,
-                        policy=None, store=None):
+                        root_cause=None, faults=None, quarantine=None,
+                        checkpoint=None, policy=None, store=None):
         """Train if cold, then diagnose; the engine-routed entry point.
 
         ``store`` holds trained state across diagnoses (see
@@ -235,14 +233,14 @@ class Predictor:
                     failure_params=failure_params,
                     correct_params=dict(correct_params or {"buggy": False}),
                     pruning_params=pruning_params, root_cause=root_cause,
-                    jobs=jobs, quarantine=quarantine)
+                    quarantine=quarantine)
                 if tele.enabled:
                     tele.inc("engine.diagnoses")
                 if quarantine is not None and len(quarantine):
                     report.quarantine = quarantine.report_dict()
                 return report
 
-    def _diagnose(self, program, store, n_train_runs, train_seed0, jobs,
+    def _diagnose(self, program, store, n_train_runs, train_seed0,
                   quarantine, correct_params, **kwargs):
         """Load this engine's state from ``store`` or train it, then
         diagnose with it (runs inside the ``engine.diagnose`` span)."""
@@ -256,15 +254,13 @@ class Predictor:
             with tele.span("engine.train", engine=self.name,
                            n_runs=n_train_runs):
                 self.train(program, n_runs=n_train_runs, seed0=train_seed0,
-                           jobs=jobs, quarantine=quarantine,
-                           **correct_params)
+                           quarantine=quarantine, **correct_params)
             if tele.enabled:
                 tele.inc("engine.trainings")
         if key is not None and cached is None:
             store[key] = self.serialize()
         return self.report_trained(program, correct_params=correct_params,
-                                   jobs=jobs, quarantine=quarantine,
-                                   **kwargs)
+                                   quarantine=quarantine, **kwargs)
 
 
 class TrainedStateDir:

@@ -77,11 +77,11 @@ class AvisoEngine(Predictor):
     def trained(self):
         return self._counts is not None
 
-    def train(self, program, n_runs=10, seed0=0, jobs=None,
-              quarantine=None, **params):
+    def train(self, program, n_runs=10, seed0=0, quarantine=None,
+              **params):
         runs = collect_runs_for_seeds(
-            program, range(seed0, seed0 + n_runs), jobs=jobs,
-            quarantine=quarantine, **params)
+            program, range(seed0, seed0 + n_runs), quarantine=quarantine,
+            **params)
         counts = defaultdict(int)
         multithreaded = False
         for run in runs:
@@ -111,8 +111,7 @@ class AvisoEngine(Predictor):
     def report_trained(self, program, failure_seed=12345,
                        n_pruning_runs=20, pruning_seed0=100,
                        failure_params=None, correct_params=None,
-                       pruning_params=None, root_cause=None, jobs=None,
-                       quarantine=None):
+                       pruning_params=None, root_cause=None, quarantine=None):
         first = _failure_run(program, failure_seed, failure_params)
         truth = _truth(first, root_cause)
         if not self._multithreaded:
@@ -184,11 +183,11 @@ class PBIEngine(Predictor):
     def trained(self):
         return self._succ_true is not None
 
-    def train(self, program, n_runs=10, seed0=0, jobs=None,
-              quarantine=None, **params):
+    def train(self, program, n_runs=10, seed0=0, quarantine=None,
+              **params):
         runs = collect_runs_for_seeds(
-            program, range(seed0, seed0 + n_runs), jobs=jobs,
-            quarantine=quarantine, **params)
+            program, range(seed0, seed0 + n_runs), quarantine=quarantine,
+            **params)
         succ_true = defaultdict(int)
         succ_obs = defaultdict(int)
         for run in runs:
@@ -228,8 +227,7 @@ class PBIEngine(Predictor):
     def report_trained(self, program, failure_seed=12345,
                        n_pruning_runs=20, pruning_seed0=100,
                        failure_params=None, correct_params=None,
-                       pruning_params=None, root_cause=None, jobs=None,
-                       quarantine=None):
+                       pruning_params=None, root_cause=None, quarantine=None):
         run = _failure_run(program, failure_seed, failure_params)
         truth = _truth(run, root_cause)
         if not run.failed:
@@ -276,11 +274,11 @@ class PSetEngine(Predictor):
     def trained(self):
         return self._invariants is not None
 
-    def train(self, program, n_runs=10, seed0=0, jobs=None,
-              quarantine=None, **params):
+    def train(self, program, n_runs=10, seed0=0, quarantine=None,
+              **params):
         runs = collect_runs_for_seeds(
-            program, range(seed0, seed0 + n_runs), jobs=jobs,
-            quarantine=quarantine, **params)
+            program, range(seed0, seed0 + n_runs), quarantine=quarantine,
+            **params)
         self._invariants = PSetInvariants.train(
             runs, filter_stack=self.config.filter_stack_loads)
 
@@ -303,8 +301,7 @@ class PSetEngine(Predictor):
     def report_trained(self, program, failure_seed=12345,
                        n_pruning_runs=20, pruning_seed0=100,
                        failure_params=None, correct_params=None,
-                       pruning_params=None, root_cause=None, jobs=None,
-                       quarantine=None):
+                       pruning_params=None, root_cause=None, quarantine=None):
         run = _failure_run(program, failure_seed, failure_params)
         truth = _truth(run, root_cause)
         if not run.failed:

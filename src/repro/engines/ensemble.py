@@ -69,10 +69,10 @@ class EnsembleEngine(Predictor):
     def trained(self):
         return all(m.trained for m in self.members)
 
-    def train(self, program, n_runs=10, seed0=0, jobs=None,
-              quarantine=None, **params):
+    def train(self, program, n_runs=10, seed0=0, quarantine=None,
+              **params):
         for member in self.members:
-            member.train(program, n_runs=n_runs, seed0=seed0, jobs=jobs,
+            member.train(program, n_runs=n_runs, seed0=seed0,
                          quarantine=quarantine, **params)
 
     def predict_batch(self, seqs):

@@ -34,12 +34,11 @@ class NNEngine(Predictor):
     def trained(self):
         return self._trained is not None
 
-    def train(self, program, n_runs=10, seed0=0, jobs=None,
-              quarantine=None, **params):
+    def train(self, program, n_runs=10, seed0=0, quarantine=None,
+              **params):
         trainer = OfflineTrainer(config=self.config)
         self._trained = trainer.train(program, n_runs=n_runs, seed0=seed0,
-                                      jobs=jobs, quarantine=quarantine,
-                                      **params)
+                                      quarantine=quarantine, **params)
 
     def predict_batch(self, seqs):
         seqs = list(seqs)

@@ -1,11 +1,10 @@
 """Parallel run orchestration: fan independent units across processes.
 
-The ACT pipeline is full of embarrassingly parallel loops whose items
-share nothing: correct-run collection (each run gets its own seed),
-post-failure pruning runs, per-thread offline training, and the
-topology-search grid. :func:`run_tasks` executes such a loop across a
-process pool while keeping the *observable result identical* to the
-serial loop:
+Two loops fan out: the per-program sweep behind ``corpus``,
+``shootout`` and ``frontier`` (:func:`repro.analysis.accuracy.sweep`)
+and the Table IV topology grid (:func:`repro.nn.trainer.search_topology`).
+Inside one diagnosis, run collection calls :func:`run_tasks` serially.
+A pool keeps the *observable result identical* to the serial loop:
 
 - every item's inputs (seeds included) are fixed up front, so workers
   compute exactly what the serial iteration would have computed;
@@ -13,19 +12,17 @@ serial loop:
   serial loop's failure;
 - pool workers record telemetry into fresh child registries and ship
   snapshots back; the parent merges them in item order, reproducing the
-  serial counter/histogram totals (see
+  serial counter/histogram totals exactly (see
   :meth:`~repro.telemetry.registry.Registry.merge_snapshot`).
 
 The pool itself is process-wide and *warm*: a single
 :class:`PoolHandle` owns one ``ProcessPoolExecutor`` that is created on
-first use and reused across every batch in the process -- collection,
-training, topology search, corpus fan-out -- so only the first parallel
-call in a process pays worker startup. Batches dispatch items in small
-*chunks* (up to :data:`MAX_CHUNK` per submission) to amortise pickling
-and future overhead over several work units; each item inside a chunk
-still runs under its own task span and child registry, so chunking is
-invisible to telemetry and to the serial-identity guarantee. Results
-come home by plain pickle.
+first use and reused across every batch in the process, so only the
+first parallel call in a process pays worker startup. Each item is its
+own submission, so an idle worker takes the next item whatever the
+others cost (a pooled item is a whole diagnosis or a grid point's
+training, far above the dispatch cost). Results come home by plain
+pickle.
 
 Tracing v2 makes the stitching *structural*: each batch ships one
 telemetry spec tuple (:func:`_tele_spec`: clock spec, trace id, the
@@ -75,12 +72,6 @@ from repro import telemetry
 from repro.common.errors import ReproError, WorkerKilled
 from repro.telemetry.clock import clock_from_spec, clock_spec
 
-#: Upper bound on items per pool submission. Chunking amortises pickle
-#: and future overhead across work units a few milliseconds long; the
-#: cap keeps retry granularity (a broken pool re-runs whole chunks) and
-#: load balance reasonable.
-MAX_CHUNK = 8
-
 
 def resolve_jobs(jobs):
     """Normalise a ``--jobs`` value: None/1 -> serial, <=0 -> cpu count.
@@ -116,11 +107,6 @@ def jobs_from_env(default=None):
     return int(raw)
 
 
-def _noop(_x):
-    """Warm-up probe: forces a worker process to exist and respond."""
-    return None
-
-
 class PoolHandle:
     """Owner of the process-wide warm worker pool.
 
@@ -151,16 +137,6 @@ class PoolHandle:
             self._max_workers = n_workers
         return self._executor
 
-    def warm(self, n_workers):
-        """Ensure ``n_workers`` live worker processes (blocking).
-
-        Round-trips one no-op per worker so that subsequent batches
-        measure steady-state dispatch, not process spawn.
-        """
-        ex = self.executor(n_workers)
-        list(ex.map(_noop, range(n_workers), chunksize=1))
-        return ex
-
     def restart(self):
         """Replace a (typically broken) pool with a fresh one, same size."""
         n = self._max_workers
@@ -169,23 +145,19 @@ class PoolHandle:
             self.executor(n)
 
     def shutdown(self):
-        """Release the pool's workers. Safe to call repeatedly."""
+        """Release the pool's workers (the interpreter-exit hook).
+
+        Safe to call repeatedly; the next :meth:`executor` call builds
+        a fresh pool.
+        """
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
             self._max_workers = 0
 
-    def close(self):
-        """Release the workers (the interpreter-exit hook).
-
-        Idempotent, and the pool may still be rebuilt afterwards by the
-        next :meth:`executor` call.
-        """
-        self.shutdown()
-
 
 _POOL = PoolHandle()
-atexit.register(_POOL.close)
+atexit.register(_POOL.shutdown)
 
 
 def get_pool():
@@ -215,53 +187,38 @@ def _tele_spec(tele, phase):
             tele.tracer.next_batch_scope(), phase)
 
 
-def _invoke_one(fn, item, tspec, plan, key, attempt):
-    """Run one item in a pool worker, capturing child telemetry.
+def _invoke(payload):
+    """Run one item in a pool worker; returns ``(tag, value, snapshot)``.
 
     Re-activates the parent's fault plan inside the worker (module
     globals do not cross the process boundary -- and a warm worker may
-    carry a previous batch's globals) and hosts the injected
-    worker-kill site.
+    carry a previous batch's globals), hosts the injected worker-kill
+    site and records telemetry into a child registry. The outcome comes
+    back tagged so the parent applies retry/quarantine policy per item.
     """
-    with _faults.use_plan(plan):
-        if plan.enabled and plan.fires("worker_kill", key, attempt):
-            raise WorkerKilled(
-                f"injected worker death (task {key}, attempt {attempt})",
-                task_index=key, attempt=attempt)
-        if tspec is None:
-            return fn(item), None
-        cspec, trace_id, parent_id, batch_scope, phase = tspec
-        reg = telemetry.Registry(preregister_catalog=False,
-                                 clock=clock_from_spec(cspec))
-        reg.tracer.trace_id = trace_id
-        reg.tracer.remote_parent = parent_id
-        reg.tracer.scope = f"{batch_scope}w{key}."
-        with telemetry.use_registry(reg):
-            with reg.span("parallel.task", phase=phase, key=key):
-                out = fn(item)
-        return out, reg.snapshot()
-
-
-def _invoke_chunk(payload):
-    """Pool-worker trampoline: run a chunk of items, tagging outcomes.
-
-    Each item still executes independently (own task span, own child
-    registry, own kill site); the chunk exists only to amortise
-    dispatch overhead. Per-item outcomes come back tagged so the parent
-    can apply retry/quarantine policy per item, exactly as if each had
-    been submitted alone.
-    """
-    fn, entries, tspec, plan = payload
-    out = []
-    for item, key, attempt in entries:
-        try:
-            result, snap = _invoke_one(fn, item, tspec, plan, key, attempt)
-            out.append(("ok", result, snap))
-        except WorkerKilled as e:
-            out.append(("killed", e, None))
-        except Exception as e:  # noqa: BLE001 - re-raised in the parent
-            out.append(("error", e, None))
-    return out
+    fn, item, key, attempt, tspec, plan = payload
+    try:
+        with _faults.use_plan(plan):
+            if plan.enabled and plan.fires("worker_kill", key, attempt):
+                raise WorkerKilled(
+                    f"injected worker death (task {key}, attempt {attempt})",
+                    task_index=key, attempt=attempt)
+            if tspec is None:
+                return "ok", fn(item), None
+            cspec, trace_id, parent_id, batch_scope, phase = tspec
+            reg = telemetry.Registry(preregister_catalog=False,
+                                     clock=clock_from_spec(cspec))
+            reg.tracer.trace_id = trace_id
+            reg.tracer.remote_parent = parent_id
+            reg.tracer.scope = f"{batch_scope}w{key}."
+            with telemetry.use_registry(reg):
+                with reg.span("parallel.task", phase=phase, key=key):
+                    out = fn(item)
+            return "ok", out, reg.snapshot(exact=True)
+    except WorkerKilled as e:
+        return "killed", e, None
+    except Exception as e:  # noqa: BLE001 - re-raised in the parent
+        return "error", e, None
 
 
 def _orphaned(tele, phase, key, attempts):
@@ -313,11 +270,6 @@ def _run_serial(fn, items, keys, plan, quarantine, phase, tele):
     return results
 
 
-def _chunk_size(n_items, n_workers):
-    """Items per submission: fill the workers, capped at MAX_CHUNK."""
-    return max(1, min(-(-n_items // n_workers), MAX_CHUNK))
-
-
 def _run_pool(fn, items, keys, plan, quarantine, phase, tele, n_workers):
     """Dispatch items across the warm pool with bounded retries."""
     tspec = _tele_spec(tele, phase)
@@ -333,56 +285,43 @@ def _run_pool(fn, items, keys, plan, quarantine, phase, tele, n_workers):
         retry = {}
         pool_broke = False
         ex = _POOL.executor(n_workers)
-        order = sorted(pending)
-        size = _chunk_size(len(order), n_workers)
-        chunks = [order[i:i + size] for i in range(0, len(order), size)]
         futures = []
-        for chunk in chunks:
-            entries = [(items[i], keys[i], pending[i]) for i in chunk]
+        for index in sorted(pending):
             try:
-                fut = ex.submit(_invoke_chunk,
-                                (fn, entries, tspec, plan))
+                fut = ex.submit(_invoke, (fn, items[index], keys[index],
+                                          pending[index], tspec, plan))
             except BrokenProcessPool:
-                # The shared pool died between batches; treat the chunk
+                # The shared pool died between batches; treat the item
                 # like an in-flight crash below.
                 fut = None
-            futures.append((chunk, fut))
-        for chunk, future in futures:
+            futures.append((index, fut))
+        for index, future in futures:
+            attempt = pending[index]
             try:
                 if future is None:
                     raise BrokenProcessPool("pool broken at submit")
-                outcomes = future.result()
+                tag, value, snap = future.result()
             except BrokenProcessPool:
                 # A real worker death: every item in flight on this
                 # pool fails together. Rebuild the pool and re-run them
                 # under the same bounded-retry budget.
                 pool_broke = True
-                for index in chunk:
-                    attempt = pending[index]
-                    tele.inc("faults.worker_kills")
-                    if attempt >= plan.max_retries:
-                        errors[index] = WorkerKilled(
-                            f"worker process died (task {keys[index]}, "
-                            f"attempt {attempt}); retries exhausted",
-                            task_index=keys[index], attempt=attempt)
-                    else:
-                        retry[index] = attempt + 1
-                        tele.inc("parallel.retries")
-                continue
-            for index, (tag, value, snap) in zip(chunk, outcomes):
-                attempt = pending[index]
-                if tag == "ok":
-                    results[index] = value
-                    snaps[index] = snap
-                elif tag == "killed":
-                    tele.inc("faults.worker_kills")
-                    if attempt >= plan.max_retries:
-                        errors[index] = value
-                    else:
-                        retry[index] = attempt + 1
-                        tele.inc("parallel.retries")
-                else:
+                tag, value = "killed", WorkerKilled(
+                    f"worker process died (task {keys[index]}, "
+                    f"attempt {attempt}); retries exhausted",
+                    task_index=keys[index], attempt=attempt)
+            if tag == "ok":
+                results[index] = value
+                snaps[index] = snap
+            elif tag == "killed":
+                tele.inc("faults.worker_kills")
+                if attempt >= plan.max_retries:
                     errors[index] = value
+                else:
+                    retry[index] = attempt + 1
+                    tele.inc("parallel.retries")
+            else:
+                errors[index] = value
         if pool_broke:
             tele.inc("parallel.pool_restarts")
             _POOL.restart()

@@ -171,30 +171,33 @@ class TestTelemetryCLI:
 
 class TestTracingCLI:
     ARGS = ["--train-runs", "4", "--pruning-runs", "6"]
+    CORPUS = ["--seed", "3", "--size", "3", *ARGS]
 
     def test_tick_clock_runs_are_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for prof in (a, b):
-            assert main(["diagnose", "gzip", *self.ARGS, "--jobs", "2",
+            assert main(["corpus", *self.CORPUS, "--jobs", "2",
                          "--telemetry", str(prof), "--tick-clock"]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert read_profile(a)["meta"]["clock"] == "tick"
 
     def test_jobs_run_yields_one_stitched_tree(self, tmp_path, capsys):
         out = tmp_path / "p.json"
-        assert main(["diagnose", "gzip", *self.ARGS, "--jobs", "2",
+        assert main(["corpus", *self.CORPUS, "--jobs", "2",
                      "--telemetry", str(out), "--tick-clock"]) == 0
         profile = read_profile(out)
         (root,) = profile["spans"]
-        assert root["name"] == "diagnose"
-        tasks = []
-        stack = [root]
-        while stack:
-            span = stack.pop()
-            stack.extend(span.get("children", []))
-            if span["name"] == "parallel.task":
-                tasks.append(span)
-        assert len(tasks) > 1  # worker spans stitched under the root
+        assert root["name"] == "corpus"
+        (fan_out,) = root["children"]
+        tasks = fan_out["children"]
+        # One worker-scoped task per program, stitched under the
+        # dispatching span, each holding that program's diagnosis.
+        assert len(tasks) == 3
+        for task in tasks:
+            assert task["name"] == "parallel.task"
+            assert task["id"].startswith("b1.w")
+            assert task["parent"] == fan_out["id"]
+            assert [c["name"] for c in task["children"]] == ["diagnose"]
 
     def test_profile_flame_view(self, tmp_path, capsys):
         out = tmp_path / "p.json"
@@ -477,12 +480,28 @@ class TestErrorExits:
         ["corpus", *SMALL_SWEEP, "--top", "-1"],
         ["shootout", *SMALL_SWEEP, "--no-bench", "--top", "-1"],
         ["corpus", "--top", "many"],
+        ["corpus", *SMALL_SWEEP, "--jobs", "-3"],
+        ["shootout", *SMALL_SWEEP, "--no-bench", "--jobs", "-1"],
+        ["frontier", *SMALL_SWEEP, "--no-bench", "--jobs", "-1"],
+        ["experiment", "table5", "--jobs", "-2"],
+        ["corpus", "--jobs", "many"],
     ])
     def test_counts_below_one_rejected_at_parse_time(self, argv, capsys,
                                                      tmp_path,
                                                      monkeypatch):
+        # --jobs takes 0 (all CPUs), so its floor is 0, not 1.
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "expected an integer >= 1" in capsys.readouterr().err
+        floor = 0 if "--jobs" in argv else 1
+        assert (f"expected an integer >= {floor}"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_diagnose_takes_no_jobs(self, capsys):
+        # One diagnosis runs serially; only the sweeps fan out.
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnose", "gzip", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err

@@ -118,18 +118,16 @@ class TestCorrectSetReuse:
         kwargs.setdefault("n_pruning_runs", 4)
         return diagnose_failure(program, trained=trained, **kwargs)
 
-    @pytest.mark.parametrize("jobs", [None, 2])
     def test_tinybug_warm_report_equals_cold(self, tinybug, fresh,
-                                             collected, jobs):
-        cold = self._diagnose(tinybug, fresh, jobs=jobs)
-        warm = self._diagnose(tinybug, fresh, jobs=jobs)
+                                             collected):
+        cold = self._diagnose(tinybug, fresh)
+        warm = self._diagnose(tinybug, fresh)
         assert len(collected) == 1
         assert cold.found
         _same_report(cold, warm)
         _same_report(cold, self._diagnose(tinybug, replace(fresh)))
 
-    @pytest.mark.parametrize("jobs", [None, 2])
-    def test_generated_warm_reports_equal_cold(self, collected, jobs):
+    def test_generated_warm_reports_equal_cold(self, collected):
         config = ACTConfig(seq_len=3)
         runs = {"n_train_runs": 6, "n_pruning_runs": 8}
         for archetype in ("order", "use_after_reset"):
@@ -137,10 +135,10 @@ class TestCorrectSetReuse:
                 program = GeneratedProgram(ProgramSpec.from_seed(
                     7, archetype=archetype, motif=motif))
                 sink = []
-                cold = diagnose_failure(program, config=config, jobs=jobs,
+                cold = diagnose_failure(program, config=config,
                                         trained_sink=sink.append, **runs)
                 n = len(collected)
-                warm = diagnose_failure(program, config=config, jobs=jobs,
+                warm = diagnose_failure(program, config=config,
                                         trained=sink[0], **runs)
                 assert len(collected) == n
                 _same_report(cold, warm)

@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
+from repro.analysis.accuracy import CorpusSpec, run_corpus
 from repro.common.errors import WorkerKilled
 from repro.core.diagnosis import DiagnosisReport, diagnose_failure
 from repro.core.offline import OfflineTrainer, collect_runs_for_seeds
@@ -30,6 +31,7 @@ from repro.workloads.framework import run_program
 from repro.workloads.registry import all_bug_names, get_bug
 
 _RUNS = dict(n_train_runs=3, n_pruning_runs=4)
+_CORPUS = CorpusSpec(seed=3, size=4, n_train_runs=4, n_pruning_runs=6)
 
 
 def _strip_spans(spans):
@@ -68,11 +70,12 @@ class TestZeroFaultIdentity:
                 == _normalized(faulted_reg.snapshot()))
 
     def test_zero_plan_forces_no_behaviour_change_with_jobs(self):
-        program = get_bug("gzip")
-        plain = diagnose_failure(program, jobs=2, **_RUNS)
-        faulted = diagnose_failure(program, jobs=2, faults=ZERO_PLAN,
-                                   quarantine=Quarantine(), **_RUNS)
-        assert plain == faulted
+        # The plan travels to the pool workers of a pooled corpus.
+        plain = run_corpus(_CORPUS, jobs=2)
+        faulted = run_corpus(_CORPUS, jobs=2, faults=ZERO_PLAN,
+                             quarantine=Quarantine())
+        assert faulted.metrics == plain.metrics
+        assert faulted.quarantine is None
 
 
 class TestQuarantineSubsetEquivalence:
@@ -109,8 +112,7 @@ class TestQuarantineSubsetEquivalence:
         assert np.array_equal(faulted.default_weights,
                               clean.default_weights)
 
-    @pytest.mark.parametrize("jobs", [None, 2])
-    def test_diagnosis_with_k_quarantined_equals_clean_subset(self, jobs):
+    def test_diagnosis_with_k_quarantined_equals_clean_subset(self):
         program = get_bug("gzip")
         # Corrupt the last pruning seed (100 + 3): the surviving work is
         # exactly a 3-pruning-run diagnosis.
@@ -118,10 +120,26 @@ class TestQuarantineSubsetEquivalence:
         faulted = diagnose_failure(program, n_train_runs=3, n_pruning_runs=4,
                                    faults=FaultPlan(seed=0,
                                                     corrupt_run_seeds=(103,)),
-                                   quarantine=quarantine, jobs=jobs)
+                                   quarantine=quarantine)
         clean = diagnose_failure(program, n_train_runs=3, n_pruning_runs=3)
         assert quarantine.keys() == [103]
         assert faulted.quarantine == quarantine.report_dict()
+        faulted.quarantine = None
+        assert faulted == clean
+
+    def test_checkpointed_diagnosis_with_k_quarantined_equals_clean_subset(
+            self, tmp_path):
+        # The checkpointed pruning path collects one seed at a time; a
+        # quarantined seed leaves nothing to snapshot and is skipped.
+        program = get_bug("gzip")
+        quarantine = Quarantine()
+        faulted = diagnose_failure(program, n_train_runs=3, n_pruning_runs=4,
+                                   faults=FaultPlan(seed=0,
+                                                    corrupt_run_seeds=(103,)),
+                                   quarantine=quarantine,
+                                   checkpoint=str(tmp_path / "ck.json"))
+        clean = diagnose_failure(program, n_train_runs=3, n_pruning_runs=3)
+        assert quarantine.keys() == [103]
         faulted.quarantine = None
         assert faulted == clean
 
@@ -151,8 +169,7 @@ class TestKilledWorkerSpanStitching:
             stack.extend(span.get("children", []))
         return index
 
-    @pytest.mark.parametrize("jobs", [None, 2])
-    def test_diagnosis_tree_flags_the_lost_run(self, jobs):
+    def test_diagnosis_tree_flags_the_lost_run(self):
         program = get_bug("gzip")
         # Kill pruning seed 102 on every attempt; quarantine absorbs it.
         plan = FaultPlan(seed=0, kill_tasks=((102, 0), (102, 1), (102, 2)),
@@ -161,8 +178,7 @@ class TestKilledWorkerSpanStitching:
         reg = telemetry.Registry(clock=telemetry.TickClock())
         with telemetry.use_registry(reg):
             report = diagnose_failure(program, faults=plan,
-                                      quarantine=quarantine, jobs=jobs,
-                                      **_RUNS)
+                                      quarantine=quarantine, **_RUNS)
         assert isinstance(report, DiagnosisReport)
         assert quarantine.keys() == [102]
         snap = reg.snapshot()

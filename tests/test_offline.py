@@ -5,6 +5,7 @@ import pytest
 
 from repro.common.errors import ReproError
 from repro.core.config import ACTConfig
+from repro.core.deploy import deploy_on_run
 from repro.core.offline import (
     OfflineTrainer,
     augment_negative_sequences,
@@ -15,6 +16,7 @@ from repro.core.offline import (
     _dedupe,
 )
 from repro.trace.raw import RawDep
+from repro.workloads.framework import run_program
 
 
 class TestCollectRuns:
@@ -34,13 +36,6 @@ class TestSequencesFromRuns:
         pos, neg = sequences_from_runs(runs, 3)
         assert pos
         assert all(len(s) == 3 for s in pos)
-
-    def test_per_thread_split(self, pingpong):
-        runs = collect_correct_runs(pingpong, 2)
-        per = sequences_from_runs(runs, 2, pool_threads=False)
-        assert set(per) <= {0, 1}
-        for pos, _neg in per.values():
-            assert all(len(s) == 2 for s in pos)
 
     def test_line_granularity_view_differs(self, tinybug):
         runs = collect_correct_runs(tinybug, 2, buggy=False)
@@ -115,11 +110,15 @@ class TestTrainer:
         assert np.allclose(t.weights_for(42), t.default_weights)
 
     def test_per_thread_training(self, pingpong):
+        # Offline training pools both threads into one weight set; each
+        # thread's own weights arise online, read out after deployment.
         cfg = ACTConfig(seq_len=2)
-        trained = OfflineTrainer(config=cfg).train(pingpong, n_runs=3,
-                                                   pool_threads=False)
-        # both threads of pingpong produce dependences
-        assert trained.has_weights(0) or trained.has_weights(1)
+        trained = OfflineTrainer(config=cfg).train(pingpong, n_runs=3)
+        assert trained.weights == {}
+        deployment = deploy_on_run(trained, run_program(pingpong, seed=50))
+        for module in deployment.modules.values():
+            trained.record_thread_weights(module.tid, module.save_weights())
+        assert trained.has_weights(0) and trained.has_weights(1)
 
     def test_needs_program_or_runs(self):
         with pytest.raises(ReproError):

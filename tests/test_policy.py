@@ -10,18 +10,21 @@ Pins the contracts :mod:`repro.core.policy` must keep:
    results.
 2. **Determinism** -- sampling decisions are a pure function of
    ``(seed, site, key)``: the same policy admits the same dependences
-   serial or under ``--jobs N``.
+   serial or in a ``--jobs N`` corpus sweep.
 3. **Monotonicity** -- the admitted set at a lower rate is a subset of
    the admitted set at any higher rate (same seed, same stream).
 4. **Tightening dominates shedding** -- a dependence covered by the
    suspicion set is always admitted, even while backoff is shedding.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
+from repro.analysis.accuracy import CorpusSpec, run_corpus
 from repro.common.errors import ConfigError
 from repro.core.config import ACTConfig
 from repro.core.diagnosis import diagnose_failure
@@ -41,6 +44,7 @@ from repro.workloads.framework import run_program
 from repro.workloads.registry import all_bug_names, get_bug
 
 _RUNS = dict(n_train_runs=3, n_pruning_runs=4)
+_CORPUS = CorpusSpec(seed=3, size=4, n_train_runs=4, n_pruning_runs=6)
 
 
 # ---------------------------------------------------------------------
@@ -146,10 +150,11 @@ class TestPolicyOffIdentity:
         assert plain == off
 
     def test_identity_holds_with_jobs(self):
-        program = get_bug("gzip")
-        plain = diagnose_failure(program, jobs=2, **_RUNS)
-        off = diagnose_failure(program, policy=NULL_POLICY, jobs=2, **_RUNS)
-        assert plain == off
+        # The spec's policy travels to the pool workers: a pooled corpus
+        # under NULL_POLICY scores exactly what the policy-free one does.
+        plain = run_corpus(_CORPUS, jobs=2)
+        off = run_corpus(replace(_CORPUS, policy=NULL_POLICY), jobs=2)
+        assert off.records == plain.records
 
     def test_trace_files_byte_identical(self, tmp_path):
         run = run_program(get_bug("gzip"), seed=1, buggy=True)
@@ -193,11 +198,9 @@ class TestActivePolicy:
         assert any("shed" in note for note in report.notes)
 
     def test_serial_equals_jobs(self):
-        program = get_bug("gzip")
-        policy = PolicySpec(seed=3, rate=0.5, backoff=True)
-        serial = diagnose_failure(program, policy=policy, **_RUNS)
-        parallel = diagnose_failure(program, policy=policy, jobs=4, **_RUNS)
-        assert serial == parallel
+        spec = replace(_CORPUS,
+                       policy=PolicySpec(seed=3, rate=0.5, backoff=True))
+        assert run_corpus(spec, jobs=2).records == run_corpus(spec).records
 
     def test_rerun_is_deterministic(self):
         program = get_bug("gzip")

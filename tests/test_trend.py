@@ -13,12 +13,12 @@ trend = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(trend)
 
 
-def _payload(speedup=3.0, warm=2.0):
+def _payload(speedup=3.0):
     return {
         "preset": "fast",
         "replay": {"deps_per_sec": 5e4},
-        "parallel": {"speedup": speedup, "speedup_warm": warm,
-                     "speedup_cold": warm / 2},
+        "host": {"ref_s": 0.05},
+        "parallel": {"corpus_speedup": speedup},
     }
 
 
@@ -35,7 +35,7 @@ def _run(tmp_path, payload, name="bench.json", history="hist.jsonl",
 class TestMetrics:
     def test_get_metric_resolves_dotted_paths(self):
         payload = _payload(speedup=4.5)
-        assert trend.get_metric(payload, "parallel.speedup") == 4.5
+        assert trend.get_metric(payload, "parallel.corpus_speedup") == 4.5
         assert trend.get_metric(payload, "replay.missing") is None
         assert trend.get_metric(payload, "nope.deep.er") is None
 
@@ -43,9 +43,8 @@ class TestMetrics:
         entry = trend.make_entry(_payload(), timestamp=42.0, source="ci")
         assert entry["timestamp"] == 42.0
         assert entry["source"] == "ci"
-        assert entry["metrics"]["parallel.speedup"] == 3.0
-        assert entry["metrics"]["parallel.speedup_warm"] == 2.0
-        assert "parallel.speedup_cold" in entry["metrics"]
+        assert entry["metrics"]["parallel.corpus_speedup"] == 3.0
+        assert entry["metrics"]["host.ref_s"] == 0.05
         assert "host_cpus" not in entry
 
     def test_entry_records_host_cpus(self):
@@ -77,11 +76,11 @@ class TestGate:
         _run(tmp_path, _payload(speedup=3.0))
         rc, text = _run(tmp_path, _payload(speedup=1.2))
         assert rc == 1
-        assert "REGRESSION" in text and "parallel.speedup" in text
+        assert "REGRESSION" in text and "parallel.corpus_speedup" in text
 
     def test_small_change_passes(self, tmp_path):
-        _run(tmp_path, _payload(speedup=3.0, warm=2.0))
-        rc, text = _run(tmp_path, _payload(speedup=2.7, warm=1.9))
+        _run(tmp_path, _payload(speedup=3.0))
+        rc, text = _run(tmp_path, _payload(speedup=2.7))
         assert rc == 0
         assert "trend OK" in text
 
@@ -92,7 +91,7 @@ class TestGate:
 
     def test_threshold_is_configurable(self, tmp_path, monkeypatch):
         # A gate that sets no threshold of its own takes the run's.
-        monkeypatch.setitem(trend.GATED_METRICS, "parallel.speedup",
+        monkeypatch.setitem(trend.GATED_METRICS, "parallel.corpus_speedup",
                             {"direction": "higher"})
         _run(tmp_path, _payload(speedup=3.0))
         rc, _ = _run(tmp_path, _payload(speedup=2.5), threshold=0.10)
@@ -130,7 +129,7 @@ class TestGate:
         prev = trend.make_entry(_payload(speedup=4.0), timestamp=0.0)
         cur = trend.make_entry(_payload(speedup=1.0), timestamp=1.0)
         (reg,) = trend.check_regressions(prev, cur)
-        assert reg["metric"] == "parallel.speedup"
+        assert reg["metric"] == "parallel.corpus_speedup"
         assert reg["previous"] == 4.0 and reg["current"] == 1.0
         assert reg["drop"] == pytest.approx(0.75)
 
@@ -142,14 +141,16 @@ class TestGate:
             "replay": {"program": "lu", "n_deps": 6400,
                        "seconds": 0.12, "deps_per_sec": 5.3e4,
                        "mode_switches": 0},
-            "parallel": {"speedup": 1.4, "speedup_cold": 1.4,
-                         "speedup_warm": 2.8,
-                         "pool_startup_seconds": 0.12},
+            "host": {"ref_s": 0.051},
+            "parallel": {"corpus_size": 6, "jobs": 2,
+                         "serial_seconds": 0.42, "parallel_seconds": 0.3,
+                         "corpus_speedup": 1.4},
         }
         rc, _ = _run(tmp_path, payload)
         assert rc == 0
         (entry,) = trend.load_history(tmp_path / "hist.jsonl")
-        assert entry["metrics"]["parallel.speedup_warm"] == 2.8
+        assert entry["metrics"]["parallel.corpus_speedup"] == 1.4
+        assert entry["metrics"]["host.ref_s"] == 0.051
 
 
 def _full_payload(speedup=3.0, wall=5.0, overhead=0.5, top1=1.0):
@@ -184,14 +185,14 @@ class TestDirectionalGates:
         assert rc == 0
 
     def test_parallel_speedup_gate_is_widened(self, tmp_path):
-        # The run default (30%) does not apply: the warm-pool gate only
-        # trips on a collapse beyond its own 50% threshold.
+        # The run default (30%) does not apply: the corpus fan-out gate
+        # only trips on a collapse beyond its own 50% threshold.
         _run(tmp_path, _full_payload(speedup=1.0))
         rc, _ = _run(tmp_path, _full_payload(speedup=0.6))  # -40% < 50%
         assert rc == 0
         rc, text = _run(tmp_path, _full_payload(speedup=0.2))  # -67% > 50%
         assert rc == 1
-        assert "parallel.speedup" in text and "50%" in text
+        assert "parallel.corpus_speedup" in text and "50%" in text
 
     def test_absent_gated_metric_logs_a_skip(self, tmp_path):
         _run(tmp_path, _full_payload())
@@ -240,6 +241,7 @@ class TestDirectionalGates:
                      id="telemetry.overhead_pct"),
         pytest.param("execution.events_per_sec", 2e4,
                      id="execution.events_per_sec"),
+        pytest.param("host.ref_s", 0.5, id="host.ref_s"),
     ])
     def test_tracked_metric_is_not_gated(self, tmp_path, path, worse_value):
         _run(tmp_path, _full_payload())
