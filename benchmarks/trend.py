@@ -7,11 +7,12 @@ metrics against the last recorded entry, failing (exit 1) when any of
 them regresses beyond the threshold (30% by default).
 
 Gated metrics are machine-portable ratios (the corpus fan-out speedup
-and the adaptive-frontier pick) plus the end-to-end corpus wall time,
-each with its own direction and threshold: a CI runner two times slower
-than the last machine should not trip the ratio gates, and a corpus run
-that doubled in wall time (the widened ``corpus_wall_seconds`` gate)
-signals a real pipeline regression, not scheduler noise. Absolute
+and the adaptive-frontier pick) plus the end-to-end corpus wall time in
+units of the host reference loop, each with its own direction and
+threshold: a CI runner two times slower than the last machine should
+not trip the gates, and a corpus run that doubled against the same
+host's reference loop (the widened ``corpus_wall_seconds / host.ref_s``
+gate) signals a real pipeline regression, not a slow host. Absolute
 throughput (program-execution events/sec, replay deps/sec, simulated
 memory accesses/sec) and the host reference loop ``host.ref_s`` are
 still recorded in every entry so the trajectory can be plotted, and a
@@ -34,14 +35,18 @@ DEFAULT_THRESHOLD = 0.30
 # recorded for the trajectory only. Each gate declares a direction
 # ("higher" is better, or "lower" -- wall-clock style) and may set
 # its own threshold; a gate that sets none takes the run default.
-# The corpus fan-out speedup and the corpus wall time depend on the
-# host's core count and scheduler, so they only gate against collapses,
-# not noise. A gated metric absent from either entry is skipped with a
-# logged reason (new metrics must not fail the first run that records
-# them, and old histories must not fail new gates).
+# A gate with ``per`` compares the metric divided by that metric of
+# the same entry. The corpus fan-out speedup and the corpus wall time
+# depend on the host's core count and scheduler, so they only gate
+# against collapses, not noise; the wall time is taken per second of
+# the host reference loop, so a slow host does not read as slow code.
+# A gated metric (or its ``per``) absent from either entry is skipped
+# with a logged reason (new metrics must not fail the first run that
+# records them, and old histories must not fail new gates).
 GATED_METRICS = {
     "parallel.corpus_speedup": {"direction": "higher", "threshold": 0.50},
-    "corpus_wall_seconds": {"direction": "lower", "threshold": 0.50},
+    "corpus_wall_seconds": {"direction": "lower", "threshold": 0.50,
+                            "per": "host.ref_s"},
     # The adaptive-frontier pick (benchmarks/bench_throughput.py runs
     # the sweep; see docs/adaptive.md). Both are ratios against the
     # full-rate baseline of the same run, so they are machine-portable:
@@ -125,12 +130,13 @@ def check_regressions(previous, current, threshold=DEFAULT_THRESHOLD,
                       skips=None):
     """Gated metrics of ``current`` vs ``previous``; returns regressions.
 
-    Each regression is a dict with the metric, both values and the
-    fractional drop (always oriented so that positive = worse,
-    whichever direction the gate declares). A gated metric missing from
-    either entry, or with a non-positive baseline, is skipped instead
-    of erroring; pass a list as ``skips`` to collect
-    ``{"metric", "reason"}`` records explaining each skip.
+    Each regression is a dict with the metric, its ``per`` (or None),
+    both values (divided by ``per``) and the fractional drop (always
+    oriented so that positive = worse, whichever direction the gate
+    declares). A gated metric or its ``per`` missing from either entry,
+    or a non-positive baseline, is skipped instead of erroring; pass a
+    list as ``skips`` to collect ``{"metric", "reason"}`` records
+    explaining each skip.
     """
     regressions = []
     prev_metrics = previous.get("metrics", {})
@@ -138,15 +144,11 @@ def check_regressions(previous, current, threshold=DEFAULT_THRESHOLD,
     for path in sorted(GATED_METRICS):
         gate = GATED_METRICS[path]
         limit = gate.get("threshold", threshold)
-        old = prev_metrics.get(path)
-        new = cur_metrics.get(path)
-        if old is None or new is None:
+        old, new, skip = _gated_values(prev_metrics, cur_metrics, path,
+                                       gate.get("per"))
+        if skip:
             if skips is not None:
-                missing = ("both entries" if old is None and new is None
-                           else "previous entry" if old is None
-                           else "current entry")
-                skips.append({"metric": path,
-                              "reason": f"absent from {missing}"})
+                skips.append({"metric": path, "reason": skip})
             continue
         if old <= 0:
             if skips is not None:
@@ -158,10 +160,31 @@ def check_regressions(previous, current, threshold=DEFAULT_THRESHOLD,
         else:
             drop = (old - new) / old
         if drop > limit:
-            regressions.append({"metric": path, "previous": old,
-                                "current": new, "drop": round(drop, 4),
-                                "threshold": limit})
+            regressions.append({"metric": path, "per": gate.get("per"),
+                                "previous": old, "current": new,
+                                "drop": round(drop, 4), "threshold": limit})
     return regressions
+
+
+def _gated_values(prev_metrics, cur_metrics, path, per=None):
+    """``(old, new, skip)`` of one gate: the two values, divided by
+    ``per`` when the gate sets it, or a ``skip`` reason naming the
+    first missing input."""
+    values = []
+    for name in (path, per) if per else (path,):
+        old, new = prev_metrics.get(name), cur_metrics.get(name)
+        if old is None or new is None:
+            where = ("both entries" if old is None and new is None
+                     else "previous entry" if old is None
+                     else "current entry")
+            return None, None, f"{name} absent from {where}"
+        values.append((old, new))
+    if not per:
+        return values[0] + (None,)
+    (old, new), (old_per, new_per) = values
+    if old_per <= 0 or new_per <= 0:
+        return None, None, f"non-positive {per} ({old_per}, {new_per})"
+    return old / old_per, new / new_per, None
 
 
 def run_trend(bench_path, history_path, threshold=DEFAULT_THRESHOLD,
@@ -198,7 +221,8 @@ def run_trend(bench_path, history_path, threshold=DEFAULT_THRESHOLD,
               f"entry", file=out)
         return 0
     for reg in regressions:
-        print(f"REGRESSION: {reg['metric']} worsened {reg['drop']:.1%} "
+        name = reg["metric"] + (f" / {reg['per']}" if reg["per"] else "")
+        print(f"REGRESSION: {name} worsened {reg['drop']:.1%} "
               f"({reg['previous']} -> {reg['current']}), "
               f"threshold {reg['threshold']:.0%}", file=out)
     return 1

@@ -706,6 +706,26 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one ``repro`` command; returns its exit code.
+
+    A reader that closes stdout early (``repro ... | head -1``) ends the
+    command quietly with exit code 1, not a ``BrokenPipeError``
+    traceback: stdout is flushed here, so a broken pipe surfaces inside
+    the handler, and is then pointed at the null device, so the
+    interpreter's own flush at exit has nothing left to fail on.
+    """
+    try:
+        rc = _run_command(argv)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+
+
+def _run_command(argv):
     args = build_parser().parse_args(argv)
     handler = {
         "list": _cmd_list,

@@ -37,6 +37,7 @@ from repro.core.offline import (OfflineTrainer, TrainedACT,
                                 sequences_from_payload, sequences_to_payload)
 from repro.core.postprocess import CorrectSet, postprocess, run_sequences
 from repro.faults import Checkpoint
+from repro.nn.trainer import fit_identity
 from repro.workloads.framework import run_program
 
 @dataclass
@@ -77,11 +78,13 @@ def _fingerprint(program, config, n_train_runs, train_seed0, failure_seed,
                  n_pruning_runs, pruning_seed0, failure_params,
                  correct_params, pruning_params, root_cause, policy=None):
     """Checkpoint identity for one diagnosis: everything that shapes the
-    result. A disabled policy is elided so pre-policy checkpoints keep
-    resuming."""
+    result, the offline fit included (a checkpoint's trained phase is
+    never resumed by another fit rule). A disabled policy is elided so
+    pre-policy checkpoints keep resuming."""
     fp = {
         "program": getattr(program, "name", "?"),
         "config": asdict(config),
+        "fit": fit_identity(OfflineTrainer(config=config).train_config),
         "n_train_runs": n_train_runs, "train_seed0": train_seed0,
         "failure_seed": failure_seed,
         "n_pruning_runs": n_pruning_runs, "pruning_seed0": pruning_seed0,

@@ -30,6 +30,7 @@ from repro.nn.trainer import (
     TrainConfig,
     evaluate_misprediction,
     fit_from,
+    fit_identity,
     search_topology,
     train_network,
 )
@@ -491,6 +492,7 @@ class OfflineTrainer:
                 "n_train_runs": n_train_runs, "n_test_runs": n_test_runs,
                 "seed0": seed0, "params": params,
                 "train_seed": self.train_config.seed,
+                "fit": fit_identity(self.train_config),
             }
             checkpoint = Checkpoint.open(checkpoint, "topology-search",
                                          fingerprint)

@@ -15,6 +15,7 @@ import numpy as np
 from repro.core.diagnosis import diagnose_failure
 from repro.core.offline import OfflineTrainer, TrainedACT
 from repro.engines.base import EngineCapabilities, Predictor
+from repro.nn.trainer import fit_identity
 
 
 class NNEngine(Predictor):
@@ -29,6 +30,12 @@ class NNEngine(Predictor):
     def __init__(self, config=None):
         super().__init__(config)
         self._trained = None
+
+    def fingerprint(self):
+        """The engine kind plus the offline fit that trains it."""
+        trainer = OfflineTrainer(config=self.config)
+        return {"engine": self.name,
+                "fit": fit_identity(trainer.train_config)}
 
     @property
     def trained(self):

@@ -1,11 +1,12 @@
 """Offline network training and topology search.
 
-Networks are fitted by full-batch gradient descent with momentum on the
-class-balanced training set, several restarts stepped together, with
-the cross-entropy output delta ``t - o``: the gradient of the weighted
-mean binary cross-entropy, which does not stall on saturated outputs
-the way the sigmoid-derivative delta ``o(1-o)(t-o)`` does. The
-per-example rule of the hardware's online training
+Networks are fitted by full-batch Adam on the class-balanced training
+set, with the cross-entropy output delta ``t - o``: the gradient of the
+weighted mean binary cross-entropy, which does not stall on saturated
+outputs the way the sigmoid-derivative delta ``o(1-o)(t-o)`` does.
+Several restarts are stepped together, and the first one to fit stops
+them all; the best of them, by training error and then worst-case
+margin, wins. The per-example rule of the hardware's online training
 (``OneHiddenLayerNet.train_example``) stays available as the
 ``batch=False`` path.
 
@@ -15,7 +16,7 @@ hidden width (1 to 10), selecting the topology with the lowest
 misprediction rate on held-out test data.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -24,6 +25,13 @@ from repro import telemetry
 from repro.common.errors import ConfigError
 from repro.common.rng import make_np_rng
 from repro.nn.network import OneHiddenLayerNet, SigmoidTable
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba's
+# defaults); with bias correction the first step is ``step_size`` times
+# the sign of the gradient, whatever its scale.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass
@@ -35,7 +43,8 @@ class TrainConfig:
     max_epochs: int = 3000
     # Stop this many epochs after the training error first reaches
     # target_error (lets the margins harden without running the full
-    # epoch budget).
+    # epoch budget). In the batch path the first restart to serve it
+    # stops every restart.
     patience_after_fit: int = 50
     # Stop early once the training misclassification rate reaches this.
     target_error: float = 0.0
@@ -59,22 +68,36 @@ class TrainConfig:
     # Independent training restarts; the run with the lowest training
     # error (ties: largest worst-case margin) wins. Memorising a small
     # pattern set with a tiny MLP is sensitive to the weight init, and
-    # restarts are the standard cure.
+    # restarts are the standard cure. The batch path stops them all
+    # once the first has fitted and served its patience.
     restarts: int = 5
-    # Full-batch gradient descent with momentum on the cross-entropy
-    # delta ``t - o``, all restarts stepped together (deterministic, and
-    # orders of magnitude faster in numpy than per-example steps).
-    # ``False`` selects per-example SGD with the sigmoid-derivative
-    # delta, the rule the hardware's online-training mode uses.
+    # Full-batch Adam on the cross-entropy delta ``t - o``, all restarts
+    # stepped together until the first fits (deterministic, and orders
+    # of magnitude faster in numpy than per-example steps). ``False``
+    # selects per-example SGD with the sigmoid-derivative delta, the
+    # rule the hardware's online-training mode uses.
     batch: bool = True
-    momentum: float = 0.9
-    batch_learning_rate: float = 2.0
+    # Adam's step size: the first step moves every weight by about this
+    # much, and later steps scale it by the gradient's consistency.
+    step_size: float = 0.2
     # Use the inlined per-example SGD kernel (_sgd_examples: hoisted
     # weight views + direct sigmoid-table lookups) instead of calling
     # net.train_example per row. Bit-identical results; the reference
     # loop stays available as the equivalence oracle (and as the
     # fallback for custom sigmoid objects).
     fast_sgd: bool = True
+
+
+#: The offline fit rule, named in trained-state keys and checkpoint
+#: fingerprints next to the :class:`TrainConfig` fields, so that state
+#: fitted by another rule (the momentum descent this one replaced, say)
+#: is never reused.
+FIT_RULE = "adam-first-fit"
+
+
+def fit_identity(cfg):
+    """JSON-safe identity of the offline fit: its rule and settings."""
+    return {"rule": FIT_RULE, **asdict(cfg)}
 
 
 @dataclass
@@ -101,7 +124,8 @@ def train_network(positives, negatives, n_hidden, config=None, seed=None,
 
     Runs ``config.restarts`` independent trainings and keeps the best:
     lowest training error, then largest worst-case margin, then the
-    earliest restart.
+    earliest restart. The batch path stops every restart on the epoch
+    the first one to fit has served its patience.
 
     Args:
         positives: 2-D array of valid-sequence encodings.
@@ -323,10 +347,10 @@ def fit_from(net, positives, negatives, config=None):
     """Continue fitting ``net`` on a new training set, in place.
 
     The offline recipe from the network's current weights instead of a
-    fresh initialisation: class-balanced full-batch descent with the
-    ``t - o`` delta until the set is fitted (``patience_after_fit``
-    epochs past zero training error) or ``max_epochs`` run out. Either
-    class may be empty, not both.
+    fresh initialisation: class-balanced full-batch Adam, from fresh
+    moments, with the ``t - o`` delta until the set is fitted
+    (``patience_after_fit`` epochs past zero training error) or
+    ``max_epochs`` run out. Either class may be empty, not both.
 
     Returns:
         :class:`TrainResult` of the fit (``result.net`` is ``net``).
@@ -338,16 +362,19 @@ def fit_from(net, positives, negatives, config=None):
 
 
 def _fit_restarts(ts, nets, cfg):
-    """Full-batch gradient descent with momentum, every restart at once.
+    """Full-batch Adam, every restart at once, until the first fit.
 
-    The restarts are stacked on a leading axis and stepped together;
-    each keeps its own patience-after-fit stop and leaves the stack when
-    it stops. Every expression is the one-network computation with a
-    restart axis in front (``np.matmul`` makes the same BLAS call per
-    restart; products and sums are taken in the same order, into
-    buffers allocated once per stack size), so each network is
-    bit-identical to fitting it alone. Two rewrites keep the bits while
-    saving passes:
+    The restarts are stacked on a leading axis and stepped together.
+    The whole stack stops on the epoch on which the first restart to
+    reach ``target_error`` has held it for ``patience_after_fit``
+    epochs, and every restart is recorded on that epoch with its
+    weights from before the epoch's step; otherwise every restart runs
+    the ``max_epochs`` steps. The caller picks the winner. Every expression is the one-network
+    computation with a restart axis in front (``np.matmul`` makes the
+    same BLAS call per restart; products and sums are taken in the same
+    order, and the Adam update is elementwise), so each network is
+    bit-identical to fitting it alone up to the stop epoch. Two
+    rewrites keep the bits while saving passes:
 
     - The hidden layer multiplies by the negated inputs ``-xs1.T``,
       built once. Negation is exact and round-to-nearest is symmetric,
@@ -387,8 +414,10 @@ def _fit_restarts(ts, nets, cfg):
     xs1 = np.hstack([xs, np.ones((len(xs), 1))])
     xs1_t_neg = -np.ascontiguousarray(xs1.T)
     # One row per restart holds all its weights in register-file order
-    # (hidden, then output), so a single momentum step updates both
-    # layers; w_h (A, hidden, inputs+1) and w_o (A, hidden+1) are views.
+    # (hidden, then output), so a single Adam step updates both layers;
+    # w_h (A, hidden, inputs+1) and w_o (A, hidden+1) are views. Rows on
+    # the last axis of the activations keep every elementwise pass
+    # contiguous.
     hidden_shape = nets[0].w_hidden.shape
     n_hidden_w = nets[0].w_hidden.size
 
@@ -397,98 +426,88 @@ def _fit_restarts(ts, nets, cfg):
                 flat[:, n_hidden_w:])
 
     w = np.stack([net.read_weights() for net in nets])
-    v = np.zeros_like(w)
-    g = np.empty_like(w)
-    lr, momentum, target = (cfg.batch_learning_rate, cfg.momentum,
-                            cfg.target_error)
-    # Stack row a holds restart active[a]; fit_epoch 0 means "not fit".
-    active = list(range(len(nets)))
+    m, s, g, u = (np.zeros_like(w) for _ in range(4))
+    w_h, w_o = layers(w)
+    g_h, g_o = layers(g)
+    o_in, o_bias, o_col = w_o[:, None, :-1], w_o[:, -1:], w_o[:, :-1, None]
+    g_o_w, g_o_bias = g_o[:, :-1, None], g_o[:, -1]
+    h = np.empty((len(w), hidden_shape[0], len(xs)))
+    d_h, t = np.empty_like(h), np.empty_like(h)
+    o3 = np.empty((len(w), 1, len(xs)))
+    o = o3[:, 0]
+    d_o = np.empty_like(o)
+    d_o_row, d_o_col = d_o[:, None, :], d_o[:, :, None]
+    above = np.empty(o.shape, dtype=bool)
+    target, patience = cfg.target_error, cfg.patience_after_fit
+    # fit_epoch[a] is the epoch restart a reached the target and has
+    # held it since; 0 means "not fit".
     fit_epoch = [0] * len(nets)
     fitting = False
     err = [1.0] * len(nets)
     histories = [[] for _ in nets]
-    results = [None] * len(nets)
     epoch = 0
+    while epoch < cfg.max_epochs:
+        epoch += 1
+        np.matmul(w_h, xs1_t_neg, out=h)  # (A, hidden, rows)
+        np.exp(h, out=h)
+        h += 1.0
+        np.divide(1.0, h, out=h)
+        np.matmul(o_in, h, out=o3)
+        o += o_bias
+        np.negative(o, out=o)
+        np.exp(o, out=o)
+        o += 1.0
+        np.divide(1.0, o, out=o)
 
-    def finish(rows):
-        for a in rows:
-            r = active[a]
-            nets[r].write_weights(w[a])
-            results[r] = _result(nets[r], xs, labels, epoch, err[a],
-                                 histories[r], ts.n_pos, ts.n_neg)
-
-    while active and epoch < cfg.max_epochs:
-        # Work buffers and views for this stack size. Rows on the last
-        # axis keep every elementwise pass contiguous.
-        w_h, w_o = layers(w)
-        g_h, g_o = layers(g)
-        o_in, o_bias, o_col = w_o[:, None, :-1], w_o[:, -1:], w_o[:, :-1, None]
-        g_o_w, g_o_bias = g_o[:, :-1, None], g_o[:, -1]
-        h = np.empty((len(w), hidden_shape[0], len(xs)))
-        d_h, t = np.empty_like(h), np.empty_like(h)
-        o3 = np.empty((len(w), 1, len(xs)))
-        o = o3[:, 0]
-        d_o = np.empty_like(o)
-        d_o_row, d_o_col = d_o[:, None, :], d_o[:, :, None]
-        above = np.empty(o.shape, dtype=bool)
-        stacked_histories = [histories[r] for r in active]
-        stop = []
-        while not stop and epoch < cfg.max_epochs:
-            epoch += 1
-            np.matmul(w_h, xs1_t_neg, out=h)  # (A, hidden, rows)
-            np.exp(h, out=h)
-            h += 1.0
-            np.divide(1.0, h, out=h)
-            np.matmul(o_in, h, out=o3)
-            o += o_bias
-            np.negative(o, out=o)
-            np.exp(o, out=o)
-            o += 1.0
-            np.divide(1.0, o, out=o)
-
-            np.greater_equal(o, 0.5, out=above)
-            err = [(count + pos_total) / n
-                   for count in (above @ signed).tolist()]
-            for history, e in zip(stacked_histories, err):
-                history.append(e)
-            # Only a restart at or below the target, now or on the last
-            # epoch, has a fit epoch to set, clear or stop on.
-            if fitting or min(err) <= target:
-                for a, e in enumerate(err):
-                    if e > target:
-                        fit_epoch[a] = 0
-                        continue
-                    fit_epoch[a] = fit_epoch[a] or epoch
-                    if epoch - fit_epoch[a] >= cfg.patience_after_fit:
-                        stop.append(a)
-                fitting = any(fit_epoch)
-                finish(stop)
-
-            # Each distinct row's error term counts as often as the
-            # balanced set repeats the row. A restart that just stopped
-            # takes this step too; its row leaves the stack below.
-            np.subtract(targets, o, out=d_o)
-            d_o *= weight
-            np.subtract(1.0, h, out=d_h)
-            d_h *= h
-            np.multiply(o_col, d_o_row, out=t)
-            d_h *= t
-            np.matmul(h, d_o_col, out=g_o_w)
-            np.add.reduce(d_o, axis=1, out=g_o_bias)
-            np.matmul(d_h, xs1, out=g_h)
-            g /= n
-            g *= lr
-            v *= momentum
-            v += g
-            w += v
-        if stop:
-            keep = [a for a in range(len(active)) if a not in stop]
-            active = [active[a] for a in keep]
-            fit_epoch = [fit_epoch[a] for a in keep]
+        np.greater_equal(o, 0.5, out=above)
+        err = [(count + pos_total) / n
+               for count in (above @ signed).tolist()]
+        for history, e in zip(histories, err):
+            history.append(e)
+        # Only a restart at or below the target, now or on the last
+        # epoch, has a fit epoch to set or clear; the earliest fit
+        # epoch has served the most patience.
+        if fitting or min(err) <= target:
+            fit_epoch = [0 if e > target else f or epoch
+                         for f, e in zip(fit_epoch, err)]
             fitting = any(fit_epoch)
-            err = [err[a] for a in keep]
-            w, v, g = w[keep], v[keep], g[:len(keep)]
-    finish(range(len(active)))  # the epoch cap
+            if fitting and epoch - min(f for f in fit_epoch if f) >= patience:
+                break
+
+        # Each distinct row's error term counts as often as the
+        # balanced set repeats the row; g is the descent direction
+        # (minus the gradient of the weighted mean cross-entropy).
+        np.subtract(targets, o, out=d_o)
+        d_o *= weight
+        np.subtract(1.0, h, out=d_h)
+        d_h *= h
+        np.multiply(o_col, d_o_row, out=t)
+        d_h *= t
+        np.matmul(h, d_o_col, out=g_o_w)
+        np.add.reduce(d_o, axis=1, out=g_o_bias)
+        np.matmul(d_h, xs1, out=g_h)
+        g /= n
+        # Adam: m and s are the moving first and second moments, each
+        # divided by its bias correction for the step.
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=u)
+        m += u
+        s *= ADAM_BETA2
+        g *= g
+        g *= 1.0 - ADAM_BETA2
+        s += g
+        np.divide(s, 1.0 - ADAM_BETA2 ** epoch, out=g)
+        np.sqrt(g, out=g)
+        g += ADAM_EPSILON
+        np.divide(m, 1.0 - ADAM_BETA1 ** epoch, out=u)
+        u /= g
+        u *= cfg.step_size
+        w += u
+    results = []
+    for r, net in enumerate(nets):
+        net.write_weights(w[r])
+        results.append(_result(net, xs, labels, epoch, err[r], histories[r],
+                               ts.n_pos, ts.n_neg))
     return results
 
 

@@ -185,3 +185,58 @@ class TestCacheDirCLI:
             main([command])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+class TestFitIdentity:
+    """Trained state carries the offline fit that produced it: an entry
+    or checkpoint written under a key without it (as by a build with
+    another fit rule) is never loaded."""
+
+    def test_entry_under_the_key_without_the_fit_is_a_miss(
+            self, tmp_path, monkeypatch):
+        from repro.engines.base import Predictor
+        from repro.engines.nn_engine import NNEngine
+
+        cache = str(tmp_path / "c")
+        # The key as it was before it named the fit: the bare engine.
+        with monkeypatch.context() as m:
+            m.setattr(NNEngine, "fingerprint", Predictor.fingerprint)
+            _, old_counts, _ = _run(_request(cache))
+        assert old_counts == (0, 1)
+        miss, counts, spans = _run(_request(cache))
+        assert counts == (0, 1)
+        assert "diagnose.offline_train" in spans
+        assert len(os.listdir(cache)) == 2
+        hit, counts, _ = _run(_request(cache))
+        assert counts == (1, 0) and hit == miss
+
+    def test_fit_settings_are_in_the_key(self, monkeypatch):
+        from repro.core import offline
+        from repro.engines import create
+        from repro.nn.trainer import TrainConfig
+        from repro.workloads.registry import get_bug
+
+        program = get_bug("gzip")
+        base = create("nn").store_key({}, program, 4, 0, None)
+        monkeypatch.setattr(offline, "TrainConfig",
+                            lambda **kw: TrainConfig(step_size=0.1, **kw))
+        assert create("nn").store_key({}, program, 4, 0, None) != base
+
+    def test_checkpoint_without_the_fit_is_refused(self, tmp_path):
+        from repro.common.errors import CheckpointError
+        from repro.core import diagnosis
+        from repro.core.config import ACTConfig
+        from repro.faults import Checkpoint
+        from repro.workloads.registry import get_bug
+
+        program = get_bug("gzip")
+        path = str(tmp_path / "ck.json")
+        kwargs = dict(n_train_runs=4, n_pruning_runs=6)
+        diagnosis.diagnose_failure(program, checkpoint=path, **kwargs)
+        ck = Checkpoint.load(path)
+        assert "trained" in ck.phases and "fit" in ck.fingerprint
+        del ck.fingerprint["fit"]
+        ck.save()
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            diagnosis.diagnose_failure(program, config=ACTConfig(),
+                                       checkpoint=path, **kwargs)

@@ -339,6 +339,23 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert "gzip" in proc.stdout and "table5" in proc.stdout
 
+    def test_closed_stdout_exits_quietly(self):
+        # The reader is gone before the first write, as after
+        # ``repro list | head -0``: every write hits a broken pipe.
+        import os
+        import pathlib
+        env = dict(os.environ)
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "list"], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == ""
+
 
 class TestStartup:
     """``repro --version`` and ``import repro.cli`` stay below the numpy

@@ -186,7 +186,10 @@ def _all_cycle_digests():
     return out
 
 
-# Generated before window outputs were reused within a replay.
+# Generated before window outputs were reused within a replay; the four
+# mismatched-state digests were regenerated when the offline fit moved
+# to Adam with a first-fit stop (their replays enter online training,
+# which starts from the offline weights).
 CYCLE_DIGESTS = {
     'barnes':
         '9488f99cfc3998702d67dcdfdbf34974a100f679e4f9fcc89ab70e3a4ba1215d',
@@ -213,13 +216,13 @@ CYCLE_DIGESTS = {
     'swaptions':
         '32923b8ff415888a17a9b6012063d8f96a6057df457d5a8a35b6f8794521558b',
     'fft<lu':
-        '4c877b42ac53b94e02de5b2d065829631f0f40077c912148f06496a8859eaacd',
+        '1da9518ecbf84799276aac7bdd17072ed227a5e1e904d9e0b71300bc108ef245',
     'lu<fft':
-        '463232dbc57fca9ef124f27bf42b4a12f0d2a855ee5c64b68907fdbd748a00c3',
+        'fc73b2dcdbe809a1b319c5b56542a31163cdf7c72cf912491169c09d27a9f865',
     'barnes<radix':
-        '9dca518cd02dcb91bd0e27ed3f63b19667d355b52115c861a1a2e0d55987cf41',
+        '082a6a9d3115fd2cc1c2d9cb23048c2ee99bac4a7821cc455a72c63b25e563f2',
     'bzip2<mcf':
-        'ac81c083ae016262ec850d527f4d3ad50cd9f8c8f0d8a0d82afc1c5764ed3a81',
+        '0e527a0d79179ce77b332173365822d521bee76b32fc814fb8d4b284ecee23e1',
 }
 
 

@@ -125,6 +125,43 @@ class TestGate:
         rc, _ = _run(tmp_path, _payload())
         assert rc == 0
 
+    @staticmethod
+    def _wall(wall_s, ref_s):
+        payload = _payload()
+        payload["corpus_wall_seconds"] = wall_s
+        if ref_s is None:
+            del payload["host"]
+        else:
+            payload["host"]["ref_s"] = ref_s
+        return payload
+
+    def test_slower_host_with_the_same_wall_ratio_passes(self, tmp_path):
+        # Twice the wall time on a host whose reference loop is twice
+        # as slow: the code did not change.
+        _run(tmp_path, self._wall(1.0, 0.02))
+        rc, text = _run(tmp_path, self._wall(2.0, 0.04))
+        assert rc == 0
+        assert "trend OK" in text
+
+    def test_same_host_at_twice_the_wall_time_fails(self, tmp_path):
+        _run(tmp_path, self._wall(1.0, 0.02))
+        rc, text = _run(tmp_path, self._wall(2.0, 0.02))
+        assert rc == 1
+        assert ("REGRESSION: corpus_wall_seconds / host.ref_s worsened "
+                "100.0%") in text
+
+    @pytest.mark.parametrize("old_ref,new_ref,where", [
+        (None, 0.02, "previous entry"),
+        (0.02, None, "current entry"),
+    ])
+    def test_wall_time_without_host_ref_is_skipped(self, tmp_path, old_ref,
+                                                   new_ref, where):
+        _run(tmp_path, self._wall(1.0, old_ref))
+        rc, text = _run(tmp_path, self._wall(3.0, new_ref))
+        assert rc == 0
+        assert (f"gate skipped: corpus_wall_seconds "
+                f"(host.ref_s absent from {where})") in text
+
     def test_check_regressions_reports_both_values(self):
         prev = trend.make_entry(_payload(speedup=4.0), timestamp=0.0)
         cur = trend.make_entry(_payload(speedup=1.0), timestamp=1.0)
