@@ -1,7 +1,7 @@
 """Execution, replay, simulation, orchestration, corpus and cached-diagnosis
 throughput.
 
-Nine measurements, all recorded into ``BENCH_throughput.json`` at the
+Ten measurements, all recorded into ``BENCH_throughput.json`` at the
 repo root and into ``benchmarks/results/``, plus ``host.ref_s``: the
 time of a fixed pure-Python loop in the same run, so the history can
 tell a faster host from faster code. The execution, replay,
@@ -17,15 +17,20 @@ phase.
    (about a third within one lu run); replaying one trace many times
    over would make nearly every window a stored output. The figure is
    absolute, so the trend history tracks it without gating it.
-2. **Corpus fan-out** -- wall time of the preset-scaled corpus
+2. **Corpus fan-out** -- wall time of a preset-scaled corpus
    (:func:`~repro.analysis.accuracy.run_corpus_for_preset`) serial and
    with ``jobs=2`` on a live pool, from the median of alternating
-   pairs, with identical metrics. The per-program sweep is the fan-out
-   that pays (one diagnosis runs serially); ``parallel.corpus_speedup``,
-   serial over ``jobs=2``, is what the trend history gates. ``host_cpus`` is
-   recorded alongside: on a single-CPU host the speedup honestly tops
-   out below 1x (there is no second core to win on); the gate's
-   widened threshold absorbs host-to-host variance.
+   pairs, with identical metrics. The corpus starts at the preset's
+   size and doubles until a serial run takes at least
+   ``FANOUT_MIN_SERIAL_S``: on a shorter one the pair times the pool's
+   dispatch and worker warm-up more than the fan-out (the 6-program
+   fast corpus took 0.21 s serial and read 0.92x on a 2-CPU host). The
+   per-program sweep is the fan-out that pays (one diagnosis runs
+   serially); ``parallel.corpus_speedup``, serial over ``jobs=2``, is
+   what the trend history gates. ``host_cpus`` is recorded alongside:
+   on a single-CPU host the speedup honestly tops out below 1x (there
+   is no second core to win on); the gate's widened threshold absorbs
+   host-to-host variance.
 3. **End-to-end corpus** -- wall seconds of the preset-scaled accuracy
    corpus (``repro corpus``), the number a user actually waits on. Also
    exported flat as ``corpus_wall_seconds`` for the trend gate.
@@ -70,6 +75,11 @@ phase.
    diagnose`` of each fits). A stacked epoch steps every restart still
    running; ``training.epochs_per_sec`` counts them and is tracked in
    the trend history but not gated (it is absolute).
+10. **Process start-up** -- median CPU seconds of fresh interpreters
+    running ``repro diagnose gzip --train-runs 4 --pruning-runs 6``,
+    ``repro --version`` and ``python -c "import numpy"``. Start-up is
+    most of a ``repro diagnose``; the three ``startup.*`` figures are
+    tracked in the trend history but not gated (they are absolute).
 """
 
 import contextlib
@@ -77,7 +87,10 @@ import io
 import json
 import os
 import pathlib
+import resource
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import replace
@@ -105,6 +118,18 @@ REPEATS = {"fast": 80, "bench": 200, "full": 500}
 # pruning seeds of a diagnosis start at 100); plus the failure run.
 N_EXECUTION_SEEDS = {"fast": 20, "bench": 50, "full": 100}
 FAILURE_SEED = 12345
+# The fan-out corpus doubles from the preset's size until one serial
+# run takes at least this long (see measurement 2).
+FANOUT_MIN_SERIAL_S = 0.5
+# Processes timed by the start-up measurement, each run STARTUP_ROUNDS
+# times (interleaved) for its median CPU seconds.
+STARTUP_COMMANDS = {
+    "diagnose_cpu_s": ["-m", "repro", "diagnose", "gzip",
+                       "--train-runs", "4", "--pruning-runs", "6"],
+    "version_cpu_s": ["-m", "repro", "--version"],
+    "numpy_cpu_s": ["-c", "import numpy"],
+}
+STARTUP_ROUNDS = 5
 
 
 def reference_loop(n=300_000):
@@ -170,6 +195,34 @@ def _median_pair(fn_a, fn_b, pairs=9):
         samples.append((t[1] / t[0], t[0], t[1], out[0], out[1]))
     samples.sort(key=lambda sample: sample[0])
     return samples[len(samples) // 2][1:]
+
+
+def process_cpu_seconds(args):
+    """CPU seconds (user + system) of one fresh ``python ARGS`` process
+    run from the repository's sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    # One BLAS thread, as perf/run.py runs it: the pool threads numpy
+    # starts add CPU time (0.24 against 0.15 s for ``import numpy`` on a
+    # 2-CPU host) that is not the program's work.
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    subprocess.run([sys.executable, *args], check=True, env=env,
+                   stdout=subprocess.DEVNULL, timeout=120)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return (after.ru_utime + after.ru_stime
+            - before.ru_utime - before.ru_stime)
+
+
+def startup_seconds():
+    """Median CPU seconds of each :data:`STARTUP_COMMANDS` process."""
+    samples = {name: [] for name in STARTUP_COMMANDS}
+    for _ in range(STARTUP_ROUNDS):
+        for name, args in STARTUP_COMMANDS.items():
+            samples[name].append(process_cpu_seconds(args))
+    return {name: statistics.median(times)
+            for name, times in samples.items()}
 
 
 def execute_bugs(n_seeds):
@@ -274,14 +327,23 @@ def test_throughput(preset, save_result, monkeypatch):
 
     # --- corpus fan-out: serial vs jobs=2 -----------------------------
     # Two workers even on one CPU, so the pool path is exercised (the
-    # recorded speedup then honestly comes out ~1x or less). One untimed
-    # pooled round first: the pairs time a live pool, as every sweep
-    # after a process's first does.
+    # recorded speedup then honestly comes out ~1x or less). The corpus
+    # grows until its serial run is long enough to time the fan-out.
+    # One untimed pooled round first: the pairs time a live pool, as
+    # every sweep after a process's first does.
     fan_jobs = 2
-    run_corpus_for_preset(replace(preset, jobs=fan_jobs))
+    fan_preset = replace(preset, jobs=None)
+    while True:
+        t0 = time.perf_counter()
+        run_corpus_for_preset(fan_preset)
+        if time.perf_counter() - t0 >= FANOUT_MIN_SERIAL_S:
+            break
+        fan_preset = replace(fan_preset,
+                             corpus_size=2 * fan_preset.corpus_size)
+    run_corpus_for_preset(replace(fan_preset, jobs=fan_jobs))
     t_fan_serial, t_fan_jobs, fan_serial, fan_jobs_result = _median_pair(
-        lambda: run_corpus_for_preset(replace(preset, jobs=None)),
-        lambda: run_corpus_for_preset(replace(preset, jobs=fan_jobs)),
+        lambda: run_corpus_for_preset(fan_preset),
+        lambda: run_corpus_for_preset(replace(fan_preset, jobs=fan_jobs)),
         pairs=7)
     assert fan_jobs_result.metrics == fan_serial.metrics
     corpus_speedup = t_fan_serial / t_fan_jobs
@@ -346,6 +408,9 @@ def test_throughput(preset, save_result, monkeypatch):
         lambda: diagnose_under(telemetry.Registry()))
     assert report_live == report_null
     telemetry_pct = 100.0 * (t_live - t_null) / t_null
+
+    # --- process start-up -------------------------------------------
+    startup = startup_seconds()
 
     payload = {
         "preset": preset.name,
@@ -425,6 +490,10 @@ def test_throughput(preset, save_result, monkeypatch):
             "live_seconds": round(t_live, 6),
             "overhead_pct": round(telemetry_pct, 2),
         },
+        "startup": {
+            "rounds": STARTUP_ROUNDS,
+            **{name: round(t, 4) for name, t in startup.items()},
+        },
     }
     (REPO_ROOT / "BENCH_throughput.json").write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -483,6 +552,11 @@ def test_throughput(preset, save_result, monkeypatch):
         f"  telemetry off       : {t_null:.3f} s",
         f"  recording registry  : {t_live:.3f} s",
         f"  overhead            : {telemetry_pct:+.1f}%",
+        "",
+        f"Process start-up (median CPU of {STARTUP_ROUNDS} processes each)",
+        f"  repro diagnose gzip : {startup['diagnose_cpu_s']:.3f} s",
+        f"  repro --version     : {startup['version_cpu_s']:.3f} s",
+        f"  import numpy        : {startup['numpy_cpu_s']:.3f} s",
     ]
     save_result("throughput", "\n".join(lines))
 

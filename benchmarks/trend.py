@@ -72,6 +72,11 @@ TRACKED_METRICS = {
     # near zero and goes negative in noise, so a relative gate would
     # only measure the host.
     "telemetry.overhead_pct": "lower",
+    # CPU seconds of fresh processes (bench_throughput's start-up
+    # section): absolute, so they move with the host.
+    "startup.diagnose_cpu_s": "lower",
+    "startup.version_cpu_s": "lower",
+    "startup.numpy_cpu_s": "lower",
 }
 
 

@@ -2,18 +2,14 @@
 
 Every runner returns plain result dataclasses and has a ``format_*``
 helper that renders the same rows the paper prints. The benchmarks in
-``benchmarks/`` are thin wrappers over these runners.
+``benchmarks/`` are thin wrappers over these runners. The names below
+are imported from their submodules on first access.
 """
 
-from repro.analysis.experiments import (
-    Experiment,
-    experiment_names,
-    get_experiment,
-    run_experiment,
-)
-from repro.analysis.presets import FAST, FULL, Preset
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "FAST", "FULL", "Preset",
-    "Experiment", "experiment_names", "get_experiment", "run_experiment",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.analysis.presets": ("FAST", "FULL", "Preset"),
+    "repro.analysis.experiments": ("Experiment", "experiment_names",
+                                   "get_experiment", "run_experiment"),
+})

@@ -333,8 +333,13 @@ def run_corpus(spec, jobs=None, faults=None, quarantine=None,
     """
     plan = faults if faults is not None else _faults.get_plan()
     if checkpoint is not None and not isinstance(checkpoint, Checkpoint):
-        checkpoint = Checkpoint.open(checkpoint, "corpus",
-                                     spec.fingerprint())
+        # The engine's fingerprint names the offline fit (the spec names
+        # only the engine), so records written by a build with another
+        # fit rule are refused, not resumed.
+        engine = create(spec.engine, config=spec.config)
+        checkpoint = Checkpoint.open(
+            checkpoint, "corpus",
+            dict(spec.fingerprint(), predictor=engine.fingerprint()))
     with _faults.use_plan(plan):
         (records,) = sweep("corpus", spec, _corpus_item, jobs=jobs,
                            quarantine=quarantine,

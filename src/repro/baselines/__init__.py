@@ -13,16 +13,14 @@
 - :mod:`repro.baselines.pset` -- PSet-style static communication
   invariants (exact valid-writer sets per load), the class of scheme
   ACT's adaptivity argument is made against.
+
+The names below are imported from their submodules on first access.
 """
 
-from repro.baselines.aviso import AvisoDiagnoser, AvisoResult
-from repro.baselines.pbi import PBIDiagnoser, PBIResult
-from repro.baselines.pset import PSetInvariants
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "AvisoDiagnoser",
-    "AvisoResult",
-    "PBIDiagnoser",
-    "PBIResult",
-    "PSetInvariants",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.baselines.aviso": ("AvisoDiagnoser", "AvisoResult"),
+    "repro.baselines.pbi": ("PBIDiagnoser", "PBIResult"),
+    "repro.baselines.pset": ("PSetInvariants",),
+})

@@ -56,7 +56,6 @@ import os
 import sys
 
 from repro import __version__
-from repro.analysis.experiments import experiment_names
 from repro.common.errors import CheckpointError, EngineError, ReproError
 
 
@@ -87,7 +86,7 @@ def _run_options(args, engine):
     historical pipeline, byte-identical).
     """
     from repro.core.policy import PolicySpec
-    from repro.faults import FaultPlan, Quarantine
+    from repro.faults import FaultPlan
 
     checkpoint = args.checkpoint
     if args.resume:
@@ -115,6 +114,8 @@ def _run_options(args, engine):
             return None
     quarantine = None
     if plan is not None or args.quarantine_report:
+        from repro.faults import Quarantine
+
         quarantine = Quarantine()
     return checkpoint, plan, policy, quarantine
 
@@ -129,6 +130,7 @@ def _print_quarantine(quarantine, report_path):
 
 
 def _cmd_list(_args):
+    from repro.analysis.experiments import experiment_names
     from repro.workloads.registry import all_bug_names, all_kernel_names
 
     print("kernels:", ", ".join(all_kernel_names()))
@@ -466,6 +468,20 @@ def _at_least(floor):
     return parse
 
 
+def _experiment_name(text):
+    """argparse type for an experiment name: the same usage error as a
+    ``choices`` list, with the registry imported only when ``experiment``
+    is the command."""
+    from repro.analysis.experiments import experiment_names
+
+    names = experiment_names()
+    if text not in names:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from "
+            f"{', '.join(map(repr, names))})")
+    return text
+
+
 def _csv_names(text):
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
@@ -693,7 +709,8 @@ def build_parser():
     _add_telemetry_args(fr)
 
     e = sub.add_parser("experiment", help="regenerate a table/figure")
-    e.add_argument("name", choices=experiment_names())
+    e.add_argument("name", type=_experiment_name,
+                   help="a table or figure (see 'repro list')")
     e.add_argument("--preset", choices=("fast", "bench", "full"),
                    default="fast")
     e.add_argument("--jobs", type=_at_least(0), default=None, metavar="N",

@@ -2,13 +2,18 @@
 
 A package ``__init__`` that re-exported its submodules' names eagerly
 made ``import repro.cli`` -- and so ``repro --version`` -- load numpy and
-the whole diagnosis pipeline. With :func:`lazy_exports` the package
-names the same exports, and each submodule is imported when one of its
-names is first read::
+the whole diagnosis pipeline, and made ``repro diagnose`` compile every
+kernel, bug, exporter and timing model it never runs. With
+:func:`lazy_exports` the package names the same exports, and each
+submodule is imported when one of its names is first read::
 
     __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "repro.core.config": ("ACTConfig",),
     })
+
+Every package ``__init__`` in ``repro`` exports this way; the few that
+also define names of their own (``repro.faults``, ``repro.telemetry``)
+import only the submodules those names need and list the rest here.
 """
 
 import importlib

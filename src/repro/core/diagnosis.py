@@ -36,7 +36,6 @@ from repro.core.offline import (OfflineTrainer, TrainedACT,
                                 collect_runs_for_seeds,
                                 sequences_from_payload, sequences_to_payload)
 from repro.core.postprocess import CorrectSet, postprocess, run_sequences
-from repro.faults import Checkpoint
 from repro.nn.trainer import fit_identity
 from repro.workloads.framework import run_program
 
@@ -229,12 +228,17 @@ def diagnose_failure(program, config=None, trained=None,
     pruning_params = dict(pruning_params if pruning_params is not None
                           else correct_params)
     plan = faults if faults is not None else _faults.get_plan()
-    if checkpoint is not None and not isinstance(checkpoint, Checkpoint):
-        fingerprint = _fingerprint(
-            program, config, n_train_runs, train_seed0, failure_seed,
-            n_pruning_runs, pruning_seed0, failure_params, correct_params,
-            pruning_params, root_cause, policy=active_policy)
-        checkpoint = Checkpoint.open(checkpoint, "diagnosis", fingerprint)
+    if checkpoint is not None:
+        from repro.faults.checkpoint import Checkpoint
+
+        if not isinstance(checkpoint, Checkpoint):
+            fingerprint = _fingerprint(
+                program, config, n_train_runs, train_seed0, failure_seed,
+                n_pruning_runs, pruning_seed0, failure_params,
+                correct_params, pruning_params, root_cause,
+                policy=active_policy)
+            checkpoint = Checkpoint.open(checkpoint, "diagnosis",
+                                         fingerprint)
     tele = telemetry.get_registry()
     with _faults.use_plan(plan), _policy.use_policy(active_policy):
         with tele.span("diagnose", program=getattr(program, "name", "?")):

@@ -230,10 +230,7 @@ class TrainedACT:
         return self.weights.get(tid, self.default_weights)
 
     def make_network(self, tid=0):
-        net = OneHiddenLayerNet(
-            self.config.n_inputs, self.config.n_hidden,
-            max_inputs=self.config.max_inputs,
-            sigmoid=SigmoidTable(self.config.sigmoid_resolution))
+        """The thread's network, built from its saved weights."""
         flat = self.weights_for(tid)
         plan = _faults.get_plan()
         if plan.enabled and plan.fires("weight_flip", tid):
@@ -242,8 +239,11 @@ class TrainedACT:
             # repro.core.deploy) by falling back to pristine weights.
             flat = _faults.flip_weights(flat, plan, tid)
             telemetry.get_registry().inc("faults.weight_flips")
-        net.write_weights(flat)
-        return net
+        return OneHiddenLayerNet(
+            self.config.n_inputs, self.config.n_hidden,
+            max_inputs=self.config.max_inputs,
+            sigmoid=SigmoidTable(self.config.sigmoid_resolution),
+            weights=flat)
 
     def make_module(self, tid=0):
         """A fresh AM for one core, initialised with the thread's weights."""
@@ -326,9 +326,9 @@ class TrainedACT:
             net = OneHiddenLayerNet(
                 self.config.n_inputs, self.config.n_hidden,
                 max_inputs=self.config.max_inputs,
-                sigmoid=SigmoidTable(self.config.sigmoid_resolution))
-            net.write_weights(self.default_weights if key is None
-                              else self.weights[key])
+                sigmoid=SigmoidTable(self.config.sigmoid_resolution),
+                weights=(self.default_weights if key is None
+                         else self.weights[key]))
             fit_from(net, xs_pos, xs_neg, train_config)
             flat = net.read_weights()
             if key is None:

@@ -39,7 +39,6 @@ from repro.common.errors import ConfigError, EngineError
 from repro.core import policy as _policy
 from repro.core.config import ACTConfig
 from repro.core.diagnosis import DiagnosisReport
-from repro.faults.checkpoint import Checkpoint, canonical_json
 
 
 @dataclass(frozen=True)
@@ -182,6 +181,8 @@ class Predictor:
         if (store is None or checkpoint is not None
                 or plan != _faults.ZERO_PLAN):
             return None
+        from repro.faults.checkpoint import canonical_json
+
         spec = getattr(program, "spec", None)
         return canonical_json({
             "engine": self.fingerprint(), "config": asdict(self.config),
@@ -286,6 +287,8 @@ class TrainedStateDir:
 
     def get(self, key):
         """Stored payload for ``key`` (None on miss); counts the lookup."""
+        from repro.faults.checkpoint import Checkpoint
+
         entry = Checkpoint.open(self._file(key), self.KIND, key)
         state = entry.phases.get("state")
         telemetry.get_registry().inc(
@@ -293,6 +296,8 @@ class TrainedStateDir:
         return state
 
     def __setitem__(self, key, payload):
+        from repro.faults.checkpoint import Checkpoint
+
         os.makedirs(self.path, exist_ok=True)
         Checkpoint(self._file(key), self.KIND, key).put("state", payload)
 

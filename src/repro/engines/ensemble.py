@@ -65,6 +65,12 @@ class EnsembleEngine(Predictor):
                               for m in self.members),
             warmable=all(m.capabilities.warmable for m in self.members))
 
+    def fingerprint(self):
+        """The engine kind plus each member's identity (the NN member's
+        names its offline fit)."""
+        return {"engine": self.name,
+                "members": [m.fingerprint() for m in self.members]}
+
     @property
     def trained(self):
         return all(m.trained for m in self.members)

@@ -29,19 +29,20 @@ unhandled exception.
 
 from contextlib import contextmanager
 
-from repro.faults.checkpoint import (
-    Checkpoint,
-    canonical_json,
-    normalize,
-    payload_checksum,
-)
+from repro.common.lazy import lazy_exports
 from repro.faults.plan import RATE_SITES, ZERO_PLAN, FaultPlan, flip_weights
-from repro.faults.quarantine import Quarantine, QuarantineRecord
+
+# The checkpoint store and the quarantine load when first used: a plain
+# diagnosis consults only the active plan.
+__getattr__, __dir__, _LAZY = lazy_exports(__name__, {
+    "repro.faults.checkpoint": ("Checkpoint", "canonical_json", "normalize",
+                                "payload_checksum"),
+    "repro.faults.quarantine": ("Quarantine", "QuarantineRecord"),
+})
 
 __all__ = [
-    "Checkpoint", "FaultPlan", "Quarantine", "QuarantineRecord",
-    "RATE_SITES", "ZERO_PLAN", "canonical_json", "flip_weights",
-    "get_plan", "normalize", "payload_checksum", "set_plan", "use_plan",
+    "FaultPlan", "RATE_SITES", "ZERO_PLAN", "flip_weights",
+    "get_plan", "set_plan", "use_plan", *_LAZY,
 ]
 
 _active = ZERO_PLAN

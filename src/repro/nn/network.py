@@ -104,10 +104,16 @@ class OneHiddenLayerNet:
     :meth:`write_weights` and any code that edits the weight arrays in
     place bump it, so a cached output is valid only while the network's
     version is the one it was computed at.
+
+    ``weights`` builds the network from a flat weight array (the layout
+    :meth:`read_weights` returns), as a construction followed by
+    :meth:`write_weights` would, without drawing the random initial
+    weights it would overwrite; ``seed`` and ``init_scale`` then go
+    unused.
     """
 
     def __init__(self, n_inputs, n_hidden, seed=0, max_inputs=DEFAULT_MAX_INPUTS,
-                 sigmoid=None, init_scale=0.5):
+                 sigmoid=None, init_scale=0.5, weights=None):
         if not 1 <= n_inputs <= max_inputs:
             raise ConfigError(
                 f"n_inputs={n_inputs} out of range 1..{max_inputs}")
@@ -118,11 +124,14 @@ class OneHiddenLayerNet:
         self.n_hidden = n_hidden
         self.max_inputs = max_inputs
         self.sigmoid = sigmoid or SigmoidTable()
+        self.version = 0
+        if weights is not None:
+            self.write_weights(weights)
+            return
         rng = make_np_rng(seed, stream=0xAC7)
         # +1 column holds the bias weight (input fixed at 1.0).
         self.w_hidden = (rng.random((n_hidden, n_inputs + 1)) - 0.5) * 2 * init_scale
         self.w_out = (rng.random(n_hidden + 1) - 0.5) * 2 * init_scale
-        self.version = 0
 
     # ------------------------------------------------------------------
     # Inference
@@ -215,7 +224,7 @@ class OneHiddenLayerNet:
     @property
     def n_weight_registers(self):
         """Size of the flattened weight register array."""
-        return self.w_hidden.size + self.w_out.size
+        return self.n_hidden * (self.n_inputs + 2) + 1
 
     def read_weights(self):
         """Model a loop of ``ldwt``: flatten all weights to one array."""
@@ -227,14 +236,14 @@ class OneHiddenLayerNet:
         if flat.size != self.n_weight_registers:
             raise ConfigError(
                 f"expected {self.n_weight_registers} weights, got {flat.size}")
-        k = self.w_hidden.size
-        self.w_hidden = flat[:k].reshape(self.w_hidden.shape).copy()
+        k = self.n_hidden * (self.n_inputs + 1)
+        self.w_hidden = flat[:k].reshape(self.n_hidden, self.n_inputs + 1).copy()
         self.w_out = flat[k:].copy()
         self.version += 1
 
     def clone(self):
         """An independent copy (same weights, shared sigmoid table)."""
-        net = OneHiddenLayerNet(self.n_inputs, self.n_hidden,
-                                max_inputs=self.max_inputs, sigmoid=self.sigmoid)
-        net.write_weights(self.read_weights())
-        return net
+        return OneHiddenLayerNet(self.n_inputs, self.n_hidden,
+                                 max_inputs=self.max_inputs,
+                                 sigmoid=self.sigmoid,
+                                 weights=self.read_weights())

@@ -580,8 +580,8 @@ def _point_from_payload(payload, max_inputs):
     persisted.
     """
     net = OneHiddenLayerNet(payload["n_inputs"], payload["n_hidden"],
-                            max_inputs=max_inputs)
-    net.write_weights(np.asarray(payload["weights"], dtype=float))
+                            max_inputs=max_inputs,
+                            weights=payload["weights"])
     result = TrainResult(net=net, epochs=payload["epochs"],
                          train_error=payload["train_error"],
                          n_positives=payload["n_positives"],

@@ -18,9 +18,10 @@ A pool keeps the *observable result identical* to the serial loop:
 The pool itself is process-wide and *warm*: a single
 :class:`PoolHandle` owns one ``ProcessPoolExecutor`` that is created on
 first use and reused across every batch in the process, so only the
-first parallel call in a process pays worker startup. Each item is its
-own submission, so an idle worker takes the next item whatever the
-others cost (a pooled item is a whole diagnosis or a grid point's
+first parallel call in a process pays worker startup, and only a
+process that fans out imports ``concurrent.futures`` at all. Each item
+is its own submission, so an idle worker takes the next item whatever
+the others cost (a pooled item is a whole diagnosis or a grid point's
 training, far above the dispatch cost). Results come home by plain
 pickle.
 
@@ -64,8 +65,6 @@ one worker per CPU.
 import atexit
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 from repro import faults as _faults
 from repro import telemetry
@@ -131,6 +130,8 @@ class PoolHandle:
     def executor(self, n_workers):
         """The shared executor, (re)built to hold >= ``n_workers``."""
         if self._executor is None or self._max_workers < n_workers:
+            from concurrent.futures import ProcessPoolExecutor
+
             if self._executor is not None:
                 self._executor.shutdown(wait=True)
             self._executor = ProcessPoolExecutor(max_workers=n_workers)
@@ -272,6 +273,8 @@ def _run_serial(fn, items, keys, plan, quarantine, phase, tele):
 
 def _run_pool(fn, items, keys, plan, quarantine, phase, tele, n_workers):
     """Dispatch items across the warm pool with bounded retries."""
+    from concurrent.futures.process import BrokenProcessPool
+
     tspec = _tele_spec(tele, phase)
     n = len(items)
     results = [None] * n

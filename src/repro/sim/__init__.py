@@ -5,22 +5,16 @@ snoopy MESI coherence, cache-line last-writer metadata with the
 Section V simplifications, and the ACT Module's NN-pipeline
 back-pressure on load retirement. Used for the overhead and
 false-sharing studies; the functional replay also supplies the
-cache-event annotations the PBI baseline samples.
+cache-event annotations the PBI baseline samples. The names below are
+imported from their submodules on first access.
 """
 
-from repro.sim.cache import Cache, CacheLine
-from repro.sim.coherence import AccessResult, CoherentMemorySystem, MESIState
-from repro.sim.machine import Machine, MachineResult, simulate_run
-from repro.sim.params import MachineParams
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "Cache",
-    "CacheLine",
-    "AccessResult",
-    "CoherentMemorySystem",
-    "MESIState",
-    "Machine",
-    "MachineResult",
-    "simulate_run",
-    "MachineParams",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.sim.cache": ("Cache", "CacheLine"),
+    "repro.sim.coherence": ("AccessResult", "CoherentMemorySystem",
+                            "MESIState"),
+    "repro.sim.machine": ("Machine", "MachineResult", "simulate_run"),
+    "repro.sim.params": ("MachineParams",),
+})

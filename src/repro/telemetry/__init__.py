@@ -36,20 +36,8 @@ hot paths guard multi-metric blocks with ``if tele.enabled``.
 
 from contextlib import contextmanager
 
-from repro.telemetry.catalog import CATALOG, MetricSpec, format_catalog
+from repro.common.lazy import lazy_exports
 from repro.telemetry.clock import WALL, TickClock, clock_from_spec, clock_spec
-from repro.telemetry.export import (
-    format_profile,
-    profile_dict,
-    read_profile,
-    write_profile,
-)
-from repro.telemetry.flame import (
-    critical_path,
-    folded_stacks,
-    format_critical_path,
-    format_flame,
-)
 from repro.telemetry.registry import (
     Counter,
     Gauge,
@@ -59,15 +47,22 @@ from repro.telemetry.registry import (
 )
 from repro.telemetry.spans import Span, SpanTracer
 
+# The metric catalog, the profile exporters and the renderers load when
+# first used: only a recording registry, --telemetry and ``repro
+# profile`` read, write or draw a profile.
+__getattr__, __dir__, _LAZY = lazy_exports(__name__, {
+    "repro.telemetry.catalog": ("CATALOG", "MetricSpec", "format_catalog"),
+    "repro.telemetry.export": ("format_profile", "profile_dict",
+                               "read_profile", "write_profile"),
+    "repro.telemetry.flame": ("critical_path", "folded_stacks",
+                              "format_critical_path", "format_flame"),
+})
+
 __all__ = [
-    "CATALOG", "MetricSpec", "format_catalog",
     "WALL", "TickClock", "clock_from_spec", "clock_spec",
     "Counter", "Gauge", "Histogram", "NullRegistry", "Registry",
     "Span", "SpanTracer",
-    "critical_path", "folded_stacks", "format_critical_path",
-    "format_flame",
-    "format_profile", "profile_dict", "read_profile", "write_profile",
-    "enabled", "get_registry", "set_registry", "use_registry",
+    "enabled", "get_registry", "set_registry", "use_registry", *_LAZY,
 ]
 
 _NULL = NullRegistry()

@@ -19,7 +19,6 @@ import collections
 import math
 from itertools import chain
 
-from repro.telemetry import catalog as _catalog
 from repro.telemetry import clock as _clock
 from repro.telemetry.spans import NULL_SPAN_SCOPE, SpanTracer
 
@@ -181,7 +180,10 @@ class Registry:
 
     def _register_catalog(self):
         # Declared metrics always appear in exports, even at zero --
-        # profile consumers get a stable key set.
+        # profile consumers get a stable key set. Only a recording
+        # registry reads the catalog, so it loads here.
+        from repro.telemetry import catalog as _catalog
+
         for spec in _catalog.CATALOG:
             if spec.kind == _catalog.COUNTER:
                 self._counters[spec.name] = Counter(spec.name)

@@ -12,30 +12,24 @@ Every bug Program takes ``buggy: bool``:
 
 Each built instance tags its ground-truth ``root_cause`` dependence
 keys so the evaluation can score diagnosis ranks.
+
+Each bug lives in its own module, imported on first use: by
+:func:`repro.workloads.registry.get_bug` for its name, or here when one
+of the classes below is first read.
 """
 
-from repro.workloads.bugs import (  # noqa: F401
-    aget,
-    apache,
-    gzip_bug,
-    memcached,
-    mysql1,
-    mysql2,
-    mysql3,
-    paste,
-    pbzip2,
-    ptx,
-    seq_bug,
-)
+from repro.common.lazy import lazy_exports
 
-from repro.workloads.bugs.aget import AgetBug  # noqa: F401
-from repro.workloads.bugs.apache import ApacheBug  # noqa: F401
-from repro.workloads.bugs.gzip_bug import GzipBug  # noqa: F401
-from repro.workloads.bugs.memcached import MemcachedBug  # noqa: F401
-from repro.workloads.bugs.mysql1 import MySQL1Bug  # noqa: F401
-from repro.workloads.bugs.mysql2 import MySQL2Bug  # noqa: F401
-from repro.workloads.bugs.mysql3 import MySQL3Bug  # noqa: F401
-from repro.workloads.bugs.paste import PasteBug  # noqa: F401
-from repro.workloads.bugs.pbzip2 import PBzip2Bug  # noqa: F401
-from repro.workloads.bugs.ptx import PtxBug  # noqa: F401
-from repro.workloads.bugs.seq_bug import SeqBug  # noqa: F401
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.workloads.bugs.aget": ("AgetBug",),
+    "repro.workloads.bugs.apache": ("ApacheBug",),
+    "repro.workloads.bugs.gzip_bug": ("GzipBug",),
+    "repro.workloads.bugs.memcached": ("MemcachedBug",),
+    "repro.workloads.bugs.mysql1": ("MySQL1Bug",),
+    "repro.workloads.bugs.mysql2": ("MySQL2Bug",),
+    "repro.workloads.bugs.mysql3": ("MySQL3Bug",),
+    "repro.workloads.bugs.paste": ("PasteBug",),
+    "repro.workloads.bugs.pbzip2": ("PBzip2Bug",),
+    "repro.workloads.bugs.ptx": ("PtxBug",),
+    "repro.workloads.bugs.seq_bug": ("SeqBug",),
+})

@@ -5,23 +5,18 @@ Synthetic stand-ins for the paper's applications, preserving the
 with boundary exchange (SPLASH2), irregular/pipelined sharing (PARSEC),
 and input-dependent sequential patterns (SPEC INT / coreutils).
 
-Importing this package registers every kernel with
-:mod:`repro.workloads.registry`.
+Each family lives in its own module, imported on first use: by
+:func:`repro.workloads.registry.get_kernel` for one of its names, or
+here when one of the classes below is first read. Importing a module
+registers its kernels with :mod:`repro.workloads.registry`.
 """
 
-from repro.workloads.kernels import parsec, spec, splash  # noqa: F401
+from repro.common.lazy import lazy_exports
 
-from repro.workloads.kernels.splash import (  # noqa: F401
-    Barnes,
-    FFT,
-    LU,
-    Ocean,
-    Radix,
-)
-from repro.workloads.kernels.parsec import (  # noqa: F401
-    Canneal,
-    Fluidanimate,
-    Streamcluster,
-    Swaptions,
-)
-from repro.workloads.kernels.spec import BC, Bzip2Like, McfLike  # noqa: F401
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.workloads.kernels.splash": ("Barnes", "FFT", "LU", "Ocean",
+                                       "Radix"),
+    "repro.workloads.kernels.parsec": ("Canneal", "Fluidanimate",
+                                       "Streamcluster", "Swaptions"),
+    "repro.workloads.kernels.spec": ("BC", "Bzip2Like", "McfLike"),
+})

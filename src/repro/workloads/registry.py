@@ -9,12 +9,45 @@ name matching the generated-program grammar
 workload, so generated programs are first-class everywhere a bug name
 is accepted -- ``repro diagnose``, ``repro trace``, and the corpus
 harness.
+
+The bundled programs are listed below by the module that defines
+them, and a name imports only its own module: ``repro diagnose gzip``
+loads the gzip bug, not the other bugs or any kernel, and a
+``gen-...`` name loads no bundled module. Each module registers its
+classes with :func:`register_kernel`/:func:`register_bug` when it is
+imported.
 """
+
+import importlib
 
 from repro.common.errors import ReproError
 
 _KERNELS = {}
 _BUGS = {}
+
+_SPLASH = "repro.workloads.kernels.splash"
+_PARSEC = "repro.workloads.kernels.parsec"
+_SPEC = "repro.workloads.kernels.spec"
+_TASKPAR = "repro.workloads.taskpar"
+
+#: Bundled kernel name -> the module that registers it.
+_KERNEL_MODULES = {
+    "lu": _SPLASH, "fft": _SPLASH, "radix": _SPLASH, "barnes": _SPLASH,
+    "ocean": _SPLASH,
+    "canneal": _PARSEC, "fluidanimate": _PARSEC, "streamcluster": _PARSEC,
+    "swaptions": _PARSEC,
+    "bzip2": _SPEC, "mcf": _SPEC, "bc": _SPEC,
+    "taskmapreduce": _TASKPAR, "taskgraphbug": _TASKPAR,
+}
+
+#: Bundled bug name -> the module that registers it.
+_BUG_MODULES = {
+    name: f"repro.workloads.bugs.{module}" for name, module in (
+        ("aget", "aget"), ("apache", "apache"), ("gzip", "gzip_bug"),
+        ("memcached", "memcached"), ("mysql1", "mysql1"),
+        ("mysql2", "mysql2"), ("mysql3", "mysql3"), ("paste", "paste"),
+        ("pbzip2", "pbzip2"), ("ptx", "ptx"), ("seq", "seq_bug"))
+}
 
 
 def register_kernel(cls):
@@ -29,21 +62,21 @@ def register_bug(cls):
     return cls
 
 
-def _ensure_loaded():
-    # Imported lazily to avoid import cycles with framework.py.
-    from repro.workloads import kernels  # noqa: F401
-    from repro.workloads import bugs  # noqa: F401
-    from repro.workloads import taskpar  # noqa: F401
+def _registered(table, modules, name):
+    """The class registered in ``table`` under ``name``, importing its
+    bundled module first; None when no such name exists."""
+    if name not in table and name in modules:
+        importlib.import_module(modules[name])
+    return table.get(name)
 
 
 def get_kernel(name):
     """Instantiate the kernel registered under ``name``."""
-    _ensure_loaded()
-    try:
-        return _KERNELS[name]()
-    except KeyError:
+    cls = _registered(_KERNELS, _KERNEL_MODULES, name)
+    if cls is None:
         raise ReproError(f"unknown kernel {name!r}; known: "
-                         f"{sorted(_KERNELS)}") from None
+                         f"{all_kernel_names()}")
+    return cls()
 
 
 def _resolve_generated(name):
@@ -63,40 +96,35 @@ def get_bug(name):
     resolved on the fly -- a generated bug behaves exactly like a
     bundled one (``buggy`` parameter, ground-truth root cause).
     """
-    _ensure_loaded()
-    try:
-        return _BUGS[name]()
-    except KeyError:
-        generated = _resolve_generated(name)
-        if generated is not None:
-            return generated
-        raise ReproError(
-            f"unknown bug {name!r}; known: {sorted(_BUGS)} "
-            "(or a generated name like 'gen-atomicity-pipeline-s7')"
-        ) from None
-
-
-def get_workload(name):
-    """Resolve ``name`` as a kernel, a bug, or a generated program."""
-    _ensure_loaded()
-    if name in _KERNELS:
-        return _KERNELS[name]()
-    if name in _BUGS:
-        return _BUGS[name]()
+    cls = _registered(_BUGS, _BUG_MODULES, name)
+    if cls is not None:
+        return cls()
     generated = _resolve_generated(name)
     if generated is not None:
         return generated
     raise ReproError(
-        f"unknown workload {name!r}; known kernels: {sorted(_KERNELS)}, "
-        f"bugs: {sorted(_BUGS)} "
+        f"unknown bug {name!r}; known: {all_bug_names()} "
+        "(or a generated name like 'gen-atomicity-pipeline-s7')")
+
+
+def get_workload(name):
+    """Resolve ``name`` as a kernel, a bug, or a generated program."""
+    for table, modules in ((_KERNELS, _KERNEL_MODULES), (_BUGS, _BUG_MODULES)):
+        cls = _registered(table, modules, name)
+        if cls is not None:
+            return cls()
+    generated = _resolve_generated(name)
+    if generated is not None:
+        return generated
+    raise ReproError(
+        f"unknown workload {name!r}; known kernels: {all_kernel_names()}, "
+        f"bugs: {all_bug_names()} "
         "(or a generated name like 'gen-atomicity-pipeline-s7')")
 
 
 def all_kernel_names():
-    _ensure_loaded()
-    return sorted(_KERNELS)
+    return sorted(_KERNEL_MODULES.keys() | _KERNELS.keys())
 
 
 def all_bug_names():
-    _ensure_loaded()
-    return sorted(_BUGS)
+    return sorted(_BUG_MODULES.keys() | _BUGS.keys())

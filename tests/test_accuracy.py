@@ -178,6 +178,21 @@ class TestResilienceComposition:
         with pytest.raises(CheckpointError, match="fingerprint"):
             run_corpus(replace(tiny, size=2), checkpoint=str(ck))
 
+    def test_checkpoint_under_another_fit_rule_refused(self, tmp_path,
+                                                       monkeypatch):
+        from dataclasses import replace
+
+        from repro.common.errors import CheckpointError
+        from repro.nn import trainer
+
+        tiny = replace(SMALL, size=1)
+        ck = tmp_path / "corpus.ck"
+        with monkeypatch.context() as m:
+            m.setattr(trainer, "FIT_RULE", "another-rule")
+            run_corpus(tiny, checkpoint=str(ck))
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            run_corpus(tiny, checkpoint=str(ck))
+
     def test_faulted_programs_quarantine_as_misses(self):
         from dataclasses import replace
 

@@ -37,9 +37,12 @@ class TestParser:
         assert args_dict["seq_len"] == 3
         assert args_dict["top"] == 5
 
-    def test_experiment_choices(self):
-        with pytest.raises(SystemExit):
+    def test_experiment_choices(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["experiment", "table99"])
+        assert exc.value.code == 2
+        assert ("argument name: invalid choice: 'table99' (choose from "
+                "'table1', 'table4'") in capsys.readouterr().err
 
     def test_version(self, capsys):
         from repro import __version__
@@ -357,39 +360,135 @@ class TestModuleEntryPoint:
         assert err == ""
 
 
+# Runs ``python -m MODULE ARGS`` (mode "-m") or ``python -c CODE`` (mode
+# "-c") and prints every loaded module on stderr at exit, after a marker
+# line. sys.modules is read rather than ``-X importtime``, which does not
+# list the modules importlib.import_module loads.
+_LOADED_WRAPPER = """\
+import atexit, runpy, sys
+atexit.register(lambda: print("== modules ==", *sorted(sys.modules),
+                              sep="\\n", file=sys.stderr))
+mode, target = sys.argv[1:3]
+del sys.argv[1:3]
+if mode == "-m":
+    runpy.run_module(target, run_name="__main__", alter_sys=True)
+else:
+    exec(compile(target, "<string>", "exec"), {"__name__": "__main__"})
+"""
+
+
 class TestStartup:
     """``repro --version`` and ``import repro.cli`` stay below the numpy
-    import: package re-exports, the pipeline and the telemetry
-    exporters load only in the commands that use them."""
+    import, and ``repro diagnose`` loads only what its diagnosis runs:
+    package re-exports, the program registry, worker pools, checkpoints
+    and the telemetry exporters load only where they are used."""
 
     HEAVY = ("numpy", "repro.engines", "repro.faults",
              "repro.core.diagnosis", "repro.telemetry.export")
 
-    def _imported(self, *args):
+    #: Modules a plain ``repro diagnose gzip`` never runs.
+    NOT_IN_DIAGNOSE = ("concurrent.futures.process",
+                       "repro.faults.checkpoint", "repro.faults.quarantine",
+                       "repro.telemetry.catalog",
+                       "repro.telemetry.export", "repro.telemetry.flame",
+                       "repro.nn.pipeline", "repro.nn.timemux",
+                       "repro.trace.trace_io", "repro.workloads.taskpar",
+                       "repro.workloads.generator")
+
+    def _loaded(self, mode, target, *args):
+        """(stdout, the set of modules loaded) of one fresh process."""
         import os
         import pathlib
         env = dict(os.environ)
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
         env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run([sys.executable, "-X", "importtime", *args],
-                              capture_output=True, text=True, env=env)
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED_WRAPPER, mode, target, *args],
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr[-500:]
-        lines = [ln for ln in proc.stderr.splitlines()
-                 if ln.startswith("import time:")]
-        return proc.stdout, {ln.rsplit("|", 1)[1].strip() for ln in lines}
+        modules = proc.stderr.split("== modules ==\n", 1)[1].split()
+        return proc.stdout, set(modules)
+
+    @staticmethod
+    def _bundled(modules):
+        """The bundled bug and kernel modules among ``modules``."""
+        return {m for m in modules
+                if m.startswith(("repro.workloads.bugs.",
+                                 "repro.workloads.kernels."))
+                or m == "repro.workloads.taskpar"}
 
     def test_version_loads_no_pipeline(self):
         from repro import __version__
 
-        out, modules = self._imported("-m", "repro", "--version")
+        out, modules = self._loaded("-m", "repro", "--version")
         assert out.strip() == f"repro {__version__}"
         assert "repro.cli" in modules
         assert not modules & set(self.HEAVY)
 
     def test_import_cli_loads_no_pipeline(self):
-        _, modules = self._imported("-c", "import repro.cli")
+        _, modules = self._loaded("-c", "import repro.cli")
         assert "repro.cli" in modules
         assert not modules & set(self.HEAVY)
+
+    def test_diagnose_loads_only_what_it_runs(self):
+        out, modules = self._loaded("-m", "repro", "diagnose", "gzip",
+                                    "--train-runs", "4",
+                                    "--pruning-runs", "6")
+        assert "root cause found : True" in out
+        assert self._bundled(modules) == {"repro.workloads.bugs.gzip_bug"}
+        assert not modules & set(self.NOT_IN_DIAGNOSE)
+        assert not {m for m in modules if m.startswith("repro.analysis")}
+
+    def test_generated_name_loads_no_bundled_program(self):
+        out, modules = self._loaded(
+            "-c", "from repro.workloads.registry import get_bug\n"
+                  "print(get_bug('gen-atomicity-pipeline-s7').name)")
+        assert out.strip() == "gen-atomicity-pipeline-s7"
+        assert "repro.workloads.generator" in modules
+        assert not self._bundled(modules)
+
+    def test_every_bundled_name_resolves_to_its_class(self):
+        import importlib
+        import pkgutil
+
+        from repro.workloads import bugs, kernels, registry
+        from repro.workloads.framework import Program
+
+        for getter, names, table in (
+                (registry.get_bug, registry.all_bug_names(),
+                 registry._BUGS),
+                (registry.get_kernel, registry.all_kernel_names(),
+                 registry._KERNELS)):
+            for name in names:
+                program = getter(name)
+                assert isinstance(program, Program)
+                assert program.name == name
+                assert table[name] is type(program)
+                assert registry.get_workload(name).name == name
+        # The name tables list every program the bundled modules define.
+        for package in (bugs, kernels):
+            for info in pkgutil.iter_modules(package.__path__):
+                importlib.import_module(f"{package.__name__}.{info.name}")
+        importlib.import_module("repro.workloads.taskpar")
+        assert sorted(registry._BUGS) == registry.all_bug_names()
+        assert sorted(registry._KERNELS) == registry.all_kernel_names()
+
+    def test_package_reexports_still_import(self):
+        from repro.workloads import bugs, kernels
+        from repro.workloads.bugs import GzipBug
+        from repro.workloads.bugs.gzip_bug import GzipBug as defined
+        from repro.workloads.kernels import LU
+        from repro.workloads.kernels.splash import LU as lu_defined
+        from repro.workloads.registry import get_bug, get_kernel
+
+        assert GzipBug is defined and LU is lu_defined
+        assert type(get_bug("gzip")) is GzipBug
+        assert type(get_kernel("lu")) is LU
+        assert len(bugs.__all__) == 11 and len(kernels.__all__) == 12
+        for package in (bugs, kernels):
+            for name in package.__all__:
+                cls = getattr(package, name)
+                assert cls.__name__ == name and name in dir(package)
 
     def test_package_exports_resolve_on_access(self):
         import repro

@@ -248,6 +248,12 @@ class TestProtocolContract:
         assert fp["engine"] == name
         json.dumps(fp)
 
+    def test_ensemble_fingerprint_names_its_members(self):
+        fp = create("ensemble").fingerprint()
+        assert fp["members"] == [m.fingerprint()
+                                 for m in create("ensemble").members]
+        assert any("fit" in m for m in fp["members"])
+
     def test_load_state_rejects_foreign_engine(self, trained_engines):
         with pytest.raises(EngineError):
             create("pbi", config=CFG).load_state(

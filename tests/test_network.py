@@ -173,6 +173,22 @@ class TestNetworkStructure:
         x = np.ones(4) * 0.3
         assert net.output(x) == pytest.approx(net2.output(x))
 
+    def test_built_from_weights_draws_nothing(self, monkeypatch):
+        from repro.nn import network
+
+        flat = OneHiddenLayerNet(4, 3, seed=1).read_weights()
+        written = OneHiddenLayerNet(4, 3, seed=2)
+        written.write_weights(flat)
+        monkeypatch.setattr(network, "make_np_rng", None)  # any draw fails
+        built = OneHiddenLayerNet(4, 3, seed=2, weights=flat)
+        assert built.w_hidden.tobytes() == written.w_hidden.tobytes()
+        assert built.w_out.tobytes() == written.w_out.tobytes()
+        assert built.version == written.version
+        flat[:] = 0.0
+        assert built.read_weights().any()
+        with pytest.raises(ConfigError):
+            OneHiddenLayerNet(4, 3, weights=np.zeros(7))
+
     def test_write_weights_size_checked(self):
         net = OneHiddenLayerNet(4, 3)
         with pytest.raises(ConfigError):
