@@ -26,5 +26,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.core.diagnosis": ("DiagnosisReport", "diagnose_failure"),
     "repro.core.offline": ("OfflineTrainer", "TrainedACT"),
     "repro.core.postprocess": ("CorrectSet", "RankedFinding"),
-    "repro.core.thread_library": ("ACTThreadLibrary", "ThreadId"),
 })

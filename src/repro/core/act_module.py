@@ -233,7 +233,7 @@ class ACTModule:
         self._window_count = 0
 
     # ------------------------------------------------------------------
-    # Architectural-state interface (Section IV.B-D)
+    # Architectural-state interface (Section IV.B-C)
     # ------------------------------------------------------------------
 
     def save_weights(self):
@@ -243,13 +243,3 @@ class ACTModule:
     def restore_weights(self, flat):
         """Write the weight register array (a loop of ``stwt``)."""
         self.net.write_weights(flat)
-
-    def context_switch_out(self):
-        """Save state on context switch; flushes in-flight inputs."""
-        self.input_buffer.clear()
-        return self.save_weights()
-
-    def context_switch_in(self, flat):
-        """Restore a thread's weights after a context switch/migration."""
-        self.restore_weights(flat)
-        self.input_buffer.clear()

@@ -221,10 +221,6 @@ class TrainedACT:
     _correct_sets: dict = field(default_factory=dict, init=False,
                                 repr=False, compare=False)
 
-    def has_weights(self, tid):
-        """The ``chkwt`` instruction: does this thread have saved weights?"""
-        return tid in self.weights
-
     def weights_for(self, tid):
         """Weights for a thread, falling back to the pooled default."""
         return self.weights.get(tid, self.default_weights)
@@ -246,12 +242,22 @@ class TrainedACT:
             weights=flat)
 
     def make_module(self, tid=0):
-        """A fresh AM for one core, initialised with the thread's weights."""
+        """A fresh AM for one core, initialised with the thread's weights.
+
+        Thread creation in Section IV.C: ``chkwt`` finds the thread's
+        saved weights (else the defaults) and a loop of ``stwt`` loads
+        them into the AM.
+        """
         return ACTModule(config=self.config, encoder=self.encoder,
                          net=self.make_network(tid), tid=tid)
 
     def record_thread_weights(self, tid, flat):
-        """Patch the binary with weights read out at thread exit."""
+        """Patch the binary with weights read out at thread exit.
+
+        Thread exit in Section IV.C: a loop of ``ldwt``
+        (:meth:`ACTModule.save_weights`) reads the weights out, and the
+        next execution's :meth:`make_module` starts from them.
+        """
         self.weights[tid] = np.asarray(flat, dtype=float).copy()
 
     # -- checkpoint serialisation --------------------------------------
@@ -342,16 +348,26 @@ class TrainedACT:
 class OfflineTrainer:
     """Drives offline training end-to-end for one program."""
 
+    #: Wrong-writer corruptions synthesized per valid sequence.
+    AUGMENT_PER_POSITIVE = 4
+
     def __init__(self, config=None, train_config=None,
-                 augment_negatives=True, augment_per_positive=4,
-                 drop_ambiguous_negatives=True, train_line_view=True):
+                 augment_negatives=True, train_line_view=True):
         self.config = config or ACTConfig()
         self.train_config = train_config or TrainConfig(
             learning_rate=self.config.learning_rate)
         self.augment_negatives = augment_negatives
-        self.augment_per_positive = augment_per_positive
-        self.drop_ambiguous_negatives = drop_ambiguous_negatives
         self.train_line_view = train_line_view
+
+    def _line_alias_pairs(self, runs):
+        """Line-alias pairs of ``runs`` that augmentation must not
+        corrupt into (None when augmentation is off)."""
+        if not self.augment_negatives:
+            return None
+        from repro.trace.raw import line_level_pairs
+
+        return line_level_pairs(runs, line_size=self.config.line_size,
+                                filter_stack=self.config.filter_stack_loads)
 
     def train(self, program=None, runs=None, n_runs=10, seed0=0,
               encoder=None, quarantine=None, **params) -> TrainedACT:
@@ -382,13 +398,7 @@ class OfflineTrainer:
 
             cfg = self.config
             store_universe = _store_universe(runs[0].code_map)
-            if self.augment_negatives:
-                from repro.trace.raw import line_level_pairs
-                self._protected_pairs = line_level_pairs(
-                    runs, line_size=cfg.line_size,
-                    filter_stack=cfg.filter_stack_loads)
-            else:
-                self._protected_pairs = set()
+            protected = self._line_alias_pairs(runs)
             pos, neg = sequences_from_runs(
                 runs, cfg.seq_len, filter_stack=cfg.filter_stack_loads)
             if not cfg.lw_word_granularity and self.train_line_view:
@@ -401,7 +411,7 @@ class OfflineTrainer:
                     granularity=cfg.line_size)
                 pos = pos + line_pos
             weights, result = self._train_one(pos, neg, encoder,
-                                              store_universe)
+                                              store_universe, protected)
 
             telemetry.get_registry().set_gauge("offline.train_error",
                                                result.train_error)
@@ -410,9 +420,11 @@ class OfflineTrainer:
                               train_error=result.train_error,
                               topology=f"{cfg.n_inputs}-{cfg.n_hidden}-1")
 
-    def _train_one(self, pos_seqs, neg_seqs, encoder, store_universe=None):
+    def _train_one(self, pos_seqs, neg_seqs, encoder, store_universe=None,
+                   protected_pairs=None):
         pos_unique, neg_unique = self.prepare_examples(
-            pos_seqs, neg_seqs, store_universe=store_universe)
+            pos_seqs, neg_seqs, store_universe=store_universe,
+            protected_pairs=protected_pairs)
         xs_pos = encoder.encode_many(pos_unique,
                                      seq_len=self.config.seq_len)
         xs_neg = encoder.encode_many(neg_unique,
@@ -422,35 +434,34 @@ class OfflineTrainer:
                                max_inputs=self.config.max_inputs)
         return result.net.read_weights(), result
 
-    def prepare_examples(self, pos_seqs, neg_seqs, store_universe=None):
+    def prepare_examples(self, pos_seqs, neg_seqs, store_universe=None,
+                         protected_pairs=None):
         """The offline-training recipe, shared by train() and search():
         dedupe, drop contradiction-teaching negatives, augment with
-        wrong-writer corruptions (honouring line-alias protection)."""
+        wrong-writer corruptions that avoid ``protected_pairs`` (see
+        :meth:`_line_alias_pairs`)."""
         if not pos_seqs:
             raise ReproError("no positive sequences to train on")
         pos_unique = _dedupe(pos_seqs)
-        neg_unique = _dedupe(neg_seqs)
-        if self.drop_ambiguous_negatives:
-            # A before-last-store negative whose final dependence also
-            # occurs as a *valid* dependence (same store, load and
-            # label) elsewhere teaches a contradiction: in programs with
-            # nondeterministic interleavings the same pair is valid in
-            # some schedules. Keeping such negatives makes the network
-            # memorise exact windows and reject every unseen benign
-            # permutation. Contextual single-pair anomalies are instead
-            # covered by the wrong-writer augmentation below.
-            valid_triples = {(d.store_pc, d.load_pc, d.inter_thread)
-                             for s in pos_unique for d in s}
-            neg_unique = [
-                s for s in neg_unique
-                if (s[-1].store_pc, s[-1].load_pc, s[-1].inter_thread)
-                not in valid_triples]
+        # A before-last-store negative whose final dependence also
+        # occurs as a *valid* dependence (same store, load and label)
+        # elsewhere teaches a contradiction: in programs with
+        # nondeterministic interleavings the same pair is valid in some
+        # schedules. Keeping such negatives makes the network memorise
+        # exact windows and reject every unseen benign permutation.
+        # Contextual single-pair anomalies are instead covered by the
+        # wrong-writer augmentation below.
+        valid_triples = {(d.store_pc, d.load_pc, d.inter_thread)
+                         for s in pos_unique for d in s}
+        neg_unique = [
+            s for s in _dedupe(neg_seqs)
+            if (s[-1].store_pc, s[-1].load_pc, s[-1].inter_thread)
+            not in valid_triples]
         if self.augment_negatives:
             extra = augment_negative_sequences(
                 pos_unique, seed=self.train_config.seed,
-                per_positive=self.augment_per_positive,
-                store_pcs=store_universe,
-                protected_pairs=getattr(self, "_protected_pairs", None))
+                per_positive=self.AUGMENT_PER_POSITIVE,
+                store_pcs=store_universe, protected_pairs=protected_pairs)
             pos_set = set(pos_unique)
             neg_unique = _dedupe(neg_unique
                                  + [s for s in extra if s not in pos_set])
@@ -504,11 +515,7 @@ class OfflineTrainer:
         encoder = DepEncoder(code_map=train_runs[0].code_map)
         cfg = self.config
         store_universe = _store_universe(train_runs[0].code_map)
-        if self.augment_negatives:
-            from repro.trace.raw import line_level_pairs
-            self._protected_pairs = line_level_pairs(
-                train_runs, line_size=cfg.line_size,
-                filter_stack=cfg.filter_stack_loads)
+        protected = self._line_alias_pairs(train_runs)
 
         example_sets = {}
         for n in seq_lens:
@@ -524,7 +531,8 @@ class OfflineTrainer:
                     granularity=cfg.line_size)
                 tr_pos = tr_pos + line_pos
             pos_unique, neg_unique = self.prepare_examples(
-                tr_pos, tr_neg, store_universe=store_universe)
+                tr_pos, tr_neg, store_universe=store_universe,
+                protected_pairs=protected)
             # Table IV tests contain no invalid dependences: the measured
             # rate is purely false positives, so negatives stay out of
             # the test set here.
@@ -557,18 +565,6 @@ def evaluate_false_positive_rate(trained, runs):
         return 0.0
     xs = trained.encoder.encode_many(pos)
     return evaluate_misprediction(net, xs, None)
-
-
-def evaluate_false_negative_rate(trained, runs):
-    """Fraction of synthesized invalid sequences predicted valid."""
-    net = trained.make_network()
-    cfg = trained.config
-    _pos, neg = sequences_from_runs(runs, cfg.seq_len,
-                                    filter_stack=cfg.filter_stack_loads)
-    if not neg:
-        return 0.0
-    xs = trained.encoder.encode_many(neg)
-    return evaluate_misprediction(net, None, xs)
 
 
 def strict_invalid_sequences(runs, config, reference_runs=None, seed=0):

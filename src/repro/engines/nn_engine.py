@@ -53,8 +53,9 @@ class NNEngine(Predictor):
             return np.zeros(0, dtype=float)
         xs = self._trained.encoder.encode_many(
             seqs, seq_len=self.config.seq_len)
-        outputs, _risky = self._trained.make_network(0).predict_batch_exact(
-            np.asarray(xs, dtype=float))
+        # Scored row by row with the function the ACT Module scores with.
+        net = self._trained.make_network(0)
+        outputs = np.array([net.output(x) for x in xs])
         # The network emits validity; the protocol reports suspicion.
         return 1.0 - outputs
 

@@ -74,23 +74,6 @@ class SigmoidTable:
             return self._entries[round(idx)]
         return self._entries[0]  # below the range, or NaN
 
-    def boundary_risk(self, x, tol=1e-6):
-        """True where an ulp-scale perturbation of ``x`` could change the
-        table index.
-
-        The quantised lookup absorbs last-ulp differences between
-        different (equally valid) float summation orders *except* when
-        the scaled index lands within ``tol`` of a rounding boundary.
-        ``tol`` is ~500x the worst-case BLAS-reassociation error for
-        this network's tiny dot products, and a true boundary hit is a
-        ~``tol``-measure event, so flagged values are vanishingly rare.
-        """
-        fidx = (np.asarray(x) + self.clip) * (self.resolution - 1) / (2 * self.clip)
-        frac = np.abs(fidx - np.floor(fidx) - 0.5)
-        # Outside (-1, resolution) every nearby index clips to the same
-        # saturated entry, so no boundary can flip.
-        return (frac < tol) & (fidx > -1.0) & (fidx < self.resolution)
-
 
 class OneHiddenLayerNet:
     """Topology ``i-h-1`` MLP with bias links and sigmoid activations.
@@ -165,37 +148,6 @@ class OneHiddenLayerNet:
             raise ConfigError("predict_batch expects a 2-D array")
         h = self.sigmoid(xs @ self.w_hidden[:, :-1].T + self.w_hidden[:, -1])
         return self.sigmoid(h @ self.w_out[:-1] + self.w_out[-1])
-
-    def predict_batch_exact(self, xs):
-        """Batched outputs bit-identical to per-row :meth:`output` calls.
-
-        Matrix-matrix products differ from the scalar path's
-        matrix-vector products in the last ulp (BLAS accumulates in a
-        different order), which the quantised sigmoid table absorbs --
-        except when a pre-activation sits exactly on a table rounding
-        boundary. Rows flagged by :meth:`SigmoidTable.boundary_risk` at
-        either layer are therefore recomputed with the scalar kernel,
-        making the batched result *guaranteed* identical, not merely
-        almost-surely identical.
-
-        Returns:
-            (outputs, n_recomputed): 1-D output array and how many rows
-            needed the scalar recompute (telemetry feed; ~0 in practice).
-        """
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2:
-            raise ConfigError("predict_batch_exact expects a 2-D array")
-        h_in = xs @ self.w_hidden[:, :-1].T + self.w_hidden[:, -1]
-        risky = self.sigmoid.boundary_risk(h_in).any(axis=1)
-        h = self.sigmoid(h_in)
-        o_in = h @ self.w_out[:-1] + self.w_out[-1]
-        risky |= self.sigmoid.boundary_risk(o_in)
-        out = self.sigmoid(o_in)
-        n_risky = int(np.count_nonzero(risky))
-        if n_risky:
-            for i in np.flatnonzero(risky):
-                out[i] = self.output(xs[i])
-        return out, n_risky
 
     # ------------------------------------------------------------------
     # Learning

@@ -24,7 +24,7 @@ import numpy as np
 from repro import telemetry
 from repro.common.errors import ConfigError
 from repro.common.rng import make_np_rng
-from repro.nn.network import OneHiddenLayerNet, SigmoidTable
+from repro.nn.network import OneHiddenLayerNet
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's
 # defaults); with bias correction the first step is ``step_size`` times
@@ -80,12 +80,6 @@ class TrainConfig:
     # Adam's step size: the first step moves every weight by about this
     # much, and later steps scale it by the gradient's consistency.
     step_size: float = 0.2
-    # Use the inlined per-example SGD kernel (_sgd_examples: hoisted
-    # weight views + direct sigmoid-table lookups) instead of calling
-    # net.train_example per row. Bit-identical results; the reference
-    # loop stays available as the equivalence oracle (and as the
-    # fallback for custom sigmoid objects).
-    fast_sgd: bool = True
 
 
 #: The offline fit rule, named in trained-state keys and checkpoint
@@ -268,52 +262,6 @@ def _train_once(positives, negatives, n_hidden, cfg, seed, max_inputs):
                    ts.n_pos, ts.n_neg)
 
 
-def _sgd_examples(net, xs, targets, lr, order=None):
-    """Inlined per-example SGD sweep, bit-identical to the method calls.
-
-    Runs the exact computation of ``net.train_example`` for each row of
-    ``xs`` in ``order``, with the per-call overhead stripped: weight
-    views, the sigmoid table and its scale factors are hoisted out of
-    the loop, and the hidden layer's table lookup (with the same
-    saturation clamp) is applied inline. Every floating-point expression
-    keeps the reference kernel's operation order -- in particular the
-    table index
-    ``(x + clip) * (resolution - 1) / (2 * clip)`` is *not* rewritten
-    with a precomputed scale, which would perturb the last ulp and
-    occasionally round to a different table entry.
-    """
-    sig = net.sigmoid
-    if not isinstance(sig, SigmoidTable):
-        # Custom activation object: take the reference path.
-        for idx in (order if order is not None else range(len(xs))):
-            net.train_example(xs[idx], targets[idx], lr)
-        return
-    table = sig._table
-    clip = sig.clip
-    res1 = sig.resolution - 1
-    two_clip = 2 * sig.clip
-    net.version += 1  # the sweep below edits the weights in place
-    w_out = net.w_out
-    wh = net.w_hidden[:, :-1]
-    whb = net.w_hidden[:, -1]
-    wo = w_out[:-1]
-    if order is None:
-        order = range(len(xs))
-    for idx in order:
-        x = xs[idx]
-        target = targets[idx]
-        h_in = wh @ x + whb
-        fi = np.fmin(np.fmax((h_in + clip) * res1 / two_clip, 0.0), res1)
-        h = table[np.rint(fi).astype(np.intp)]
-        o = sig.scalar(float(wo @ h + w_out[-1]))
-        err_o = o * (1.0 - o) * (target - o)
-        err_h = h * (1.0 - h) * (wo * err_o)
-        wo += lr * err_o * h
-        w_out[-1] += lr * err_o
-        wh += lr * np.outer(err_h, x)
-        whb += lr * err_h
-
-
 def _fit_sgd(net, xs, targets, labels, cfg, seed):
     """Per-example back-propagation (the hardware's learning rule)."""
     rng = make_np_rng(seed, stream=0x7EA1)
@@ -325,11 +273,8 @@ def _fit_sgd(net, xs, targets, labels, cfg, seed):
     for epoch in range(1, cfg.max_epochs + 1):
         if cfg.shuffle:
             rng.shuffle(order)
-        if cfg.fast_sgd:
-            _sgd_examples(net, xs, targets, cfg.learning_rate, order)
-        else:
-            for idx in order:
-                net.train_example(xs[idx], targets[idx], cfg.learning_rate)
+        for idx in order:
+            net.train_example(xs[idx], targets[idx], cfg.learning_rate)
         outputs = net.predict_batch(xs)
         err_rate = float(np.mean((outputs >= 0.5) != labels))
         history.append(err_rate)

@@ -128,16 +128,6 @@ class TestArchitecturalState:
         m2.restore_weights(saved)
         assert np.allclose(m2.save_weights(), saved)
 
-    def test_context_switch_flushes_input_buffer(self):
-        m = _module(seq_len=2)
-        m.process_dep(_dep(0))
-        m.process_dep(_dep(1))
-        saved = m.context_switch_out()
-        assert len(m.input_buffer) == 0
-        m.context_switch_in(saved)
-        # after restore the module warms up again
-        assert m.process_dep(_dep(2)) is None
-
 
 class TestWindowRateBounding:
     def test_window_rates_keep_only_tail(self):
@@ -240,9 +230,6 @@ class TestWindowOutputReuse:
     def test_restore_weights_invalidates(self):
         self._rescored(lambda m: m.restore_weights(self._zeros(m)))
 
-    def test_context_switch_in_invalidates(self):
-        self._rescored(lambda m: m.context_switch_in(self._zeros(m)))
-
     def test_heal_write_weights_invalidates(self):
         from types import SimpleNamespace
 
@@ -266,11 +253,3 @@ class TestWindowOutputReuse:
             assert net.version == m.net.version
             m.net = net
         self._rescored(swap)
-
-    def test_sgd_examples_invalidates(self):
-        from repro.nn.trainer import _sgd_examples
-
-        def sweep(m):
-            x = m.encoder.encode_seq((_dep(0), _dep(0)))
-            _sgd_examples(m.net, np.array([x]), np.array([0.0]), 5.0)
-        self._rescored(sweep)

@@ -151,12 +151,42 @@ class TestCacheDirCLI:
         cold = self._cli(capsys)
         assert self._cli(capsys, "--cache-dir", str(cache)) == cold
         (entry,) = cache.iterdir()
+        # Change one hex digit of the stored checksum: the entry's state
+        # is intact, so only the checksum test can refuse it.
         data = bytearray(entry.read_bytes())
-        data[len(data) // 2] ^= 0x01
+        at = data.index(b'"checksum": "') + len(b'"checksum": "')
+        data[at] = ord("1") if data[at] == ord("0") else ord("0")
         entry.write_bytes(bytes(data))
         rc, out, err = self._cli(capsys, "--cache-dir", str(cache))
         assert (rc, out) == (2, "")
         assert err.startswith(f"error: {entry}: ")
+
+    def test_every_bit_flip_is_refused_or_harmless(self, capsys, tmp_path):
+        # A flip that leaves the parsed entry equal (say, the 17th digit
+        # of a float that reads back as the same double) may load;
+        # every other flip must be refused.
+        from repro.common.errors import CheckpointError
+        from repro.faults.checkpoint import Checkpoint
+
+        cache = tmp_path / "c"
+        self._cli(capsys, "--cache-dir", str(cache))
+        (entry,) = cache.iterdir()
+        original = Checkpoint.load(entry)
+        data = entry.read_bytes()
+        damaged = tmp_path / "damaged.json"
+        loaded = 0
+        for i in range(len(data)):
+            flipped = bytearray(data)
+            flipped[i] ^= 0x01
+            damaged.write_bytes(bytes(flipped))
+            try:
+                cp = Checkpoint.load(damaged)
+            except CheckpointError:
+                continue
+            loaded += 1
+            assert (cp.kind, cp.fingerprint, cp.phases) == (
+                original.kind, original.fingerprint, original.phases), i
+        assert loaded < len(data) // 10
 
     def test_entry_under_another_key_is_refused(self, capsys, tmp_path):
         # A file whose fingerprint is not the looked-up key (an edited

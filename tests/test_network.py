@@ -276,36 +276,3 @@ class TestLearning:
         before = net.output(x)
         returned = net.train_example(x, 0.9, lr=0.2)
         assert returned == pytest.approx(before)
-
-
-class TestPredictBatchExact:
-    def test_matches_scalar_output_bitwise(self):
-        net = OneHiddenLayerNet(6, 5, seed=3)
-        rng = np.random.default_rng(11)
-        xs = rng.uniform(-1.0, 1.0, size=(257, 6))
-        out, n_risky = net.predict_batch_exact(xs)
-        ref = np.array([net.output(x) for x in xs])
-        assert np.array_equal(out, ref)
-        assert 0 <= n_risky <= len(xs)
-
-    def test_risky_rows_recomputed(self):
-        # Force a pre-activation exactly onto a table rounding boundary:
-        # the guard band must flag it and fall back to the scalar kernel.
-        net = OneHiddenLayerNet(2, 2, seed=0)
-        table = net.sigmoid
-        # Solve for an h_in landing exactly between two table indices.
-        boundary_x = (-table.clip
-                      + (2 * table.clip) * 100.5 / (table.resolution - 1))
-        assert table.boundary_risk(np.array([boundary_x]))[0]
-        assert not table.boundary_risk(np.array([0.1]))[0]
-
-    def test_rejects_1d(self):
-        net = OneHiddenLayerNet(2, 2, seed=0)
-        with pytest.raises(ConfigError):
-            net.predict_batch_exact(np.zeros(2))
-
-    def test_empty_batch(self):
-        net = OneHiddenLayerNet(4, 3, seed=1)
-        out, n_risky = net.predict_batch_exact(np.empty((0, 4)))
-        assert out.shape == (0,)
-        assert n_risky == 0

@@ -8,10 +8,11 @@ from repro.core.config import ACTConfig
 from repro.core.deploy import deploy_on_run
 from repro.core.offline import (
     OfflineTrainer,
+    TrainedACT,
     augment_negative_sequences,
     collect_correct_runs,
-    evaluate_false_negative_rate,
     evaluate_false_positive_rate,
+    evaluate_strict_false_negative_rate,
     sequences_from_runs,
     _dedupe,
 )
@@ -100,10 +101,19 @@ class TestTrainer:
         assert module.net.n_inputs == t.config.n_inputs
 
     def test_chkwt_semantics(self, trained_tinybug):
-        t = trained_tinybug
-        assert not t.has_weights(5)  # pooled training: no per-thread set
-        t.record_thread_weights(5, t.default_weights)
-        assert t.has_weights(5)
+        t = TrainedACT.from_payload(trained_tinybug.to_payload(),
+                                    trained_tinybug.config)
+        assert 5 not in t.weights  # pooled training: no per-thread set
+        assert np.array_equal(t.make_module(5).save_weights(),
+                              t.default_weights)
+        saved = t.default_weights * 0.5
+        t.record_thread_weights(5, saved)
+        assert np.array_equal(t.make_module(5).save_weights(), saved)
+        assert np.array_equal(t.make_module(6).save_weights(),
+                              t.default_weights)
+        # The patched state round-trips through the checkpoint payload.
+        back = TrainedACT.from_payload(t.to_payload(), t.config)
+        assert np.array_equal(back.weights_for(5), saved)
 
     def test_weights_for_falls_back_to_default(self, trained_tinybug):
         t = trained_tinybug
@@ -118,7 +128,7 @@ class TestTrainer:
         deployment = deploy_on_run(trained, run_program(pingpong, seed=50))
         for module in deployment.modules.values():
             trained.record_thread_weights(module.tid, module.save_weights())
-        assert trained.has_weights(0) and trained.has_weights(1)
+        assert set(trained.weights) == {0, 1}
 
     def test_needs_program_or_runs(self):
         with pytest.raises(ReproError):
@@ -132,7 +142,9 @@ class TestTrainer:
 
     def test_detects_synthesized_negatives(self, trained_tinybug, tinybug):
         test_runs = collect_correct_runs(tinybug, 3, seed0=50, buggy=False)
-        rate = evaluate_false_negative_rate(trained_tinybug, test_runs)
+        rate, n_tested = evaluate_strict_false_negative_rate(
+            trained_tinybug, test_runs)
+        assert n_tested > 0
         assert rate <= 0.5  # most synthesized invalids are caught
 
     def test_search_returns_best_choice(self, tinybug):

@@ -2,7 +2,7 @@
 
 Every replay feeds one dependence at a time through
 :meth:`ACTModule.process_dep`. The NN engine scores whole batches of the
-same windows with :meth:`OneHiddenLayerNet.predict_batch_exact`; the two
+same windows row by row with :meth:`OneHiddenLayerNet.output`; the two
 must agree bit for bit on real failure runs, and the step's telemetry
 must count exactly what the modules' own statistics count.
 """
@@ -51,16 +51,17 @@ def test_scalar_step_matches_batch_scoring(name):
         xs = module.encoder.encode_many(
             [tuple(deps[r:r + seq_len])
              for r in range(len(deps) - seq_len + 1)], seq_len)
-        batch, _ = trained.make_network(tid).predict_batch_exact(xs)
+        net = trained.make_network(tid)
+        scores = [net.output(x) for x in xs]
         for i, dep in enumerate(deps):
             pred = module.process_dep(dep)
             if i < seq_len - 1:
                 assert pred is None  # warm-up: no window yet
                 continue
-            assert pred.output == batch[i - (seq_len - 1)], (tid, i)
+            assert pred.output == scores[i - (seq_len - 1)], (tid, i)
             n_checked += 1
             if module.stats.online_trained:
-                break  # the weights moved; the batch no longer applies
+                break  # the weights moved; the scores no longer apply
     assert n_checked > 0
 
 

@@ -12,7 +12,6 @@ import pytest
 from repro.nn.network import OneHiddenLayerNet
 from repro.nn.trainer import (
     TrainConfig,
-    _sgd_examples,
     evaluate_misprediction,
     search_topology,
     train_network,
@@ -650,75 +649,6 @@ class TestSearchTopology:
                                         hidden_widths=(2, 8))
         tied = [c for c in choices if c.mispred_rate == best.mispred_rate]
         assert best.n_hidden == max(c.n_hidden for c in tied)
-
-
-class TestFastSgd:
-    """The vectorised SGD kernel is bit-compatible with the per-example
-    method loop."""
-
-    def _nets(self, n_inputs=4, n_hidden=3, seed=7):
-        return (OneHiddenLayerNet(n_inputs, n_hidden, seed=seed),
-                OneHiddenLayerNet(n_inputs, n_hidden, seed=seed))
-
-    def test_kernel_bitwise_equals_method_loop(self):
-        pos, neg = _blobs(n_per=12)
-        xs = np.vstack([pos, neg])
-        targets = np.array([0.9] * len(pos) + [0.1] * len(neg))
-        fast, ref = self._nets()
-        for _ in range(5):
-            _sgd_examples(fast, xs, targets, 0.2)
-            for i in range(len(xs)):
-                ref.train_example(xs[i], targets[i], 0.2)
-        assert np.array_equal(fast.read_weights(), ref.read_weights())
-
-    def test_kernel_honours_visit_order(self):
-        pos, neg = _blobs(n_per=8)
-        xs = np.vstack([pos, neg])
-        targets = np.array([0.9] * len(pos) + [0.1] * len(neg))
-        order = list(reversed(range(len(xs))))
-        fast, ref = self._nets()
-        _sgd_examples(fast, xs, targets, 0.2, order=order)
-        for i in order:
-            ref.train_example(xs[i], targets[i], 0.2)
-        assert np.array_equal(fast.read_weights(), ref.read_weights())
-
-    def test_train_network_fast_equals_reference(self):
-        pos, neg = _blobs()
-        kwargs = dict(batch=False, seed=3, max_epochs=120, restarts=2)
-        fast = train_network(pos, neg, 4,
-                             config=TrainConfig(fast_sgd=True, **kwargs))
-        ref = train_network(pos, neg, 4,
-                            config=TrainConfig(fast_sgd=False, **kwargs))
-        assert np.array_equal(fast.net.read_weights(),
-                              ref.net.read_weights())
-        assert fast.epochs == ref.epochs
-        assert fast.train_error == ref.train_error
-        assert fast.history == ref.history
-
-
-@pytest.mark.slow
-class TestFastSgdBugWorkloads:
-    """Fast-SGD offline training is pinned to the scalar reference for
-    every registered bug workload, not just synthetic blobs."""
-
-    def _weights(self, bug, fast_sgd):
-        from repro.core.config import ACTConfig
-        from repro.core.offline import OfflineTrainer
-
-        trainer = OfflineTrainer(
-            config=ACTConfig(seq_len=3),
-            train_config=TrainConfig(batch=False, max_epochs=40, restarts=1,
-                                     fast_sgd=fast_sgd))
-        return trainer.train(get_bug(bug), n_runs=2, seed0=0, buggy=False)
-
-    @pytest.mark.parametrize("bug", all_bug_names())
-    def test_fast_equals_scalar(self, bug):
-        fast = self._weights(bug, True)
-        ref = self._weights(bug, False)
-        assert set(fast.weights) == set(ref.weights)
-        for tid in ref.weights:
-            assert np.array_equal(fast.weights[tid], ref.weights[tid])
-        assert np.array_equal(fast.default_weights, ref.default_weights)
 
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
