@@ -13,7 +13,7 @@ rate below threshold -> back to testing).
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro import telemetry
 from repro.core import policy as _policy
@@ -27,18 +27,6 @@ class Mode(enum.Enum):
 
     TESTING = "testing"
     TRAINING = "training"
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    """Result of processing one RAW dependence."""
-
-    seq: Tuple
-    output: float
-    predicted_invalid: bool
-    mode: Mode
-    index: int
-    trained: bool = False
 
 
 @dataclass
@@ -151,8 +139,12 @@ class ACTModule:
 
     # ------------------------------------------------------------------
 
-    def process_dep(self, dep) -> Optional[PredictionRecord]:
-        """Handle one RAW dependence; return the prediction, if one formed.
+    def process_dep(self, dep) -> Optional[float]:
+        """Handle one RAW dependence; return the window's NN output.
+
+        An output below 0.5 is a predicted-invalid window. The window
+        itself stays readable as ``input_buffer.sequence(seq_len)``, the
+        mode as :attr:`mode` and the counts in :attr:`stats`.
 
         Returns None while the input buffer is still warming up (fewer
         than ``N`` dependences seen), or when an active sampling policy
@@ -184,11 +176,9 @@ class ACTModule:
         if output is None:
             output = net.output(self.encoder.encode_seq(seq))
             outputs[seq] = output
-        invalid = output < 0.5
-        trained = False
         self.stats.predictions += 1
 
-        if invalid:
+        if output < 0.5:
             # Potentially invalid: always logged, in both modes, so a
             # failure can be diagnosed even mid-training (Section III.C).
             self.debug_buffer.log(DebugEntry(
@@ -205,15 +195,12 @@ class ACTModule:
                                   self._ONLINE_TARGET,
                                   self.config.learning_rate)
                 self.stats.online_trained += 1
-                trained = True
 
         self._window_count += 1
         if self._window_count >= self.config.check_window:
             self._check_misprediction_rate()
 
-        return PredictionRecord(seq=seq, output=output,
-                                predicted_invalid=invalid, mode=self.mode,
-                                index=self.stats.predictions, trained=trained)
+        return output
 
     def _check_misprediction_rate(self):
         """Periodic Invalid-Counter check driving the mode alternation."""

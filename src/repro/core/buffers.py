@@ -61,7 +61,8 @@ class InputGeneratorBuffer:
                               f"{self.capacity}")
         if len(self._deps) < n:
             return None
-        return tuple(list(self._deps)[-n:])
+        # A slice covering the whole tuple returns the tuple itself.
+        return tuple(self._deps)[-n:]
 
     def __len__(self):
         return len(self._deps)

@@ -6,8 +6,8 @@ each retired load's RAW dependence exactly as the extended cache lines
 would, and hands it to the owning core's AM, one dependence at a time.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 
@@ -23,7 +23,6 @@ class DeploymentResult:
     """State after replaying one execution through the AMs."""
 
     modules: Dict[int, object]
-    records: List[object] = field(default_factory=list)
     n_deps: int = 0
 
     def debug_entries(self):
@@ -88,7 +87,7 @@ def _heal_module(module, trained, tid, quarantine):
     return module
 
 
-def deploy_on_run(trained, run, keep_records=False, quarantine=None):
+def deploy_on_run(trained, run, quarantine=None):
     """Feed every RAW dependence of ``run`` through per-thread AMs.
 
     One path serves every replay: each dependence goes through its
@@ -101,8 +100,6 @@ def deploy_on_run(trained, run, keep_records=False, quarantine=None):
         trained: a :class:`~repro.core.offline.TrainedACT`.
         run: the :class:`~repro.trace.events.TraceRun` to replay (for
             diagnosis this is the failure execution).
-        keep_records: retain each :class:`PredictionRecord` (memory-heavy
-            for long runs; used by analysis code).
         quarantine: optional :class:`~repro.faults.Quarantine`; records
             healed weight damage instead of replaying with NaN weights.
 
@@ -131,9 +128,7 @@ def deploy_on_run(trained, run, keep_records=False, quarantine=None):
             module = fresh_module(rec.tid)
             modules[rec.tid] = module
         result.n_deps += 1
-        pred = module.process_dep(rec.dep)
-        if keep_records and pred is not None:
-            result.records.append(pred)
+        module.process_dep(rec.dep)
     tele = telemetry.get_registry()
     if tele.enabled:
         tele.inc("deploy.runs")

@@ -241,14 +241,15 @@ class TrainedACT:
             sigmoid=SigmoidTable(self.config.sigmoid_resolution),
             weights=flat)
 
-    def make_module(self, tid=0):
+    def make_module(self, tid=0, config=None):
         """A fresh AM for one core, initialised with the thread's weights.
 
         Thread creation in Section IV.C: ``chkwt`` finds the thread's
         saved weights (else the defaults) and a loop of ``stwt`` loads
-        them into the AM.
+        them into the AM. ``config`` replaces the trained configuration
+        (the timing simulator's hardware overrides).
         """
-        return ACTModule(config=self.config, encoder=self.encoder,
+        return ACTModule(config=config or self.config, encoder=self.encoder,
                          net=self.make_network(tid), tid=tid)
 
     def record_thread_weights(self, tid, flat):

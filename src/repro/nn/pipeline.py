@@ -18,7 +18,6 @@ for that back-pressure).
 """
 
 import math
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -82,42 +81,27 @@ class ACTPipelineModel:
         """Try to insert an input at ``cycle``.
 
         Returns:
-            (accepted, retry_cycle): ``retry_cycle`` is the cycle at
-            which the caller should retry when rejected, else ``cycle``.
+            (accepted, retry_cycle, occupancy): ``retry_cycle`` is the
+            cycle at which the caller should retry when rejected, else
+            ``cycle``; ``occupancy`` is the number of earlier inputs
+            still waiting in the FIFO at ``cycle`` (``fifo_depth`` when
+            rejected).
         """
+        # Starts are non-decreasing (each is max(cycle, previous start +
+        # interval)), so the inputs that started service are a prefix.
         starts = self._pending_starts
         while starts and starts[0] <= cycle:
             starts.popleft()
-        if len(starts) >= self.fifo_depth:
+        occupancy = len(starts)
+        if occupancy >= self.fifo_depth:
             self.rejected += 1
-            return False, starts[0]
+            return False, starts[0], occupancy
         start = cycle
         if self._last_start is not None:
-            start = max(cycle, self._last_start
-                        + self.service_interval(training))
+            interval = (self.latency * self.TRAINING_SLOWDOWN if training
+                        else self.latency)
+            start = max(cycle, self._last_start + interval)
         starts.append(start)
         self._last_start = start
         self.accepted += 1
-        return True, cycle
-
-    def completion_cycle(self):
-        """Cycle when the most recently accepted input's output is ready.
-
-        S1 (1 cycle) + S2 (T) + S3 (T) after its service start.
-        """
-        if self._last_start is None:
-            return 0
-        return self._last_start + 1 + 2 * self.latency
-
-    def occupancy(self, cycle):
-        """FIFO entries still waiting at ``cycle`` (for tests/stats)."""
-        # Starts are non-decreasing (each is max(cycle, previous start +
-        # interval)), so the entries after ``cycle`` are a suffix.
-        starts = self._pending_starts
-        return len(starts) - bisect_right(starts, cycle)
-
-    def reset(self):
-        self._pending_starts.clear()
-        self._last_start = None
-        self.accepted = 0
-        self.rejected = 0
+        return True, cycle, occupancy

@@ -67,8 +67,9 @@ class Machine:
             params: :class:`MachineParams`.
             trained: optional :class:`~repro.core.offline.TrainedACT`;
                 enables the per-core ACT modules and their pipelines.
-            act_config: overrides ``trained.config`` hardware knobs
-                (muladd units / FIFO depth) when given.
+            act_config: replaces ``trained.config`` in every per-core
+                module and pipeline when given (muladd units, FIFO
+                depth, buffer sizes, check window).
         """
         self.params = params or MachineParams()
         self.memory = CoherentMemorySystem(self.params)
@@ -83,9 +84,7 @@ class Machine:
             return None, None
         core = tid % self.params.n_cores
         if core not in self._modules:
-            module = self.trained.make_module(tid)
-            if self._act_cfg is not None:
-                module.config = self._act_cfg
+            module = self.trained.make_module(tid, config=self._act_cfg)
             timing = NeuronTiming(
                 max_inputs=module.config.max_inputs,
                 muladd_units=module.config.muladd_units)
@@ -103,7 +102,6 @@ class Machine:
         deps_offered = 0
         deps_stalled = 0
         occ_sum = 0.0
-        occ_n = 0
         filter_stack = (self._act_cfg.filter_stack_loads
                         if self._act_cfg else True)
         tele = telemetry.get_registry()
@@ -137,10 +135,9 @@ class Machine:
                     if pred is not None:
                         deps_offered += 1
                         training = module.mode is TRAINING
-                        cycle = int(clock)
-                        occupancy = pipe.occupancy(cycle)
+                        accepted, retry, occupancy = pipe.offer(
+                            int(clock), training=training)
                         occ_sum += occupancy
-                        occ_n += 1
                         pstate = module.policy_state
                         if pstate is not None:
                             # The backoff control signal: FIFO pressure
@@ -149,8 +146,6 @@ class Machine:
                                 occupancy / pipe.fifo_depth)
                         if track:
                             tele.observe("sim.fifo_occupancy", occupancy)
-                        accepted, retry = pipe.offer(cycle,
-                                                     training=training)
                         if not accepted:
                             deps_stalled += 1
                             stall = max(0.0, retry - clock)
@@ -171,7 +166,7 @@ class Machine:
             clocks[core] = clock
 
         cycles = int(max(clocks.values())) if clocks else 0
-        mean_occ = occ_sum / occ_n if occ_n else 0.0
+        mean_occ = occ_sum / deps_offered if deps_offered else 0.0
         proxy = deps_offered * (1.0 + mean_occ)
         deps_shed = sum(m.policy_state.shed
                         for m in self._modules.values()

@@ -47,9 +47,11 @@ class TestLogging:
     def test_record_fields_consistent(self):
         m = _module()
         m.process_dep(_dep(0))
-        rec = m.process_dep(_dep(1))
-        assert rec.predicted_invalid == (rec.output < 0.5)
-        assert rec.mode is Mode.TESTING
+        output = m.process_dep(_dep(1))
+        invalid = output < 0.5
+        assert m.stats.invalid_predictions == invalid
+        assert len(m.debug_buffer) == invalid
+        assert m.mode is Mode.TESTING
 
 
 class TestModeSwitching:
@@ -187,22 +189,25 @@ class TestWindowOutputReuse:
     def test_records_match_scoring_every_window(self, seed):
         m = _module(seq_len=2, window=8, threshold=0.05, seed=seed)
         calls = self._count_forward(m.net)
-        records = []
+        outputs = []
         for dep in self._stream(600, seed):
             before = m.net.clone()
-            rec = m.process_dep(dep)
-            if rec is None:
+            invalid_before = m.stats.invalid_predictions
+            output = m.process_dep(dep)
+            if output is None:
                 continue
-            records.append(rec)
+            outputs.append(output)
             # The reference encodes the window and runs the network at
             # the weights the step started from.
-            output = before.output(m.encoder.encode_seq(rec.seq))
-            assert rec.output == output
-            assert rec.predicted_invalid == (output < 0.5)
+            seq = m.input_buffer.sequence(m.config.seq_len)
+            reference = before.output(m.encoder.encode_seq(seq))
+            assert output == reference
+            assert (m.stats.invalid_predictions - invalid_before
+                    == (reference < 0.5))
         assert m.stats.online_trained > 0
         assert m.stats.mode_switches > 0
         # Hits skipped the forward pass; every online update ran one.
-        assert len(calls) - m.stats.online_trained < len(records)
+        assert len(calls) - m.stats.online_trained < len(outputs)
 
     def test_repeated_window_scored_once(self):
         m = _module(seq_len=2, window=10_000)
@@ -219,9 +224,10 @@ class TestWindowOutputReuse:
         m = _module(seq_len=2, window=10_000)
         first = [m.process_dep(_dep(0)) for _ in range(3)][-1]
         mutate(m)
-        rec = [m.process_dep(_dep(0)) for _ in range(3)][-1]
-        assert rec.output == m.net.output(m.encoder.encode_seq(rec.seq))
-        assert rec.output != first.output
+        output = [m.process_dep(_dep(0)) for _ in range(3)][-1]
+        seq = m.input_buffer.sequence(m.config.seq_len)
+        assert output == m.net.output(m.encoder.encode_seq(seq))
+        assert output != first
 
     @staticmethod
     def _zeros(m):

@@ -16,11 +16,6 @@ class TestDeploy:
         assert result.n_deps > 0
         assert result.n_predictions <= result.n_deps
 
-    def test_records_kept_on_request(self, trained_tinybug, tinybug):
-        run = run_program(tinybug, seed=9, buggy=False)
-        result = deploy_on_run(trained_tinybug, run, keep_records=True)
-        assert len(result.records) == result.n_predictions
-
     def test_debug_entries_merged_in_order(self, trained_tinybug, tinybug):
         run = run_program(tinybug, seed=9, buggy=True)
         result = deploy_on_run(trained_tinybug, run)

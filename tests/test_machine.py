@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from repro.analysis.scale import LARGE_PARAMS
 from repro.core.config import ACTConfig
 from repro.core.offline import OfflineTrainer
 from repro.sim.machine import (
@@ -68,6 +69,37 @@ class TestACTOverhead:
         assert res.deps_offered > 0
         assert res.deps_stalled <= res.deps_offered
         assert res.act_modules  # modules were instantiated
+
+    def test_config_override_reaches_every_module(self, lu_run, trained_lu):
+        cfg = trained_lu.config.with_(debug_buffer=7, input_gen_buffer=6,
+                                      window_rate_tail=3)
+        res = simulate_run(lu_run, trained=trained_lu, act_config=cfg)
+        assert len(res.act_modules) > 1
+        for module in res.act_modules.values():
+            assert module.config is cfg
+            assert module.debug_buffer.capacity == 7
+            assert module.input_buffer.capacity == 6
+            assert module.stats.window_rates.maxlen == 3
+
+
+class TestMemoryIndependentOfACT:
+    """ACT stalls a core at retirement and touches no cache: the ACT
+    replay sees the memory model of the base replay, so the overhead
+    is ACT stall time alone."""
+
+    @pytest.mark.parametrize("kernel", sorted(LARGE_PARAMS))
+    def test_act_replay_keeps_memory_model(self, kernel):
+        params = LARGE_PARAMS[kernel]
+        trained = OfflineTrainer(config=ACTConfig()).train(
+            get_kernel(kernel), n_runs=4, seed0=0, **params)
+        run = run_program(get_kernel(kernel), seed=7, **params)
+        base = simulate_run(run)
+        act = simulate_run(run, trained=trained)
+        assert act.deps_offered > 0
+        assert act.mem_stats == base.mem_stats
+        assert set(act.core_cycles) == set(base.core_cycles)
+        for core, clock in base.core_cycles.items():
+            assert act.core_cycles[core] >= clock
 
 
 class TestAnnotate:

@@ -28,10 +28,15 @@ class TestNeuronTiming:
             NeuronTiming(muladd_units=11)
 
 
+def _waiting(pipe, cycle):
+    """Brute-force occupancy: queued inputs that start after ``cycle``."""
+    return sum(1 for s in pipe._pending_starts if s > cycle)
+
+
 class TestPipelineModel:
     def test_accepts_when_empty(self):
         pipe = ACTPipelineModel(fifo_depth=4)
-        accepted, retry = pipe.offer(0)
+        accepted, retry, _ = pipe.offer(0)
         assert accepted and retry == 0
 
     def test_training_interval_is_4t(self):
@@ -46,7 +51,7 @@ class TestPipelineModel:
         assert pipe.offer(0)[0]
         assert pipe.offer(0)[0]
         assert pipe.offer(0)[0]
-        accepted, retry = pipe.offer(0)
+        accepted, retry, _ = pipe.offer(0)
         assert not accepted
         assert retry > 0
 
@@ -54,9 +59,9 @@ class TestPipelineModel:
         pipe = ACTPipelineModel(fifo_depth=1)
         assert pipe.offer(0)[0]
         assert pipe.offer(0)[0]
-        accepted, retry = pipe.offer(0)
+        accepted, retry, _ = pipe.offer(0)
         assert not accepted
-        accepted2, _ = pipe.offer(retry)
+        accepted2, _, _ = pipe.offer(retry)
         assert accepted2
 
     def test_slow_arrivals_never_stall(self):
@@ -64,7 +69,7 @@ class TestPipelineModel:
         t = pipe.service_interval(False)
         cycle = 0
         for _ in range(20):
-            accepted, _ = pipe.offer(cycle)
+            accepted, _, _ = pipe.offer(cycle)
             assert accepted
             cycle += t + 1
 
@@ -75,18 +80,6 @@ class TestPipelineModel:
         pipe.offer(0)  # rejected
         assert pipe.accepted == 2
         assert pipe.rejected == 1
-
-    def test_reset(self):
-        pipe = ACTPipelineModel(fifo_depth=1)
-        pipe.offer(0)
-        pipe.reset()
-        assert pipe.accepted == 0
-        assert pipe.offer(0)[0]
-
-    def test_completion_after_three_stages(self):
-        pipe = ACTPipelineModel()
-        pipe.offer(10)
-        assert pipe.completion_cycle() == 10 + 1 + 2 * pipe.latency
 
     def test_fifo_depth_validation(self):
         with pytest.raises(ConfigError):
@@ -100,29 +93,34 @@ class TestPipelineModel:
         cycle = 0
         for gap in gaps:
             cycle += gap
-            accepted, retry = pipe.offer(cycle)
+            waiting = _waiting(pipe, cycle)
+            accepted, retry, occupancy = pipe.offer(cycle)
+            assert occupancy == waiting <= depth
             if not accepted:
+                assert occupancy == depth
                 cycle = retry
-                accepted2, _ = pipe.offer(cycle)
+                waiting = _waiting(pipe, cycle)
+                accepted2, _, occupancy = pipe.offer(cycle)
                 assert accepted2
-            assert pipe.occupancy(cycle) <= depth
+                assert occupancy == waiting < depth
+            assert _waiting(pipe, cycle) <= depth
 
     @given(st.lists(st.tuples(st.integers(0, 200), st.booleans()),
                     min_size=1, max_size=60),
            st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
     def test_start_queue_non_decreasing(self, offers, depth):
-        """occupancy() bisects the start queue, so it must stay sorted:
+        """offer() drains the start queue from its head and reports
+        what is left as the occupancy, so the queue must stay sorted:
         each start is max(cycle, previous start + interval), whatever
         order the offer cycles arrive in and whichever mode is set."""
         pipe = ACTPipelineModel(fifo_depth=depth)
         for cycle, training in offers:
-            pipe.offer(cycle, training=training)
+            waiting = _waiting(pipe, cycle)
+            _, _, occupancy = pipe.offer(cycle, training=training)
+            assert occupancy == waiting
             starts = list(pipe._pending_starts)
             assert starts == sorted(starts)
-            for probe in (cycle - 1, cycle, cycle + 7, cycle + 40):
-                assert pipe.occupancy(probe) == sum(1 for s in starts
-                                                    if s > probe)
 
 
 class TestTimeMux:

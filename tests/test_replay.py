@@ -14,7 +14,7 @@ import pytest
 
 from repro import telemetry
 from repro.core.config import ACTConfig
-from repro.core.deploy import deploy_on_run
+from repro.core.deploy import DeploymentResult, deploy_on_run
 from repro.core.offline import OfflineTrainer
 from repro.trace.raw import RawDepExtractor
 from repro.workloads.framework import run_program
@@ -54,33 +54,51 @@ def test_scalar_step_matches_batch_scoring(name):
         net = trained.make_network(tid)
         scores = [net.output(x) for x in xs]
         for i, dep in enumerate(deps):
-            pred = module.process_dep(dep)
+            output = module.process_dep(dep)
             if i < seq_len - 1:
-                assert pred is None  # warm-up: no window yet
+                assert output is None  # warm-up: no window yet
                 continue
-            assert pred.output == scores[i - (seq_len - 1)], (tid, i)
+            assert (module.input_buffer.sequence(seq_len)
+                    == tuple(deps[i - seq_len + 1:i + 1]))
+            assert output == scores[i - (seq_len - 1)], (tid, i)
             n_checked += 1
             if module.stats.online_trained:
                 break  # the weights moved; the scores no longer apply
     assert n_checked > 0
 
 
+def _replay(trained, run):
+    """Drive one fresh AM per thread through its dependence stream;
+    returns the deployment and, thread by thread, each step's output
+    with the mode and online-update count it left."""
+    modules, steps = {}, []
+    for tid, deps in sorted(_thread_streams(trained, run).items()):
+        module = modules[tid] = trained.make_module(tid)
+        steps.extend((module.process_dep(dep), module.mode,
+                      module.stats.online_trained) for dep in deps)
+    return DeploymentResult(modules=modules, n_deps=len(steps)), steps
+
+
 def test_training_stretches_replay_deterministically():
     """Replaying a foreign program drives the AMs through TESTING <->
-    TRAINING; two replays leave identical state."""
+    TRAINING; two replays give the same output at every dependence and
+    leave identical state, the state deploy_on_run leaves."""
     churn_cfg = ACTConfig(check_window=10)
     trained = OfflineTrainer(config=churn_cfg).train(
         get_kernel("lu"), n_runs=4, seed0=0)
     run = run_program(get_kernel("fft"), seed=3)
-    a = deploy_on_run(trained, run, keep_records=True)
-    b = deploy_on_run(trained, run, keep_records=True)
+    a, a_steps = _replay(trained, run)
+    b, b_steps = _replay(trained, run)
+    deployed = deploy_on_run(trained, run)
     assert a.n_mode_switches > 0
-    assert a.records == b.records
-    assert a.debug_entries() == b.debug_entries()
+    assert a_steps == b_steps
+    assert sum(out is not None for out, _, _ in a_steps) == a.n_predictions
+    assert a.debug_entries() == b.debug_entries() == deployed.debug_entries()
     for tid, module in a.modules.items():
-        assert module.stats == b.modules[tid].stats
-        assert np.array_equal(module.save_weights(),
-                              b.modules[tid].save_weights())
+        for other in (b, deployed):
+            assert module.stats == other.modules[tid].stats
+            assert np.array_equal(module.save_weights(),
+                                  other.modules[tid].save_weights())
 
 
 def test_act_counters_match_module_stats():
