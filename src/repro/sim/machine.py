@@ -158,10 +158,10 @@ class Machine:
                                 tele.inc("sim.fifo_stalls")
                                 tele.inc("sim.act_stall_cycles", stall)
             elif kind is STORE:
-                res = store(core, event.addr, event.pc)
+                latency = store(core, event.addr, event.pc).latency
                 # Stores retire through the write buffer; only the
                 # occupancy of an upgrade/miss shows at retirement.
-                clock += min(res.latency, store_cap)
+                clock += latency if latency < store_cap else store_cap
             # Branch/ALU events are covered by the amortised base cost.
             clocks[core] = clock
 
