@@ -90,6 +90,8 @@ def _all_digests():
 
 # Generated before the per-access fast paths; keys "evict-WBP" set the
 # flags in FLAGS order (word granularity, writeback, piggyback dirty only).
+# "evict-110" and "evict-111" were regenerated when a memory fill began
+# restoring every written-back word of the line, not only the one loaded.
 MEMORY_DIGESTS = {
     'barnes':
         '7be829c48c81a516cdf41726cf93bcafdec05f8b87a83c5fc37793e5173ca2b1',
@@ -128,9 +130,9 @@ MEMORY_DIGESTS = {
     'evict-101':
         'e05a53e0bf34807e1dcece6a040654ad15c24b0f5c14d99344bb335c7de8e0fe',
     'evict-110':
-        '66eb5366083a6e0d41ffd0937e9de695a8418f67ec50b83bc9535b41aced3a72',
+        'c1c6ceade280d62b70cf563fa59e674d584853c68e03ddf6971d78d2456bb16f',
     'evict-111':
-        '30adc7a6b502697cdc3e4cb8c566e8ac6ff1ebfffb7737aa0028ec614e9e5290',
+        '5b96a61c035c1393dea59045496b33ce0aa6ae093c5c9ac0fb896140d8ba941f',
 }
 
 
