@@ -69,13 +69,15 @@ class ACTPipelineModel:
         self.timing = timing or NeuronTiming()
         self.fifo_depth = fifo_depth
         self.latency = self.timing.neuron_latency()
+        # Service interval by mode, indexed by ``training``.
+        self._intervals = (self.latency,
+                           self.latency * self.TRAINING_SLOWDOWN)
         self._pending_starts = deque()
         self._last_start = None
-        self.accepted = 0
-        self.rejected = 0
 
     def service_interval(self, training):
-        return self.latency * (self.TRAINING_SLOWDOWN if training else 1)
+        """Cycles between service starts: ``T`` testing, ``4T`` training."""
+        return self._intervals[bool(training)]
 
     def offer(self, cycle, training=False):
         """Try to insert an input at ``cycle``.
@@ -94,14 +96,11 @@ class ACTPipelineModel:
             starts.popleft()
         occupancy = len(starts)
         if occupancy >= self.fifo_depth:
-            self.rejected += 1
             return False, starts[0], occupancy
         start = cycle
         if self._last_start is not None:
-            interval = (self.latency * self.TRAINING_SLOWDOWN if training
-                        else self.latency)
-            start = max(cycle, self._last_start + interval)
+            start = max(cycle, self._last_start
+                        + self._intervals[bool(training)])
         starts.append(start)
         self._last_start = start
-        self.accepted += 1
         return True, cycle, occupancy

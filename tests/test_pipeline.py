@@ -73,13 +73,15 @@ class TestPipelineModel:
             assert accepted
             cycle += t + 1
 
-    def test_counters(self):
+    @pytest.mark.parametrize("training", [False, True])
+    def test_offer_results(self, training):
+        """The second input starts one service interval after the
+        first, so a third offer at cycle 0 finds the one-slot FIFO full
+        until then."""
         pipe = ACTPipelineModel(fifo_depth=1)
-        pipe.offer(0)
-        pipe.offer(0)
-        pipe.offer(0)  # rejected
-        assert pipe.accepted == 2
-        assert pipe.rejected == 1
+        interval = pipe.service_interval(training)
+        assert [pipe.offer(0, training=training) for _ in range(3)] == [
+            (True, 0, 0), (True, 0, 0), (False, interval, 1)]
 
     def test_fifo_depth_validation(self):
         with pytest.raises(ConfigError):
