@@ -26,13 +26,6 @@ class TestBasics:
         assert c.lookup(190) is not None  # same line
         assert c.lookup(192) is None      # next line
 
-    def test_invalidate(self):
-        c = Cache(n_sets=4, assoc=2, line_size=64)
-        c.insert(100, "M")
-        line = c.invalidate(100)
-        assert line.state == "M"
-        assert c.lookup(100) is None
-
     def test_lru_eviction_order(self):
         c = Cache(n_sets=1, assoc=2, line_size=64)
         c.insert(0, "E")
@@ -115,7 +108,7 @@ class TestLazySets:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_one_set_per_index_reference(self, seed):
         """A 1,024-set cache behaves as 1,024 independent one-set caches:
-        same hits, evictions, invalidations and resident-line order."""
+        same hits, evictions, removals and resident-line order."""
         n_sets, assoc, line = 1024, 2, 64
         cache = Cache(n_sets=n_sets, assoc=assoc, line_size=line)
         refs = {}
@@ -145,8 +138,14 @@ class TestLazySets:
                 assert (addr_of(cache.lookup(addr, touch=touch))
                         == addr_of(ref_for(addr).lookup(addr, touch=touch)))
             else:
-                assert (addr_of(cache.invalidate(addr))
-                        == addr_of(ref_for(addr).invalidate(addr)))
+                # Remove through the line's set link, as the coherent
+                # memory system does on eviction and invalidation.
+                got = cache.lookup(addr, touch=False)
+                want = ref_for(addr).lookup(addr, touch=False)
+                assert addr_of(got) == addr_of(want)
+                if got is not None:
+                    assert got.lru.pop(got.addr) is got
+                    want.lru.pop(want.addr)
         want_order = [ln.addr for index in sorted(refs)
                       for ln in refs[index].resident_lines()]
         assert [ln.addr for ln in cache.resident_lines()] == want_order
