@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import telemetry
 from repro.common.errors import ReproError, SimulatedFailure, TraceError
 from repro.trace.events import EventKind
 from repro.workloads.framework import (
@@ -282,6 +283,48 @@ class TestSynchronisation:
 
         with pytest.raises(TraceError, match="release"):
             run_program(P(), seed=0)
+
+    @staticmethod
+    def _quanta(body, name):
+        """``(events, sched.quanta)`` of one single-thread run that never
+        switches on the draw (``switch_prob=0``), so every pick counted
+        is a forced one."""
+
+        class P(Program):
+            def build(self):
+                return ProgramInstance(name, CodeMap(), [body])
+
+        with telemetry.use_registry(telemetry.Registry()) as reg:
+            run = run_program(P(), scheduler=Scheduler(switch_prob=0.0))
+            return run.events, reg.counter("sched.quanta").value
+
+    def test_sched_yield_records_nothing_and_forces_a_repick(self):
+        def plain(ctx):
+            yield ctx.alu(0x1000)
+            yield ctx.alu(0x1004)
+
+        def yielding(ctx):
+            yield ctx.alu(0x1000)
+            yield ctx.sched_yield()
+            yield ctx.alu(0x1004)
+
+        events, quanta = self._quanta(plain, "plain")
+        yielded, yield_quanta = self._quanta(yielding, "yielding")
+        assert [e.pc for e in yielded] == [e.pc for e in events] == \
+            [0x1000, 0x1004]
+        assert (quanta, yield_quanta) == (0, 1)
+
+    def test_reacquiring_a_held_lock_does_not_block(self):
+        def body(ctx):
+            yield ctx.acquire("m")
+            yield ctx.acquire("m")
+            yield ctx.store(0x1000, 0x40, value=1)
+            yield ctx.release("m")
+
+        # A block here would be a deadlock: the only thread holds "m".
+        events, quanta = self._quanta(body, "reacquire")
+        assert [(e.pc, e.addr) for e in events] == [(0x1000, 0x40)]
+        assert quanta == 0
 
     def test_livelock_guard(self):
         class P(Program):
