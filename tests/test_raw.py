@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.trace.events import EventKind, TraceEvent, TraceRun
 from repro.trace.raw import (
+    DepRecord,
     RawDep,
     RawDepExtractor,
     dep_sequences,
@@ -58,6 +59,21 @@ class TestRawDepRecord:
         with pytest.raises(AttributeError):
             dep.store_pc = 5
         assert pickle.loads(pickle.dumps(dep)) == dep
+
+
+class TestDepRecord:
+    def test_field_equality(self):
+        rec = DepRecord(RawDep(1, 2), 0, 0x40, 7)
+        assert rec == DepRecord(RawDep(1, 2), tid=0, addr=0x40, index=7,
+                                negative=None)
+        assert rec != DepRecord(RawDep(1, 2), 0, 0x40, 8)
+        assert rec != DepRecord(RawDep(1, 2), 0, 0x40, 7, RawDep(3, 2))
+        assert rec.negative is None
+
+    def test_immutable(self):
+        rec = DepRecord(RawDep(1, 2), 0, 0x40, 7)
+        with pytest.raises(AttributeError):
+            rec.index = 8
 
 
 class TestExtractor:

@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from repro.trace.events import EventKind, TraceEvent, TraceRun
+from repro.workloads.framework import ThreadCtx
 
 
 class TestEventKind:
@@ -58,6 +59,53 @@ class TestTraceEvent:
         e = TraceEvent(2, 0x1004, EventKind.STORE, addr=12, value=(3, 3))
         back = pickle.loads(pickle.dumps(e))
         assert back == e and back.value == (3, 3)
+
+
+class TestThreadCtxEvents:
+    """The scheduler's thread handles fill events through the slots, not
+    through the public constructor; the events must be the same."""
+
+    CTX = ThreadCtx(3)
+    PAIRS = [
+        (CTX.load(0x1000, 8), TraceEvent(3, 0x1000, EventKind.LOAD, 8)),
+        (CTX.store(0x1004, 12, value=(1, 2)),
+         TraceEvent(3, 0x1004, EventKind.STORE, 12, value=(1, 2))),
+        (CTX.store(0x1004, 12), TraceEvent(3, 0x1004, EventKind.STORE, 12)),
+        (CTX.stack_load(0x1008, slot=2),
+         TraceEvent(3, 0x1008, EventKind.LOAD, 0x7FFF_0000 + 3 * 0x1_0000 + 8,
+                    True)),
+        (CTX.stack_store(0x100C, value=5),
+         TraceEvent(3, 0x100C, EventKind.STORE, 0x7FFF_0000 + 3 * 0x1_0000,
+                    True, value=5)),
+        (CTX.branch(0x1010, 1),
+         TraceEvent(3, 0x1010, EventKind.BRANCH, taken=True)),
+        (CTX.alu(0x1014), TraceEvent(3, 0x1014, EventKind.ALU)),
+    ]
+
+    @pytest.mark.parametrize("fast, public", PAIRS)
+    def test_same_event_as_the_constructor(self, fast, public):
+        assert fast.__class__ is TraceEvent
+        assert fast == public and hash(fast) == hash(public)
+        assert repr(fast) == repr(public)
+        assert fast.value == public.value
+
+    @pytest.mark.parametrize("fast, public", PAIRS)
+    def test_pickle_keeps_the_value(self, fast, public):
+        back = pickle.loads(pickle.dumps(fast))
+        assert back == public and back.value == public.value
+
+    @pytest.mark.parametrize("fast, public", PAIRS)
+    def test_immutable(self, fast, public):
+        with pytest.raises(AttributeError):
+            fast.pc = 5
+        with pytest.raises(AttributeError):
+            del fast.addr
+
+    def test_memory_access_requires_address(self):
+        with pytest.raises(ValueError, match="needs an address"):
+            self.CTX.load(0x1000, None)
+        with pytest.raises(ValueError, match="needs an address"):
+            self.CTX.store(0x1000, None, value=1)
 
 
 class TestTraceRun:
