@@ -2,9 +2,10 @@
 
 ``BENCH_throughput.json`` is a single point; this module gives it a
 trajectory. Each invocation appends the current benchmark payload as
-one JSONL entry to ``BENCH_history.jsonl`` and compares the *gated*
-metrics against the last recorded entry, failing (exit 1) when any of
-them regresses beyond the threshold (30% by default).
+one JSONL entry to ``BENCH_history.jsonl`` and compares each *gated*
+metric against its median over the last three recorded entries that
+carry it, failing (exit 1) when any of them regresses beyond the
+threshold (30% by default).
 
 Gated metrics are machine-portable ratios (the corpus fan-out speedup
 and the adaptive-frontier pick) plus the end-to-end corpus wall time in
@@ -26,10 +27,14 @@ Usage (what the ``bench-trend`` CI job runs)::
 
 import argparse
 import json
+import statistics
 import sys
 import time
 
 DEFAULT_THRESHOLD = 0.30
+# Each gate compares against the median of this many latest entries
+# that carry it: one run on a noisy host phase must not set the bar.
+BASELINE_ENTRIES = 3
 
 # Gated metrics fail the run on regression; tracked metrics are
 # recorded for the trajectory only. Each gate declares a direction
@@ -131,25 +136,29 @@ def append_entry(history_path, entry):
     return entry
 
 
-def check_regressions(previous, current, threshold=DEFAULT_THRESHOLD,
+def check_regressions(history, current, threshold=DEFAULT_THRESHOLD,
                       skips=None):
-    """Gated metrics of ``current`` vs ``previous``; returns regressions.
+    """Gated metrics of ``current`` vs the ``history`` before it (oldest
+    first); returns regressions.
 
-    Each regression is a dict with the metric, its ``per`` (or None),
-    both values (divided by ``per``) and the fractional drop (always
-    oriented so that positive = worse, whichever direction the gate
-    declares). A gated metric or its ``per`` missing from either entry,
-    or a non-positive baseline, is skipped instead of erroring; pass a
-    list as ``skips`` to collect ``{"metric", "reason"}`` records
-    explaining each skip.
+    Each gate compares against the median of its value in the last
+    :data:`BASELINE_ENTRIES` history entries that carry it (fewer when
+    fewer do), so one noisy entry neither trips the next run nor hides
+    a real regression. Each regression is a dict with the metric, its
+    ``per`` (or None), the baseline median and the current value (both
+    divided by ``per``) and the fractional drop (always oriented so
+    that positive = worse, whichever direction the gate declares). A
+    gated metric or its ``per`` missing from the current entry or from
+    every history entry, or a non-positive value, is skipped instead of
+    erroring; pass a list as ``skips`` to collect ``{"metric",
+    "reason"}`` records explaining each skip.
     """
     regressions = []
-    prev_metrics = previous.get("metrics", {})
     cur_metrics = current.get("metrics", {})
     for path in sorted(GATED_METRICS):
         gate = GATED_METRICS[path]
         limit = gate.get("threshold", threshold)
-        old, new, skip = _gated_values(prev_metrics, cur_metrics, path,
+        old, new, skip = _gated_values(history, cur_metrics, path,
                                        gate.get("per"))
         if skip:
             if skips is not None:
@@ -171,25 +180,40 @@ def check_regressions(previous, current, threshold=DEFAULT_THRESHOLD,
     return regressions
 
 
-def _gated_values(prev_metrics, cur_metrics, path, per=None):
-    """``(old, new, skip)`` of one gate: the two values, divided by
-    ``per`` when the gate sets it, or a ``skip`` reason naming the
-    first missing input."""
-    values = []
+def _gate_value(metrics, path, per, where):
+    """``(value, None)`` of a gate in the metrics of ``where``, divided
+    by ``per`` when the gate sets it, or ``(None, why)``: the first
+    input it lacks, or a non-positive ``per``."""
     for name in (path, per) if per else (path,):
-        old, new = prev_metrics.get(name), cur_metrics.get(name)
-        if old is None or new is None:
-            where = ("both entries" if old is None and new is None
-                     else "previous entry" if old is None
-                     else "current entry")
-            return None, None, f"{name} absent from {where}"
-        values.append((old, new))
+        if metrics.get(name) is None:
+            return None, f"{name} absent from {where}"
     if not per:
-        return values[0] + (None,)
-    (old, new), (old_per, new_per) = values
-    if old_per <= 0 or new_per <= 0:
-        return None, None, f"non-positive {per} ({old_per}, {new_per})"
-    return old / old_per, new / new_per, None
+        return metrics[path], None
+    if metrics[per] <= 0:
+        return None, f"non-positive {per} ({metrics[per]})"
+    return metrics[path] / metrics[per], None
+
+
+def _gated_values(history, cur_metrics, path, per=None):
+    """``(baseline, new, skip)`` of one gate: the median of its values
+    in the last :data:`BASELINE_ENTRIES` entries of ``history`` that
+    carry it, its current value, or a ``skip`` reason."""
+    new, why = _gate_value(cur_metrics, path, per, "current entry")
+    if why:
+        return None, None, why
+    olds = []
+    for entry in reversed(history):
+        old, why = _gate_value(entry.get("metrics", {}), path, per,
+                               "every previous entry")
+        if why is None:
+            olds.append(old)
+            if len(olds) == BASELINE_ENTRIES:
+                break
+    if not olds:
+        # No entry carries the gate; ``why`` names what the oldest
+        # one lacks.
+        return None, None, why
+    return statistics.median(olds), new, None
 
 
 def run_trend(bench_path, history_path, threshold=DEFAULT_THRESHOLD,
@@ -215,15 +239,15 @@ def run_trend(bench_path, history_path, threshold=DEFAULT_THRESHOLD,
         print("no previous entry; nothing to gate against", file=out)
         return 0
     skips = []
-    regressions = check_regressions(history[-1], entry, threshold=threshold,
+    regressions = check_regressions(history, entry, threshold=threshold,
                                     skips=skips)
     for skip in skips:
         print(f"gate skipped: {skip['metric']} ({skip['reason']})",
               file=out)
     if not regressions:
         print(f"trend OK: no gated metric regressed beyond its "
-              f"threshold (default {threshold:.0%}) vs the previous "
-              f"entry", file=out)
+              f"threshold (default {threshold:.0%}) vs the median of "
+              f"the last {BASELINE_ENTRIES} entries", file=out)
         return 0
     for reg in regressions:
         name = reg["metric"] + (f" / {reg['per']}" if reg["per"] else "")

@@ -151,7 +151,7 @@ class TestGate:
                 "100.0%") in text
 
     @pytest.mark.parametrize("old_ref,new_ref,where", [
-        (None, 0.02, "previous entry"),
+        (None, 0.02, "every previous entry"),
         (0.02, None, "current entry"),
     ])
     def test_wall_time_without_host_ref_is_skipped(self, tmp_path, old_ref,
@@ -162,10 +162,38 @@ class TestGate:
         assert (f"gate skipped: corpus_wall_seconds "
                 f"(host.ref_s absent from {where})") in text
 
+    def test_one_noisy_entry_does_not_set_the_bar(self, tmp_path):
+        # Steady 3.0-3.2 wall ratios, one fast outlier at 1.5: the next
+        # steady run is +100% against the outlier alone, but within the
+        # 50% gate against the median of the last three entries.
+        for wall in (3.0, 3.2, 1.5):
+            _run(tmp_path, self._wall(wall, 1.0))
+        rc, text = _run(tmp_path, self._wall(3.1, 1.0))
+        assert rc == 0
+        assert "trend OK" in text and "median of the last 3" in text
+
+    def test_real_regression_still_fails_after_a_noisy_entry(
+            self, tmp_path):
+        for wall in (3.0, 3.2, 1.5):
+            _run(tmp_path, self._wall(wall, 1.0))
+        rc, text = _run(tmp_path, self._wall(6.0, 1.0))  # 2x the median
+        assert rc == 1
+        assert ("REGRESSION: corpus_wall_seconds / host.ref_s worsened "
+                "100.0% (3.0 -> 6.0)") in text
+
+    def test_baseline_is_the_median_of_the_last_three(self):
+        history = [trend.make_entry(_payload(speedup=s), timestamp=0.0)
+                   for s in (0.5, 4.0, 2.0, 3.0)]
+        cur = trend.make_entry(_payload(speedup=1.0), timestamp=1.0)
+        (reg,) = trend.check_regressions(history, cur)
+        assert reg["previous"] == 3.0  # median of 4.0, 2.0, 3.0
+        (reg,) = trend.check_regressions(history[-2:], cur)
+        assert reg["previous"] == 2.5  # fewer entries: their median
+
     def test_check_regressions_reports_both_values(self):
         prev = trend.make_entry(_payload(speedup=4.0), timestamp=0.0)
         cur = trend.make_entry(_payload(speedup=1.0), timestamp=1.0)
-        (reg,) = trend.check_regressions(prev, cur)
+        (reg,) = trend.check_regressions([prev], cur)
         assert reg["metric"] == "parallel.corpus_speedup"
         assert reg["previous"] == 4.0 and reg["current"] == 1.0
         assert reg["drop"] == pytest.approx(0.75)
@@ -246,7 +274,7 @@ class TestDirectionalGates:
         prev = trend.make_entry(_payload(), timestamp=0.0)
         cur = trend.make_entry(_full_payload(), timestamp=1.0)
         skips = []
-        regs = trend.check_regressions(prev, cur, skips=skips)
+        regs = trend.check_regressions([prev], cur, skips=skips)
         assert regs == []
         skipped = {s["metric"] for s in skips}
         assert "corpus_wall_seconds" in skipped
