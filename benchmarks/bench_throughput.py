@@ -11,11 +11,15 @@ least three rounds): a best-of-3 over 0.1-0.2 s moves with the host's
 phase.
 
 1. **Replay** -- deps/sec of :func:`deploy_on_run` over many distinct
-   correct lu runs (one per seed), each through a fresh deployment, one
-   dependence at a time through the per-core ACT Modules. Distinct runs
-   keep the share of windows an AM has already scored at its real level
-   (about a third within one lu run); replaying one trace many times
-   over would make nearly every window a stored output. The figure is
+   correct lu runs (one per seed), each a fresh deployment of one
+   trained state, one dependence at a time through the per-core ACT
+   Modules. Every deployment's modules share the window outputs the
+   trained weights have already scored, as the deployments of one
+   trained binary do. The 80 fast-preset runs hold 40 distinct windows
+   among 5,760, so 99.3 % of the first pass's windows reuse a stored
+   output, and every window of a later round does (34.7 % reused when
+   each deployment scored its windows afresh). The figure is the
+   per-dependence step of a warm, TESTING-dominated deployment. It is
    absolute, so the trend history tracks it without gating it.
 2. **Corpus fan-out** -- wall time of a preset-scaled corpus
    (:func:`~repro.analysis.accuracy.run_corpus_for_preset`) serial and

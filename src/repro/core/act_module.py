@@ -105,7 +105,8 @@ class ACTModule:
     # it fixes every online-training update and so the pinned results.
     _ONLINE_TARGET = 0.9
 
-    def __init__(self, config=None, encoder=None, net=None, tid=0, seed=0):
+    def __init__(self, config=None, encoder=None, net=None, tid=0, seed=0,
+                 outputs=None):
         self.config = config or ACTConfig()
         self.encoder = encoder
         self.tid = tid
@@ -115,13 +116,14 @@ class ACTModule:
                 max_inputs=self.config.max_inputs,
                 sigmoid=SigmoidTable(self.config.sigmoid_resolution))
         self.net = net
-        # Window -> network output, valid for one network object at one
-        # weight version (see process_dep). A host-side shortcut of the
-        # functional model: the hardware evaluates every window, and the
-        # timing model still charges each one.
-        self._outputs = {}
-        self._outputs_net = None
-        self._outputs_version = None
+        # Window -> network output at the weights ``net`` starts from: a
+        # host-side shortcut (the hardware evaluates every window, and the
+        # timing model charges each one). ``outputs`` is shared by modules
+        # starting from the same trained weights (TrainedACT.make_module);
+        # process_dep moves to a private dict once the network changes.
+        self._outputs = {} if outputs is None else outputs
+        self._outputs_net = net
+        self._outputs_version = net.version
         self.input_buffer = InputGeneratorBuffer(self.config.input_gen_buffer,
                                                  tid=tid)
         self.debug_buffer = DebugBuffer(self.config.debug_buffer)
@@ -152,9 +154,10 @@ class ACTModule:
         no buffer push, no prediction -- the hardware simply did not
         trace it; sequences form over the sampled stream).
 
-        A window already scored at the network's current weights reuses
-        that output instead of running the network again; the result is
-        the same either way.
+        A window already scored at the network's current weights (by
+        this module, or by any module that started from the same trained
+        weights) reuses that output instead of running the network again;
+        the result is the same either way.
         """
         pstate = self.policy_state
         if pstate is not None and not pstate.admit(dep, self.tid):
@@ -169,7 +172,7 @@ class ACTModule:
         outputs = self._outputs
         if (net is not self._outputs_net
                 or net.version != self._outputs_version):
-            outputs.clear()
+            outputs = self._outputs = {}
             self._outputs_net = net
             self._outputs_version = net.version
         output = outputs.get(seq)
@@ -189,8 +192,8 @@ class ACTModule:
             if self.mode is Mode.TRAINING:
                 # Online training treats every dependence as valid; a
                 # predicted-invalid one is a misprediction to learn away.
-                # The update bumps net.version, so the next step finds
-                # the dict emptied.
+                # The update bumps net.version, so the next step scores
+                # into a fresh private dict.
                 net.train_example(self.encoder.encode_seq(seq),
                                   self._ONLINE_TARGET,
                                   self.config.learning_rate)

@@ -220,6 +220,11 @@ class TrainedACT:
     #: not serialised, not compared, not a constructor argument.
     _correct_sets: dict = field(default_factory=dict, init=False,
                                 repr=False, compare=False)
+    #: Window -> output dicts shared by the AMs, by weight vector held
+    #: (None for the default, else the tid), with the weights, sigmoid
+    #: table and encoder each was scored with. A cache, like the above.
+    _scores: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def weights_for(self, tid):
         """Weights for a thread, falling back to the pooled default."""
@@ -249,8 +254,26 @@ class TrainedACT:
         them into the AM. ``config`` replaces the trained configuration
         (the timing simulator's hardware overrides).
         """
+        net = self.make_network(tid)
         return ACTModule(config=config or self.config, encoder=self.encoder,
-                         net=self.make_network(tid), tid=tid)
+                         net=net, tid=tid, outputs=self._scores_for(tid, net))
+
+    def _scores_for(self, tid, net):
+        """The shared window -> output dict for ``net``'s weights.
+
+        None when ``net`` does not hold the thread's stored weights (a
+        ``weight_flip`` fault changed them): that module scores alone.
+        """
+        weights = net.read_weights().tobytes()
+        if weights != np.asarray(self.weights_for(tid), float).tobytes():
+            return None
+        key = (weights, net.sigmoid.resolution, net.sigmoid.clip,
+               self.encoder)
+        slot = tid if tid in self.weights else None
+        held = self._scores.get(slot)
+        if held is None or held[0] != key:
+            held = self._scores[slot] = (key, {})
+        return held[1]
 
     def record_thread_weights(self, tid, flat):
         """Patch the binary with weights read out at thread exit.
@@ -260,6 +283,7 @@ class TrainedACT:
         next execution's :meth:`make_module` starts from them.
         """
         self.weights[tid] = np.asarray(flat, dtype=float).copy()
+        self._scores.pop(tid, None)
 
     # -- checkpoint serialisation --------------------------------------
 
