@@ -9,8 +9,7 @@ corpus`` here, :mod:`.shootout` and :mod:`.frontier` -- is one
 
 1. :func:`corpus_programs` builds the program list;
 2. one picklable item per program goes through
-   :func:`repro.parallel.run_tasks` (quarantine and checkpoint handling
-   included);
+   :func:`repro.parallel.run_tasks` (quarantine handling included);
 3. each item returns one record per point of the experiment's axis
    (the corpus has none; the shootout sweeps engines, the frontier
    sampling rates);
@@ -55,7 +54,6 @@ from repro.common.rng import make_rng
 from repro.common.texttable import render_table
 from repro.core.config import ACTConfig
 from repro.engines import create
-from repro.faults import Checkpoint
 from repro.parallel import run_tasks
 from repro.workloads.generator import (
     ARCHETYPES,
@@ -66,7 +64,7 @@ from repro.workloads.generator import (
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """Everything that shapes a corpus run (and its checkpoint identity).
+    """Everything that shapes a corpus run (and its metrics' ``"spec"``).
 
     ``jobs`` is deliberately *not* part of the spec: parallelism never
     changes results, so it rides along as a call argument.
@@ -94,7 +92,7 @@ class CorpusSpec:
         default_factory=lambda: ACTConfig(seq_len=3))
 
     def fingerprint(self):
-        """Checkpoint identity: the spec, JSON-safe."""
+        """The spec, JSON-safe (the metrics JSON's ``"spec"``)."""
         doc = asdict(self)
         doc["archetypes"] = list(self.archetypes)
         if doc["engine"] == "nn":
@@ -131,8 +129,8 @@ def corpus_programs(spec):
 def diagnosis_record(program_spec, report, top_k):
     """One program's outcome as a plain-dict record.
 
-    JSON-safe, so the same shape feeds the metrics, the checkpoint, and
-    the parallel result channel.
+    JSON-safe, so the same shape feeds the metrics and the parallel
+    result channel.
     """
     root = report.root_cause or set()
     if report.candidates:
@@ -202,47 +200,30 @@ def _quarantined_record(program_spec):
 
 
 def sweep(name, spec, item, points=(None,), jobs=None, quarantine=None,
-          checkpoint=None, **attrs):
+          **attrs):
     """Steps 1-3 of every corpus experiment (see the module docstring).
 
     ``item((program_spec, spec))`` must be picklable and return one
     record per axis point, in ``points`` order. A program lost to the
-    quarantine scores a placeholder miss at every point. Records found
-    in ``checkpoint`` are reused; fresh ones are stored there.
+    quarantine scores a placeholder miss at every point.
 
     Returns ``{point: [record per program, corpus order]}``.
     """
-    def key(ps, point):
-        return f"record:{ps.name}" + ("" if point is None else f":{point}")
-
     program_specs = corpus_programs(spec)
     tele = telemetry.get_registry()
-    done = {}
-    pending = []
+    results = []
     with tele.span(name, seed=spec.seed, size=spec.size, **attrs):
-        for ps in program_specs:
-            cached = ([checkpoint.get(key(ps, p)) for p in points]
-                      if checkpoint is not None else [None])
-            if None in cached:
-                pending.append(ps)
-            else:
-                done[ps.name] = cached
-        if pending:
-            with tele.span(f"{name}.diagnose", n_programs=len(pending)):
+        if program_specs:
+            with tele.span(f"{name}.diagnose",
+                           n_programs=len(program_specs)):
                 results = run_tasks(
-                    item, [(ps, spec) for ps in pending], jobs=jobs,
+                    item, [(ps, spec) for ps in program_specs], jobs=jobs,
                     quarantine=quarantine, phase=f"{name}.diagnose",
-                    keys=[ps.name for ps in pending])
-            for ps, records in zip(pending, results):
-                if records is None:
-                    records = [_quarantined_record(ps) for _ in points]
-                done[ps.name] = records
-                if checkpoint is not None:
-                    for point, record in zip(points, records):
-                        checkpoint.put(key(ps, point), record, save=False)
-            if checkpoint is not None:
-                checkpoint.save()
-    return {point: [done[ps.name][i] for ps in program_specs]
+                    keys=[ps.name for ps in program_specs])
+    done = [records if records is not None
+            else [_quarantined_record(ps) for _ in points]
+            for ps, records in zip(program_specs, results)]
+    return {point: [records[i] for records in done]
             for i, point in enumerate(points)}
 
 
@@ -311,8 +292,7 @@ def corpus_metrics(spec, records):
     }
 
 
-def run_corpus(spec, jobs=None, faults=None, quarantine=None,
-               checkpoint=None):
+def run_corpus(spec, jobs=None, faults=None, quarantine=None):
     """Run the accuracy harness over one corpus.
 
     Args:
@@ -324,26 +304,14 @@ def run_corpus(spec, jobs=None, faults=None, quarantine=None,
         quarantine: :class:`~repro.faults.Quarantine`; a program whose
             diagnosis is lost to injected faults is recorded there and
             scored as a miss instead of aborting the corpus.
-        checkpoint: path (or open :class:`~repro.faults.Checkpoint`)
-            holding per-program snapshots -- a killed corpus run can be
-            resumed and reproduces the identical metrics JSON.
 
     Returns:
         :class:`SweepResult`.
     """
     plan = faults if faults is not None else _faults.get_plan()
-    if checkpoint is not None and not isinstance(checkpoint, Checkpoint):
-        # The engine's fingerprint names the offline fit (the spec names
-        # only the engine), so records written by a build with another
-        # fit rule are refused, not resumed.
-        engine = create(spec.engine, config=spec.config)
-        checkpoint = Checkpoint.open(
-            checkpoint, "corpus",
-            dict(spec.fingerprint(), predictor=engine.fingerprint()))
     with _faults.use_plan(plan):
         (records,) = sweep("corpus", spec, _corpus_item, jobs=jobs,
-                           quarantine=quarantine,
-                           checkpoint=checkpoint).values()
+                           quarantine=quarantine).values()
     metrics = corpus_metrics(spec, records)
     tele = telemetry.get_registry()
     if tele.enabled:

@@ -6,8 +6,6 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli diagnose gzip
     python -m repro.cli diagnose mysql1 --debug-buffer 120
     python -m repro.cli diagnose gzip --telemetry profile.json
-    python -m repro.cli diagnose gzip --checkpoint ck.json    # resumable
-    python -m repro.cli diagnose gzip --resume ck.json
     python -m repro.cli diagnose gzip --faults seed=3,run_corrupt=0.3 \
         --quarantine-report quarantine.json
     python -m repro.cli diagnose gen-atomicity-pipeline-s7   # generated bug
@@ -77,9 +75,9 @@ def _missing_dir(what, *paths):
 
 
 def _run_options(args, engine):
-    """``--checkpoint``/``--resume``, ``--faults``, ``--policy`` and the
-    quarantine of ``diagnose`` and ``corpus``, as (checkpoint, plan,
-    policy, quarantine); None once an error is printed.
+    """``--faults``, ``--policy`` and the quarantine of ``diagnose`` and
+    ``corpus``, as (plan, policy, quarantine); None once an error is
+    printed.
 
     The adaptive layer is NN-path-only: an enabled policy with any
     other ``engine`` is an error. No ``--policy`` means no policy (the
@@ -88,12 +86,6 @@ def _run_options(args, engine):
     from repro.core.policy import PolicySpec
     from repro.faults import FaultPlan
 
-    checkpoint = args.checkpoint
-    if args.resume:
-        if not os.path.isfile(args.resume):
-            _fail(f"error: checkpoint {args.resume!r} does not exist")
-            return None
-        checkpoint = args.resume
     plan = None
     if args.faults:
         try:
@@ -117,7 +109,7 @@ def _run_options(args, engine):
         from repro.faults import Quarantine
 
         quarantine = Quarantine()
-    return checkpoint, plan, policy, quarantine
+    return plan, policy, quarantine
 
 
 def _print_quarantine(quarantine, report_path):
@@ -161,7 +153,7 @@ def _cmd_diagnose(args):
     options = _run_options(args, engine.name)
     if options is None:
         return 2
-    checkpoint, plan, policy, quarantine = options
+    plan, policy, quarantine = options
     store = None
     if args.cache_dir:
         if os.path.exists(args.cache_dir) and not os.path.isdir(
@@ -173,8 +165,7 @@ def _cmd_diagnose(args):
         report = engine.diagnose_report(
             program, n_train_runs=args.train_runs,
             n_pruning_runs=args.pruning_runs, failure_seed=args.seed,
-            faults=plan, quarantine=quarantine, checkpoint=checkpoint,
-            policy=policy, store=store)
+            faults=plan, quarantine=quarantine, policy=policy, store=store)
     except (CheckpointError, EngineError) as e:
         return _fail(f"error: {e}")
     print(f"program          : {report.program}")
@@ -253,9 +244,6 @@ def _cmd_corpus(args):
     if _missing_dir("output", args.out):
         return 2
     engine = args.engine or "nn"
-    # Corpus checkpoints hold per-program *records* (engine-agnostic,
-    # keyed by a fingerprint that includes the engine), so unlike
-    # diagnose no checkpoint restriction applies here.
     try:
         create(engine)
     except EngineError as e:
@@ -263,13 +251,10 @@ def _cmd_corpus(args):
     options = _run_options(args, engine)
     if options is None:
         return 2
-    checkpoint, plan, policy, quarantine = options
+    plan, policy, quarantine = options
     spec = CorpusSpec(engine=engine, policy=policy, **_sweep_spec(args))
-    try:
-        result = run_corpus(spec, jobs=args.jobs, faults=plan,
-                            quarantine=quarantine, checkpoint=checkpoint)
-    except CheckpointError as e:
-        return _fail(f"error: {e}")
+    result = run_corpus(spec, jobs=args.jobs, faults=plan,
+                        quarantine=quarantine)
     _print_sweep(result, format_corpus(result), args.out)
     if args.trace_dir:
         os.makedirs(args.trace_dir, exist_ok=True)
@@ -520,12 +505,6 @@ def _add_diagnose_args(d):
                    help="predictor engine (see docs/engines.md): nn "
                         "(default), aviso, pbi, pset, ensemble, or "
                         "ensemble:a+b for explicit members")
-    d.add_argument("--checkpoint", metavar="PATH",
-                   help="save checksummed phase snapshots to PATH "
-                        "(created if missing, resumed if present)")
-    d.add_argument("--resume", metavar="PATH",
-                   help="resume a diagnosis from an existing checkpoint "
-                        "(like --checkpoint, but PATH must exist)")
     d.add_argument("--faults", metavar="SPEC",
                    help="inject faults from a deterministic plan spec, "
                         "e.g. 'seed=3,run_corrupt=0.2,worker_kill=0.1' "
@@ -614,12 +593,6 @@ def _add_corpus_args(c):
     c.add_argument("--trace-dir", metavar="DIR",
                    help="also record each program's failure run as a "
                         "trace file under DIR (created if missing)")
-    c.add_argument("--checkpoint", metavar="PATH",
-                   help="save per-program snapshots to PATH "
-                        "(created if missing, resumed if present)")
-    c.add_argument("--resume", metavar="PATH",
-                   help="resume a corpus run from an existing checkpoint "
-                        "(like --checkpoint, but PATH must exist)")
     c.add_argument("--faults", metavar="SPEC",
                    help="inject faults from a deterministic plan spec; "
                         "programs lost to faults are quarantined and "

@@ -16,14 +16,9 @@ bit-identical to a plain call):
   of aborting the pipeline.
 - ``quarantine``: a :class:`~repro.faults.Quarantine` that records every
   skipped run / healed module; attached to the report when non-empty.
-- ``checkpoint``: a path (or open :class:`~repro.faults.Checkpoint`)
-  holding checksummed phase snapshots -- trained weights, per-run
-  pruning sequences, and the final report -- so a killed diagnosis can
-  be resumed and produce the identical report without redoing finished
-  phases.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import faults as _faults
@@ -32,11 +27,8 @@ from repro.common.errors import ReproError
 from repro.core import policy as _policy
 from repro.core.config import ACTConfig
 from repro.core.deploy import deploy_on_run
-from repro.core.offline import (OfflineTrainer, TrainedACT,
-                                collect_runs_for_seeds,
-                                sequences_from_payload, sequences_to_payload)
-from repro.core.postprocess import CorrectSet, postprocess, run_sequences
-from repro.nn.trainer import fit_identity
+from repro.core.offline import OfflineTrainer, collect_runs_for_seeds
+from repro.core.postprocess import CorrectSet, postprocess
 from repro.workloads.framework import run_program
 
 @dataclass
@@ -73,81 +65,6 @@ class DiagnosisReport:
         return self.findings[:k]
 
 
-def _fingerprint(program, config, n_train_runs, train_seed0, failure_seed,
-                 n_pruning_runs, pruning_seed0, failure_params,
-                 correct_params, pruning_params, root_cause, policy=None):
-    """Checkpoint identity for one diagnosis: everything that shapes the
-    result, the offline fit included (a checkpoint's trained phase is
-    never resumed by another fit rule). A disabled policy is elided so
-    pre-policy checkpoints keep resuming."""
-    fp = {
-        "program": getattr(program, "name", "?"),
-        "config": asdict(config),
-        "fit": fit_identity(OfflineTrainer(config=config).train_config),
-        "n_train_runs": n_train_runs, "train_seed0": train_seed0,
-        "failure_seed": failure_seed,
-        "n_pruning_runs": n_pruning_runs, "pruning_seed0": pruning_seed0,
-        "failure_params": failure_params, "correct_params": correct_params,
-        "pruning_params": pruning_params,
-        "root_cause": (sorted([int(s), int(l)] for s, l in root_cause)
-                       if root_cause else None),
-    }
-    if policy is not None and policy.enabled:
-        fp["policy"] = policy.fingerprint()
-    return fp
-
-
-def _report_to_payload(report):
-    """JSON-safe snapshot of a report (checkpoint "report" phase)."""
-    return {
-        "program": report.program,
-        "failed": report.failed,
-        "found": report.found,
-        "rank": report.rank,
-        "debug_buffer_position": report.debug_buffer_position,
-        "filter_pct": float(report.filter_pct),
-        "n_debug_entries": report.n_debug_entries,
-        "debug_overflowed": report.debug_overflowed,
-        "findings": [
-            {"seq": sequences_to_payload([f.seq])[0],
-             "matched": f.matched, "output": float(f.output),
-             "tid": f.tid, "index": f.index}
-            for f in report.findings],
-        "root_cause": (sorted([int(s), int(l)] for s, l in report.root_cause)
-                       if report.root_cause else None),
-        "failure_description": report.failure_description,
-        "n_deps": report.n_deps,
-        "n_invalid": report.n_invalid,
-        "mode_switches": report.mode_switches,
-        "notes": list(report.notes),
-    }
-
-
-def _report_from_payload(payload):
-    """Inverse of :func:`_report_to_payload` (exact: float repr survives
-    the JSON round trip bit-for-bit)."""
-    from repro.core.postprocess import RankedFinding
-    findings = [
-        RankedFinding(seq=sequences_from_payload([f["seq"]])[0],
-                      matched=f["matched"], output=f["output"],
-                      tid=f["tid"], index=f["index"])
-        for f in payload["findings"]]
-    root_cause = (set((s, l) for s, l in payload["root_cause"])
-                  if payload["root_cause"] else None)
-    return DiagnosisReport(
-        program=payload["program"], failed=payload["failed"],
-        found=payload["found"], rank=payload["rank"],
-        debug_buffer_position=payload["debug_buffer_position"],
-        filter_pct=payload["filter_pct"],
-        n_debug_entries=payload["n_debug_entries"],
-        debug_overflowed=payload["debug_overflowed"],
-        findings=findings, root_cause=root_cause,
-        failure_description=payload["failure_description"],
-        n_deps=payload["n_deps"], n_invalid=payload["n_invalid"],
-        mode_switches=payload["mode_switches"],
-        notes=list(payload["notes"]))
-
-
 def _aborted_report(program, error, quarantine):
     """Terminal report for a diagnosis whose training phase was lost."""
     report = DiagnosisReport(
@@ -166,8 +83,7 @@ def diagnose_failure(program, config=None, trained=None,
                      n_pruning_runs=20, pruning_seed0=100,
                      failure_params=None, correct_params=None,
                      pruning_params=None, root_cause=None, faults=None,
-                     quarantine=None, checkpoint=None, trained_sink=None,
-                     policy=None):
+                     quarantine=None, trained_sink=None, policy=None):
     """Diagnose ``program``'s failure with the full ACT pipeline.
 
     Args:
@@ -182,9 +98,9 @@ def diagnose_failure(program, config=None, trained=None,
             program object with the same pruning seeds, pruning params,
             ``seq_len`` and ``filter_stack_loads`` reuses that set
             instead of re-running the pruning programs. Nothing is
-            kept or reused under an enabled fault plan or a
-            ``checkpoint``, or from a build that quarantined a run, so
-            the report is the same either way.
+            kept or reused under an enabled fault plan, or from a
+            build that quarantined a run, so the report is the same
+            either way.
         failure_params: params for the failure execution
             (default ``{"buggy": True}``).
         correct_params: params for training executions
@@ -202,12 +118,9 @@ def diagnose_failure(program, config=None, trained=None,
         quarantine: :class:`~repro.faults.Quarantine` collecting
             skip-and-report records for faulted runs; when provided,
             injected faults degrade coverage instead of raising.
-        checkpoint: path (or open :class:`~repro.faults.Checkpoint`)
-            for crash-resumable phase snapshots; a finished phase found
-            there is reused instead of recomputed.
         trained_sink: optional callable invoked with the
             :class:`TrainedACT` once training state is in hand (freshly
-            trained or reloaded). The NN engine's trained-state store
+            trained or passed in). The NN engine's trained-state store
             hangs off this hook; it never changes the report. The sink
             gets the object this diagnosis then prunes with, so its
             Correct Set is kept there too.
@@ -228,17 +141,6 @@ def diagnose_failure(program, config=None, trained=None,
     pruning_params = dict(pruning_params if pruning_params is not None
                           else correct_params)
     plan = faults if faults is not None else _faults.get_plan()
-    if checkpoint is not None:
-        from repro.faults.checkpoint import Checkpoint
-
-        if not isinstance(checkpoint, Checkpoint):
-            fingerprint = _fingerprint(
-                program, config, n_train_runs, train_seed0, failure_seed,
-                n_pruning_runs, pruning_seed0, failure_params,
-                correct_params, pruning_params, root_cause,
-                policy=active_policy)
-            checkpoint = Checkpoint.open(checkpoint, "diagnosis",
-                                         fingerprint)
     tele = telemetry.get_registry()
     with _faults.use_plan(plan), _policy.use_policy(active_policy):
         with tele.span("diagnose", program=getattr(program, "name", "?")):
@@ -246,37 +148,23 @@ def diagnose_failure(program, config=None, trained=None,
                 program, config, trained, tele, n_train_runs, train_seed0,
                 failure_seed, n_pruning_runs, pruning_seed0, failure_params,
                 correct_params, pruning_params, root_cause,
-                quarantine, checkpoint, trained_sink)
+                quarantine, trained_sink)
 
 
 def _diagnose_phases(program, config, trained, tele, n_train_runs,
                      train_seed0, failure_seed, n_pruning_runs,
                      pruning_seed0, failure_params, correct_params,
                      pruning_params, root_cause, quarantine=None,
-                     checkpoint=None, trained_sink=None):
-    if checkpoint is not None:
-        cached = checkpoint.get("report")
-        if cached is not None:
-            report = _report_from_payload(cached)
-            if quarantine is not None and len(quarantine):
-                report.quarantine = quarantine.report_dict()
-            return report
-
+                     trained_sink=None):
     if trained is None:
-        cached = checkpoint.get("trained") if checkpoint is not None else None
-        if cached is not None:
-            trained = TrainedACT.from_payload(cached, config)
-        else:
-            try:
-                trained = train_phase(program, config, n_train_runs,
-                                      train_seed0, quarantine=quarantine,
-                                      **correct_params)
-            except ReproError as e:
-                if quarantine is None:
-                    raise
-                return _aborted_report(program, e, quarantine)
-            if checkpoint is not None:
-                checkpoint.put("trained", trained.to_payload())
+        try:
+            trained = train_phase(program, config, n_train_runs,
+                                  train_seed0, quarantine=quarantine,
+                                  **correct_params)
+        except ReproError as e:
+            if quarantine is None:
+                raise
+            return _aborted_report(program, e, quarantine)
     if trained_sink is not None:
         trained_sink(trained)
 
@@ -287,8 +175,6 @@ def _diagnose_phases(program, config, trained, tele, n_train_runs,
     report = failure_report(program, failure_run, root_cause)
     if not failure_run.failed:
         report.notes.append("failure run did not fail; nothing to diagnose")
-        if checkpoint is not None:
-            checkpoint.put("report", _report_to_payload(report))
         return report
     if not report.root_cause:
         report.notes.append("program provides no ground-truth root cause")
@@ -298,20 +184,17 @@ def _diagnose_phases(program, config, trained, tele, n_train_runs,
 
     # --- Offline post-processing --------------------------------------
     # A clean Correct Set is kept in ``trained`` for later diagnoses of
-    # the same program. Faulted and checkpointed builds (a checkpoint
-    # keeps its own per-seed store) are neither kept nor reused, and a
-    # build that quarantined a run is not kept.
+    # the same program. Faulted builds are neither kept nor reused, and
+    # a build that quarantined a run is not kept.
     seeds = list(range(pruning_seed0, pruning_seed0 + n_pruning_runs))
-    memo = ({} if checkpoint is not None or _faults.get_plan().enabled
-            else trained._correct_sets)
+    memo = {} if _faults.get_plan().enabled else trained._correct_sets
     key = _pruning_key(program, config, seeds, pruning_params)
     if key in memo:
         correct_set = memo[key][1]
     else:
         n_quarantined = len(quarantine) if quarantine is not None else 0
         correct_set = pruning_phase(
-            program, config, seeds, quarantine=quarantine,
-            checkpoint=checkpoint, **pruning_params)
+            program, config, seeds, quarantine=quarantine, **pruning_params)
         if quarantine is None or len(quarantine) == n_quarantined:
             # The program rides along so its id is not reused by
             # another object while the entry lives.
@@ -323,8 +206,6 @@ def _diagnose_phases(program, config, trained, tele, n_train_runs,
             tele.inc("diagnose.found")
     if quarantine is not None and len(quarantine):
         report.quarantine = quarantine.report_dict()
-    if checkpoint is not None:
-        checkpoint.put("report", _report_to_payload(report))
     return report
 
 
@@ -406,21 +287,15 @@ def _pruning_key(program, config, seeds, params):
             config.seq_len, config.filter_stack_loads)
 
 
-def pruning_phase(program, config, seeds, quarantine=None,
-                  checkpoint=None, **params):
+def pruning_phase(program, config, seeds, quarantine=None, **params):
     """The Correct Set from one fresh correct run per seed."""
     with telemetry.get_registry().span("diagnose.pruning_runs",
                                        n_runs=len(seeds)):
         correct_set = CorrectSet(config.seq_len,
                                  filter_stack=config.filter_stack_loads)
-        if checkpoint is None:
-            for run in collect_runs_for_seeds(program, seeds,
-                                              quarantine=quarantine,
-                                              **params):
-                correct_set.add_run(run)
-        else:
-            _pruning_with_checkpoint(program, config, seeds, quarantine,
-                                     checkpoint, params, correct_set)
+        for run in collect_runs_for_seeds(program, seeds,
+                                          quarantine=quarantine, **params):
+            correct_set.add_run(run)
     return correct_set
 
 
@@ -436,31 +311,6 @@ def rank_phase(deployment, correct_set, report):
     if report.root_cause:
         report.rank = result.rank_of_dep(report.root_cause)
         report.found = report.rank is not None
-
-
-def _pruning_with_checkpoint(program, config, seeds, quarantine,
-                             checkpoint, pruning_params, correct_set):
-    """Collect pruning runs with per-seed checkpoint snapshots.
-
-    Each finished run's dependence sequences are persisted under the
-    ``pruning:<seed>`` phase, saved after every seed (a crash loses at
-    most one run); a resumed diagnosis replays the cached sequences and
-    collects only the missing seeds.
-    """
-    for seed in seeds:
-        cached = checkpoint.get(f"pruning:{seed}")
-        if cached is not None:
-            correct_set.add_sequences(sequences_from_payload(
-                cached["sequences"]))
-            continue
-        for run in collect_runs_for_seeds(program, [seed],
-                                          quarantine=quarantine,
-                                          **pruning_params):
-            seqs = run_sequences(run, config.seq_len,
-                                 filter_stack=config.filter_stack_loads)
-            checkpoint.put(f"pruning:{seed}",
-                           {"sequences": sequences_to_payload(seqs)})
-            correct_set.add_sequences(seqs)
 
 
 def diagnose_with_buffer_escalation(program, config=None, max_buffer=960,
@@ -481,4 +331,3 @@ def diagnose_with_buffer_escalation(program, config=None, max_buffer=960,
         if report.found or size >= max_buffer:
             return report, size
         size *= 2
-        report.notes.append(f"escalating debug buffer to {size}")

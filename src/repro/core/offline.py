@@ -30,7 +30,6 @@ from repro.nn.trainer import (
     TrainConfig,
     evaluate_misprediction,
     fit_from,
-    fit_identity,
     search_topology,
     train_network,
 )
@@ -125,20 +124,6 @@ def sequences_from_runs(runs, seq_len, filter_stack=True, granularity=4):
 
 def _dedupe(seqs):
     return list(dict.fromkeys(seqs))
-
-
-def sequences_to_payload(seqs):
-    """JSON-serialisable form of dependence sequences (checkpointing)."""
-    return [[[d.store_pc, d.load_pc, int(d.inter_thread)] for d in seq]
-            for seq in seqs]
-
-
-def sequences_from_payload(payload):
-    """Inverse of :func:`sequences_to_payload`."""
-    from repro.trace.raw import RawDep
-
-    return [tuple(RawDep(int(s), int(l), bool(i)) for s, l, i in seq)
-            for seq in payload]
 
 
 def _store_universe(code_map):
@@ -285,14 +270,14 @@ class TrainedACT:
         self.weights[tid] = np.asarray(flat, dtype=float).copy()
         self._scores.pop(tid, None)
 
-    # -- checkpoint serialisation --------------------------------------
+    # -- serialisation -------------------------------------------------
 
     def to_payload(self):
         """JSON-serialisable snapshot (weights + encoder + metrics).
 
-        The checkpoint layer (:mod:`repro.faults.checkpoint`) persists
-        this after offline training so a killed diagnosis resumes with
-        the exact trained weights instead of re-running training.
+        ``diagnose --cache-dir`` persists this as the NN engine's
+        trained state, so a later process reloads the exact weights
+        instead of re-running training.
         """
         return {
             "encoder_pcs": [int(pc) for pc in self.encoder.pcs],
@@ -499,7 +484,7 @@ class OfflineTrainer:
     def search(self, program=None, train_runs=None, test_runs=None,
                seq_lens=(1, 2, 3, 4, 5), hidden_widths=None,
                n_train_runs=10, n_test_runs=10, seed0=0, jobs=None,
-               checkpoint=None, **params):
+               **params):
         """Grid-search topologies as in Table IV.
 
         Training examples come from ``train_runs``; the misprediction
@@ -507,31 +492,8 @@ class OfflineTrainer:
         ``jobs`` spreads the topology grid across worker processes
         (identical results to serial); runs are collected serially.
 
-        ``checkpoint`` (a path) persists every evaluated grid point as a
-        checksummed snapshot; a killed search resumed with the same
-        checkpoint re-trains only the missing points and returns the
-        identical winner.
-
         Returns (best TopologyChoice, all choices, encoder).
         """
-        from dataclasses import asdict
-
-        from repro.faults import Checkpoint
-
-        if checkpoint is not None and not isinstance(checkpoint, Checkpoint):
-            fingerprint = {
-                "program": getattr(program, "name", "runs"),
-                "config": asdict(self.config),
-                "seq_lens": list(seq_lens),
-                "hidden_widths": (None if hidden_widths is None
-                                  else list(hidden_widths)),
-                "n_train_runs": n_train_runs, "n_test_runs": n_test_runs,
-                "seed0": seed0, "params": params,
-                "train_seed": self.train_config.seed,
-                "fit": fit_identity(self.train_config),
-            }
-            checkpoint = Checkpoint.open(checkpoint, "topology-search",
-                                         fingerprint)
         if train_runs is None or test_runs is None:
             runs = collect_correct_runs(program, n_train_runs + n_test_runs,
                                         seed0=seed0, **params)
@@ -576,7 +538,7 @@ class OfflineTrainer:
             best, choices = search_topology(
                 example_sets, hidden_widths=hidden_widths,
                 config=self.train_config, max_inputs=self.config.max_inputs,
-                jobs=jobs, checkpoint=checkpoint)
+                jobs=jobs)
         return best, choices, encoder
 
 

@@ -9,8 +9,8 @@ composes three knobs:
 1. **Rate sampling** -- trace a fraction ``rate`` of dependences. Each
    decision is a pure function of ``(seed, site, key)`` hashed through
    blake2b exactly like :mod:`repro.faults.plan`, so the same policy
-   admits the same dependences no matter how work is ordered, batched
-   across ``--jobs`` workers, or resumed.
+   admits the same dependences no matter how work is ordered or batched
+   across ``--jobs`` workers.
 2. **Load-shedding backoff** -- when the NN pipeline's input FIFO runs
    hot (mean occupancy above ``backoff_threshold`` over a
    ``backoff_window``-observation control window), the effective rate
@@ -138,7 +138,7 @@ class PolicySpec:
         return cls(**kwargs)
 
     def fingerprint(self):
-        """JSON-safe identity (checkpoint/golden key material)."""
+        """JSON-safe identity (corpus spec and golden key material)."""
         return {
             "seed": self.seed, "rate": self.rate,
             "backoff": self.backoff,

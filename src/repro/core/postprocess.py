@@ -18,21 +18,6 @@ from repro.trace.raw import dep_sequences, extract_raw_deps
 _END = object()  # trie terminator key
 
 
-def run_sequences(run, seq_len, filter_stack=True):
-    """Every length-``seq_len`` dependence sequence of one correct run.
-
-    The flat list a :class:`CorrectSet` would ingest for the run (all
-    threads, stream order). Split out from :meth:`CorrectSet.add_run` so
-    pruning runs can be materialised once, checkpointed, and replayed
-    into a fresh Correct Set on resume.
-    """
-    streams = extract_raw_deps(run, filter_stack=filter_stack)
-    seqs = []
-    for stream in streams.values():
-        seqs.extend(dep_sequences(stream, seq_len))
-    return seqs
-
-
 class CorrectSet:
     """Prefix trie over correct-execution dependence sequences."""
 
@@ -44,8 +29,9 @@ class CorrectSet:
 
     def add_run(self, run):
         """Add every sequence of a correct :class:`TraceRun`."""
-        self.add_sequences(run_sequences(run, self.seq_len,
-                                         filter_stack=self.filter_stack))
+        streams = extract_raw_deps(run, filter_stack=self.filter_stack)
+        for stream in streams.values():
+            self.add_sequences(dep_sequences(stream, self.seq_len))
 
     def add_sequences(self, seqs):
         for seq in seqs:

@@ -164,7 +164,7 @@ class Predictor:
     # -- diagnosis ------------------------------------------------------
 
     def store_key(self, store, program, n_train_runs, train_seed0,
-                  correct_params, faults=None, checkpoint=None):
+                  correct_params, faults=None):
         """This engine's trained-state key in ``store``, or ``None``.
 
         A store is any mapping read with ``get`` and written with item
@@ -174,12 +174,10 @@ class Predictor:
         program's name does not encode its shape, so its
         ``ProgramSpec`` joins the name), the training seed range and
         the normalised ``correct_params``. Reuse is unsafe -- ``None``
-        -- under any fault plan, which can damage training runs, and
-        under a checkpoint, which carries its own trained snapshot.
+        -- under any fault plan, which can damage training runs.
         """
         plan = faults if faults is not None else _faults.get_plan()
-        if (store is None or checkpoint is not None
-                or plan != _faults.ZERO_PLAN):
+        if store is None or plan != _faults.ZERO_PLAN:
             return None
         from repro.faults.checkpoint import canonical_json
 
@@ -203,19 +201,14 @@ class Predictor:
                         pruning_seed0=100, failure_params=None,
                         correct_params=None, pruning_params=None,
                         root_cause=None, faults=None, quarantine=None,
-                        checkpoint=None, policy=None, store=None):
+                        policy=None, store=None):
         """Train if cold, then diagnose; the engine-routed entry point.
 
         ``store`` holds trained state across diagnoses (see
         :meth:`store_key`): a hit skips training, a miss stores the
-        freshly trained state. Checkpoints and an enabled adaptive
-        ``policy`` are NN-only and raise here.
+        freshly trained state. An enabled adaptive ``policy`` is
+        NN-only and raises here.
         """
-        if checkpoint is not None:
-            raise EngineError(
-                f"engine {self.name!r} does not support checkpoints "
-                "(only the default nn engine is checkpointable)",
-                engine=self.name)
         active_policy = policy if policy is not None else _policy.get_policy()
         if active_policy.enabled:
             raise ConfigError(

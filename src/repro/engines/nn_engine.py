@@ -66,8 +66,8 @@ class NNEngine(Predictor):
         self._trained = TrainedACT.from_payload(state, self.config)
 
     def diagnose_report(self, program, n_train_runs=10, train_seed0=0,
-                        correct_params=None, faults=None, checkpoint=None,
-                        store=None, **kwargs):
+                        correct_params=None, faults=None, store=None,
+                        **kwargs):
         """Delegate to the direct path, byte-identically.
 
         A ``store`` hit becomes ``trained=`` (offline training is
@@ -76,8 +76,7 @@ class NNEngine(Predictor):
         included, passes straight through.
         """
         key = self.store_key(store, program, n_train_runs, train_seed0,
-                             correct_params, faults=faults,
-                             checkpoint=checkpoint)
+                             correct_params, faults=faults)
         cached = store.get(key) if key is not None else None
         if cached is not None:
             self.load_state(cached)
@@ -90,4 +89,4 @@ class NNEngine(Predictor):
             program, config=self.config, trained=self._trained,
             n_train_runs=n_train_runs, train_seed0=train_seed0,
             correct_params=correct_params, faults=faults,
-            checkpoint=checkpoint, trained_sink=sink, **kwargs)
+            trained_sink=sink, **kwargs)

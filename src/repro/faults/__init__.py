@@ -2,8 +2,8 @@
 
 ACT is a *production-run* diagnosis system, so this reproduction must
 keep diagnosing when the runtime misbehaves: corrupt trace records,
-NaN-poisoned weights, overrun hardware FIFOs, dead ``--jobs`` workers,
-interrupted multi-hour runs. This package provides both halves:
+NaN-poisoned weights, overrun hardware FIFOs, dead ``--jobs`` workers.
+This package provides both halves, and one file format:
 
 - **Injection** (:mod:`repro.faults.plan`): a seeded, deterministic
   :class:`FaultPlan` activated process-wide via :func:`use_plan`.
@@ -15,11 +15,12 @@ interrupted multi-hour runs. This package provides both halves:
   :class:`~repro.faults.quarantine.Quarantine` turns per-unit failures
   into skip-and-report records instead of aborted runs;
   :func:`repro.parallel.run_tasks` retries killed workers with bounded
-  exponential backoff; and
-  :class:`~repro.faults.checkpoint.Checkpoint` persists checksummed
-  JSON snapshots of trained weights and per-run verdicts so
-  ``diagnose --resume PATH`` continues a killed run and lands on the
-  same final verdicts as an uninterrupted one.
+  exponential backoff, so a retried run lands on the same report as an
+  unfaulted one.
+- **Storage**: :class:`~repro.faults.checkpoint.Checkpoint` is the
+  checksummed, atomically written JSON file format of the trained-state
+  store behind ``diagnose --cache-dir`` (one file per key); a corrupt
+  or edited entry is refused, never loaded.
 
 The regression contract (``tests/test_faults_differential.py``): with a
 zero plan every output is byte-identical to the unfaulted path; with
@@ -32,7 +33,7 @@ from contextlib import contextmanager
 from repro.common.lazy import lazy_exports
 from repro.faults.plan import RATE_SITES, ZERO_PLAN, FaultPlan, flip_weights
 
-# The checkpoint store and the quarantine load when first used: a plain
+# The checkpoint format and the quarantine load when first used: a plain
 # diagnosis consults only the active plan.
 __getattr__, __dir__, _LAZY = lazy_exports(__name__, {
     "repro.faults.checkpoint": ("Checkpoint", "canonical_json", "normalize",

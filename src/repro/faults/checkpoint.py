@@ -1,6 +1,8 @@
-"""Checksummed JSON checkpoints for long diagnosis runs.
+"""Checksummed JSON files: the on-disk format of ``diagnose --cache-dir``.
 
-A :class:`Checkpoint` is a phase-keyed store persisted as a single JSON
+:class:`~repro.engines.TrainedStateDir` keeps each trained-state entry
+as one :class:`Checkpoint` file. A :class:`Checkpoint` is a phase-keyed
+store persisted as a single JSON
 document with a SHA-256 checksum over its canonical serialisation.
 Writes are atomic (a unique tmp file + ``os.replace``), so a run killed
 mid-save leaves either the previous complete snapshot or the new one --
@@ -8,10 +10,11 @@ never a torn file. Loads verify the checksum and refuse corrupt or truncated
 files with :class:`~repro.common.errors.CheckpointError`.
 
 A checkpoint also carries a *fingerprint*: the JSON-normalised identity
-of the computation it belongs to (program, config, seeds, run counts).
-``Checkpoint.open`` refuses to resume a checkpoint whose fingerprint
-differs from the caller's -- resuming a 20-run diagnosis from a 10-run
-checkpoint would silently change the verdicts.
+of the state it holds (for a cache entry, the full store key: engine,
+fit, config, program and training runs). ``Checkpoint.open`` refuses a
+file whose fingerprint differs from the caller's -- loading state
+trained from 10 runs for a 20-run diagnosis would silently change the
+verdicts.
 """
 
 import hashlib

@@ -10,11 +10,10 @@ whole collected runs declared corrupt.
 Every decision is a pure function of ``(plan.seed, site, key)`` -- a
 blake2b hash mapped to ``[0, 1)`` and compared against the site's rate.
 Nothing is sampled statefully, so the same plan fires the same faults
-no matter how work is ordered, batched across processes, retried, or
-resumed from a checkpoint. A zero plan (:data:`ZERO_PLAN`) never fires
-and is free to leave active, which is what the differential regression
-suite pins down: the faulted path with a zero plan is byte-identical to
-the plain path.
+no matter how work is ordered, batched across processes, or retried.
+A zero plan (:data:`ZERO_PLAN`) never fires and is free to leave
+active, which is what the differential regression suite pins down: the
+faulted path with a zero plan is byte-identical to the plain path.
 """
 
 import hashlib
@@ -162,8 +161,8 @@ def flip_weights(flat, plan, tid):
     """Return a copy of ``flat`` with one entry flipped to NaN or +/-Inf.
 
     The victim index and replacement value are deterministic functions
-    of the plan seed and ``tid``, so a resumed or retried deployment
-    sees the exact same corruption.
+    of the plan seed and ``tid``, so a retried deployment sees the exact
+    same corruption.
     """
     import numpy as np
 

@@ -82,10 +82,9 @@ class TrainConfig:
     step_size: float = 0.2
 
 
-#: The offline fit rule, named in trained-state keys and checkpoint
-#: fingerprints next to the :class:`TrainConfig` fields, so that state
-#: fitted by another rule (the momentum descent this one replaced, say)
-#: is never reused.
+#: The offline fit rule, named in trained-state keys next to the
+#: :class:`TrainConfig` fields, so that state fitted by another rule
+#: (the momentum descent this one replaced, say) is never reused.
 FIT_RULE = "adam-first-fit"
 
 
@@ -502,42 +501,8 @@ def _search_point(payload):
     return result, rate
 
 
-def _point_to_payload(result, rate):
-    """Checkpoint snapshot of one evaluated grid point (JSON-safe)."""
-    return {
-        "rate": float(rate),
-        "weights": [float(w) for w in result.net.read_weights()],
-        "n_inputs": result.net.n_inputs,
-        "n_hidden": result.net.n_hidden,
-        "epochs": result.epochs,
-        "train_error": float(result.train_error),
-        "worst_margin": float(result.worst_margin),
-        "n_positives": result.n_positives,
-        "n_negatives": result.n_negatives,
-    }
-
-
-def _point_from_payload(payload, max_inputs):
-    """Rebuild a grid point from its checkpoint snapshot.
-
-    The network is reconstructed exactly (float lists survive the JSON
-    round trip bit-for-bit); only the per-epoch error history is not
-    persisted.
-    """
-    net = OneHiddenLayerNet(payload["n_inputs"], payload["n_hidden"],
-                            max_inputs=max_inputs,
-                            weights=payload["weights"])
-    result = TrainResult(net=net, epochs=payload["epochs"],
-                         train_error=payload["train_error"],
-                         n_positives=payload["n_positives"],
-                         n_negatives=payload["n_negatives"],
-                         history=[],
-                         worst_margin=payload["worst_margin"])
-    return result, payload["rate"]
-
-
 def search_topology(example_sets, hidden_widths=None, config=None,
-                    max_inputs=10, jobs=None, checkpoint=None):
+                    max_inputs=10, jobs=None):
     """Grid-search (sequence length x hidden width) topologies.
 
     Args:
@@ -548,11 +513,6 @@ def search_topology(example_sets, hidden_widths=None, config=None,
         jobs: evaluate grid points across this many worker processes
             (every point is seeded by ``config``, so serial and
             parallel searches pick the identical winner).
-        checkpoint: optional open :class:`~repro.faults.Checkpoint`;
-            every evaluated point is snapshotted under
-            ``point:<seq_len>-<h>`` and reused on resume, so a killed
-            search re-trains only the missing grid points and still
-            picks the identical winner.
 
     Returns:
         (best, all_choices): the lowest-misprediction
@@ -568,34 +528,17 @@ def search_topology(example_sets, hidden_widths=None, config=None,
     hidden_widths = list(hidden_widths or range(1, max_inputs + 1))
     grid = [(seq_len, h) for seq_len in sorted(example_sets)
             for h in hidden_widths]
-    cached = {}
-    if checkpoint is not None:
-        for seq_len, h in grid:
-            payload = checkpoint.get(f"point:{seq_len}-{h}")
-            if payload is not None:
-                cached[(seq_len, h)] = _point_from_payload(payload,
-                                                           max_inputs)
-    pending = [point for point in grid if point not in cached]
     outs = run_tasks(
         _search_point,
         [example_sets[seq_len] + (h, config, max_inputs)
-         for seq_len, h in pending],
+         for seq_len, h in grid],
         jobs=jobs)
     tele = telemetry.get_registry()
-    fresh = {}
-    for (seq_len, h), (result, rate) in zip(pending, outs):
-        fresh[(seq_len, h)] = (result, rate)
-        if checkpoint is not None:
-            checkpoint.put(f"point:{seq_len}-{h}",
-                           _point_to_payload(result, rate), save=False)
+    choices = []
+    for (seq_len, h), (result, rate) in zip(grid, outs):
         if tele.enabled:
             tele.inc("nn.topologies_evaluated")
             tele.observe("nn.topology_mispred_rate", rate)
-    if checkpoint is not None and fresh:
-        checkpoint.save()
-    choices = []
-    for seq_len, h in grid:
-        result, rate = cached.get((seq_len, h)) or fresh[(seq_len, h)]
         choices.append(TopologyChoice(seq_len, h, rate, result))
     best = min(choices,
                key=lambda c: (c.mispred_rate, -c.seq_len, -c.n_hidden))

@@ -43,8 +43,8 @@ This is also the pipeline's worker fault boundary:
   workers, and its ``worker_kill`` site abruptly terminates a task
   (raising :class:`~repro.common.errors.WorkerKilled`, deterministically
   per ``(task key, attempt)`` -- the per-item quarantine key, e.g. the
-  run seed, so the same task dies no matter how the batch is split or
-  resumed) -- the same site fires on the serial path, so serial and
+  run seed, so the same task dies no matter how the batch is split)
+  -- the same site fires on the serial path, so serial and
   parallel execution stay result-identical;
 - killed tasks are retried up to ``plan.max_retries`` times with
   exponential backoff (``plan.retry_backoff`` seconds base);

@@ -158,41 +158,6 @@ class TestSeedDeterminism:
 
 @pytest.mark.slow
 class TestResilienceComposition:
-    def test_checkpoint_resume_reproduces_metrics(self, tmp_path,
-                                                  small_corpus):
-        ck = tmp_path / "corpus.ck"
-        first = run_corpus(SMALL, checkpoint=str(ck))
-        assert ck.exists()
-        resumed = run_corpus(SMALL, checkpoint=str(ck))
-        assert metrics_json(first) == metrics_json(small_corpus)
-        assert metrics_json(resumed) == metrics_json(small_corpus)
-
-    def test_checkpoint_spec_mismatch_rejected(self, tmp_path):
-        from dataclasses import replace
-
-        from repro.common.errors import CheckpointError
-
-        tiny = replace(SMALL, size=1)
-        ck = tmp_path / "corpus.ck"
-        run_corpus(tiny, checkpoint=str(ck))
-        with pytest.raises(CheckpointError, match="fingerprint"):
-            run_corpus(replace(tiny, size=2), checkpoint=str(ck))
-
-    def test_checkpoint_under_another_fit_rule_refused(self, tmp_path,
-                                                       monkeypatch):
-        from dataclasses import replace
-
-        from repro.common.errors import CheckpointError
-        from repro.nn import trainer
-
-        tiny = replace(SMALL, size=1)
-        ck = tmp_path / "corpus.ck"
-        with monkeypatch.context() as m:
-            m.setattr(trainer, "FIT_RULE", "another-rule")
-            run_corpus(tiny, checkpoint=str(ck))
-        with pytest.raises(CheckpointError, match="fingerprint"):
-            run_corpus(tiny, checkpoint=str(ck))
-
     def test_faulted_programs_quarantine_as_misses(self):
         from dataclasses import replace
 

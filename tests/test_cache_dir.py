@@ -219,8 +219,8 @@ class TestCacheDirCLI:
 
 class TestFitIdentity:
     """Trained state carries the offline fit that produced it: an entry
-    or checkpoint written under a key without it (as by a build with
-    another fit rule) is never loaded."""
+    written under a key without it (as by a build with another fit
+    rule) is never loaded."""
 
     def test_entry_under_the_key_without_the_fit_is_a_miss(
             self, tmp_path, monkeypatch):
@@ -251,22 +251,3 @@ class TestFitIdentity:
         monkeypatch.setattr(offline, "TrainConfig",
                             lambda **kw: TrainConfig(step_size=0.1, **kw))
         assert create("nn").store_key({}, program, 4, 0, None) != base
-
-    def test_checkpoint_without_the_fit_is_refused(self, tmp_path):
-        from repro.common.errors import CheckpointError
-        from repro.core import diagnosis
-        from repro.core.config import ACTConfig
-        from repro.faults import Checkpoint
-        from repro.workloads.registry import get_bug
-
-        program = get_bug("gzip")
-        path = str(tmp_path / "ck.json")
-        kwargs = dict(n_train_runs=4, n_pruning_runs=6)
-        diagnosis.diagnose_failure(program, checkpoint=path, **kwargs)
-        ck = Checkpoint.load(path)
-        assert "trained" in ck.phases and "fit" in ck.fingerprint
-        del ck.fingerprint["fit"]
-        ck.save()
-        with pytest.raises(CheckpointError, match="fingerprint"):
-            diagnosis.diagnose_failure(program, config=ACTConfig(),
-                                       checkpoint=path, **kwargs)

@@ -247,32 +247,6 @@ class TestFaultsCLI:
         assert rc == 2
         assert "bad --faults spec" in capsys.readouterr().err
 
-    def test_checkpoint_then_resume(self, tmp_path, capsys):
-        ck = tmp_path / "ck.json"
-        rc1 = main(["diagnose", "gzip", *self.ARGS,
-                    "--checkpoint", str(ck)])
-        first = capsys.readouterr().out
-        assert ck.exists()
-        rc2 = main(["diagnose", "gzip", *self.ARGS, "--resume", str(ck)])
-        second = capsys.readouterr().out
-        assert (rc1, first) == (rc2, second)
-
-    def test_resume_requires_existing_checkpoint(self, tmp_path, capsys):
-        rc = main(["diagnose", "gzip", "--resume",
-                   str(tmp_path / "nope.json")])
-        assert rc == 2
-        assert "does not exist" in capsys.readouterr().err
-
-    def test_mismatched_checkpoint_is_an_error(self, tmp_path, capsys):
-        ck = tmp_path / "ck.json"
-        assert main(["diagnose", "gzip", *self.ARGS,
-                     "--checkpoint", str(ck)]) in (0, 1)
-        capsys.readouterr()
-        rc = main(["diagnose", "gzip", "--train-runs", "5",
-                   "--pruning-runs", "6", "--resume", str(ck)])
-        assert rc == 2
-        assert "fingerprint" in capsys.readouterr().err
-
 
 class TestCorpusCLI:
     ARGS = ["--seed", "3", "--size", "2",
@@ -308,20 +282,6 @@ class TestCorpusCLI:
         assert "corpus.quarantined" in counters
         (root,) = profile["spans"]
         assert root["name"] == "corpus"
-
-    def test_corpus_checkpoint_then_resume(self, tmp_path, capsys):
-        ck = tmp_path / "ck.json"
-        assert main(["corpus", *self.ARGS, "--checkpoint", str(ck)]) == 0
-        first = capsys.readouterr().out
-        assert ck.exists()
-        assert main(["corpus", *self.ARGS, "--resume", str(ck)]) == 0
-        assert capsys.readouterr().out == first
-
-    def test_corpus_resume_requires_existing_checkpoint(self, tmp_path,
-                                                        capsys):
-        rc = main(["corpus", "--resume", str(tmp_path / "nope.json")])
-        assert rc == 2
-        assert "does not exist" in capsys.readouterr().err
 
     def test_corpus_bad_faults_spec_rejected(self, capsys):
         rc = main(["corpus", "--faults", "frobnicate=1"])
@@ -380,8 +340,9 @@ else:
 class TestStartup:
     """``repro --version`` and ``import repro.cli`` stay below the numpy
     import, and ``repro diagnose`` loads only what its diagnosis runs:
-    package re-exports, the program registry, worker pools, checkpoints
-    and the telemetry exporters load only where they are used."""
+    package re-exports, the program registry, worker pools, the
+    checkpoint format and the telemetry exporters load only where they
+    are used."""
 
     HEAVY = ("numpy", "repro.engines", "repro.faults",
              "repro.core.diagnosis", "repro.telemetry.export")
@@ -621,3 +582,20 @@ class TestErrorExits:
             main(["diagnose", "gzip", "--jobs", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "gzip", "--checkpoint", "X"],
+        ["diagnose", "gzip", "--resume", "X"],
+        ["corpus", "--checkpoint", "X"],
+        ["corpus", "--resume", "X"],
+    ])
+    def test_checkpoint_and_resume_are_gone(self, argv, capsys, tmp_path,
+                                            monkeypatch):
+        # A diagnosis is short; trained state persists via --cache-dir.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert (f"unrecognized arguments: {' '.join(argv[-2:])}"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []

@@ -7,7 +7,6 @@ import pytest
 from repro.core import diagnosis
 from repro.core.config import ACTConfig
 from repro.core.diagnosis import (
-    _report_to_payload,
     diagnose_failure,
     diagnose_with_buffer_escalation,
 )
@@ -88,8 +87,7 @@ def _report_key(report):
 
 def _same_report(a, b):
     assert _report_key(a) == _report_key(b)
-    assert _report_to_payload(a) == _report_to_payload(b)
-    assert a.quarantine == b.quarantine
+    assert a == b
 
 
 class TestCorrectSetReuse:
@@ -194,18 +192,6 @@ class TestCorrectSetReuse:
         assert cold_q.report_dict() == warm_q.report_dict()
         _same_report(cold, warm)
         assert fresh._correct_sets == {}
-
-    def test_checkpoint_bypasses_the_memo(self, tinybug, fresh, collected,
-                                          tmp_path):
-        first = self._diagnose(tinybug, fresh,
-                               checkpoint=tmp_path / "a.json")
-        second = self._diagnose(tinybug, fresh,
-                                checkpoint=tmp_path / "b.json")
-        # Serial checkpointed pruning collects one seed at a time.
-        assert collected == [[100], [101], [102], [103]] * 2
-        assert fresh._correct_sets == {}
-        _same_report(first, second)
-        _same_report(first, self._diagnose(tinybug, fresh))
 
     def test_quarantined_build_is_not_kept(self, tinybug, fresh,
                                            collected):

@@ -259,12 +259,6 @@ class TestProtocolContract:
             create("pbi", config=CFG).load_state(
                 trained_engines["pset"].serialize())
 
-    @pytest.mark.parametrize("name", [n for n in ENGINES if n != "nn"])
-    def test_non_nn_engines_reject_checkpoints(self, name, tinybug):
-        with pytest.raises(EngineError, match="checkpoint"):
-            create(name, config=CFG).diagnose_report(
-                tinybug, checkpoint="ck.json")
-
 
 class TestStoreKey:
     """One key per trained state: everything that shapes training."""
@@ -299,7 +293,6 @@ class TestStoreKey:
 
         assert create("nn").store_key(None, tinybug, 4, 0, None) is None
         assert self._key(tinybug, faults=FaultPlan(seed=3)) is None
-        assert self._key(tinybug, checkpoint="ck.json") is None
 
 
 class TestSerializeRoundTrip:
@@ -461,7 +454,7 @@ class TestEngineDiagnosis:
 
 class TestEngineCorpus:
     def test_default_fingerprint_has_no_engine_key(self):
-        # Pre-engine corpus checkpoints/goldens must stay valid.
+        # Pre-engine corpus goldens must stay valid.
         assert "engine" not in CorpusSpec().fingerprint()
 
     def test_non_default_engine_in_fingerprint(self):

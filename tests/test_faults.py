@@ -1,9 +1,10 @@
 """Unit tests for the fault-injection subsystem (repro.faults).
 
 Covers the deterministic plan, every injection site, the recovery
-machinery around each site, and the checksummed checkpoint store. The
-end-to-end guarantees (zero-fault byte identity, quarantine-subset
-equivalence, kill/resume) live in tests/test_faults_differential.py.
+machinery around each site, and the checksummed checkpoint format of
+the ``--cache-dir`` store. The end-to-end guarantees (zero-fault byte
+identity, quarantine-subset equivalence, kill/retry) live in
+tests/test_faults_differential.py.
 """
 
 import json

@@ -8,9 +8,8 @@ Pins the three contracts the resilience machinery must keep:
    telemetry counters/histograms/gauges and span tree, empty quarantine.
 2. **Quarantine-subset equivalence** -- quarantining ``k`` corrupt runs
    produces exactly the result of running on the clean subset.
-3. **Crash/resume equivalence** -- a diagnosis killed mid-flight and
-   resumed from its checkpoint yields the same report as an
-   uninterrupted run; likewise for the topology search.
+3. **Retry equivalence** -- a diagnosis whose pruning run is killed
+   once and retried yields the same report as an unfaulted run.
 
 Plus Hypothesis-generated random fault plans asserting that no injected
 fault ever escapes the quarantine boundary.
@@ -22,10 +21,9 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.analysis.accuracy import CorpusSpec, run_corpus
-from repro.common.errors import WorkerKilled
 from repro.core.diagnosis import DiagnosisReport, diagnose_failure
 from repro.core.offline import OfflineTrainer, collect_runs_for_seeds
-from repro.faults import ZERO_PLAN, Checkpoint, FaultPlan, Quarantine, use_plan
+from repro.faults import ZERO_PLAN, FaultPlan, Quarantine, use_plan
 from repro.trace.trace_io import read_trace, write_trace
 from repro.workloads.framework import run_program
 from repro.workloads.registry import all_bug_names, get_bug
@@ -127,22 +125,6 @@ class TestQuarantineSubsetEquivalence:
         faulted.quarantine = None
         assert faulted == clean
 
-    def test_checkpointed_diagnosis_with_k_quarantined_equals_clean_subset(
-            self, tmp_path):
-        # The checkpointed pruning path collects one seed at a time; a
-        # quarantined seed leaves nothing to snapshot and is skipped.
-        program = get_bug("gzip")
-        quarantine = Quarantine()
-        faulted = diagnose_failure(program, n_train_runs=3, n_pruning_runs=4,
-                                   faults=FaultPlan(seed=0,
-                                                    corrupt_run_seeds=(103,)),
-                                   quarantine=quarantine,
-                                   checkpoint=str(tmp_path / "ck.json"))
-        clean = diagnose_failure(program, n_train_runs=3, n_pruning_runs=3)
-        assert quarantine.keys() == [103]
-        faulted.quarantine = None
-        assert faulted == clean
-
     def test_all_training_runs_quarantined_aborts_with_report(self):
         program = get_bug("gzip")
         quarantine = Quarantine()
@@ -201,64 +183,20 @@ class TestKilledWorkerSpanStitching:
         assert "diagnose.pruning_runs" in chain
 
 
-class TestCrashResume:
-    KWARGS = dict(n_train_runs=3, n_pruning_runs=4)
-
-    def test_killed_diagnosis_resumes_to_identical_report(self, tmp_path):
+class TestRetryEquivalence:
+    def test_killed_and_retried_diagnosis_equals_clean(self):
+        # Pruning seed 102 dies on its first attempt; the retry lands it.
         program = get_bug("gzip")
-        uninterrupted = diagnose_failure(program, **self.KWARGS)
-        path = str(tmp_path / "ck.json")
-        # Kill pruning seed 102 on every attempt; with no quarantine the
-        # retries exhaust and the diagnosis crashes mid-pruning.
-        plan = FaultPlan(seed=0, kill_tasks=((102, 0), (102, 1), (102, 2)),
-                         max_retries=2)
-        with pytest.raises(WorkerKilled):
-            diagnose_failure(program, faults=plan, checkpoint=path,
-                             **self.KWARGS)
-        saved = Checkpoint.load(path)
-        assert "trained" in saved
-        assert "pruning:100" in saved and "pruning:101" in saved
-        assert "report" not in saved
-        resumed = diagnose_failure(program, checkpoint=path, **self.KWARGS)
-        assert resumed == uninterrupted
-        # The whole report is now cached: a second resume replays it.
-        again = diagnose_failure(program, checkpoint=path, **self.KWARGS)
-        assert again == uninterrupted
-
-    def test_resume_refuses_different_parameters(self, tmp_path):
-        from repro.common.errors import CheckpointError
-
-        program = get_bug("gzip")
-        path = str(tmp_path / "ck.json")
-        diagnose_failure(program, checkpoint=path, **self.KWARGS)
-        with pytest.raises(CheckpointError):
-            diagnose_failure(program, checkpoint=path, n_train_runs=3,
-                             n_pruning_runs=9)
-
-    def test_topology_search_resumes_to_identical_winner(self, tmp_path):
-        import numpy as np
-
-        program = get_bug("gzip")
-        path = str(tmp_path / "search.json")
-        trainer = OfflineTrainer()
-        kwargs = dict(seq_lens=(2, 3), hidden_widths=(2, 3),
-                      n_train_runs=3, n_test_runs=3, buggy=False)
-        best0, choices0, _ = trainer.search(program, checkpoint=path,
-                                            **kwargs)
-        # Simulate a crash that lost one grid point: drop its snapshot
-        # and resume -- only that point re-trains.
-        saved = Checkpoint.load(path)
-        assert saved.phases.pop("point:2-3") is not None
-        saved.save()
-        best1, choices1, _ = trainer.search(program, checkpoint=path,
-                                            **kwargs)
-        assert (best0.seq_len, best0.n_hidden) == (best1.seq_len,
-                                                   best1.n_hidden)
-        for a, b in zip(choices0, choices1):
-            assert (a.seq_len, a.n_hidden, a.mispred_rate) == (
-                b.seq_len, b.n_hidden, b.mispred_rate)
-            assert np.array_equal(a.result.net.read_weights(),
-                                  b.result.net.read_weights())
+        clean = diagnose_failure(program, **_RUNS)
+        reg = telemetry.Registry(clock=telemetry.TickClock())
+        with telemetry.use_registry(reg):
+            retried = diagnose_failure(
+                program, faults=FaultPlan(seed=0, kill_tasks=((102, 0),)),
+                **_RUNS)
+        counters = reg.snapshot()["counters"]
+        assert counters["faults.worker_kills"] == 1
+        assert counters["parallel.retries"] == 1
+        assert retried == clean
 
 
 _RUN_CACHE = {}

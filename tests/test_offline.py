@@ -111,7 +111,7 @@ class TestTrainer:
         assert np.array_equal(t.make_module(5).save_weights(), saved)
         assert np.array_equal(t.make_module(6).save_weights(),
                               t.default_weights)
-        # The patched state round-trips through the checkpoint payload.
+        # The patched state round-trips through the cache-dir payload.
         back = TrainedACT.from_payload(t.to_payload(), t.config)
         assert np.array_equal(back.weights_for(5), saved)
 
