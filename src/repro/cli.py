@@ -74,14 +74,21 @@ def _missing_dir(what, *paths):
     return False
 
 
+#: Fault sites inside the NN's Activity Monitors: deployed weights and
+#: the input FIFO. Every other site acts on runs or workers, which every
+#: engine has.
+_NN_FAULT_SITES = ("weight_flip", "fifo_overflow")
+
+
 def _run_options(args, engine):
     """``--faults``, ``--policy`` and the quarantine of ``diagnose`` and
     ``corpus``, as (plan, policy, quarantine); None once an error is
     printed.
 
     The adaptive layer is NN-path-only: an enabled policy with any
-    other ``engine`` is an error. No ``--policy`` means no policy (the
-    historical pipeline, byte-identical).
+    other ``engine`` is an error, as is a fault site that ``engine``
+    cannot reach. No ``--policy`` means no policy (the historical
+    pipeline, byte-identical).
     """
     from repro.core.policy import PolicySpec
     from repro.faults import FaultPlan
@@ -93,6 +100,13 @@ def _run_options(args, engine):
         except ReproError as e:
             _fail(f"error: bad --faults spec: {e}")
             return None
+        runs_nn = "nn" in (engine.name, *(
+            m.name for m in getattr(engine, "members", ())))
+        for site in _NN_FAULT_SITES:
+            if getattr(plan, site) and not runs_nn:
+                _fail(f"error: --faults {site} acts on the NN engine; "
+                      f"engine {engine.name!r} cannot reach it")
+                return None
     policy = None
     if args.policy:
         try:
@@ -100,8 +114,8 @@ def _run_options(args, engine):
         except ReproError as e:
             _fail(f"error: bad --policy spec: {e}")
             return None
-        if policy.enabled and engine != "nn":
-            _fail(f"error: --policy is NN-path-only; engine {engine!r} "
+        if policy.enabled and engine.name != "nn":
+            _fail(f"error: --policy is NN-path-only; engine {engine.name!r} "
                   "does not support it")
             return None
     quarantine = None
@@ -150,7 +164,7 @@ def _cmd_diagnose(args):
         engine = create(args.engine or "nn", config=config)
     except EngineError as e:
         return _fail(f"error: {e}")
-    options = _run_options(args, engine.name)
+    options = _run_options(args, engine)
     if options is None:
         return 2
     plan, policy, quarantine = options
@@ -243,22 +257,25 @@ def _cmd_corpus(args):
 
     if _missing_dir("output", args.out):
         return 2
-    engine = args.engine or "nn"
+    name = args.engine or "nn"
     try:
-        create(engine)
+        engine = create(name)
     except EngineError as e:
         return _fail(f"error: {e}")
     options = _run_options(args, engine)
     if options is None:
         return 2
     plan, policy, quarantine = options
-    spec = CorpusSpec(engine=engine, policy=policy, **_sweep_spec(args))
+    spec = CorpusSpec(engine=name, policy=policy, **_sweep_spec(args))
     result = run_corpus(spec, jobs=args.jobs, faults=plan,
                         quarantine=quarantine)
     _print_sweep(result, format_corpus(result), args.out)
     if args.trace_dir:
+        from repro.faults import use_plan
+
         os.makedirs(args.trace_dir, exist_ok=True)
-        paths = write_corpus_traces(spec, args.trace_dir)
+        with use_plan(plan):
+            paths = write_corpus_traces(spec, args.trace_dir)
         print(f"wrote {len(paths)} jsonl failure traces "
               f"to {args.trace_dir}")
     if quarantine is not None:

@@ -83,7 +83,7 @@ class WorkerKilled(FaultInjected):
 
 
 class CheckpointError(ReproError):
-    """Raised on unreadable, corrupt or mismatched checkpoint files."""
+    """Raised on unreadable, corrupt or mismatched ``--cache-dir`` entries."""
 
     def __init__(self, description, path=None):
         super().__init__(description)

@@ -26,7 +26,8 @@ and the NN engine delegates to
 into this package. That keeps the registry-routed NN path
 byte-identical to the direct one (reports, telemetry spans, artifacts
 -- enforced by ``tests/test_engines.py``). Trained state is shared
-through one keyed store (:meth:`Predictor.store_key`).
+through one keyed store (:meth:`Predictor.store_key`), in memory or on
+disk (:class:`TrainedStateDir`, ``diagnose --cache-dir``).
 """
 
 import hashlib
@@ -35,7 +36,7 @@ from dataclasses import asdict, dataclass
 
 from repro import faults as _faults
 from repro import telemetry
-from repro.common.errors import ConfigError, EngineError
+from repro.common.errors import CheckpointError, ConfigError, EngineError
 from repro.core import policy as _policy
 from repro.core.config import ACTConfig
 from repro.core.diagnosis import DiagnosisReport
@@ -179,10 +180,8 @@ class Predictor:
         plan = faults if faults is not None else _faults.get_plan()
         if store is None or plan != _faults.ZERO_PLAN:
             return None
-        from repro.faults.checkpoint import canonical_json
-
         spec = getattr(program, "spec", None)
-        return canonical_json({
+        return _canonical_json({
             "engine": self.fingerprint(), "config": asdict(self.config),
             "program": getattr(program, "name", "?"),
             "spec": asdict(spec) if spec is not None else None,
@@ -257,18 +256,29 @@ class Predictor:
                                    quarantine=quarantine, **kwargs)
 
 
+def _canonical_json(payload):
+    """Canonical serialisation: sorted keys, no whitespace."""
+    import json  # a plain diagnosis, which keys no store, never loads it
+
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 class TrainedStateDir:
     """``diagnose --cache-dir``: trained state on disk, one file per key.
 
     Plugs into the engines' store interface (``get`` plus item
     assignment, keyed by :meth:`~repro.engines.Predictor.store_key`).
-    Each entry is a :class:`~repro.faults.Checkpoint` of kind
-    ``"trained-state"`` at ``DIR/<sha256(key)>.json``: the key is its
-    fingerprint and the ``Predictor.serialize`` payload its one phase.
-    A corrupt, edited or colliding entry is refused with
+    Each entry is one JSON file, ``DIR/<sha256(key)>.json``, holding the
+    key, the ``Predictor.serialize`` payload and a SHA-256 checksum over
+    both. A save is atomic (a unique tmp file, fsync, ``os.replace``),
+    so concurrent or killed writers leave a whole entry or none. A
+    corrupt, edited or colliding entry is refused with
     :class:`~repro.common.errors.CheckpointError`, never loaded.
     """
 
+    #: The entry layout's tags, unchanged since the layout came in, so
+    #: cache dirs written by earlier builds still hit.
+    FORMAT = 1
     KIND = "trained-state"
 
     def __init__(self, path):
@@ -278,21 +288,98 @@ class TrainedStateDir:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
         return os.path.join(self.path, f"{digest}.json")
 
+    @staticmethod
+    def _checksum(body):
+        return hashlib.sha256(
+            _canonical_json(body).encode("utf-8")).hexdigest()
+
     def get(self, key):
         """Stored payload for ``key`` (None on miss); counts the lookup."""
-        from repro.faults.checkpoint import Checkpoint
-
-        entry = Checkpoint.open(self._file(key), self.KIND, key)
-        state = entry.phases.get("state")
-        telemetry.get_registry().inc(
-            "cache.misses" if state is None else "cache.hits")
+        path = self._file(key)
+        tele = telemetry.get_registry()
+        if not os.path.exists(path):
+            tele.inc("cache.misses")
+            return None
+        state = self._load(path, key)
+        tele.inc("cache.hits")
         return state
 
+    def _load(self, path, key):
+        """The payload stored at ``path`` under ``key``; raises
+        CheckpointError for any entry it cannot trust."""
+        import json
+
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                body = json.load(f)
+        except OSError as e:
+            raise CheckpointError(f"{path}: cannot read checkpoint ({e})",
+                                  path=path)
+        except ValueError as e:  # json.JSONDecodeError subclasses ValueError
+            raise CheckpointError(
+                f"{path}: corrupt checkpoint (not valid JSON: {e})",
+                path=path)
+        if not isinstance(body, dict) or body.get("format") != self.FORMAT:
+            raise CheckpointError(
+                f"{path}: unsupported checkpoint format "
+                f"{body.get('format') if isinstance(body, dict) else body!r}",
+                path=path)
+        for field in ("kind", "fingerprint", "phases", "checksum"):
+            if field not in body:
+                raise CheckpointError(
+                    f"{path}: corrupt checkpoint (missing {field!r})",
+                    path=path)
+        signed = {k: body[k] for k in ("kind", "fingerprint", "phases")}
+        if body["checksum"] != self._checksum(signed):
+            raise CheckpointError(
+                f"{path}: checkpoint checksum mismatch "
+                "(file is corrupt or was edited)", path=path)
+        if body["kind"] != self.KIND:
+            raise CheckpointError(
+                f"{path}: checkpoint is a {body['kind']!r} snapshot, "
+                f"not {self.KIND!r}", path=path)
+        if body["fingerprint"] != key:
+            raise CheckpointError(
+                f"{path}: checkpoint fingerprint does not match this "
+                "run (different program, config, seeds or run counts)",
+                path=path)
+        phases = body["phases"]
+        if not isinstance(phases, dict) or phases.get("state") is None:
+            raise CheckpointError(
+                f"{path}: corrupt checkpoint (no trained state)", path=path)
+        return phases["state"]
+
     def __setitem__(self, key, payload):
-        from repro.faults.checkpoint import Checkpoint
+        """Atomically store ``payload`` under ``key``; counts the save."""
+        import json
+        import tempfile
 
         os.makedirs(self.path, exist_ok=True)
-        Checkpoint(self._file(key), self.KIND, key).put("state", payload)
+        path = self._file(key)
+        # The JSON round trip turns tuples into lists and int keys into
+        # strings, so the checksum is over exactly what a load reads.
+        signed = json.loads(_canonical_json(
+            {"kind": self.KIND, "fingerprint": key,
+             "phases": {"state": payload}}))
+        body = dict(signed, format=self.FORMAT,
+                    checksum=self._checksum(signed))
+        # A tmp name unique per call: two processes filling one entry
+        # each rename a whole file into place.
+        fd, tmp = tempfile.mkstemp(dir=self.path,
+                                   prefix=os.path.basename(path) + ".",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as f:
+                json.dump(body, f, sort_keys=True)
+                f.write("\n")
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+        telemetry.get_registry().inc("cache.saves")
 
 
 def report_candidates(report):

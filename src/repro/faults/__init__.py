@@ -1,14 +1,15 @@
 """Fault injection and resilience for the ACT pipeline.
 
 ACT is a *production-run* diagnosis system, so this reproduction must
-keep diagnosing when the runtime misbehaves: corrupt trace records,
+keep diagnosing when the runtime misbehaves: lossy traces,
 NaN-poisoned weights, overrun hardware FIFOs, dead ``--jobs`` workers.
-This package provides both halves, and one file format:
+This package provides both halves:
 
 - **Injection** (:mod:`repro.faults.plan`): a seeded, deterministic
   :class:`FaultPlan` activated process-wide via :func:`use_plan`.
-  Instrumented boundaries (``trace_io``, ``core.buffers``,
-  ``core.offline``, ``repro.parallel``) consult the active plan through
+  Instrumented boundaries (``workloads.framework.run_program`` for
+  trace drops and reorders, ``core.buffers``, ``core.offline``,
+  ``repro.parallel``) consult the active plan through
   :func:`get_plan`; the default :data:`ZERO_PLAN` never fires and costs
   one attribute check.
 - **Recovery**:
@@ -17,10 +18,6 @@ This package provides both halves, and one file format:
   :func:`repro.parallel.run_tasks` retries killed workers with bounded
   exponential backoff, so a retried run lands on the same report as an
   unfaulted one.
-- **Storage**: :class:`~repro.faults.checkpoint.Checkpoint` is the
-  checksummed, atomically written JSON file format of the trained-state
-  store behind ``diagnose --cache-dir`` (one file per key); a corrupt
-  or edited entry is refused, never loaded.
 
 The regression contract (``tests/test_faults_differential.py``): with a
 zero plan every output is byte-identical to the unfaulted path; with
@@ -33,11 +30,9 @@ from contextlib import contextmanager
 from repro.common.lazy import lazy_exports
 from repro.faults.plan import RATE_SITES, ZERO_PLAN, FaultPlan, flip_weights
 
-# The checkpoint format and the quarantine load when first used: a plain
-# diagnosis consults only the active plan.
+# The quarantine loads when first used: a plain diagnosis consults only
+# the active plan.
 __getattr__, __dir__, _LAZY = lazy_exports(__name__, {
-    "repro.faults.checkpoint": ("Checkpoint", "canonical_json", "normalize",
-                                "payload_checksum"),
     "repro.faults.quarantine": ("Quarantine", "QuarantineRecord"),
 })
 

@@ -1,11 +1,11 @@
 """Deterministic fault plans.
 
 A :class:`FaultPlan` is a *seeded description* of runtime faults to
-inject across the pipeline's boundaries: trace records corrupted,
-dropped or reordered at the :mod:`repro.trace.trace_io` layer, NN
-weights flipped to NaN/Inf at deployment, AM input-FIFO overruns in
-:mod:`repro.core.buffers`, worker deaths in :mod:`repro.parallel`, and
-whole collected runs declared corrupt.
+inject across the pipeline's boundaries: trace events dropped or
+reordered in every run :func:`repro.workloads.framework.run_program`
+returns, NN weights flipped to NaN/Inf at deployment, AM input-FIFO
+overruns in :mod:`repro.core.buffers`, worker deaths in
+:mod:`repro.parallel`, and whole collected runs declared corrupt.
 
 Every decision is a pure function of ``(plan.seed, site, key)`` -- a
 blake2b hash mapped to ``[0, 1)`` and compared against the site's rate.
@@ -23,9 +23,8 @@ from repro.common.errors import ConfigError
 
 #: Injection-site names, mapped to the FaultPlan field holding the rate.
 RATE_SITES = {
-    "trace_drop": "trace_drop",          # per written trace record
-    "trace_corrupt": "trace_corrupt",    # per written trace record
-    "trace_reorder": "trace_reorder",    # per adjacent record pair
+    "trace_drop": "trace_drop",          # per (run seed, tid, ordinal)
+    "trace_reorder": "trace_reorder",    # per adjacent surviving pair
     "weight_flip": "weight_flip",        # per deployed weight set (tid)
     "fifo_overflow": "fifo_overflow",    # per input-FIFO push
     "worker_kill": "worker_kill",        # per (task key, attempt)
@@ -60,7 +59,6 @@ class FaultPlan:
 
     seed: int = 0
     trace_drop: float = 0.0
-    trace_corrupt: float = 0.0
     trace_reorder: float = 0.0
     weight_flip: float = 0.0
     fifo_overflow: float = 0.0

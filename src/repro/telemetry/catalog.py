@@ -96,15 +96,15 @@ CATALOG = (
     MetricSpec("cache.misses", COUNTER, "repro.engines",
                "trained-state lookups absent from --cache-dir (the "
                "engine trains and stores the state)"),
+    MetricSpec("cache.saves", COUNTER, "repro.engines",
+               "trained-state entries written to --cache-dir"),
     # -- fault injection & resilience (repro.faults) -------------------
-    MetricSpec("faults.trace_drops", COUNTER, "trace.trace_io",
-               "trace records dropped by the active fault plan"),
-    MetricSpec("faults.trace_corruptions", COUNTER, "trace.trace_io",
-               "trace records mangled by the active fault plan"),
-    MetricSpec("faults.trace_reorders", COUNTER, "trace.trace_io",
-               "adjacent trace records swapped by the active fault plan"),
-    MetricSpec("faults.trace_records_skipped", COUNTER, "trace.trace_io",
-               "malformed trace records skipped by recovering readers"),
+    MetricSpec("faults.trace_drops", COUNTER, "workloads.framework",
+               "run events dropped from the trace by the active fault "
+               "plan (every engine reads the run without them)"),
+    MetricSpec("faults.trace_reorders", COUNTER, "workloads.framework",
+               "adjacent run events swapped in the trace by the active "
+               "fault plan"),
     MetricSpec("faults.fifo_overflows", COUNTER, "core.buffers",
                "injected input-FIFO overruns (unconsumed entries lost)"),
     MetricSpec("faults.weight_flips", COUNTER, "core.offline",
@@ -115,12 +115,6 @@ CATALOG = (
                "worker deaths observed (injected or real)"),
     MetricSpec("faults.quarantined", COUNTER, "repro.faults",
                "work units quarantined instead of aborting the run"),
-    MetricSpec("checkpoint.saves", COUNTER, "repro.faults",
-               "checkpoint snapshots persisted to disk"),
-    MetricSpec("checkpoint.resumes", COUNTER, "repro.faults",
-               "runs resumed from an existing checkpoint"),
-    MetricSpec("checkpoint.phases_reused", COUNTER, "repro.faults",
-               "checkpointed phase payloads reused instead of recomputed"),
     # -- generated corpus & accuracy harness ---------------------------
     MetricSpec("gen.programs_built", COUNTER, "workloads.generator",
                "generated programs assembled from a ProgramSpec"),

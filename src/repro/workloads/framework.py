@@ -20,6 +20,12 @@ operations built by its :class:`ThreadCtx`:
 
 Memory values live in a scheduler-owned dict keyed by word address, so
 value semantics are exactly sequential consistency in trace order.
+
+:func:`run_program` is also the trace fault boundary: the active
+:class:`~repro.faults.FaultPlan` may drop and reorder the events of the
+run it returns (a lossy production tracer), so every consumer of the
+run -- RAW extraction, the baselines, the simulator -- reads the same
+damaged trace.
 """
 
 import enum
@@ -27,6 +33,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional
 
+from repro import faults as _faults
 from repro import telemetry
 from repro.common.errors import ReproError, SimulatedFailure, TraceError
 from repro.common.rng import make_rng
@@ -431,4 +438,37 @@ def run_program(program, seed=0, scheduler=None, **params):
         sched.seed = seed
     run = sched.run(instance)
     run.meta["root_cause"] = instance.root_cause
+    plan = _faults.get_plan()
+    if plan.enabled and (plan.trace_drop or plan.trace_reorder):
+        run.events = _lossy_trace(run.events, run.seed, plan)
     return run
+
+
+def _lossy_trace(events, seed, plan):
+    """The events a lossy tracer records of one run under ``plan``.
+
+    Each event is dropped or kept; then adjacent survivors swap, each
+    swap keyed by the event at that position before any swap. Every
+    decision is keyed by ``(seed, tid, ordinal)`` -- the event's index
+    in its own thread's stream -- so one plan damages the same events
+    of a run however often, and in whichever process, it is run.
+    """
+    ordinals = {}
+    kept, keys = [], []
+    for e in events:
+        tid = e.tid
+        key = (seed, tid, ordinals.get(tid, 0))
+        ordinals[tid] = key[2] + 1
+        if not plan.fires("trace_drop", *key):
+            kept.append(e)
+            keys.append(key)
+    swaps = 0
+    for pos in range(len(kept) - 1):
+        if plan.fires("trace_reorder", *keys[pos]):
+            kept[pos], kept[pos + 1] = kept[pos + 1], kept[pos]
+            swaps += 1
+    tele = telemetry.get_registry()
+    if tele.enabled:
+        tele.inc("faults.trace_drops", len(events) - len(kept))
+        tele.inc("faults.trace_reorders", swaps)
+    return kept

@@ -166,27 +166,55 @@ class TestCacheDirCLI:
         # of a float that reads back as the same double) may load;
         # every other flip must be refused.
         from repro.common.errors import CheckpointError
-        from repro.faults.checkpoint import Checkpoint
+        from repro.engines import TrainedStateDir
 
         cache = tmp_path / "c"
         self._cli(capsys, "--cache-dir", str(cache))
         (entry,) = cache.iterdir()
-        original = Checkpoint.load(entry)
+        store = TrainedStateDir(str(cache))
+        key = json.loads(entry.read_text())["fingerprint"]
+        original = store.get(key)
         data = entry.read_bytes()
-        damaged = tmp_path / "damaged.json"
         loaded = 0
         for i in range(len(data)):
             flipped = bytearray(data)
             flipped[i] ^= 0x01
-            damaged.write_bytes(bytes(flipped))
+            entry.write_bytes(bytes(flipped))
             try:
-                cp = Checkpoint.load(damaged)
+                state = store.get(key)
             except CheckpointError:
                 continue
             loaded += 1
-            assert (cp.kind, cp.fingerprint, cp.phases) == (
-                original.kind, original.fingerprint, original.phases), i
+            assert state == original, i
         assert loaded < len(data) // 10
+
+    def test_entry_in_the_earlier_layout_is_a_hit(self, capsys, tmp_path):
+        # Entries are written as the phase-keyed checkpoint files of
+        # earlier builds were, so their cache dirs still hit. The entry
+        # here is built by that format's rules, not by the store.
+        import hashlib
+
+        cold = self._cli(capsys)
+        assert self._cli(capsys, "--cache-dir", str(tmp_path / "c")) == cold
+        (written,) = (tmp_path / "c").iterdir()
+        body = json.loads(written.read_text())
+        key, state = body["fingerprint"], body["phases"]["state"]
+        signed = {"kind": "trained-state", "fingerprint": key,
+                  "phases": {"state": state}}
+        checksum = hashlib.sha256(json.dumps(
+            signed, sort_keys=True, separators=(",", ":")).encode(
+                "utf-8")).hexdigest()
+        earlier = json.dumps(dict(signed, format=1, checksum=checksum),
+                             sort_keys=True) + "\n"
+        assert written.read_text() == earlier
+        cache = tmp_path / "earlier"
+        cache.mkdir()
+        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
+        (cache / f"{digest}.json").write_text(earlier)
+        hit, counts, spans = _run(_request(str(cache)))
+        assert counts == (1, 0)
+        assert not spans & TRAIN_SPANS
+        assert hit == cold
 
     def test_entry_under_another_key_is_refused(self, capsys, tmp_path):
         # A file whose fingerprint is not the looked-up key (an edited

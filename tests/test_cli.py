@@ -341,15 +341,15 @@ class TestStartup:
     """``repro --version`` and ``import repro.cli`` stay below the numpy
     import, and ``repro diagnose`` loads only what its diagnosis runs:
     package re-exports, the program registry, worker pools, the
-    checkpoint format and the telemetry exporters load only where they
-    are used."""
+    quarantine and the telemetry exporters load only where they are
+    used."""
 
     HEAVY = ("numpy", "repro.engines", "repro.faults",
              "repro.core.diagnosis", "repro.telemetry.export")
 
     #: Modules a plain ``repro diagnose gzip`` never runs.
     NOT_IN_DIAGNOSE = ("concurrent.futures.process",
-                       "repro.faults.checkpoint", "repro.faults.quarantine",
+                       "repro.faults.quarantine",
                        "repro.telemetry.catalog",
                        "repro.telemetry.export", "repro.telemetry.flame",
                        "repro.nn.pipeline", "repro.nn.timemux",
@@ -491,6 +491,12 @@ class TestErrorExits:
              "rate=0.5"],
             "error: --policy is NN-path-only; engine 'pset' does not "
             "support it", id="policy-nn-only"),
+        *(pytest.param(
+            [*argv, "--engine", "pset", "--faults", f"seed=3,{site}=0.5"],
+            f"error: --faults {site} acts on the NN engine; engine "
+            "'pset' cannot reach it", id=f"{argv[0]}-{site}-nn-only")
+          for argv in (["diagnose", "gzip", *FAST], ["corpus", *SMALL_SWEEP])
+          for site in ("weight_flip", "fifo_overflow")),
         pytest.param(["diagnose", "gzip", "--engine", "bogus"],
                      ENGINES_ERR, id="diagnose-unknown-engine"),
         pytest.param(["corpus", "--engine", "bogus"], ENGINES_ERR,

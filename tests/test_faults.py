@@ -1,8 +1,8 @@
 """Unit tests for the fault-injection subsystem (repro.faults).
 
 Covers the deterministic plan, every injection site, the recovery
-machinery around each site, and the checksummed checkpoint format of
-the ``--cache-dir`` store. The end-to-end guarantees (zero-fault byte
+machinery around each site, and the checksummed entry file of the
+``--cache-dir`` store. The end-to-end guarantees (zero-fault byte
 identity, quarantine-subset equivalence, kill/retry) live in
 tests/test_faults_differential.py.
 """
@@ -21,9 +21,9 @@ from repro import telemetry
 from repro.common.errors import CheckpointError, ConfigError, TraceError
 from repro.core.buffers import InputGeneratorBuffer
 from repro.core.deploy import deploy_on_run
+from repro.engines import TrainedStateDir, create
 from repro.faults import (
     ZERO_PLAN,
-    Checkpoint,
     FaultPlan,
     Quarantine,
     flip_weights,
@@ -32,6 +32,7 @@ from repro.faults import (
 )
 from repro.trace.trace_io import read_trace, write_trace
 from repro.workloads.framework import run_program
+from repro.workloads.registry import get_bug
 
 
 class TestFaultPlan:
@@ -114,17 +115,17 @@ def _non_utf8_record(run, path):
     lines = path.read_bytes().splitlines(keepends=True)
     lines[3] = b"[0, \xff\xfe]\n"
     path.write_bytes(b"".join(lines))
-    return 1
 
 
-def _plan_corrupted(run, path):
-    """Write ``run`` to ``path`` under a corrupting fault plan."""
-    with telemetry.use_registry(telemetry.Registry()) as reg:
-        write_trace(run, path, faults=FaultPlan(seed=2, trace_corrupt=0.3))
-    return reg.snapshot()["counters"]["faults.trace_corruptions"]
+def _torn_record(run, path):
+    """Write ``run`` to ``path``, then cut one record line short."""
+    write_trace(run, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[3] = lines[3][:len(lines[3]) // 2] + b"\n"
+    path.write_bytes(b"".join(lines))
 
 
-_RECORD_DAMAGE = [pytest.param(_plan_corrupted, id="plan-corrupt"),
+_RECORD_DAMAGE = [pytest.param(_torn_record, id="torn-record"),
                   pytest.param(_non_utf8_record, id="non-utf8-record")]
 
 _HEADER_DAMAGE = [
@@ -139,71 +140,69 @@ _HEADER_DAMAGE = [
 ]
 
 
-class TestTraceFaults:
-    """The trace writer's fault sites and the reader's recovery."""
+def _is_subsequence(part, whole):
+    it = iter(whole)
+    return all(e in it for e in part)
 
-    def _run(self, pingpong):
-        return run_program(pingpong, seed=1)
+
+class TestTraceFaults:
+    """The trace fault sites of ``run_program`` and the strict reader."""
+
+    def _run(self, pingpong, plan=ZERO_PLAN):
+        with use_plan(plan):
+            return run_program(pingpong, seed=1)
 
     def test_zero_plan_output_byte_identical(self, pingpong, tmp_path):
-        run = self._run(pingpong)
-        plain, faulted = tmp_path / "a.trace", tmp_path / "b.trace"
-        write_trace(run, plain)
-        write_trace(run, faulted, faults=ZERO_PLAN)
-        assert plain.read_bytes() == faulted.read_bytes()
+        # Neither a zero plan nor a plan of other sites touches a run.
+        plain = run_program(pingpong, seed=1)
+        write_trace(plain, tmp_path / "plain.trace")
+        for i, plan in enumerate((ZERO_PLAN,
+                                  FaultPlan(seed=3, worker_kill=0.5))):
+            run = self._run(pingpong, plan)
+            assert run.events == plain.events
+            write_trace(run, tmp_path / f"{i}.trace")
+            assert ((tmp_path / f"{i}.trace").read_bytes()
+                    == (tmp_path / "plain.trace").read_bytes())
 
     def test_dropped_records_shorten_trace(self, pingpong, tmp_path):
         run = self._run(pingpong)
+        with telemetry.use_registry(telemetry.Registry()) as reg:
+            damaged = self._run(pingpong, FaultPlan(seed=2, trace_drop=0.3))
+        assert 0 < len(damaged.events) < len(run.events)
+        assert _is_subsequence(damaged.events, run.events)
+        counters = reg.snapshot()["counters"]
+        assert counters["faults.trace_drops"] == (len(run.events)
+                                                  - len(damaged.events))
+        # A recorded trace holds exactly the damaged run.
         path = tmp_path / "t.trace"
-        write_trace(run, path, faults=FaultPlan(seed=2, trace_drop=0.3))
-        back = read_trace(path)
-        assert 0 < len(back.events) < len(run.events)
+        write_trace(damaged, path)
+        assert read_trace(path).events == damaged.events
 
     @pytest.mark.parametrize("damage", _RECORD_DAMAGE)
     def test_corrupt_records_fail_closed(self, pingpong, tmp_path, damage):
         path = tmp_path / "t.trace"
         damage(self._run(pingpong), path)
-        with pytest.raises(TraceError, match=re.escape(str(path))):
+        with pytest.raises(TraceError, match=re.escape(f"{path}:4: ")):
             read_trace(path)
 
-    @pytest.mark.parametrize("damage", _RECORD_DAMAGE)
-    def test_recovery_skips_and_reports(self, pingpong, tmp_path, damage):
+    def test_reorder_swaps_adjacent_records(self, pingpong):
         run = self._run(pingpong)
-        path = tmp_path / "t.trace"
-        damaged = damage(run, path)
         with telemetry.use_registry(telemetry.Registry()) as reg:
-            quarantine = Quarantine()
-            back = read_trace(path, quarantine=quarantine)
-        skipped = back.meta["skipped_records"]
-        assert skipped == damaged > 0
-        assert len(back.events) == len(run.events) - skipped
-        assert len(quarantine) == 1
-        record = quarantine.records[0]
-        assert record.phase == "trace.read"
-        assert record.key == str(path)
-        snap = reg.snapshot()["counters"]
-        assert snap["faults.trace_records_skipped"] == skipped
-        assert read_trace(path, recover=True).events == back.events
-
-    def test_reorder_swaps_adjacent_records(self, pingpong, tmp_path):
-        run = self._run(pingpong)
-        path = tmp_path / "t.trace"
-        write_trace(run, path, faults=FaultPlan(seed=5, trace_reorder=0.3))
-        back = read_trace(path)
-        assert len(back.events) == len(run.events)
-        assert back.events != run.events
-        assert sorted(back.events, key=repr) == sorted(run.events, key=repr)
+            damaged = self._run(pingpong,
+                                FaultPlan(seed=5, trace_reorder=0.3))
+        assert len(damaged.events) == len(run.events)
+        assert damaged.events != run.events
+        assert (sorted(damaged.events, key=repr)
+                == sorted(run.events, key=repr))
+        assert reg.snapshot()["counters"]["faults.trace_reorders"] > 0
 
     def test_same_plan_writes_byte_identical_files(self, pingpong, tmp_path):
-        run = self._run(pingpong)
-        plan = FaultPlan(seed=13, trace_drop=0.2, trace_corrupt=0.2,
-                         trace_reorder=0.2)
-        a, b = tmp_path / "a.trace", tmp_path / "b.trace"
-        write_trace(run, a, faults=plan)
-        write_trace(run, b, faults=plan)
+        plan = FaultPlan(seed=13, trace_drop=0.2, trace_reorder=0.2)
+        a, b, plain = (tmp_path / f"{n}.trace" for n in "abc")
+        write_trace(self._run(pingpong, plan), a)
+        write_trace(self._run(pingpong, plan), b)
         assert a.read_bytes() == b.read_bytes()
-        plain = tmp_path / "c.trace"
-        write_trace(run, plain)
+        write_trace(self._run(pingpong), plain)
         assert a.read_bytes() != plain.read_bytes()  # the plan did damage
 
     @pytest.mark.parametrize("data", _HEADER_DAMAGE)
@@ -211,9 +210,47 @@ class TestTraceFaults:
         path = tmp_path / "t.trace"
         path.write_bytes(data)
         with pytest.raises(TraceError, match=re.escape(str(path))):
-            read_trace(path, recover=True)
-        with pytest.raises(TraceError, match=re.escape(str(path))):
-            read_trace(path, quarantine=Quarantine())
+            read_trace(path)
+
+
+def _engine_input(monkeypatch, engine, plan):
+    """What ``engine`` reads in one gzip diagnosis under ``plan``: the
+    dependences ``extract_raw_deps`` hands the NN's pruning and PSet,
+    or the events of the runs Aviso and PBI read."""
+    from repro.baselines import pset
+    from repro.core import offline, postprocess
+    from repro.engines import baseline_engines
+
+    seen = []
+    if engine in ("nn", "pset"):
+        sites = [(postprocess if engine == "nn" else pset,
+                  "extract_raw_deps",
+                  lambda streams: sum(map(len, streams.values())))]
+    else:
+        sites = [(module, "run_program", lambda run: len(run.events))
+                 for module in (offline, baseline_engines)]
+    with monkeypatch.context() as m:
+        for module, name, size in sites:
+            def spy(*args, _real=getattr(module, name), _size=size,
+                    **kwargs):
+                out = _real(*args, **kwargs)
+                seen.append(_size(out))
+                return out
+            m.setattr(module, name, spy)
+        create(engine).diagnose_report(get_bug("gzip"), n_train_runs=3,
+                                       n_pruning_runs=3, faults=plan)
+    return sum(seen)
+
+
+class TestTraceFaultsReachEngines:
+    """A trace drop reaches every engine: each reads less of the run."""
+
+    @pytest.mark.parametrize("engine", ["nn", "pset", "aviso", "pbi"])
+    def test_engine_input_shrinks(self, engine, monkeypatch):
+        clean = _engine_input(monkeypatch, engine, ZERO_PLAN)
+        damaged = _engine_input(monkeypatch, engine,
+                                FaultPlan(seed=3, trace_drop=0.1))
+        assert 0 < damaged < clean
 
 
 class TestFifoOverflow:
@@ -269,122 +306,144 @@ class TestWeightFlips:
 
 
 class TestCheckpoint:
-    FP = {"program": "gzip", "runs": 4}
+    """The ``--cache-dir`` entry file: checksummed, atomically written,
+    and refused whenever it cannot be trusted."""
+
+    KEY = '{"program":"gzip","runs":4}'
+
+    def _entry(self, store, key=KEY):
+        return pathlib.Path(store._file(key))
+
+    def _rewrite(self, path, **fields):
+        """Re-sign the entry at ``path`` with ``fields`` replaced, as a
+        writer of another entry kind or key would have."""
+        body = json.loads(path.read_text())
+        body.update(fields)
+        body["checksum"] = TrainedStateDir._checksum(
+            {k: body[k] for k in ("kind", "fingerprint", "phases")})
+        path.write_text(json.dumps(body, sort_keys=True))
 
     def test_save_load_round_trip(self, tmp_path):
-        path = tmp_path / "ck.json"
-        cp = Checkpoint(str(path), "diagnosis", self.FP)
-        cp.put("trained", {"weights": [1.5, 2.5]})
-        back = Checkpoint.load(str(path))
-        assert back.kind == "diagnosis"
-        assert back.get("trained") == {"weights": [1.5, 2.5]}
+        store = TrainedStateDir(str(tmp_path))
+        # The entry holds JSON: tuples come back as lists, int keys as
+        # strings, and the checksum still holds.
+        store[self.KEY] = {"weights": [1.5, 2.5], "pair": (1, 2),
+                           "by_tid": {10: "a", 2: "b"}}
+        assert store.get(self.KEY) == {"weights": [1.5, 2.5],
+                                       "pair": [1, 2],
+                                       "by_tid": {"10": "a", "2": "b"}}
 
     def test_open_resumes_matching_checkpoint(self, tmp_path):
-        path = tmp_path / "ck.json"
-        Checkpoint(str(path), "diagnosis", self.FP).put("p", 1)
-        cp = Checkpoint.open(str(path), "diagnosis", self.FP)
-        assert cp.resumed
-        assert cp.get("p") == 1
+        TrainedStateDir(str(tmp_path))[self.KEY] = {"p": 1}
+        assert TrainedStateDir(str(tmp_path)).get(self.KEY) == {"p": 1}
 
     def test_open_fresh_when_missing(self, tmp_path):
-        cp = Checkpoint.open(str(tmp_path / "ck.json"), "diagnosis", self.FP)
-        assert not cp.resumed
-        assert cp.get("p") is None
+        store = TrainedStateDir(str(tmp_path / "c"))
+        assert store.get(self.KEY) is None
+        assert not (tmp_path / "c").exists()
 
     def test_kind_mismatch_refused(self, tmp_path):
-        path = tmp_path / "ck.json"
-        Checkpoint(str(path), "diagnosis", self.FP).save()
-        with pytest.raises(CheckpointError):
-            Checkpoint.open(str(path), "topology-search", self.FP)
+        store = TrainedStateDir(str(tmp_path))
+        store[self.KEY] = {"p": 1}
+        self._rewrite(self._entry(store), kind="diagnosis")
+        with pytest.raises(CheckpointError, match="'diagnosis' snapshot"):
+            store.get(self.KEY)
 
     def test_fingerprint_mismatch_refused(self, tmp_path):
-        path = tmp_path / "ck.json"
-        Checkpoint(str(path), "diagnosis", self.FP).save()
-        with pytest.raises(CheckpointError):
-            Checkpoint.open(str(path), "diagnosis", {"program": "gzip",
-                                                     "runs": 20})
+        store = TrainedStateDir(str(tmp_path))
+        store[self.KEY] = {"p": 1}
+        other = '{"program":"gzip","runs":20}'
+        self._entry(store).replace(self._entry(store, other))
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            store.get(other)
 
     def test_fingerprint_comparison_is_json_normalised(self, tmp_path):
-        path = tmp_path / "ck.json"
-        Checkpoint(str(path), "d", {"seeds": (1, 2)}).save()
-        # Tuples become lists on disk; reopening with the tuple form
-        # must still match.
-        assert Checkpoint.open(str(path), "d", {"seeds": [1, 2]}).resumed
-        assert Checkpoint.open(str(path), "d", {"seeds": (1, 2)}).resumed
+        # The fingerprint is the canonical-JSON store key: params given
+        # as a tuple or as a list name one entry.
+        program, nn = get_bug("gzip"), create("nn")
+        as_tuple = nn.store_key({}, program, 4, 0, {"seeds": (1, 2)})
+        as_list = nn.store_key({}, program, 4, 0, {"seeds": [1, 2]})
+        assert as_tuple == as_list
+        store = TrainedStateDir(str(tmp_path))
+        store[as_tuple] = {"p": 1}
+        assert store.get(as_list) == {"p": 1}
+
+    def test_unsupported_format_refused(self, tmp_path):
+        store = TrainedStateDir(str(tmp_path))
+        store[self.KEY] = {"p": 1}
+        self._rewrite(self._entry(store), format=2)
+        with pytest.raises(CheckpointError, match="unsupported"):
+            store.get(self.KEY)
 
     def test_checksum_detects_tampering(self, tmp_path):
-        path = tmp_path / "ck.json"
-        Checkpoint(str(path), "diagnosis", self.FP).put("p", [1, 2, 3])
+        store = TrainedStateDir(str(tmp_path))
+        store[self.KEY] = {"p": [1, 2, 3]}
+        path = self._entry(store)
         body = json.loads(path.read_text())
-        body["phases"]["p"] = [1, 2, 4]
+        body["phases"]["state"]["p"] = [1, 2, 4]
         path.write_text(json.dumps(body))
         with pytest.raises(CheckpointError, match="checksum"):
-            Checkpoint.load(str(path))
+            store.get(self.KEY)
 
     def test_truncated_file_detected(self, tmp_path):
-        path = tmp_path / "ck.json"
-        Checkpoint(str(path), "diagnosis", self.FP).save()
+        store = TrainedStateDir(str(tmp_path))
+        store[self.KEY] = {"p": 1}
+        path = self._entry(store)
         path.write_text(path.read_text()[:-20])
         with pytest.raises(CheckpointError):
-            Checkpoint.load(str(path))
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(CheckpointError):
-            Checkpoint.load(str(tmp_path / "nope.json"))
+            store.get(self.KEY)
 
     def test_saves_are_atomic(self, tmp_path):
-        path = tmp_path / "ck.json"
-        cp = Checkpoint(str(path), "diagnosis", self.FP)
+        store = TrainedStateDir(str(tmp_path))
         for i in range(5):
-            cp.put(f"phase{i}", list(range(i)))
-            assert os.listdir(tmp_path) == ["ck.json"]  # no tmp left
-            Checkpoint.load(str(path))  # every intermediate file is whole
+            store[self.KEY] = {"i": list(range(i))}
+            # no tmp file left, and every intermediate file is whole
+            assert os.listdir(tmp_path) == [self._entry(store).name]
+            assert store.get(self.KEY) == {"i": list(range(i))}
 
     def test_concurrent_saves_to_one_path_both_land(self, tmp_path,
                                                     monkeypatch):
-        # A second save to the same path runs between the first save's
+        # A second save to the same entry runs between the first save's
         # write and its rename -- two processes filling one cache entry.
         # With a shared tmp name the inner save renames the outer's file
         # away and the outer rename fails (or moves a torn file in).
-        path = str(tmp_path / "ck.json")
-        outer = Checkpoint(path, "d", self.FP, {"p": "outer"})
-        inner = Checkpoint(path, "d", self.FP, {"p": "inner"})
+        store = TrainedStateDir(str(tmp_path))
         real_replace = os.replace
         calls = []
 
         def replace(src, dst):
             calls.append(src)
             if len(calls) == 1:
-                inner.save()
+                store[self.KEY] = {"p": "inner"}
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", replace)
-        outer.save()
+        store[self.KEY] = {"p": "outer"}
         assert len(calls) == 2 and calls[0] != calls[1]
-        assert Checkpoint.load(path).phases == {"p": "outer"}
-        assert os.listdir(tmp_path) == ["ck.json"]
+        assert store.get(self.KEY) == {"p": "outer"}
+        assert os.listdir(tmp_path) == [self._entry(store).name]
 
     def test_concurrent_processes_saving_one_path(self, tmp_path):
         # More writers than cores, each saving the same entry in a loop:
         # every save must succeed and the file must always load whole.
-        path = str(tmp_path / "ck.json")
         script = ("import sys\n"
-                  "from repro.faults import Checkpoint\n"
+                  "from repro.engines import TrainedStateDir\n"
+                  "store = TrainedStateDir(sys.argv[1])\n"
                   "for i in range(40):\n"
-                  "    Checkpoint(sys.argv[1], 'd', {'a': 1},\n"
-                  "               {'w': sys.argv[2], 'i': i}).save()\n")
+                  "    store['k'] = {'w': sys.argv[2], 'i': i}\n")
         env = dict(os.environ)
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
         env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-        procs = [subprocess.Popen([sys.executable, "-c", script, path,
-                                   str(n)], env=env,
+        procs = [subprocess.Popen([sys.executable, "-c", script,
+                                   str(tmp_path), str(n)], env=env,
                                   stderr=subprocess.PIPE, text=True)
                  for n in range(2 * (os.cpu_count() or 1) + 2)]
         for proc in procs:
             _, err = proc.communicate(timeout=120)
             assert proc.returncode == 0, err[-500:]
-        assert Checkpoint.load(path).phases["i"] == 39
-        assert os.listdir(tmp_path) == ["ck.json"]
+        store = TrainedStateDir(str(tmp_path))
+        assert store.get("k")["i"] == 39
+        assert os.listdir(tmp_path) == [self._entry(store, "k").name]
 
     def test_failed_save_removes_its_tmp_file(self, tmp_path, monkeypatch):
         def replace(src, dst):
@@ -392,19 +451,16 @@ class TestCheckpoint:
 
         monkeypatch.setattr(os, "replace", replace)
         with pytest.raises(OSError, match="disk full"):
-            Checkpoint(str(tmp_path / "ck.json"), "d", self.FP).save()
+            TrainedStateDir(str(tmp_path))[self.KEY] = {"p": 1}
         assert os.listdir(tmp_path) == []
 
     def test_telemetry_counters(self, tmp_path):
-        path = tmp_path / "ck.json"
+        store = TrainedStateDir(str(tmp_path))
         with telemetry.use_registry(telemetry.Registry()) as reg:
-            cp = Checkpoint.open(str(path), "d", self.FP)
-            cp.put("a", 1)
-            cp.put("b", 2)
-            cp2 = Checkpoint.open(str(path), "d", self.FP)
-            assert cp2.get("a") == 1
-            assert cp2.get("missing") is None
+            assert store.get(self.KEY) is None
+            store[self.KEY] = {"p": 1}
+            store[self.KEY] = {"p": 2}
+            assert store.get(self.KEY) == {"p": 2}
         counters = reg.snapshot()["counters"]
-        assert counters["checkpoint.saves"] == 2
-        assert counters["checkpoint.resumes"] == 1
-        assert counters["checkpoint.phases_reused"] == 1
+        assert (counters["cache.saves"], counters["cache.hits"],
+                counters["cache.misses"]) == (2, 1, 1)
