@@ -1,8 +1,12 @@
 """Tests for the experiment harness (FAST preset)."""
 
+import pathlib
+
 import pytest
 
 from repro.analysis.presets import FAST, FULL
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 class TestPresets:
@@ -71,9 +75,9 @@ class TestTable5:
     @pytest.fixture(scope="class")
     def rows(self):
         from repro.analysis.table5 import run_table5
-        return run_table5(FAST, bugs=["mysql2", "gzip"])
+        return run_table5(FAST)
 
-    def test_act_diagnoses_both(self, rows):
+    def test_act_diagnoses_every_bug(self, rows):
         for r in rows:
             assert r.act_rank is not None
             assert r.act_rank <= 5
@@ -87,6 +91,16 @@ class TestTable5:
         from repro.analysis.table5 import format_table5
         out = format_table5(rows)
         assert "mysql2" in out and "n/a (sequential)" in out
+
+    def test_matches_golden(self, rows, update_golden):
+        # Every column of every bug, the baselines' included, is pinned.
+        from repro.analysis.table5 import format_table5
+        path = GOLDEN_DIR / "table5_fast.txt"
+        text = format_table5(rows) + "\n"
+        if update_golden:
+            path.write_text(text, encoding="utf-8")
+            pytest.skip(f"updated {path.name}")
+        assert text == path.read_text(encoding="utf-8")
 
 
 @pytest.mark.slow
