@@ -5,13 +5,14 @@ Two request handlers race on a shared reference count; in the failure
 interleaving both believe they are the last user and both free the
 object -- the second free crashes. ACT diagnoses it from the single
 failure run; Aviso needs the failure reproduced several times; PBI
-samples cache events over many runs.
+samples cache events over many runs. Both baselines run through their
+engines, on the seeds Table V uses.
 
 Run:  python examples/diagnose_concurrency_bug.py
 """
 
-from repro.baselines import AvisoDiagnoser, PBIDiagnoser
 from repro.core import ACTConfig, diagnose_failure
+from repro.engines import create
 from repro.workloads import get_bug, run_program
 
 
@@ -35,21 +36,25 @@ def main():
               f"{code_map.describe(dep.load_pc)} [{label}]")
 
     # --- Aviso: needs the bug to recur -------------------------------
-    aviso = AvisoDiagnoser().diagnose(program, max_failures=10)
+    # Background pair rates from 15 correct runs, then up to 10
+    # failure reproductions.
+    aviso = create("aviso").diagnose_report(
+        program, n_train_runs=15, train_seed0=300, failure_seed=901)
     if aviso.rank is not None:
         print(f"[Aviso] rank {aviso.rank} after "
-              f"{aviso.n_failures_used} failure reproductions")
+              f"{aviso.n_failure_runs} failure reproductions")
     else:
         print(f"[Aviso] constraint not found in "
-              f"{aviso.n_failures_used} failures")
+              f"{aviso.n_failure_runs} failures")
 
     # --- PBI: cache-event sampling ------------------------------------
-    pbi = PBIDiagnoser().diagnose(program)
+    pbi = create("pbi").diagnose_report(
+        program, n_train_runs=15, train_seed0=500, failure_seed=12345)
     if pbi.rank is not None:
-        print(f"[PBI]   rank {pbi.rank} of {pbi.total_predicates} "
+        print(f"[PBI]   rank {pbi.rank} of {len(pbi.candidates)} "
               "reported predicates (15 correct + 1 failing run)")
     else:
-        print(f"[PBI]   missed ({pbi.total_predicates} predicates)")
+        print(f"[PBI]   missed ({len(pbi.candidates)} predicates)")
 
     print("\nACT pinpointed the handler's free-store -> header-load "
           "dependence: the second thread read an object header last "

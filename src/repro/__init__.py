@@ -10,7 +10,10 @@ Reproduction of Alam & Muzahid, ISCA 2016. The package is organised as:
   debug buffer, offline training, post-processing and diagnosis).
 - :mod:`repro.sim` -- multicore timing simulator (caches, MESI, last-writer
   metadata, ACT back-pressure) used for overhead/false-sharing studies.
-- :mod:`repro.baselines` -- Aviso-like and PBI-like comparison schemes.
+- :mod:`repro.baselines` -- scoring math of the Aviso-, PBI- and
+  PSet-like comparison schemes.
+- :mod:`repro.engines` -- one ``Predictor`` interface over ACT and the
+  baselines; each baseline's diagnosis flow is its engine there.
 - :mod:`repro.analysis` -- experiment harness regenerating every table and
   figure of the paper's evaluation.
 """

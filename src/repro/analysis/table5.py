@@ -3,19 +3,28 @@
 Per bug: traces used for training, where the root cause sat in the
 Debug Buffer, the offline-filter percentage, ACT's final rank, Aviso's
 rank (with the number of failure runs it needed) and PBI's rank (with
-the total number of predicates it reported).
+the total number of predicates it reported). The baseline columns come
+from the Aviso and PBI engines, trained and run on the seeds below.
 """
 
 from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.analysis.presets import FULL
-from repro.baselines.aviso import AvisoDiagnoser
-from repro.baselines.pbi import PBIDiagnoser
 from repro.common.texttable import render_table
 from repro.core.config import ACTConfig
 from repro.core.diagnosis import diagnose_with_buffer_escalation
+from repro.engines.baseline_engines import AvisoEngine, PBIEngine
 from repro.workloads.registry import all_bug_names, get_bug
+
+# The baselines' own seeds, apart from ACT's: Aviso learns pair rates
+# from 15 correct runs and feeds failure runs from seed 901 on; PBI
+# ranks preset.pbi_correct_runs correct runs against one failure run.
+AVISO_CORRECT_RUNS = 15
+AVISO_CORRECT_SEED0 = 300
+AVISO_FAILURE_SEED = 901
+PBI_CORRECT_SEED0 = 500
+PBI_FAILURE_SEED = 12345
 
 BUG_DESCRIPTIONS = {
     "aget": ("Order. vio. on bwritten", "Comp."),
@@ -53,17 +62,20 @@ class Table5Row:
 def run_table5(preset=FULL, config=None, bugs=None) -> List[Table5Row]:
     config = config or ACTConfig()
     rows = []
-    aviso = AvisoDiagnoser()
-    pbi = PBIDiagnoser(n_correct=preset.pbi_correct_runs)
+    aviso = AvisoEngine(max_failures=preset.aviso_max_failures)
+    pbi = PBIEngine()
     for name in bugs or all_bug_names():
         program = get_bug(name)
         report, buffer_used = diagnose_with_buffer_escalation(
             program, config=config,
             n_train_runs=preset.n_train_traces,
             n_pruning_runs=preset.n_pruning_runs)
-        a = aviso.diagnose(get_bug(name),
-                           max_failures=preset.aviso_max_failures)
-        p = pbi.diagnose(get_bug(name))
+        aviso.train(program, n_runs=AVISO_CORRECT_RUNS,
+                    seed0=AVISO_CORRECT_SEED0, buggy=False)
+        a = aviso.report_trained(program, failure_seed=AVISO_FAILURE_SEED)
+        pbi.train(program, n_runs=preset.pbi_correct_runs,
+                  seed0=PBI_CORRECT_SEED0, buggy=False)
+        p = pbi.report_trained(program, failure_seed=PBI_FAILURE_SEED)
         desc, status = BUG_DESCRIPTIONS.get(name, ("", "?"))
         rows.append(Table5Row(
             bug=name, description=desc, status=status,
@@ -73,9 +85,9 @@ def run_table5(preset=FULL, config=None, bugs=None) -> List[Table5Row]:
             filter_pct=report.filter_pct,
             act_rank=report.rank, buffer_used=buffer_used,
             aviso_rank=a.rank,
-            aviso_failures=a.n_failures_used if a.applicable else None,
+            aviso_failures=a.n_failure_runs if a.applicable else None,
             aviso_applicable=a.applicable,
-            pbi_rank=p.rank, pbi_total=p.total_predicates))
+            pbi_rank=p.rank, pbi_total=len(p.candidates)))
     return rows
 
 

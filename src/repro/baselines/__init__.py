@@ -14,13 +14,14 @@
   invariants (exact valid-writer sets per load), the class of scheme
   ACT's adaptivity argument is made against.
 
-The names below are imported from their submodules on first access.
+These modules hold the scoring math; each baseline's diagnosis flow is
+its engine in :mod:`repro.engines.baseline_engines` (``aviso``,
+``pbi``, ``pset``). The names below are imported from their submodules
+on first access.
 """
 
 from repro.common.lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "repro.baselines.aviso": ("AvisoDiagnoser", "AvisoResult"),
-    "repro.baselines.pbi": ("PBIDiagnoser", "PBIResult"),
     "repro.baselines.pset": ("PSetInvariants",),
 })

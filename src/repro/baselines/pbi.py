@@ -1,4 +1,4 @@
-"""PBI-style sampling-based failure diagnosis.
+"""PBI-style sampling-based failure diagnosis: the scoring math.
 
 PBI (Arulraj et al., ASPLOS 2013) samples hardware events during
 production runs -- cache-coherence states observed at memory
@@ -13,16 +13,15 @@ runs and a single failure run. Scoring follows CBI/PBI:
                 - Fail(P obs)  / (Fail(P obs)  + Succ(P obs))
 
 ranked descending, ties broken by more failing observations.
+
+The protocol that gathers the runs is
+:class:`repro.engines.baseline_engines.PBIEngine`.
 """
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
 
 from repro.sim.machine import annotate_run
-from repro.sim.params import MachineParams
 from repro.trace.events import EventKind
-from repro.workloads.framework import run_program
 
 
 @dataclass(frozen=True)
@@ -36,19 +35,12 @@ class Predicate:
         return f"pc={self.pc:#x}:{self.event}"
 
 
-@dataclass
-class PBIResult:
-    """Ranked predicate list for one diagnosis attempt."""
+def _observe(run):
+    """Predicates observed (true) in one run, plus observed pcs.
 
-    ranking: List[Tuple[Predicate, float]]
-    rank: Optional[int]
-    total_predicates: int
-    found: bool
-
-
-def _observe(run, params):
-    """Predicates observed (true) in one run, plus observed pcs."""
-    ann = annotate_run(run, params)
+    MESI states come from a replay on the default machine.
+    """
+    ann = annotate_run(run)
     true_preds = set()
     observed_pcs = set()
     for event, res in zip(run.events, ann):
@@ -61,59 +53,25 @@ def _observe(run, params):
     return true_preds, observed_pcs
 
 
-class PBIDiagnoser:
-    """Runs the PBI protocol against a bug program."""
+def _increase_ranking(fail_true, fail_obs, succ_true, succ_obs):
+    """The reported predicates of one failure run, best first.
 
-    def __init__(self, params=None, n_correct=15):
-        self.params = params or MachineParams()
-        self.n_correct = n_correct
-
-    def diagnose(self, program, failure_seed=12345, correct_seed0=500,
-                 failure_params=None, correct_params=None,
-                 root_cause=None) -> PBIResult:
-        failure_params = dict(failure_params or {"buggy": True})
-        correct_params = dict(correct_params or {"buggy": False})
-
-        failure_run = run_program(program, seed=failure_seed,
-                                  **failure_params)
-        truth = root_cause or failure_run.meta.get("root_cause") or set()
-        root_pcs = {pc for pair in truth for pc in pair}
-
-        fail_true, fail_obs = _observe(failure_run, self.params)
-
-        succ_true = defaultdict(int)   # predicate -> #correct runs true
-        succ_obs = defaultdict(int)    # pc -> #correct runs observed
-        for i in range(self.n_correct):
-            run = run_program(program, seed=correct_seed0 + i,
-                              **correct_params)
-            true_preds, obs_pcs = _observe(run, self.params)
-            for pred in true_preds:
-                succ_true[pred] += 1
-            for pc in obs_pcs:
-                succ_obs[pc] += 1
-
-        all_preds = set(fail_true) | set(succ_true)
-        ranking = []
-        for pred in all_preds:
-            f_true = 1 if pred in fail_true else 0
-            s_true = succ_true.get(pred, 0)
-            f_obs = 1 if pred.pc in fail_obs else 0
-            s_obs = succ_obs.get(pred.pc, 0)
-            if f_true + s_true == 0 or f_obs + s_obs == 0:
-                continue
-            increase = (f_true / (f_true + s_true)
-                        - f_obs / (f_obs + s_obs))
-            ranking.append((pred, increase, f_true))
-        # Positive-score predicates are the report; rank by score, then
-        # by failing observations.
-        ranking.sort(key=lambda t: (-t[1], -t[2], t[0].pc))
-        reported = [(p, s) for p, s, _f in ranking if s > 0]
-
-        rank = None
-        for i, (pred, _score) in enumerate(reported, start=1):
-            if pred.pc in root_pcs:
-                rank = i
-                break
-        return PBIResult(ranking=reported, rank=rank,
-                         total_predicates=len(reported),
-                         found=rank is not None)
+    ``fail_true``/``fail_obs`` are :func:`_observe` of the failure run;
+    ``succ_true`` counts the correct runs each predicate was true in and
+    ``succ_obs`` the correct runs each pc was observed in. Only
+    positive-Increase predicates are reported, as ``(predicate,
+    score)``.
+    """
+    ranking = []
+    for pred in set(fail_true) | set(succ_true):
+        f_true = 1 if pred in fail_true else 0
+        s_true = succ_true.get(pred, 0)
+        f_obs = 1 if pred.pc in fail_obs else 0
+        s_obs = succ_obs.get(pred.pc, 0)
+        if f_true + s_true == 0 or f_obs + s_obs == 0:
+            continue
+        increase = (f_true / (f_true + s_true)
+                    - f_obs / (f_obs + s_obs))
+        ranking.append((pred, increase, f_true))
+    ranking.sort(key=lambda t: (-t[1], -t[2], t[0].pc))
+    return [(pred, score) for pred, score, _f in ranking if score > 0]

@@ -60,6 +60,9 @@ class DiagnosisReport:
     #: engine-native ranked candidates ``{"key", "score", "hit"}``;
     #: empty for NN reports, whose ranking lives in ``findings``.
     candidates: list = field(default_factory=list)
+    #: failure runs consumed by an engine that accumulates several
+    #: (Aviso); ``None`` for engines that diagnose from one.
+    n_failure_runs: Optional[int] = None
 
     def top(self, k=5):
         return self.findings[:k]

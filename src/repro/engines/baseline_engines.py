@@ -1,24 +1,31 @@
 """Aviso-, PBI- and PSet-style baselines behind the Predictor protocol.
 
-Each engine reuses its ``repro.baselines`` module's statistics and
-ranking math but splits the flow into ``train`` (correct-run state,
-shared seed range, cacheable) and ``report_trained`` (the
-failure-side protocol), so ``diagnose --cache-dir`` can reuse their
-trained state and the shootout can run them on the exact corpus the NN
-engine sees.
+These classes are each baseline's one diagnosis flow: Table V, the
+shootout, the corpus and ``--engine`` all run them. The scoring math
+lives in the ``repro.baselines`` modules; each engine splits the
+protocol into ``train`` (correct-run state over a seed range,
+cacheable) and ``report_trained`` (the failure side), so ``diagnose
+--cache-dir`` can reuse their trained state and the shootout can run
+them on the exact corpus the NN engine sees.
 
 Candidate keys are ``store->load`` pc pairs for Aviso/PSet and
-``pc=<pc>:<event>`` predicates for PBI; a candidate's ``hit`` flag uses
-the same ground-truth test the native baseline modules use (pair
-membership for PSet, root-pc membership for Aviso/PBI).
+``pc=<pc>:<event>`` predicates for PBI; a candidate's ``hit`` flag is
+pair membership in the ground truth for PSet and root-pc membership
+for Aviso/PBI.
 """
 
 from collections import defaultdict
 
 import numpy as np
 
-from repro.baselines.aviso import AvisoDiagnoser, _sampled_pairs, _window_pairs
-from repro.baselines.pbi import Predicate, _observe
+from repro.baselines.aviso import (
+    GOOD_RANK,
+    _rank,
+    _root_rank,
+    _sampled_pairs,
+    _window_pairs,
+)
+from repro.baselines.pbi import Predicate, _increase_ranking, _observe
 from repro.baselines.pset import PSetInvariants
 from repro.core.offline import collect_runs_for_seeds
 from repro.engines.base import (
@@ -27,8 +34,6 @@ from repro.engines.base import (
     candidate,
     candidate_report,
 )
-from repro.sim.params import MachineParams
-from repro.trace.raw import RawDep
 from repro.workloads.framework import run_program
 
 
@@ -45,11 +50,20 @@ def _root_pcs(truth):
     return {pc for pair in truth for pc in pair}
 
 
-def _no_failure_report(program, run, truth, engine):
-    report = candidate_report(
+def _report(program, run, truth, engine, candidates=(), failed=None,
+            applicable=True):
+    """A report naming ``run``'s program and failure (``failed``
+    defaults to whether ``run`` failed)."""
+    return candidate_report(
         run.meta.get("program", getattr(program, "name", "?")),
-        failed=False, failure_description="", truth=truth,
-        candidates=[], engine=engine)
+        failed=run.failed if failed is None else failed,
+        failure_description=str(run.failure) if run.failure else "",
+        truth=truth, candidates=candidates, engine=engine,
+        applicable=applicable)
+
+
+def _no_failure_report(program, run, truth, engine):
+    report = _report(program, run, truth, engine)
     report.notes.append("failure run did not fail; nothing to diagnose")
     return report
 
@@ -63,12 +77,10 @@ class AvisoEngine(Predictor):
         trains_offline=True, needs_failure_runs=10,
         multithreaded_only=True, adapts_online=False, warmable=True)
 
-    def __init__(self, config=None, window=12, good_rank=10,
-                 min_failure_support=2, max_failures=10):
+    def __init__(self, config=None, max_failures=10):
         super().__init__(config)
-        self.window = window
-        self.good_rank = good_rank
-        self.min_failure_support = min_failure_support
+        # Failure runs (seeds failure_seed, failure_seed + 1, ...) fed
+        # before giving up; the paper feeds up to 10.
         self.max_failures = max_failures
         self._counts = None        # (pc, pc) -> correct-run occurrences
         self._multithreaded = None
@@ -86,7 +98,7 @@ class AvisoEngine(Predictor):
         multithreaded = False
         for run in runs:
             multithreaded = multithreaded or run.n_threads > 1
-            for pair in _sampled_pairs(run, self.window):
+            for pair in _sampled_pairs(run):
                 counts[pair] += 1
         self._counts = dict(counts)
         self._multithreaded = multithreaded
@@ -115,50 +127,40 @@ class AvisoEngine(Predictor):
         first = _failure_run(program, failure_seed, failure_params)
         truth = _truth(first, root_cause)
         if not self._multithreaded:
-            report = candidate_report(
-                first.meta.get("program", getattr(program, "name", "?")),
-                failed=first.failed,
-                failure_description=(str(first.failure)
-                                     if first.failure else ""),
-                truth=truth, candidates=[], engine=self.name,
-                applicable=False)
+            report = _report(program, first, truth, self.name,
+                             applicable=False)
             report.notes.append(
                 "aviso is inapplicable: single-threaded program has no "
                 "inter-thread event pairs")
             return report
-        root_pcs = _root_pcs(truth)
         fail_counts = defaultdict(int)
-        failed = False
+        ranking = None  # stays None until a run fails
         used = 0
-        ranking = []
-        for k in range(1, self.max_failures + 1):
-            run = (first if k == 1
-                   else _failure_run(program, failure_seed + k - 1,
+        for used in range(1, self.max_failures + 1):
+            run = (first if used == 1
+                   else _failure_run(program, failure_seed + used - 1,
                                      failure_params))
-            used = k
             if not run.failed:
                 continue
-            failed = True
-            for pair in _window_pairs(run, self.window):
+            for pair in _window_pairs(run):
                 fail_counts[pair] += 1
-            ranking = AvisoDiagnoser._rank(fail_counts, self._counts, k,
-                                           self.min_failure_support)
-            rank = AvisoDiagnoser._root_rank(ranking, truth)
-            if rank is not None and rank <= self.good_rank:
+            ranking = _rank(fail_counts, self._counts, used)
+            rank = _root_rank(ranking, truth)
+            if rank is not None and rank <= GOOD_RANK:
                 break
-        if not failed:
-            return _no_failure_report(program, first, truth, self.name)
-        candidates = [
-            candidate(f"{a:#x}->{b:#x}", score,
-                      a in root_pcs and b in root_pcs)
-            for (a, b), score in ranking]
-        report = candidate_report(
-            first.meta.get("program", getattr(program, "name", "?")),
-            failed=True,
-            failure_description=(str(first.failure)
-                                 if first.failure else ""),
-            truth=truth, candidates=candidates, engine=self.name)
-        report.notes.append(f"aviso: accumulated {used} failure runs")
+        if ranking is None:
+            report = _no_failure_report(program, first, truth, self.name)
+            report.n_failure_runs = used
+            return report
+        root_pcs = _root_pcs(truth)
+        report = _report(
+            program, first, truth, self.name, failed=True,
+            candidates=[candidate(f"{a:#x}->{b:#x}", score,
+                                  a in root_pcs and b in root_pcs)
+                        for (a, b), score in ranking])
+        report.n_failure_runs = used
+        report.notes.append(
+            f"aviso: accumulated {report.n_failure_runs} failure runs")
         return report
 
 
@@ -172,9 +174,8 @@ class PBIEngine(Predictor):
         trains_offline=True, needs_failure_runs=1,
         multithreaded_only=False, adapts_online=False, warmable=True)
 
-    def __init__(self, config=None, params=None):
+    def __init__(self, config=None):
         super().__init__(config)
-        self.params = params or MachineParams()
         self._succ_true = None  # Predicate -> #correct runs true
         self._succ_obs = None   # pc -> #correct runs observed
         self._n_correct = 0
@@ -191,7 +192,7 @@ class PBIEngine(Predictor):
         succ_true = defaultdict(int)
         succ_obs = defaultdict(int)
         for run in runs:
-            true_preds, obs_pcs = _observe(run, self.params)
+            true_preds, obs_pcs = _observe(run)
             for pred in true_preds:
                 succ_true[pred] += 1
             for pc in obs_pcs:
@@ -233,28 +234,11 @@ class PBIEngine(Predictor):
         if not run.failed:
             return _no_failure_report(program, run, truth, self.name)
         root_pcs = _root_pcs(truth)
-        fail_true, fail_obs = _observe(run, self.params)
-        all_preds = set(fail_true) | set(self._succ_true)
-        ranking = []
-        for pred in all_preds:
-            f_true = 1 if pred in fail_true else 0
-            s_true = self._succ_true.get(pred, 0)
-            f_obs = 1 if pred.pc in fail_obs else 0
-            s_obs = self._succ_obs.get(pred.pc, 0)
-            if f_true + s_true == 0 or f_obs + s_obs == 0:
-                continue
-            increase = (f_true / (f_true + s_true)
-                        - f_obs / (f_obs + s_obs))
-            ranking.append((pred, increase, f_true))
-        ranking.sort(key=lambda t: (-t[1], -t[2], t[0].pc))
-        candidates = [
+        fail_true, fail_obs = _observe(run)
+        return _report(program, run, truth, self.name, candidates=[
             candidate(str(pred), score, pred.pc in root_pcs)
-            for pred, score, _f in ranking if score > 0]
-        return candidate_report(
-            run.meta.get("program", getattr(program, "name", "?")),
-            failed=True,
-            failure_description=str(run.failure) if run.failure else "",
-            truth=truth, candidates=candidates, engine=self.name)
+            for pred, score in _increase_ranking(
+                fail_true, fail_obs, self._succ_true, self._succ_obs)])
 
 
 class PSetEngine(Predictor):
@@ -312,9 +296,7 @@ class PSetEngine(Predictor):
         # by first occurrence in the global event order.
         stats = {}
         for rec in sorted(violations, key=lambda r: r.index):
-            dep = RawDep(rec.dep.store_pc, rec.dep.load_pc,
-                         rec.dep.inter_thread)
-            key = (dep.store_pc, dep.load_pc)
+            key = (rec.dep.store_pc, rec.dep.load_pc)
             if key not in stats:
                 stats[key] = [0, rec.index]
             stats[key][0] += 1
@@ -325,11 +307,7 @@ class PSetEngine(Predictor):
             candidate(f"{store:#x}->{load:#x}", count / total,
                       (store, load) in truth)
             for (store, load), (count, _first) in ordered]
-        report = candidate_report(
-            run.meta.get("program", getattr(program, "name", "?")),
-            failed=True,
-            failure_description=str(run.failure) if run.failure else "",
-            truth=truth, candidates=candidates, engine=self.name)
+        report = _report(program, run, truth, self.name, candidates)
         report.notes.append(
             f"pset: {len(violations)} violating dependences over "
             f"{self._invariants.n_invariants()} invariants")

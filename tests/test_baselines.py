@@ -1,11 +1,20 @@
-"""Tests for the Aviso / PBI / PSet baselines."""
+"""Tests for the Aviso / PBI / PSet baselines.
+
+Aviso and PBI run through their engines on Table V's seeds.
+"""
 
 import pytest
 
-from repro.baselines.aviso import AvisoDiagnoser
-from repro.baselines.pbi import PBIDiagnoser, Predicate
+from repro.analysis.table5 import (
+    AVISO_CORRECT_SEED0,
+    AVISO_FAILURE_SEED,
+    PBI_CORRECT_SEED0,
+    PBI_FAILURE_SEED,
+)
+from repro.baselines.pbi import Predicate
 from repro.baselines.pset import PSetInvariants
 from repro.core.offline import collect_correct_runs
+from repro.engines.baseline_engines import AvisoEngine, PBIEngine
 from repro.trace.raw import RawDep
 from repro.workloads.framework import run_program
 from repro.workloads.registry import get_bug, get_kernel
@@ -51,27 +60,39 @@ class TestPSet:
         assert inv.violation_rate(run) == 1.0
 
 
+def _pbi(bug, n_correct):
+    return PBIEngine().diagnose_report(
+        get_bug(bug), n_train_runs=n_correct, train_seed0=PBI_CORRECT_SEED0,
+        failure_seed=PBI_FAILURE_SEED)
+
+
+def _aviso(bug, n_correct, max_failures):
+    return AvisoEngine(max_failures=max_failures).diagnose_report(
+        get_bug(bug), n_train_runs=n_correct,
+        train_seed0=AVISO_CORRECT_SEED0, failure_seed=AVISO_FAILURE_SEED)
+
+
 class TestPBI:
     def test_finds_concurrency_bug(self):
-        result = PBIDiagnoser(n_correct=8).diagnose(get_bug("mysql2"))
-        assert result.found
-        assert result.rank <= result.total_predicates
+        report = _pbi("mysql2", n_correct=8)
+        assert report.found
+        assert report.rank <= len(report.candidates)
 
     def test_ranking_scores_descending(self):
-        result = PBIDiagnoser(n_correct=8).diagnose(get_bug("apache"))
-        scores = [s for _p, s in result.ranking]
+        report = _pbi("apache", n_correct=8)
+        scores = [c["score"] for c in report.candidates]
         assert scores == sorted(scores, reverse=True)
 
     def test_misses_branch_invariant_sequential_bug(self):
         """seq's branch outcomes and cache states barely change between
         correct and failing runs -- the class of bug PBI misses."""
-        result = PBIDiagnoser(n_correct=8).diagnose(get_bug("seq"))
-        assert result.rank is None or result.rank > 1
+        report = _pbi("seq", n_correct=8)
+        assert report.rank is None or report.rank > 1
 
     def test_predicates_have_valid_events(self):
-        result = PBIDiagnoser(n_correct=6).diagnose(get_bug("memcached"))
-        for pred, _score in result.ranking:
-            assert pred.event in ("M", "E", "S", "I", "T", "N")
+        report = _pbi("memcached", n_correct=6)
+        for c in report.candidates:
+            assert c["key"].rsplit(":", 1)[1] in ("M", "E", "S", "I", "T", "N")
 
     def test_predicate_str(self):
         assert "0x10" in str(Predicate(0x10, "M"))
@@ -79,26 +100,23 @@ class TestPBI:
 
 class TestAviso:
     def test_inapplicable_to_sequential_bugs(self):
-        result = AvisoDiagnoser(n_correct=4).diagnose(get_bug("gzip"),
-                                                      max_failures=2)
-        assert not result.applicable
-        assert result.rank is None
+        report = _aviso("gzip", n_correct=4, max_failures=2)
+        assert not report.applicable
+        assert report.rank is None
 
     def test_needs_multiple_failures(self):
-        result = AvisoDiagnoser(n_correct=6).diagnose(get_bug("pbzip2"),
-                                                      max_failures=6)
-        assert result.applicable
-        if result.found:
-            assert result.n_failures_used >= 2
+        report = _aviso("pbzip2", n_correct=6, max_failures=6)
+        assert report.applicable
+        if report.found:
+            assert report.n_failure_runs >= 2
 
     def test_finds_order_violation_eventually(self):
-        result = AvisoDiagnoser(n_correct=8).diagnose(get_bug("pbzip2"),
-                                                      max_failures=10)
-        assert result.found
-        assert result.rank is not None
+        report = _aviso("pbzip2", n_correct=8, max_failures=10)
+        assert report.found
+        assert report.rank is not None
 
     def test_ranking_pairs_are_inter_thread_pcs(self):
-        result = AvisoDiagnoser(n_correct=6).diagnose(get_bug("mysql2"),
-                                                      max_failures=6)
-        for (a, b), _score in result.ranking:
+        report = _aviso("mysql2", n_correct=6, max_failures=6)
+        for c in report.candidates:
+            a, b = (int(pc, 16) for pc in c["key"].split("->"))
             assert isinstance(a, int) and isinstance(b, int)
