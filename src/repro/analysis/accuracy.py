@@ -302,7 +302,7 @@ def run_corpus(spec, jobs=None, faults=None, quarantine=None):
         faults: :class:`~repro.faults.FaultPlan` active for the whole
             corpus (defaults to the ambient plan).
         quarantine: :class:`~repro.faults.Quarantine`; a program whose
-            diagnosis is lost to injected faults is recorded there and
+            diagnosis raises a ReproError is recorded there and
             scored as a miss instead of aborting the corpus.
 
     Returns:

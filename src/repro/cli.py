@@ -6,7 +6,7 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli diagnose gzip
     python -m repro.cli diagnose mysql1 --debug-buffer 120
     python -m repro.cli diagnose gzip --telemetry profile.json
-    python -m repro.cli diagnose gzip --faults seed=3,run_corrupt=0.3 \
+    python -m repro.cli diagnose gzip --faults seed=3,weight_flip=1.0 \
         --quarantine-report quarantine.json
     python -m repro.cli diagnose gen-atomicity-pipeline-s7   # generated bug
     python -m repro.cli trace lu --seed 3 --out lu.jsonl
@@ -524,7 +524,7 @@ def _add_diagnose_args(d):
                         "ensemble:a+b for explicit members")
     d.add_argument("--faults", metavar="SPEC",
                    help="inject faults from a deterministic plan spec, "
-                        "e.g. 'seed=3,run_corrupt=0.2,worker_kill=0.1' "
+                        "e.g. 'seed=3,trace_drop=0.1,weight_flip=1.0' "
                         "(failed units are quarantined, not fatal)")
     d.add_argument("--quarantine-report", metavar="PATH",
                    help="write the quarantine report (skipped units and "

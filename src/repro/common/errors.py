@@ -61,19 +61,18 @@ class FaultInjected(ReproError):
         return (self.__class__, (self.description, self.site, self.key))
 
 
-class WorkerKilled(FaultInjected):
-    """A parallel worker died mid-task (injected or real).
+class WorkerKilled(ReproError):
+    """A pool worker died mid-task through every re-run of its batch.
 
     ``task_index`` is the item's task key (the ``keys`` entry given to
     :func:`repro.parallel.run_tasks`, e.g. the run seed; the position
-    in the batch when no keys are given) and ``attempt`` the retry
-    attempt that died; both cross the process-pool boundary intact so
-    the parent's bounded-retry loop can account for them.
+    in the batch when no keys are given) and ``attempt`` the last
+    attempt that died; both cross the process-pool boundary intact.
     """
 
     def __init__(self, description, task_index=None, attempt=None):
-        super().__init__(description, site="worker_kill",
-                         key=(task_index, attempt))
+        super().__init__(description)
+        self.description = description
         self.task_index = task_index
         self.attempt = attempt
 

@@ -119,8 +119,9 @@ def diagnose_failure(program, config=None, trained=None,
             whole diagnosis (defaults to the ambient plan; the zero
             plan is a no-op and preserves bit-identical output).
         quarantine: :class:`~repro.faults.Quarantine` collecting
-            skip-and-report records for faulted runs; when provided,
-            injected faults degrade coverage instead of raising.
+            skip-and-report records for failed runs and healed
+            modules; when provided, they degrade coverage instead of
+            raising.
         trained_sink: optional callable invoked with the
             :class:`TrainedACT` once training state is in hand (freshly
             trained or passed in). The NN engine's trained-state store

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro import faults as _faults
 from repro import telemetry
-from repro.common.errors import FaultInjected, ReproError
+from repro.common.errors import ReproError
 from repro.core.act_module import ACTModule
 from repro.core.config import ACTConfig
 from repro.core.encoding import DepEncoder
@@ -44,15 +44,7 @@ from repro.workloads.framework import run_program
 def _correct_run_task(payload):
     """Picklable work item for one training/pruning execution."""
     program, seed, params = payload
-    run = run_program(program, seed=seed, **params)
-    plan = _faults.get_plan()
-    if plan.enabled and plan.fires("run_corrupt", seed):
-        # The modelled failure is run-level corruption (a tracer that
-        # wedged, a disk that lied): the execution happened but its
-        # trace cannot be trusted, so the whole run must be discarded.
-        raise FaultInjected(f"injected corrupt run (seed {seed})",
-                            site="run_corrupt", key=seed)
-    return run
+    return run_program(program, seed=seed, **params)
 
 
 def collect_runs_for_seeds(program, seeds, quarantine=None, **params):
@@ -60,14 +52,15 @@ def collect_runs_for_seeds(program, seeds, quarantine=None, **params):
 
     These model the paper's test-suite executions used for offline
     training and for building the post-processing Correct Set. The
-    runs go through :func:`repro.parallel.run_tasks` serially, the
-    worker fault boundary (kill site, retries, quarantine keys).
+    runs go through :func:`repro.parallel.run_tasks` serially, keyed by
+    seed for the quarantine.
 
-    Without a quarantine, a failed or corrupt run aborts the whole
-    collection (the historical strict behaviour). With one, bad runs
-    are recorded and dropped, and only the clean subset is returned --
-    diagnosing on it is identical to never having scheduled the bad
-    seeds (the differential suite pins this).
+    Without a quarantine, a failed run (or one whose program raises a
+    :class:`~repro.common.errors.ReproError`) aborts the whole
+    collection. With one, bad runs are recorded and dropped, and only
+    the clean subset is returned -- diagnosing on it is identical to
+    never having scheduled the bad seeds (the differential suite pins
+    this).
     """
     from repro.parallel import run_tasks
 

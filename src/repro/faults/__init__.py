@@ -1,23 +1,24 @@
 """Fault injection and resilience for the ACT pipeline.
 
 ACT is a *production-run* diagnosis system, so this reproduction must
-keep diagnosing when the runtime misbehaves: lossy traces,
-NaN-poisoned weights, overrun hardware FIFOs, dead ``--jobs`` workers.
-This package provides both halves:
+keep diagnosing when the data it reads is damaged: lossy traces,
+NaN-poisoned weights, overrun hardware FIFOs. This package provides
+both halves:
 
 - **Injection** (:mod:`repro.faults.plan`): a seeded, deterministic
   :class:`FaultPlan` activated process-wide via :func:`use_plan`.
   Instrumented boundaries (``workloads.framework.run_program`` for
-  trace drops and reorders, ``core.buffers``, ``core.offline``,
-  ``repro.parallel``) consult the active plan through
+  trace drops and reorders, ``core.offline`` for weight flips,
+  ``core.buffers`` for FIFO overruns) consult the active plan through
   :func:`get_plan`; the default :data:`ZERO_PLAN` never fires and costs
   one attribute check.
 - **Recovery**:
   :class:`~repro.faults.quarantine.Quarantine` turns per-unit failures
-  into skip-and-report records instead of aborted runs;
-  :func:`repro.parallel.run_tasks` retries killed workers with bounded
-  exponential backoff, so a retried run lands on the same report as an
-  unfaulted one.
+  into skip-and-report records instead of aborted runs. It records
+  failed "correct" runs (``core.offline.collect_runs_for_seeds``), a
+  work unit's :class:`~repro.common.errors.ReproError`
+  (:func:`repro.parallel.run_tasks`) and AMs whose non-finite weights
+  were healed at deployment (``core.deploy``).
 
 The regression contract (``tests/test_faults_differential.py``): with a
 zero plan every output is byte-identical to the unfaulted path; with

@@ -1,16 +1,15 @@
 """Deterministic fault plans.
 
 A :class:`FaultPlan` is a *seeded description* of runtime faults to
-inject across the pipeline's boundaries: trace events dropped or
+inject into the data a diagnosis reads: trace events dropped or
 reordered in every run :func:`repro.workloads.framework.run_program`
-returns, NN weights flipped to NaN/Inf at deployment, AM input-FIFO
-overruns in :mod:`repro.core.buffers`, worker deaths in
-:mod:`repro.parallel`, and whole collected runs declared corrupt.
+returns, NN weights flipped to NaN/Inf at deployment, and AM
+input-FIFO overruns in :mod:`repro.core.buffers`.
 
 Every decision is a pure function of ``(plan.seed, site, key)`` -- a
 blake2b hash mapped to ``[0, 1)`` and compared against the site's rate.
 Nothing is sampled statefully, so the same plan fires the same faults
-no matter how work is ordered, batched across processes, or retried.
+no matter how work is ordered or batched across processes.
 A zero plan (:data:`ZERO_PLAN`) never fires and is free to leave
 active, which is what the differential regression suite pins down: the
 faulted path with a zero plan is byte-identical to the plain path.
@@ -27,8 +26,6 @@ RATE_SITES = {
     "trace_reorder": "trace_reorder",    # per adjacent surviving pair
     "weight_flip": "weight_flip",        # per deployed weight set (tid)
     "fifo_overflow": "fifo_overflow",    # per input-FIFO push
-    "worker_kill": "worker_kill",        # per (task key, attempt)
-    "run_corrupt": "run_corrupt",        # per collected run (seed)
 }
 
 
@@ -44,17 +41,6 @@ class FaultPlan:
     """Seeded, deterministic description of faults to inject.
 
     Rates are probabilities per decision point (see :data:`RATE_SITES`).
-    ``corrupt_run_seeds`` and ``kill_tasks`` name explicit targets on
-    top of the rates: a seed listed in ``corrupt_run_seeds`` always
-    corrupts that collected run, and a ``(task key, attempt)`` pair in
-    ``kill_tasks`` always kills that attempt of that task (the key is
-    the unit's quarantine identity -- the run seed for collection
-    batches, the item index otherwise) -- the knobs the regression
-    tests use to stage exact failure scenarios.
-
-    ``max_retries``/``retry_backoff`` parameterise the recovery side:
-    how often :func:`repro.parallel.run_tasks` re-runs a killed task and
-    the base of its exponential backoff sleep (seconds).
     """
 
     seed: int = 0
@@ -62,31 +48,16 @@ class FaultPlan:
     trace_reorder: float = 0.0
     weight_flip: float = 0.0
     fifo_overflow: float = 0.0
-    worker_kill: float = 0.0
-    run_corrupt: float = 0.0
-    corrupt_run_seeds: tuple = ()
-    kill_tasks: tuple = ()
-    max_retries: int = 2
-    retry_backoff: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "corrupt_run_seeds",
-                           tuple(self.corrupt_run_seeds))
-        object.__setattr__(self, "kill_tasks",
-                           tuple(tuple(t) for t in self.kill_tasks))
         for name in RATE_SITES.values():
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ConfigError(f"fault rate {name}={rate} not in [0, 1]")
-        if self.max_retries < 0:
-            raise ConfigError("max_retries must be >= 0")
-        if self.retry_backoff < 0:
-            raise ConfigError("retry_backoff must be >= 0")
         # Precomputed so hot paths (one check per FIFO push) pay a
         # single attribute read when no fault can ever fire.
-        enabled = (any(getattr(self, n) > 0.0 for n in RATE_SITES.values())
-                   or bool(self.corrupt_run_seeds) or bool(self.kill_tasks))
-        object.__setattr__(self, "enabled", enabled)
+        object.__setattr__(self, "enabled", any(
+            getattr(self, n) > 0.0 for n in RATE_SITES.values()))
 
     # ------------------------------------------------------------------
 
@@ -96,10 +67,6 @@ class FaultPlan:
 
     def fires(self, site, *key):
         """Does the planned fault at ``site`` fire for ``key``?"""
-        if site == "run_corrupt" and key and key[0] in self.corrupt_run_seeds:
-            return True
-        if site == "worker_kill" and tuple(key) in self.kill_tasks:
-            return True
         rate = getattr(self, RATE_SITES[site])
         return rate > 0.0 and self.uniform(site, *key) < rate
 
@@ -107,13 +74,12 @@ class FaultPlan:
 
     @classmethod
     def from_spec(cls, spec):
-        """Parse a CLI spec like ``"seed=3,worker_kill=0.1,trace_drop=0.05"``.
+        """Parse a CLI spec like ``"seed=3,trace_drop=0.05"``.
 
-        Keys are FaultPlan field names; list fields take ``;``-separated
-        values (``corrupt_run_seeds=104;105``).
+        Keys are FaultPlan field names.
         """
         kwargs = {}
-        known = {f.name: f for f in fields(cls)}
+        known = {f.name for f in fields(cls)}
         for part in filter(None, (p.strip() for p in spec.split(","))):
             if "=" not in part:
                 raise ConfigError(f"bad fault spec entry {part!r} "
@@ -123,16 +89,7 @@ class FaultPlan:
                 raise ConfigError(
                     f"unknown fault spec key {key!r} "
                     f"(known: {', '.join(sorted(known))})")
-            if key == "corrupt_run_seeds":
-                kwargs[key] = tuple(int(v) for v in value.split(";") if v)
-            elif key == "kill_tasks":
-                kwargs[key] = tuple(
-                    tuple(int(x) for x in v.split(":"))
-                    for v in value.split(";") if v)
-            elif key in ("seed", "max_retries"):
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = float(value)
+            kwargs[key] = int(value) if key == "seed" else float(value)
         return cls(**kwargs)
 
     def describe(self):
@@ -142,12 +99,6 @@ class FaultPlan:
             rate = getattr(self, name)
             if rate > 0.0:
                 parts.append(f"{name}={rate:g}")
-        if self.corrupt_run_seeds:
-            parts.append("corrupt_run_seeds="
-                         + ";".join(str(s) for s in self.corrupt_run_seeds))
-        if self.kill_tasks:
-            parts.append("kill_tasks="
-                         + ";".join(f"{i}:{a}" for i, a in self.kill_tasks))
         return ",".join(parts)
 
 
@@ -159,8 +110,8 @@ def flip_weights(flat, plan, tid):
     """Return a copy of ``flat`` with one entry flipped to NaN or +/-Inf.
 
     The victim index and replacement value are deterministic functions
-    of the plan seed and ``tid``, so a retried deployment sees the exact
-    same corruption.
+    of the plan seed and ``tid``, so every deployment of one weight set
+    sees the exact same corruption.
     """
     import numpy as np
 

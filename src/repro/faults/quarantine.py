@@ -1,7 +1,7 @@
 """Quarantine: skip-and-report instead of abort.
 
 A production diagnosis over dozens of runs must not die because one
-run, trace file or worker is corrupt. A :class:`Quarantine` collects
+run fails or one worker dies. A :class:`Quarantine` collects
 the units of work that failed -- with the phase, the unit's key and the
 error -- so the pipeline can continue on the clean subset and report
 exactly what was dropped. The differential regression suite pins the

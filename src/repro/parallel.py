@@ -33,28 +33,23 @@ tracks its spans under a deterministic per-task scope
 as children of the dispatching span -- a ``--jobs N`` run yields one
 coherent trace tree whose ids depend only on the work, never on which
 OS process executed it (or whether that process was freshly spawned or
-warm). A task whose worker died for good (retries exhausted,
-quarantined) leaves a closed span flagged ``orphaned`` at its dispatch
-site instead of a dangling tree.
+warm). A task lost for good (its worker died through every re-run, or it
+was quarantined) leaves a closed span flagged ``orphaned`` at its
+dispatch site instead of a dangling tree.
 
-This is also the pipeline's worker fault boundary:
+Failures are handled per item:
 
 - the active :class:`~repro.faults.FaultPlan` propagates into pool
-  workers, and its ``worker_kill`` site abruptly terminates a task
-  (raising :class:`~repro.common.errors.WorkerKilled`, deterministically
-  per ``(task key, attempt)`` -- the per-item quarantine key, e.g. the
-  run seed, so the same task dies no matter how the batch is split)
-  -- the same site fires on the serial path, so serial and
-  parallel execution stay result-identical;
-- killed tasks are retried up to ``plan.max_retries`` times with
-  exponential backoff (``plan.retry_backoff`` seconds base);
+  workers, so a run a worker collects carries the same trace damage
+  as the serial run;
 - a *genuine* worker crash (the pool breaks, e.g. a worker was
   OOM-killed) takes down every item in flight on that pool; the shared
   pool is rebuilt (it comes back warm for subsequent batches) and the
-  unfinished items are retried under the same bounded-retry budget;
-- with a :class:`~repro.faults.Quarantine`, items that exhaust their
-  retries or fail with a :class:`~repro.common.errors.ReproError` are
-  recorded and yield ``None`` instead of aborting the whole batch.
+  unfinished items re-run, at most :data:`POOL_RERUNS` times, before
+  :class:`~repro.common.errors.WorkerKilled` is raised for them;
+- with a :class:`~repro.faults.Quarantine`, items that fail with a
+  :class:`~repro.common.errors.ReproError` (a ``WorkerKilled`` included)
+  are recorded and yield ``None`` instead of aborting the whole batch.
 
 Work functions and items must be picklable: module-level functions with
 plain-data payloads. Callers pass ``jobs=None``/``1`` for the plain
@@ -64,7 +59,6 @@ one worker per CPU.
 
 import atexit
 import os
-import time
 
 from repro import faults as _faults
 from repro import telemetry
@@ -166,10 +160,9 @@ def get_pool():
     return _POOL
 
 
-def _backoff(plan, attempt):
-    """Sleep before retry ``attempt`` (1-based): exponential backoff."""
-    if plan.retry_backoff > 0:
-        time.sleep(plan.retry_backoff * 2 ** (attempt - 1))
+#: How often a batch re-runs the items in flight on a pool that broke
+#: before it gives them up as :class:`~repro.common.errors.WorkerKilled`.
+POOL_RERUNS = 2
 
 
 def _tele_spec(tele, phase):
@@ -193,17 +186,13 @@ def _invoke(payload):
 
     Re-activates the parent's fault plan inside the worker (module
     globals do not cross the process boundary -- and a warm worker may
-    carry a previous batch's globals), hosts the injected worker-kill
-    site and records telemetry into a child registry. The outcome comes
-    back tagged so the parent applies retry/quarantine policy per item.
+    carry a previous batch's globals) and records telemetry into a
+    child registry. The outcome comes back tagged so the parent applies
+    the quarantine per item.
     """
-    fn, item, key, attempt, tspec, plan = payload
+    fn, item, key, tspec, plan = payload
     try:
         with _faults.use_plan(plan):
-            if plan.enabled and plan.fires("worker_kill", key, attempt):
-                raise WorkerKilled(
-                    f"injected worker death (task {key}, attempt {attempt})",
-                    task_index=key, attempt=attempt)
             if tspec is None:
                 return "ok", fn(item), None
             cspec, trace_id, parent_id, batch_scope, phase = tspec
@@ -216,135 +205,92 @@ def _invoke(payload):
                 with reg.span("parallel.task", phase=phase, key=key):
                     out = fn(item)
             return "ok", out, reg.snapshot(exact=True)
-    except WorkerKilled as e:
-        return "killed", e, None
     except Exception as e:  # noqa: BLE001 - re-raised in the parent
         return "error", e, None
 
 
-def _orphaned(tele, phase, key, attempts):
-    """Flag a task lost for good with a closed ``orphaned`` span."""
-    if not tele.enabled:
-        return
-    tele.tracer.orphan("parallel.task", phase=phase, key=key,
-                       attempts=attempts)
+def _lose(quarantine, tele, phase, key, error, attempts):
+    """Quarantine a failed item; its task span closes ``orphaned``."""
+    quarantine.admit(phase, key, error, attempts=attempts)
+    if tele.enabled:
+        tele.tracer.orphan("parallel.task", phase=phase, key=key,
+                           attempts=attempts)
 
 
-def _run_serial(fn, items, keys, plan, quarantine, phase, tele):
-    """The serial loop, with the same kill/retry/quarantine semantics."""
+def _run_serial(fn, items, keys, quarantine, phase, tele):
+    """The serial loop, with the pool's quarantine semantics."""
     results = []
-    for index, item in enumerate(items):
-        attempt = 0
-        while True:
-            try:
-                if plan.enabled and plan.fires("worker_kill", keys[index],
-                                               attempt):
-                    raise WorkerKilled(
-                        f"injected worker death (task {keys[index]}, "
-                        f"attempt {attempt})",
-                        task_index=keys[index], attempt=attempt)
-                with tele.span("parallel.task", phase=phase,
-                               key=keys[index]):
-                    results.append(fn(item))
-                break
-            except WorkerKilled as e:
-                tele.inc("faults.worker_kills")
-                if attempt >= plan.max_retries:
-                    if quarantine is not None:
-                        quarantine.admit(phase, keys[index], e,
-                                         attempts=attempt + 1)
-                        _orphaned(tele, phase, keys[index], attempt + 1)
-                        results.append(None)
-                        break
-                    raise
-                attempt += 1
-                tele.inc("parallel.retries")
-                _backoff(plan, attempt)
-            except ReproError as e:
-                if quarantine is not None:
-                    quarantine.admit(phase, keys[index], e,
-                                     attempts=attempt + 1)
-                    _orphaned(tele, phase, keys[index], attempt + 1)
-                    results.append(None)
-                    break
+    for item, key in zip(items, keys):
+        try:
+            with tele.span("parallel.task", phase=phase, key=key):
+                results.append(fn(item))
+        except ReproError as e:
+            if quarantine is None:
                 raise
+            _lose(quarantine, tele, phase, key, e, 1)
+            results.append(None)
     return results
 
 
-def _run_pool(fn, items, keys, plan, quarantine, phase, tele, n_workers):
-    """Dispatch items across the warm pool with bounded retries."""
+def _run_pool(fn, items, keys, quarantine, phase, tele, n_workers):
+    """Dispatch items across the warm pool, rebuilding it if it breaks."""
     from concurrent.futures.process import BrokenProcessPool
 
     tspec = _tele_spec(tele, phase)
+    plan = _faults.get_plan()
     n = len(items)
     results = [None] * n
     snaps = [None] * n
     errors = {}
-    pending = {i: 0 for i in range(n)}  # index -> attempt
-    while pending:
-        max_attempt = max(pending.values())
-        if max_attempt:
-            _backoff(plan, max_attempt)
-        retry = {}
-        pool_broke = False
+    pending = list(range(n))
+    for _ in range(POOL_RERUNS + 1):
         ex = _POOL.executor(n_workers)
         futures = []
-        for index in sorted(pending):
+        for index in pending:
             try:
                 fut = ex.submit(_invoke, (fn, items[index], keys[index],
-                                          pending[index], tspec, plan))
+                                          tspec, plan))
             except BrokenProcessPool:
                 # The shared pool died between batches; treat the item
                 # like an in-flight crash below.
                 fut = None
             futures.append((index, fut))
+        broken = []
         for index, future in futures:
-            attempt = pending[index]
             try:
                 if future is None:
                     raise BrokenProcessPool("pool broken at submit")
                 tag, value, snap = future.result()
             except BrokenProcessPool:
                 # A real worker death: every item in flight on this
-                # pool fails together. Rebuild the pool and re-run them
-                # under the same bounded-retry budget.
-                pool_broke = True
-                tag, value = "killed", WorkerKilled(
-                    f"worker process died (task {keys[index]}, "
-                    f"attempt {attempt}); retries exhausted",
-                    task_index=keys[index], attempt=attempt)
+                # pool fails together.
+                broken.append(index)
+                continue
             if tag == "ok":
                 results[index] = value
                 snaps[index] = snap
-            elif tag == "killed":
-                tele.inc("faults.worker_kills")
-                if attempt >= plan.max_retries:
-                    errors[index] = value
-                else:
-                    retry[index] = attempt + 1
-                    tele.inc("parallel.retries")
             else:
                 errors[index] = value
-        if pool_broke:
-            tele.inc("parallel.pool_restarts")
-            _POOL.restart()
-        pending = retry
+        if not broken:
+            break
+        tele.inc("parallel.pool_restarts")
+        _POOL.restart()
+        pending = broken
+    else:
+        for index in pending:
+            errors[index] = WorkerKilled(
+                f"worker process died (task {keys[index]}, attempt "
+                f"{POOL_RERUNS}); re-runs exhausted",
+                task_index=keys[index], attempt=POOL_RERUNS)
+    if quarantine is not None:
+        for index in sorted(errors):
+            e = errors[index]
+            if isinstance(e, ReproError):
+                _lose(quarantine, tele, phase, keys[index], e,
+                      POOL_RERUNS + 1 if isinstance(e, WorkerKilled) else 1)
+                del errors[index]
     if errors:
-        if quarantine is not None:
-            hard = {}
-            for index, e in sorted(errors.items()):
-                if isinstance(e, ReproError):
-                    attempts = (plan.max_retries + 1
-                                if isinstance(e, WorkerKilled) else 1)
-                    quarantine.admit(phase, keys[index], e,
-                                     attempts=attempts)
-                    _orphaned(tele, phase, keys[index], attempts)
-                    results[index] = None
-                else:
-                    hard[index] = e
-            errors = hard
-        if errors:
-            raise errors[min(errors)]
+        raise errors[min(errors)]
     return results, snaps
 
 
@@ -364,10 +310,9 @@ def run_tasks(fn, items, jobs=None, quarantine=None, phase="parallel",
             (:func:`get_pool`); only the first one pays startup.
         quarantine: optional :class:`~repro.faults.Quarantine`. Items
             that fail with a :class:`~repro.common.errors.ReproError`
-            (including injected faults and exhausted worker-kill
-            retries) are recorded there and yield ``None`` in the
-            result list instead of raising. Other exceptions always
-            propagate.
+            (a worker that died through every pool re-run included)
+            are recorded there and yield ``None`` in the result list
+            instead of raising. Other exceptions always propagate.
         phase: quarantine phase label for failed items.
         keys: per-item identities for quarantine records (defaults to
             the item index).
@@ -379,13 +324,12 @@ def run_tasks(fn, items, jobs=None, quarantine=None, phase="parallel",
     keys = list(keys) if keys is not None else list(range(len(items)))
     if len(keys) != len(items):
         raise ReproError("run_tasks: keys must match items 1:1")
-    plan = _faults.get_plan()
     tele = telemetry.get_registry()
     n_workers = min(resolve_jobs(jobs), len(items))
     if n_workers <= 1:
-        return _run_serial(fn, items, keys, plan, quarantine, phase, tele)
-    results, snaps = _run_pool(fn, items, keys, plan, quarantine, phase,
-                               tele, n_workers)
+        return _run_serial(fn, items, keys, quarantine, phase, tele)
+    results, snaps = _run_pool(fn, items, keys, quarantine, phase, tele,
+                               n_workers)
     if tele.enabled:
         tele.inc("parallel.batches")
         tele.inc("parallel.tasks", len(items))

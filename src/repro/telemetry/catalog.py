@@ -82,8 +82,6 @@ CATALOG = (
                "work batches dispatched to the process pool"),
     MetricSpec("parallel.tasks", COUNTER, "repro.parallel",
                "individual work items executed in pool workers"),
-    MetricSpec("parallel.retries", COUNTER, "repro.parallel",
-               "task re-executions after a worker death"),
     MetricSpec("parallel.pool_restarts", COUNTER, "repro.parallel",
                "process pools rebuilt after a genuine worker crash"),
     MetricSpec("parallel.jobs_resolved", GAUGE, "repro.parallel",
@@ -111,8 +109,6 @@ CATALOG = (
                "deployed weight sets poisoned with NaN/Inf by the plan"),
     MetricSpec("faults.weights_healed", COUNTER, "core.deploy",
                "AMs whose non-finite weights were replaced at deploy"),
-    MetricSpec("faults.worker_kills", COUNTER, "repro.parallel",
-               "worker deaths observed (injected or real)"),
     MetricSpec("faults.quarantined", COUNTER, "repro.faults",
                "work units quarantined instead of aborting the run"),
     # -- generated corpus & accuracy harness ---------------------------
@@ -123,7 +119,9 @@ CATALOG = (
     MetricSpec("corpus.found", COUNTER, "analysis.accuracy",
                "corpus programs whose root cause was ranked"),
     MetricSpec("corpus.quarantined", COUNTER, "analysis.accuracy",
-               "corpus programs lost to injected faults (scored as misses)"),
+               "corpus programs whose diagnosis raised an error, e.g. "
+               "training runs left with no dependences (scored as "
+               "misses)"),
     # -- predictor engines (repro.engines) ------------------------------
     MetricSpec("engine.trainings", COUNTER, "repro.engines",
                "cold engine trainings run by the registry-routed path"),

@@ -147,12 +147,13 @@ class SpanTracer:
         return self._stack[-1] if self._stack else None
 
     def orphan(self, name, **attrs):
-        """Record an already-dead span: a task whose worker never came back.
+        """Record an already-dead span: a task lost for good.
 
         The span is born closed with status ``orphaned`` and zero
         duration, parented under the innermost open span, so a trace
-        tree never dangles when a worker is killed mid-task -- the lost
-        work is flagged exactly where it was dispatched.
+        tree never dangles when a task is quarantined or its worker
+        dies -- the lost work is flagged exactly where it was
+        dispatched.
         """
         parent = self._stack[-1] if self._stack else None
         span = Span(name=name, attrs=attrs, span_id=self._next_id(),

@@ -11,10 +11,12 @@ from repro.analysis.table5 import (
     PBI_CORRECT_SEED0,
     PBI_FAILURE_SEED,
 )
+from repro.baselines import aviso
 from repro.baselines.pbi import Predicate
 from repro.baselines.pset import PSetInvariants
 from repro.core.offline import collect_correct_runs
 from repro.engines.baseline_engines import AvisoEngine, PBIEngine
+from repro.trace.events import EventKind, TraceEvent, TraceRun
 from repro.trace.raw import RawDep
 from repro.workloads.framework import run_program
 from repro.workloads.registry import get_bug, get_kernel
@@ -116,7 +118,15 @@ class TestAviso:
         assert report.rank is not None
 
     def test_ranking_pairs_are_inter_thread_pcs(self):
-        report = _aviso("mysql2", n_correct=6, max_failures=6)
-        for c in report.candidates:
-            a, b = (int(pc, 16) for pc in c["key"].split("->"))
-            assert isinstance(a, int) and isinstance(b, int)
+        # Thread 0 runs pcs 0x10, 0x14 and thread 1 pcs 0x20, 0x24,
+        # interleaved; each thread's own pair must not be a candidate.
+        load, store = EventKind.LOAD, EventKind.STORE
+        run = TraceRun(events=[
+            TraceEvent(0, 0x10, load, addr=0x100),
+            TraceEvent(1, 0x20, store, addr=0x100),
+            TraceEvent(0, 0x14, store, addr=0x104),
+            TraceEvent(1, 0x24, load, addr=0x104),
+        ], n_threads=2)
+        cross = {(0x10, 0x20), (0x10, 0x24), (0x20, 0x14), (0x14, 0x24)}
+        assert aviso._window_pairs(run) == cross
+        assert aviso._sampled_pairs(run) == cross

@@ -19,6 +19,9 @@ import pytest
 
 from repro import telemetry
 from repro.cli import main
+from repro.common.errors import CheckpointError
+from repro.engines import TrainedStateDir, create
+from repro.workloads.registry import get_bug
 
 FAST = ["--train-runs", "4", "--pruning-runs", "6"]
 TRAIN_SPANS = {"engine.train", "diagnose.offline_train"}
@@ -108,9 +111,6 @@ class TestCacheDir:
         assert warm == cold
 
     def test_key_is_order_independent(self):
-        from repro.engines import create
-        from repro.workloads.registry import get_bug
-
         program = get_bug("gzip")
         nn = create("nn")
         assert (nn.store_key({}, program, 4, 0, {"buggy": False, "n": 2})
@@ -165,8 +165,6 @@ class TestCacheDirCLI:
         # A flip that leaves the parsed entry equal (say, the 17th digit
         # of a float that reads back as the same double) may load;
         # every other flip must be refused.
-        from repro.common.errors import CheckpointError
-        from repro.engines import TrainedStateDir
 
         cache = tmp_path / "c"
         self._cli(capsys, "--cache-dir", str(cache))
@@ -270,12 +268,171 @@ class TestFitIdentity:
 
     def test_fit_settings_are_in_the_key(self, monkeypatch):
         from repro.core import offline
-        from repro.engines import create
         from repro.nn.trainer import TrainConfig
-        from repro.workloads.registry import get_bug
 
         program = get_bug("gzip")
         base = create("nn").store_key({}, program, 4, 0, None)
         monkeypatch.setattr(offline, "TrainConfig",
                             lambda **kw: TrainConfig(step_size=0.1, **kw))
         assert create("nn").store_key({}, program, 4, 0, None) != base
+
+
+class TestTrainedStateDir:
+    """The ``--cache-dir`` entry file: checksummed, atomically written,
+    and refused whenever it cannot be trusted."""
+
+    KEY = '{"program":"gzip","runs":4}'
+
+    def _entry(self, store, key=KEY):
+        return pathlib.Path(store._file(key))
+
+    def _rewrite(self, path, **fields):
+        """Re-sign the entry at ``path`` with ``fields`` replaced, as a
+        writer of another entry kind or key would have."""
+        body = json.loads(path.read_text())
+        body.update(fields)
+        body["checksum"] = TrainedStateDir._checksum(
+            {k: body[k] for k in ("kind", "fingerprint", "phases")})
+        path.write_text(json.dumps(body, sort_keys=True))
+
+    def test_save_load_round_trip(self, tmp_path):
+        store = TrainedStateDir(str(tmp_path))
+        # The entry holds JSON: tuples come back as lists, int keys as
+        # strings, and the checksum still holds.
+        store[self.KEY] = {"weights": [1.5, 2.5], "pair": (1, 2),
+                           "by_tid": {10: "a", 2: "b"}}
+        assert store.get(self.KEY) == {"weights": [1.5, 2.5],
+                                       "pair": [1, 2],
+                                       "by_tid": {"10": "a", "2": "b"}}
+
+    def test_reopened_dir_loads_saved_entry(self, tmp_path):
+        TrainedStateDir(str(tmp_path))[self.KEY] = {"p": 1}
+        assert TrainedStateDir(str(tmp_path)).get(self.KEY) == {"p": 1}
+
+    def test_missing_dir_misses_without_creating_it(self, tmp_path):
+        store = TrainedStateDir(str(tmp_path / "c"))
+        assert store.get(self.KEY) is None
+        assert not (tmp_path / "c").exists()
+
+    def test_kind_mismatch_refused(self, tmp_path):
+        store = TrainedStateDir(str(tmp_path))
+        store[self.KEY] = {"p": 1}
+        self._rewrite(self._entry(store), kind="diagnosis")
+        with pytest.raises(CheckpointError, match="'diagnosis' snapshot"):
+            store.get(self.KEY)
+
+    def test_fingerprint_mismatch_refused(self, tmp_path):
+        store = TrainedStateDir(str(tmp_path))
+        store[self.KEY] = {"p": 1}
+        other = '{"program":"gzip","runs":20}'
+        self._entry(store).replace(self._entry(store, other))
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            store.get(other)
+
+    def test_fingerprint_comparison_is_json_normalised(self, tmp_path):
+        # The fingerprint is the canonical-JSON store key: params given
+        # as a tuple or as a list name one entry.
+        program, nn = get_bug("gzip"), create("nn")
+        as_tuple = nn.store_key({}, program, 4, 0, {"seeds": (1, 2)})
+        as_list = nn.store_key({}, program, 4, 0, {"seeds": [1, 2]})
+        assert as_tuple == as_list
+        store = TrainedStateDir(str(tmp_path))
+        store[as_tuple] = {"p": 1}
+        assert store.get(as_list) == {"p": 1}
+
+    def test_unsupported_format_refused(self, tmp_path):
+        store = TrainedStateDir(str(tmp_path))
+        store[self.KEY] = {"p": 1}
+        self._rewrite(self._entry(store), format=2)
+        with pytest.raises(CheckpointError, match="unsupported"):
+            store.get(self.KEY)
+
+    def test_checksum_detects_tampering(self, tmp_path):
+        store = TrainedStateDir(str(tmp_path))
+        store[self.KEY] = {"p": [1, 2, 3]}
+        path = self._entry(store)
+        body = json.loads(path.read_text())
+        body["phases"]["state"]["p"] = [1, 2, 4]
+        path.write_text(json.dumps(body))
+        with pytest.raises(CheckpointError, match="checksum"):
+            store.get(self.KEY)
+
+    def test_truncated_file_detected(self, tmp_path):
+        store = TrainedStateDir(str(tmp_path))
+        store[self.KEY] = {"p": 1}
+        path = self._entry(store)
+        path.write_text(path.read_text()[:-20])
+        with pytest.raises(CheckpointError):
+            store.get(self.KEY)
+
+    def test_saves_are_atomic(self, tmp_path):
+        store = TrainedStateDir(str(tmp_path))
+        for i in range(5):
+            store[self.KEY] = {"i": list(range(i))}
+            # no tmp file left, and every intermediate file is whole
+            assert os.listdir(tmp_path) == [self._entry(store).name]
+            assert store.get(self.KEY) == {"i": list(range(i))}
+
+    def test_concurrent_saves_to_one_path_both_land(self, tmp_path,
+                                                    monkeypatch):
+        # A second save to the same entry runs between the first save's
+        # write and its rename -- two processes filling one cache entry.
+        # With a shared tmp name the inner save renames the outer's file
+        # away and the outer rename fails (or moves a torn file in).
+        store = TrainedStateDir(str(tmp_path))
+        real_replace = os.replace
+        calls = []
+
+        def replace(src, dst):
+            calls.append(src)
+            if len(calls) == 1:
+                store[self.KEY] = {"p": "inner"}
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        store[self.KEY] = {"p": "outer"}
+        assert len(calls) == 2 and calls[0] != calls[1]
+        assert store.get(self.KEY) == {"p": "outer"}
+        assert os.listdir(tmp_path) == [self._entry(store).name]
+
+    def test_concurrent_processes_saving_one_path(self, tmp_path):
+        # More writers than cores, each saving the same entry in a loop:
+        # every save must succeed and the file must always load whole.
+        script = ("import sys\n"
+                  "from repro.engines import TrainedStateDir\n"
+                  "store = TrainedStateDir(sys.argv[1])\n"
+                  "for i in range(40):\n"
+                  "    store['k'] = {'w': sys.argv[2], 'i': i}\n")
+        env = dict(os.environ)
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        procs = [subprocess.Popen([sys.executable, "-c", script,
+                                   str(tmp_path), str(n)], env=env,
+                                  stderr=subprocess.PIPE, text=True)
+                 for n in range(2 * (os.cpu_count() or 1) + 2)]
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err[-500:]
+        store = TrainedStateDir(str(tmp_path))
+        assert store.get("k")["i"] == 39
+        assert os.listdir(tmp_path) == [self._entry(store, "k").name]
+
+    def test_failed_save_removes_its_tmp_file(self, tmp_path, monkeypatch):
+        def replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="disk full"):
+            TrainedStateDir(str(tmp_path))[self.KEY] = {"p": 1}
+        assert os.listdir(tmp_path) == []
+
+    def test_telemetry_counters(self, tmp_path):
+        store = TrainedStateDir(str(tmp_path))
+        with telemetry.use_registry(telemetry.Registry()) as reg:
+            assert store.get(self.KEY) is None
+            store[self.KEY] = {"p": 1}
+            store[self.KEY] = {"p": 2}
+            assert store.get(self.KEY) == {"p": 2}
+        counters = reg.snapshot()["counters"]
+        assert (counters["cache.saves"], counters["cache.hits"],
+                counters["cache.misses"]) == (2, 1, 1)

@@ -232,20 +232,23 @@ class TestFaultsCLI:
     def test_faults_with_quarantine_report(self, tmp_path, capsys):
         report = tmp_path / "quarantine.json"
         rc = main(["diagnose", "gzip", *self.ARGS,
-                   "--faults", "seed=3,corrupt_run_seeds=104",
+                   "--faults", "seed=3,weight_flip=1.0",
                    "--quarantine-report", str(report)])
         out = capsys.readouterr().out
         assert rc in (0, 1)
-        assert "quarantined [offline.collect] 104" in out
+        assert "quarantined [deploy.weights] 0" in out
         import json
         doc = json.loads(report.read_text())
         assert doc["n_quarantined"] == 1
-        assert doc["records"][0]["key"] == 104
+        assert doc["records"][0]["key"] == 0
 
     def test_bad_faults_spec_rejected(self, capsys):
-        rc = main(["diagnose", "gzip", "--faults", "frobnicate=1"])
-        assert rc == 2
-        assert "bad --faults spec" in capsys.readouterr().err
+        # The retired worker_kill and run_corrupt sites are unknown keys.
+        for spec in ("frobnicate=1", "seed=3,worker_kill=0.1",
+                     "run_corrupt=0.5"):
+            rc = main(["diagnose", "gzip", "--faults", spec])
+            assert rc == 2
+            assert "bad --faults spec" in capsys.readouterr().err
 
 
 class TestCorpusCLI:

@@ -73,11 +73,10 @@ _ERROR_SAMPLES = [
     (ConfigError("bad config"), {}),
     (TraceError("bad trace"), {}),
     (SimulatedFailure("boom", tid=3, pc=0x40), {"tid": 3, "pc": 0x40}),
-    (FaultInjected("injected", site="run_corrupt", key=104),
-     {"site": "run_corrupt", "key": 104}),
+    (FaultInjected("healed", site="weight_flip", key=3),
+     {"site": "weight_flip", "key": 3}),
     (WorkerKilled("died", task_index=7, attempt=2),
-     {"task_index": 7, "attempt": 2, "site": "worker_kill",
-      "key": (7, 2)}),
+     {"task_index": 7, "attempt": 2}),
     (CheckpointError("corrupt", path="/tmp/ck.json"),
      {"path": "/tmp/ck.json"}),
     (EngineError("unknown engine 'bogus'", engine="bogus",

@@ -175,10 +175,11 @@ class TestCorrectSetReuse:
         assert len(collected) == 2
 
     @pytest.mark.parametrize("plan, n_records", [
-        (FaultPlan(seed=0, corrupt_run_seeds=(101,)), 1),
-        # Enabled, but nothing it names ever runs: the build is clean.
-        (FaultPlan(seed=0, kill_tasks=((999, 0),)), 0),
-    ], ids=["corrupt-run", "clean-build"])
+        # The failure run's deployed weights are flipped and healed.
+        (FaultPlan(seed=0, weight_flip=1.0), 1),
+        # Enabled, but no run is lost: the build is clean.
+        (FaultPlan(seed=0, trace_drop=0.1), 0),
+    ], ids=["healed-weights", "clean-build"])
     def test_enabled_fault_plan_bypasses_the_memo(self, tinybug, fresh,
                                                   collected, plan,
                                                   n_records):

@@ -1,27 +1,21 @@
 """Unit tests for the fault-injection subsystem (repro.faults).
 
-Covers the deterministic plan, every injection site, the recovery
-machinery around each site, and the checksummed entry file of the
-``--cache-dir`` store. The end-to-end guarantees (zero-fault byte
-identity, quarantine-subset equivalence, kill/retry) live in
+Covers the deterministic plan, every injection site and the recovery
+machinery around each site. The end-to-end guarantees (zero-fault byte
+identity, quarantine-subset equivalence) live in
 tests/test_faults_differential.py.
 """
 
-import json
-import os
-import pathlib
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.common.errors import CheckpointError, ConfigError, TraceError
+from repro.common.errors import ConfigError, TraceError
 from repro.core.buffers import InputGeneratorBuffer
 from repro.core.deploy import deploy_on_run
-from repro.engines import TrainedStateDir, create
+from repro.engines import create
 from repro.faults import (
     ZERO_PLAN,
     FaultPlan,
@@ -39,7 +33,7 @@ class TestFaultPlan:
     def test_zero_plan_never_fires(self):
         assert not ZERO_PLAN.enabled
         assert not ZERO_PLAN.fires("trace_drop", 0)
-        assert not ZERO_PLAN.fires("worker_kill", 3, 1)
+        assert not ZERO_PLAN.fires("fifo_overflow", 3, 1)
 
     def test_decisions_are_deterministic(self):
         a = FaultPlan(seed=7, trace_drop=0.3)
@@ -59,36 +53,23 @@ class TestFaultPlan:
         hits = sum(plan.fires("trace_drop", i) for i in range(10_000))
         assert 0.25 < hits / 10_000 < 0.35
 
-    def test_explicit_corrupt_seeds_always_fire(self):
-        plan = FaultPlan(seed=0, corrupt_run_seeds=(104,))
-        assert plan.enabled
-        assert plan.fires("run_corrupt", 104)
-        assert not plan.fires("run_corrupt", 105)
-
-    def test_explicit_kill_tasks_always_fire(self):
-        plan = FaultPlan(seed=0, kill_tasks=((2, 0), (2, 1)))
-        assert plan.fires("worker_kill", 2, 0)
-        assert plan.fires("worker_kill", 2, 1)
-        assert not plan.fires("worker_kill", 2, 2)
-        assert not plan.fires("worker_kill", 3, 0)
-
     def test_rate_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
             FaultPlan(trace_drop=1.5)
         with pytest.raises(ConfigError):
-            FaultPlan(worker_kill=-0.1)
-        with pytest.raises(ConfigError):
-            FaultPlan(max_retries=-1)
+            FaultPlan(weight_flip=-0.1)
 
     def test_spec_round_trip(self):
-        plan = FaultPlan(seed=3, worker_kill=0.1, trace_drop=0.05,
-                         corrupt_run_seeds=(104, 105),
-                         kill_tasks=((2, 0), (2, 1)))
+        plan = FaultPlan(seed=3, trace_drop=0.05, trace_reorder=0.2,
+                         weight_flip=1.0, fifo_overflow=0.01)
         assert FaultPlan.from_spec(plan.describe()) == plan
 
     def test_spec_rejects_unknown_key(self):
-        with pytest.raises(ConfigError):
-            FaultPlan.from_spec("frobnicate=1")
+        # The retired worker_kill and run_corrupt sites are unknown keys.
+        for spec in ("frobnicate=1", "seed=3,worker_kill=0.1",
+                     "run_corrupt=0.5"):
+            with pytest.raises(ConfigError, match="unknown fault spec key"):
+                FaultPlan.from_spec(spec)
         with pytest.raises(ConfigError):
             FaultPlan.from_spec("justakey")
 
@@ -157,7 +138,7 @@ class TestTraceFaults:
         plain = run_program(pingpong, seed=1)
         write_trace(plain, tmp_path / "plain.trace")
         for i, plan in enumerate((ZERO_PLAN,
-                                  FaultPlan(seed=3, worker_kill=0.5))):
+                                  FaultPlan(seed=3, weight_flip=0.5))):
             run = self._run(pingpong, plan)
             assert run.events == plain.events
             write_trace(run, tmp_path / f"{i}.trace")
@@ -303,164 +284,3 @@ class TestWeightFlips:
         assert healed.n_deps == clean.n_deps
         for module in healed.modules.values():
             assert np.isfinite(module.net.read_weights()).all()
-
-
-class TestCheckpoint:
-    """The ``--cache-dir`` entry file: checksummed, atomically written,
-    and refused whenever it cannot be trusted."""
-
-    KEY = '{"program":"gzip","runs":4}'
-
-    def _entry(self, store, key=KEY):
-        return pathlib.Path(store._file(key))
-
-    def _rewrite(self, path, **fields):
-        """Re-sign the entry at ``path`` with ``fields`` replaced, as a
-        writer of another entry kind or key would have."""
-        body = json.loads(path.read_text())
-        body.update(fields)
-        body["checksum"] = TrainedStateDir._checksum(
-            {k: body[k] for k in ("kind", "fingerprint", "phases")})
-        path.write_text(json.dumps(body, sort_keys=True))
-
-    def test_save_load_round_trip(self, tmp_path):
-        store = TrainedStateDir(str(tmp_path))
-        # The entry holds JSON: tuples come back as lists, int keys as
-        # strings, and the checksum still holds.
-        store[self.KEY] = {"weights": [1.5, 2.5], "pair": (1, 2),
-                           "by_tid": {10: "a", 2: "b"}}
-        assert store.get(self.KEY) == {"weights": [1.5, 2.5],
-                                       "pair": [1, 2],
-                                       "by_tid": {"10": "a", "2": "b"}}
-
-    def test_open_resumes_matching_checkpoint(self, tmp_path):
-        TrainedStateDir(str(tmp_path))[self.KEY] = {"p": 1}
-        assert TrainedStateDir(str(tmp_path)).get(self.KEY) == {"p": 1}
-
-    def test_open_fresh_when_missing(self, tmp_path):
-        store = TrainedStateDir(str(tmp_path / "c"))
-        assert store.get(self.KEY) is None
-        assert not (tmp_path / "c").exists()
-
-    def test_kind_mismatch_refused(self, tmp_path):
-        store = TrainedStateDir(str(tmp_path))
-        store[self.KEY] = {"p": 1}
-        self._rewrite(self._entry(store), kind="diagnosis")
-        with pytest.raises(CheckpointError, match="'diagnosis' snapshot"):
-            store.get(self.KEY)
-
-    def test_fingerprint_mismatch_refused(self, tmp_path):
-        store = TrainedStateDir(str(tmp_path))
-        store[self.KEY] = {"p": 1}
-        other = '{"program":"gzip","runs":20}'
-        self._entry(store).replace(self._entry(store, other))
-        with pytest.raises(CheckpointError, match="fingerprint"):
-            store.get(other)
-
-    def test_fingerprint_comparison_is_json_normalised(self, tmp_path):
-        # The fingerprint is the canonical-JSON store key: params given
-        # as a tuple or as a list name one entry.
-        program, nn = get_bug("gzip"), create("nn")
-        as_tuple = nn.store_key({}, program, 4, 0, {"seeds": (1, 2)})
-        as_list = nn.store_key({}, program, 4, 0, {"seeds": [1, 2]})
-        assert as_tuple == as_list
-        store = TrainedStateDir(str(tmp_path))
-        store[as_tuple] = {"p": 1}
-        assert store.get(as_list) == {"p": 1}
-
-    def test_unsupported_format_refused(self, tmp_path):
-        store = TrainedStateDir(str(tmp_path))
-        store[self.KEY] = {"p": 1}
-        self._rewrite(self._entry(store), format=2)
-        with pytest.raises(CheckpointError, match="unsupported"):
-            store.get(self.KEY)
-
-    def test_checksum_detects_tampering(self, tmp_path):
-        store = TrainedStateDir(str(tmp_path))
-        store[self.KEY] = {"p": [1, 2, 3]}
-        path = self._entry(store)
-        body = json.loads(path.read_text())
-        body["phases"]["state"]["p"] = [1, 2, 4]
-        path.write_text(json.dumps(body))
-        with pytest.raises(CheckpointError, match="checksum"):
-            store.get(self.KEY)
-
-    def test_truncated_file_detected(self, tmp_path):
-        store = TrainedStateDir(str(tmp_path))
-        store[self.KEY] = {"p": 1}
-        path = self._entry(store)
-        path.write_text(path.read_text()[:-20])
-        with pytest.raises(CheckpointError):
-            store.get(self.KEY)
-
-    def test_saves_are_atomic(self, tmp_path):
-        store = TrainedStateDir(str(tmp_path))
-        for i in range(5):
-            store[self.KEY] = {"i": list(range(i))}
-            # no tmp file left, and every intermediate file is whole
-            assert os.listdir(tmp_path) == [self._entry(store).name]
-            assert store.get(self.KEY) == {"i": list(range(i))}
-
-    def test_concurrent_saves_to_one_path_both_land(self, tmp_path,
-                                                    monkeypatch):
-        # A second save to the same entry runs between the first save's
-        # write and its rename -- two processes filling one cache entry.
-        # With a shared tmp name the inner save renames the outer's file
-        # away and the outer rename fails (or moves a torn file in).
-        store = TrainedStateDir(str(tmp_path))
-        real_replace = os.replace
-        calls = []
-
-        def replace(src, dst):
-            calls.append(src)
-            if len(calls) == 1:
-                store[self.KEY] = {"p": "inner"}
-            real_replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", replace)
-        store[self.KEY] = {"p": "outer"}
-        assert len(calls) == 2 and calls[0] != calls[1]
-        assert store.get(self.KEY) == {"p": "outer"}
-        assert os.listdir(tmp_path) == [self._entry(store).name]
-
-    def test_concurrent_processes_saving_one_path(self, tmp_path):
-        # More writers than cores, each saving the same entry in a loop:
-        # every save must succeed and the file must always load whole.
-        script = ("import sys\n"
-                  "from repro.engines import TrainedStateDir\n"
-                  "store = TrainedStateDir(sys.argv[1])\n"
-                  "for i in range(40):\n"
-                  "    store['k'] = {'w': sys.argv[2], 'i': i}\n")
-        env = dict(os.environ)
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
-        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-        procs = [subprocess.Popen([sys.executable, "-c", script,
-                                   str(tmp_path), str(n)], env=env,
-                                  stderr=subprocess.PIPE, text=True)
-                 for n in range(2 * (os.cpu_count() or 1) + 2)]
-        for proc in procs:
-            _, err = proc.communicate(timeout=120)
-            assert proc.returncode == 0, err[-500:]
-        store = TrainedStateDir(str(tmp_path))
-        assert store.get("k")["i"] == 39
-        assert os.listdir(tmp_path) == [self._entry(store, "k").name]
-
-    def test_failed_save_removes_its_tmp_file(self, tmp_path, monkeypatch):
-        def replace(src, dst):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(os, "replace", replace)
-        with pytest.raises(OSError, match="disk full"):
-            TrainedStateDir(str(tmp_path))[self.KEY] = {"p": 1}
-        assert os.listdir(tmp_path) == []
-
-    def test_telemetry_counters(self, tmp_path):
-        store = TrainedStateDir(str(tmp_path))
-        with telemetry.use_registry(telemetry.Registry()) as reg:
-            assert store.get(self.KEY) is None
-            store[self.KEY] = {"p": 1}
-            store[self.KEY] = {"p": 2}
-            assert store.get(self.KEY) == {"p": 2}
-        counters = reg.snapshot()["counters"]
-        assert (counters["cache.saves"], counters["cache.hits"],
-                counters["cache.misses"]) == (2, 1, 1)

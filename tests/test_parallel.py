@@ -16,7 +16,7 @@ from repro.common.errors import ReproError, SimulatedFailure, WorkerKilled
 from repro.analysis.accuracy import CorpusSpec, run_corpus
 from repro.core.config import ACTConfig
 from repro.core.offline import OfflineTrainer, collect_correct_runs
-from repro.faults import FaultPlan, Quarantine, use_plan
+from repro.faults import Quarantine
 from repro.parallel import (
     PoolHandle,
     get_pool,
@@ -54,6 +54,13 @@ def _always_crash(_x):
     os._exit(1)
 
 
+def _double_but_fail_on_one(x):
+    """Double ``x``, but item 1 raises, as a unit whose run fails would."""
+    if x == 1:
+        raise ReproError("unit 1 failed")
+    return 2 * x
+
+
 class TestResolveJobs:
     def test_defaults_to_serial(self):
         assert resolve_jobs(None) == 1
@@ -86,68 +93,41 @@ class TestRunTasks:
 
 
 class TestWorkerDeathRecovery:
-    """Injected worker kills: bounded retry, quarantine, determinism."""
-
-    @pytest.mark.parametrize("jobs", [None, 2])
-    def test_killed_task_is_retried_transparently(self, jobs):
-        plan = FaultPlan(seed=0, kill_tasks=((1, 0),))
-        with use_plan(plan):
-            with telemetry.use_registry(telemetry.Registry()) as reg:
-                results = run_tasks(_double, [0, 1, 2], jobs=jobs)
-        assert results == [0, 2, 4]
-        counters = reg.snapshot()["counters"]
-        assert counters["faults.worker_kills"] == 1
-        assert counters["parallel.retries"] == 1
-
-    @pytest.mark.parametrize("jobs", [None, 2])
-    def test_exhausted_retries_raise_worker_killed(self, jobs):
-        plan = FaultPlan(seed=0, kill_tasks=((1, 0), (1, 1), (1, 2)),
-                         max_retries=2)
-        with use_plan(plan):
-            with pytest.raises(WorkerKilled) as err:
-                run_tasks(_double, [0, 1, 2], jobs=jobs)
-        assert err.value.task_index == 1
-        assert err.value.attempt == 2
+    """Failed units go to the quarantine; a broken pool is rebuilt."""
 
     def test_serial_and_parallel_raise_identically(self):
-        plan = FaultPlan(seed=0, kill_tasks=((1, 0), (1, 1), (1, 2)),
-                         max_retries=2)
+        # Without a quarantine, a unit's ReproError propagates.
         errors = []
         for jobs in (None, 2):
-            with use_plan(plan):
-                with pytest.raises(WorkerKilled) as err:
-                    run_tasks(_double, [0, 1, 2], jobs=jobs)
-            errors.append(str(err.value))
-        assert errors[0] == errors[1]
+            with pytest.raises(ReproError) as err:
+                run_tasks(_double_but_fail_on_one, [0, 1, 2], jobs=jobs)
+            errors.append((type(err.value), str(err.value)))
+        assert errors == [(ReproError, "unit 1 failed")] * 2
 
     @pytest.mark.parametrize("jobs", [None, 2])
-    def test_quarantine_absorbs_exhausted_kills(self, jobs):
-        plan = FaultPlan(seed=0, kill_tasks=((1, 0), (1, 1), (1, 2)),
-                         max_retries=2)
+    def test_quarantine_absorbs_failed_tasks(self, jobs):
         quarantine = Quarantine()
-        with use_plan(plan):
-            results = run_tasks(_double, [0, 1, 2], jobs=jobs,
-                                quarantine=quarantine, phase="test")
+        results = run_tasks(_double_but_fail_on_one, [0, 1, 2], jobs=jobs,
+                            quarantine=quarantine, phase="test")
         assert results == [0, None, 4]
         assert len(quarantine) == 1
         record = quarantine.records[0]
         assert record.phase == "test"
         assert record.key == 1
-        assert record.error_type == "WorkerKilled"
-        assert record.attempts == 3
+        assert record.error_type == "ReproError"
+        assert record.attempts == 1
 
-    def test_kill_keyed_by_quarantine_key_not_position(self):
-        # keys name the units (e.g. run seeds); the kill follows the
-        # key, so splitting a batch differently kills the same unit.
-        plan = FaultPlan(seed=0, kill_tasks=((104, 0),), max_retries=0)
+    def test_quarantine_keyed_by_task_key_not_position(self):
+        # keys name the units (e.g. run seeds); the record follows the
+        # key, so splitting a batch differently records the same unit.
         quarantine = Quarantine()
-        with use_plan(plan):
-            whole = run_tasks(_double, [3, 4, 5], quarantine=quarantine,
-                              keys=[103, 104, 105], phase="test")
-            split = [run_tasks(_double, [x], quarantine=quarantine,
-                               keys=[k], phase="test")[0]
-                     for k, x in [(103, 3), (104, 4), (105, 5)]]
-        assert whole == split == [6, None, 10]
+        whole = run_tasks(_double_but_fail_on_one, [0, 1, 2],
+                          quarantine=quarantine, keys=[103, 104, 105],
+                          phase="test")
+        split = [run_tasks(_double_but_fail_on_one, [x],
+                           quarantine=quarantine, keys=[k], phase="test")[0]
+                 for k, x in [(103, 0), (104, 1), (105, 2)]]
+        assert whole == split == [0, None, 4]
         assert quarantine.keys() == [104, 104]
 
     def test_real_worker_crash_restarts_pool(self, tmp_path):
@@ -158,31 +138,18 @@ class TestWorkerDeathRecovery:
         assert results == [0, 2, 4]
         counters = reg.snapshot()["counters"]
         assert counters["parallel.pool_restarts"] >= 1
-        assert counters["faults.worker_kills"] >= 1
 
     def test_real_crash_names_the_task_key(self):
-        # A genuine crash reports the task key, as the serial and
-        # injected-kill paths do -- not the item's position in the batch.
-        plan = FaultPlan(seed=0, max_retries=0)
-        with use_plan(plan):
-            with pytest.raises(WorkerKilled) as err:
-                run_tasks(_always_crash, [0, 1], jobs=2, keys=[100, 101])
+        # A genuine crash reports the task key, as a quarantine record
+        # does -- not the item's position in the batch.
+        with pytest.raises(WorkerKilled) as err:
+            run_tasks(_always_crash, [0, 1], jobs=2, keys=[100, 101])
         assert err.value.task_index == 100
         assert "task 100," in str(err.value)
 
     def test_keys_must_match_items(self):
         with pytest.raises(ReproError):
             run_tasks(_double, [1, 2], keys=[1])
-
-    def test_backoff_sleeps_are_bounded(self):
-        import time
-
-        plan = FaultPlan(seed=0, kill_tasks=((0, 0),), max_retries=1,
-                         retry_backoff=0.01)
-        t0 = time.time()
-        with use_plan(plan):
-            assert run_tasks(_double, [5]) == [10]
-        assert 0.01 <= time.time() - t0 < 1.0
 
 
 def _tree_is_coherent(span, parent_id=None):
@@ -196,13 +163,12 @@ def _tree_is_coherent(span, parent_id=None):
 class TestSpanStitching:
     """Tracing v2: worker spans land under the coordinator's span."""
 
-    def _dispatch(self, jobs, plan=None, quarantine=None):
+    def _dispatch(self, jobs, fn=_double, quarantine=None):
         reg = telemetry.Registry(clock=telemetry.TickClock())
-        with use_plan(plan or FaultPlan()):
-            with telemetry.use_registry(reg):
-                with reg.span("dispatch"):
-                    results = run_tasks(_double, [0, 1, 2], jobs=jobs,
-                                        quarantine=quarantine, phase="test")
+        with telemetry.use_registry(reg):
+            with reg.span("dispatch"):
+                results = run_tasks(fn, [0, 1, 2], jobs=jobs,
+                                    quarantine=quarantine, phase="test")
         return reg, results
 
     def test_worker_spans_parent_under_dispatch(self):
@@ -228,13 +194,11 @@ class TestSpanStitching:
         assert names == ["parallel.task"] * 3
 
     @pytest.mark.parametrize("jobs", [None, 2])
-    def test_killed_worker_leaves_orphaned_span(self, jobs):
-        # Task key 1 dies on every attempt; the tree must still be
+    def test_quarantined_task_leaves_orphaned_span(self, jobs):
+        # Task key 1 fails and is quarantined; the tree must still be
         # coherent, with the lost task flagged at its dispatch site.
-        plan = FaultPlan(seed=0, kill_tasks=((1, 0), (1, 1), (1, 2)),
-                         max_retries=2)
         quarantine = Quarantine()
-        reg, results = self._dispatch(jobs=jobs, plan=plan,
+        reg, results = self._dispatch(jobs=jobs, fn=_double_but_fail_on_one,
                                       quarantine=quarantine)
         assert results == [0, None, 4]
         (root,) = reg.snapshot()["spans"]
@@ -245,8 +209,8 @@ class TestSpanStitching:
         assert len(orphans) == 1
         assert orphans[0]["attrs"]["key"] == 1
         assert orphans[0]["duration_s"] == 0.0
-        survivors = [t for t in tasks if t.get("status") != "orphaned"]
-        assert len(survivors) == 2
+        finished = [t for t in tasks if "status" not in t]
+        assert sorted(t["attrs"]["key"] for t in finished) == [0, 2]
 
     def test_batches_get_distinct_scopes(self):
         reg = telemetry.Registry(clock=telemetry.TickClock())
