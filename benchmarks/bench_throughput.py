@@ -21,6 +21,10 @@ phase.
    each deployment scored its windows afresh). The figure is the
    per-dependence step of a warm, TESTING-dominated deployment. It is
    absolute, so the trend history tracks it without gating it.
+   ``replay.miss_us`` prices what the memo saves: the median
+   microseconds to encode and score one window with the AMs' shared
+   network, as a module does on a window its dict does not hold, over
+   the distinct windows of the same runs (tracked, not gated).
 2. **Corpus fan-out** -- wall time of a preset-scaled corpus
    (:func:`~repro.analysis.accuracy.run_corpus_for_preset`) serial and
    with ``jobs=2`` on a live pool, from the median of alternating
@@ -111,7 +115,7 @@ from repro.core.deploy import deploy_on_run
 from repro.core.offline import OfflineTrainer
 from repro.nn.trainer import train_network
 from repro.sim.machine import simulate_run
-from repro.trace.raw import extract_raw_deps
+from repro.trace.raw import dep_sequences, extract_raw_deps
 from repro.workloads.framework import run_program
 from repro.workloads.registry import all_bug_names, get_bug, get_kernel
 
@@ -261,6 +265,35 @@ def replay_runs(trained, runs):
     return n_deps, n_switches
 
 
+def replay_windows(trained, runs):
+    """The distinct windows the per-core AMs see over ``runs``, in
+    first-seen order."""
+    seq_len = trained.config.seq_len
+    windows = {}
+    for run in runs:
+        streams = extract_raw_deps(
+            run, filter_stack=trained.config.filter_stack_loads)
+        for stream in streams.values():
+            windows.update(dict.fromkeys(dep_sequences(stream, seq_len)))
+    return list(windows)
+
+
+def miss_seconds(trained, windows, min_seconds=0.5):
+    """Median seconds to encode and score one window on a cold memo:
+    the work :meth:`ACTModule.process_dep` does for a window its dict
+    does not hold, on the network the trained state shares."""
+    output = trained.make_module(0).net.output
+    encode = trained.encoder.encode_seq
+    clock = time.perf_counter
+    samples = []
+    while sum(samples) < min_seconds:
+        for seq in windows:
+            t0 = clock()
+            output(encode(seq))
+            samples.append(clock() - t0)
+    return statistics.median(samples)
+
+
 def simulate_kernels(inputs):
     """Base and ACT replay of each (run, trained); returns accesses."""
     n_accesses = 0
@@ -314,6 +347,8 @@ def test_throughput(preset, save_result, monkeypatch):
     t_replay, (replay_deps, replay_switches) = _median_of(
         lambda: replay_runs(trained, replay_inputs))
     replay_dps = replay_deps / t_replay
+    windows = replay_windows(trained, replay_inputs)
+    miss_s = miss_seconds(trained, windows)
 
     # --- timing simulation of the Table III kernels -------------------
     sim_inputs = []
@@ -438,6 +473,8 @@ def test_throughput(preset, save_result, monkeypatch):
             "seconds": round(t_replay, 6),
             "deps_per_sec": round(replay_dps, 1),
             "mode_switches": replay_switches,
+            "distinct_windows": len(windows),
+            "miss_us": round(miss_s * 1e6, 3),
         },
         "sim": {
             "kernels": len(sim_inputs),
@@ -515,6 +552,8 @@ def test_throughput(preset, save_result, monkeypatch):
         "distinct lu runs)",
         f"  deps replayed       : {replay_deps}",
         f"  throughput          : {replay_dps:,.0f} deps/sec",
+        f"  memo miss           : {miss_s * 1e6:.2f} us/window "
+        f"({len(windows)} distinct windows)",
         "",
         f"Timing simulation ({len(sim_inputs)} Table III kernels at large "
         "scale, base + ACT)",

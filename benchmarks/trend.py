@@ -15,7 +15,8 @@ not trip the gates, and a corpus run that doubled against the same
 host's reference loop (the widened ``corpus_wall_seconds / host.ref_s``
 gate) signals a real pipeline regression, not a slow host. Absolute
 throughput (program-execution events/sec, replay deps/sec, simulated
-memory accesses/sec) and the host reference loop ``host.ref_s`` are
+memory accesses/sec), the replay memo's miss cost (``replay.miss_us``)
+and the host reference loop ``host.ref_s`` are
 still recorded in every entry so the trajectory can be plotted, and a
 faster host told apart from faster code.
 
@@ -65,6 +66,9 @@ GATED_METRICS = {
 TRACKED_METRICS = {
     "execution.events_per_sec": "higher",
     "replay.deps_per_sec": "higher",
+    # Microseconds to encode and score one window the replay memo does
+    # not hold (deps_per_sec times memo hits).
+    "replay.miss_us": "lower",
     "sim.accesses_per_sec": "higher",
     "training.epochs_per_sec": "higher",
     # Seconds of a fixed pure-Python loop: the host's speed, not the

@@ -118,9 +118,12 @@ class ACTModule:
         self.net = net
         # Window -> network output at the weights ``net`` starts from: a
         # host-side shortcut (the hardware evaluates every window, and the
-        # timing model charges each one). ``outputs`` is shared by modules
-        # starting from the same trained weights (TrainedACT.make_module);
+        # timing model charges each one). ``outputs`` and ``net`` come
+        # together from TrainedACT.make_module, shared by every module
+        # starting from the same trained weights: the module clones
+        # ``net`` before its first in-place change (_own_net), and
         # process_dep moves to a private dict once the network changes.
+        self._shared_net = None if outputs is None else net
         self._outputs = {} if outputs is None else outputs
         self._outputs_net = net
         self._outputs_version = net.version
@@ -192,11 +195,11 @@ class ACTModule:
             if self.mode is Mode.TRAINING:
                 # Online training treats every dependence as valid; a
                 # predicted-invalid one is a misprediction to learn away.
-                # The update bumps net.version, so the next step scores
-                # into a fresh private dict.
-                net.train_example(self.encoder.encode_seq(seq),
-                                  self._ONLINE_TARGET,
-                                  self.config.learning_rate)
+                # The update goes to a private network, so the next step
+                # scores into a fresh private dict.
+                self._own_net().train_example(
+                    self.encoder.encode_seq(seq), self._ONLINE_TARGET,
+                    self.config.learning_rate)
                 self.stats.online_trained += 1
 
         self._window_count += 1
@@ -232,4 +235,14 @@ class ACTModule:
 
     def restore_weights(self, flat):
         """Write the weight register array (a loop of ``stwt``)."""
-        self.net.write_weights(flat)
+        self._own_net().write_weights(flat)
+
+    def _own_net(self):
+        """The module's network, first cloned if it is the shared one.
+
+        Every in-place weight change goes through here, so a write never
+        reaches the network other modules (and the trained state) read.
+        """
+        if self.net is self._shared_net:
+            self.net = self.net.clone()
+        return self.net

@@ -76,7 +76,7 @@ def _heal_module(module, trained, tid, quarantine):
     fallback = np.asarray(trained.default_weights, dtype=float)
     if not np.isfinite(fallback).all():
         fallback = np.zeros_like(flat)
-    module.net.write_weights(fallback)
+    module.restore_weights(fallback)
     telemetry.get_registry().inc("faults.weights_healed")
     if quarantine is not None:
         quarantine.admit(

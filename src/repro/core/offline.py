@@ -198,9 +198,11 @@ class TrainedACT:
     #: not serialised, not compared, not a constructor argument.
     _correct_sets: dict = field(default_factory=dict, init=False,
                                 repr=False, compare=False)
-    #: Window -> output dicts shared by the AMs, by weight vector held
-    #: (None for the default, else the tid), with the weights, sigmoid
-    #: table and encoder each was scored with. A cache, like the above.
+    #: Scoring state shared by the AMs, by weight vector held (None for
+    #: the default, else the tid): the key it was built for (the
+    #: weights' bytes, topology, sigmoid table and encoder), the window
+    #: -> output dict and the network built from those weights. A cache,
+    #: like the above.
     _scores: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
@@ -208,21 +210,28 @@ class TrainedACT:
         """Weights for a thread, falling back to the pooled default."""
         return self.weights.get(tid, self.default_weights)
 
-    def make_network(self, tid=0):
-        """The thread's network, built from its saved weights."""
-        flat = self.weights_for(tid)
-        plan = _faults.get_plan()
-        if plan.enabled and plan.fires("weight_flip", tid):
-            # Injected soft error in the weight register file: one
-            # weight becomes NaN/Inf. Deployment heals it (see
-            # repro.core.deploy) by falling back to pristine weights.
-            flat = _faults.flip_weights(flat, plan, tid)
-            telemetry.get_registry().inc("faults.weight_flips")
+    def _network(self, flat):
         return OneHiddenLayerNet(
             self.config.n_inputs, self.config.n_hidden,
             max_inputs=self.config.max_inputs,
             sigmoid=SigmoidTable(self.config.sigmoid_resolution),
             weights=flat)
+
+    def _flipped_weights(self, tid):
+        """The thread's weights after an injected ``weight_flip`` (a soft
+        error in the weight register file: one weight becomes NaN/Inf),
+        or None when the site does not fire. Deployment heals them (see
+        repro.core.deploy) by falling back to pristine weights."""
+        plan = _faults.get_plan()
+        if not (plan.enabled and plan.fires("weight_flip", tid)):
+            return None
+        telemetry.get_registry().inc("faults.weight_flips")
+        return _faults.flip_weights(self.weights_for(tid), plan, tid)
+
+    def make_network(self, tid=0):
+        """The thread's network, built from its saved weights."""
+        flat = self._flipped_weights(tid)
+        return self._network(self.weights_for(tid) if flat is None else flat)
 
     def make_module(self, tid=0, config=None):
         """A fresh AM for one core, initialised with the thread's weights.
@@ -231,27 +240,33 @@ class TrainedACT:
         saved weights (else the defaults) and a loop of ``stwt`` loads
         them into the AM. ``config`` replaces the trained configuration
         (the timing simulator's hardware overrides).
+
+        Modules starting from the same stored weights share one network
+        and one window -> output dict (a host-side shortcut: each core's
+        AM holds its own copy of the weights); a module clones the
+        network before it writes it. A module whose weights a
+        ``weight_flip`` fault damaged builds its own and scores alone.
         """
-        net = self.make_network(tid)
+        flipped = self._flipped_weights(tid)
+        if flipped is None:
+            net, outputs = self._scoring(tid)
+        else:
+            net, outputs = self._network(flipped), None
         return ACTModule(config=config or self.config, encoder=self.encoder,
-                         net=net, tid=tid, outputs=self._scores_for(tid, net))
+                         net=net, tid=tid, outputs=outputs)
 
-    def _scores_for(self, tid, net):
-        """The shared window -> output dict for ``net``'s weights.
-
-        None when ``net`` does not hold the thread's stored weights (a
-        ``weight_flip`` fault changed them): that module scores alone.
-        """
-        weights = net.read_weights().tobytes()
-        if weights != np.asarray(self.weights_for(tid), float).tobytes():
-            return None
-        key = (weights, net.sigmoid.resolution, net.sigmoid.clip,
-               self.encoder)
+    def _scoring(self, tid):
+        """The shared network and window -> output dict of the thread's
+        stored weights, rebuilt when what they were built for changed."""
+        flat = np.asarray(self.weights_for(tid), float)
+        cfg = self.config
+        key = (flat.tobytes(), cfg.n_inputs, cfg.n_hidden,
+               cfg.sigmoid_resolution, self.encoder)
         slot = tid if tid in self.weights else None
         held = self._scores.get(slot)
         if held is None or held[0] != key:
-            held = self._scores[slot] = (key, {})
-        return held[1]
+            held = self._scores[slot] = (key, {}, self._network(flat))
+        return held[2], held[1]
 
     def record_thread_weights(self, tid, flat):
         """Patch the binary with weights read out at thread exit.
@@ -332,12 +347,8 @@ class TrainedACT:
 
         updated = 0
         for key in [None] + list(self.weights):
-            net = OneHiddenLayerNet(
-                self.config.n_inputs, self.config.n_hidden,
-                max_inputs=self.config.max_inputs,
-                sigmoid=SigmoidTable(self.config.sigmoid_resolution),
-                weights=(self.default_weights if key is None
-                         else self.weights[key]))
+            net = self._network(self.default_weights if key is None
+                                else self.weights[key])
             fit_from(net, xs_pos, xs_neg, train_config)
             flat = net.read_weights()
             if key is None:

@@ -191,6 +191,7 @@ def _invoke(payload):
     the quarantine per item.
     """
     fn, item, key, tspec, plan = payload
+    reg = None
     try:
         with _faults.use_plan(plan):
             if tspec is None:
@@ -206,7 +207,9 @@ def _invoke(payload):
                     out = fn(item)
             return "ok", out, reg.snapshot(exact=True)
     except Exception as e:  # noqa: BLE001 - re-raised in the parent
-        return "error", e, None
+        # The failed task's telemetry (its span closed with status
+        # ``error``) goes home too, as the serial loop keeps it.
+        return "error", e, None if reg is None else reg.snapshot(exact=True)
 
 
 def _lose(quarantine, tele, phase, key, error, attempts):
@@ -233,7 +236,13 @@ def _run_serial(fn, items, keys, quarantine, phase, tele):
 
 
 def _run_pool(fn, items, keys, quarantine, phase, tele, n_workers):
-    """Dispatch items across the warm pool, rebuilding it if it breaks."""
+    """Dispatch items across the warm pool, rebuilding it if it breaks.
+
+    The outcomes are applied in item order, as the serial loop meets
+    them: each item's telemetry is merged and its spans attached under
+    the dispatching span, then a failed item is quarantined (leaving its
+    ``orphaned`` span after its own) or, without a quarantine, raised.
+    """
     from concurrent.futures.process import BrokenProcessPool
 
     tspec = _tele_spec(tele, phase)
@@ -260,7 +269,7 @@ def _run_pool(fn, items, keys, quarantine, phase, tele, n_workers):
             try:
                 if future is None:
                     raise BrokenProcessPool("pool broken at submit")
-                tag, value, snap = future.result()
+                tag, value, snaps[index] = future.result()
             except BrokenProcessPool:
                 # A real worker death: every item in flight on this
                 # pool fails together.
@@ -268,7 +277,6 @@ def _run_pool(fn, items, keys, quarantine, phase, tele, n_workers):
                 continue
             if tag == "ok":
                 results[index] = value
-                snaps[index] = snap
             else:
                 errors[index] = value
         if not broken:
@@ -282,16 +290,20 @@ def _run_pool(fn, items, keys, quarantine, phase, tele, n_workers):
                 f"worker process died (task {keys[index]}, attempt "
                 f"{POOL_RERUNS}); re-runs exhausted",
                 task_index=keys[index], attempt=POOL_RERUNS)
-    if quarantine is not None:
-        for index in sorted(errors):
-            e = errors[index]
-            if isinstance(e, ReproError):
-                _lose(quarantine, tele, phase, keys[index], e,
-                      POOL_RERUNS + 1 if isinstance(e, WorkerKilled) else 1)
-                del errors[index]
-    if errors:
-        raise errors[min(errors)]
-    return results, snaps
+    for index in range(n):
+        snap = snaps[index]
+        if snap:
+            tele.merge_snapshot(snap)
+            if snap.get("spans"):
+                tele.tracer.attach(snap["spans"])
+        e = errors.get(index)
+        if e is None:
+            continue
+        if quarantine is None or not isinstance(e, ReproError):
+            raise e
+        _lose(quarantine, tele, phase, keys[index], e,
+              POOL_RERUNS + 1 if isinstance(e, WorkerKilled) else 1)
+    return results
 
 
 def run_tasks(fn, items, jobs=None, quarantine=None, phase="parallel",
@@ -328,15 +340,9 @@ def run_tasks(fn, items, jobs=None, quarantine=None, phase="parallel",
     n_workers = min(resolve_jobs(jobs), len(items))
     if n_workers <= 1:
         return _run_serial(fn, items, keys, quarantine, phase, tele)
-    results, snaps = _run_pool(fn, items, keys, quarantine, phase, tele,
-                               n_workers)
+    results = _run_pool(fn, items, keys, quarantine, phase, tele,
+                        n_workers)
     if tele.enabled:
         tele.inc("parallel.batches")
         tele.inc("parallel.tasks", len(items))
-        for snap in snaps:
-            if not snap:
-                continue
-            tele.merge_snapshot(snap)
-            if snap.get("spans"):
-                tele.tracer.attach(snap["spans"])
     return results

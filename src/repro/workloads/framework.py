@@ -21,6 +21,14 @@ operations built by its :class:`ThreadCtx`:
 Memory values live in a scheduler-owned dict keyed by word address, so
 value semantics are exactly sequential consistency in trace order.
 
+The build contract: :meth:`Program.build` returns a
+:class:`ProgramInstance` that may be run any number of times, and its
+thread bodies keep no state between runs (each run calls every body
+afresh; what a run computes lives in the scheduler's memory and the
+trace, never in a closure). :func:`run_program` relies on it: a program
+is built once per distinct set of build parameters, and that instance
+serves every run until the parameters change.
+
 :func:`run_program` is also the trace fault boundary: the active
 :class:`~repro.faults.FaultPlan` may drop and reorder the events of the
 run it returns (a lossy production tracer), so every consumer of the
@@ -272,12 +280,31 @@ class ProgramInstance:
 
 
 class Program:
-    """Base class for workloads. Subclasses override :meth:`build`."""
+    """Base class for workloads. Subclasses override :meth:`build`,
+    which must keep the build contract in the module docstring."""
 
     name = "program"
 
     def build(self, **params) -> ProgramInstance:
         raise NotImplementedError
+
+    def instance(self, params):
+        """``build(**params)``, reused while ``params`` equal the last call's.
+
+        The program keeps only its most recent instance: a program whose
+        parameters vary per seed (``input_seed``) simply rebuilds. A
+        host-side shortcut (the built instance is the same either way);
+        it is not pickled with the program.
+        """
+        last = self.__dict__.get("_built")
+        if last is None or last[0] != params:
+            last = self._built = (params, self.build(**params))
+        return last[1]
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_built", None)
+        return state
 
     def default_params(self):
         return {}
@@ -421,12 +448,17 @@ class Scheduler:
 
 
 def run_program(program, seed=0, scheduler=None, **params):
-    """Build ``program`` with ``params`` and run it under a seeded scheduler."""
+    """Build ``program`` with ``params`` and run it under a seeded scheduler.
+
+    A :class:`Program` is built once per distinct set of merged build
+    parameters (:meth:`Program.instance`), so runs that differ only in
+    their seed share one instance.
+    """
     if isinstance(program, Program):
         merged = dict(program.default_params())
         merged.update(program.params_for_seed(seed))
         merged.update(params)
-        instance = program.build(**merged)
+        instance = program.instance(merged)
     elif isinstance(program, ProgramInstance):
         if params:
             raise ReproError("cannot re-parameterise a built instance")

@@ -48,14 +48,15 @@ class TestDeploy:
         assert result.n_invalid <= result.n_predictions * 0.2
 
 
+@pytest.fixture(scope="module")
+def runs():
+    lu = get_kernel("lu")
+    return [run_program(lu, seed=seed) for seed in (9, 10)]
+
+
 class TestSharedWindowOutputs:
     """AMs that start from the same trained weights share one window ->
     output dict, across a replay's threads and across replays."""
-
-    @pytest.fixture(scope="class")
-    def runs(self):
-        lu = get_kernel("lu")
-        return [run_program(lu, seed=seed) for seed in (9, 10)]
 
     @staticmethod
     def _trained(runs, seed=0):
@@ -160,3 +161,119 @@ class TestSharedWindowOutputs:
         assert t.to_payload() == blank.to_payload()
         assert "_scores" not in repr(t)
         assert self._fresh(t)._scores == {}
+
+
+class TestSharedNetwork:
+    """AMs that start from the same trained weights share the network
+    built from them until they write it."""
+
+    _trained = staticmethod(TestSharedWindowOutputs._trained)
+
+    @staticmethod
+    def _state(t):
+        return (t.default_weights.tobytes(),
+                {tid: w.tobytes() for tid, w in t.weights.items()})
+
+    def test_modules_share_one_network(self, runs):
+        t = self._trained(runs)
+        net = t.make_module(0).net
+        assert t.make_module(1).net is net
+        assert t._scores[None][2] is net
+        assert net.read_weights().tobytes() == t.default_weights.tobytes()
+
+    def test_online_training_writes_a_private_copy(self, runs):
+        t = self._trained(runs)
+        before = self._state(t)
+        bystander = t.make_module(0)
+        net, shared = bystander.net, bystander._outputs
+        version, weights = net.version, net.read_weights()
+        result = deploy_on_run(t, runs[0])
+        assert all(m.stats.online_trained for m in result.modules.values())
+        for module in result.modules.values():
+            assert module.net is not net
+            assert module._outputs is not shared
+        assert bystander.net is net and bystander._outputs is shared
+        assert net.version == version
+        assert np.array_equal(net.read_weights(), weights)
+        assert self._state(t) == before
+        assert t._scores[None][1] is shared and t._scores[None][2] is net
+        reference = self._trained(runs)
+        for seq, output in shared.items():
+            assert output == reference.make_network().output(
+                t.encoder.encode_seq(seq))
+
+    def test_restore_weights_writes_a_private_copy(self, runs):
+        t = self._trained(runs)
+        before = self._state(t)
+        module = t.make_module(0)
+        net, weights = module.net, module.net.read_weights()
+        zeros = np.zeros(net.n_weight_registers)
+        module.restore_weights(zeros)
+        assert module.net is not net
+        assert np.array_equal(module.save_weights(), zeros)
+        assert np.array_equal(net.read_weights(), weights)
+        assert self._state(t) == before
+        assert t.make_module(1).net is net
+
+    def test_heal_writes_a_private_copy(self, runs):
+        from repro.core.deploy import _heal_module
+
+        t = self._trained(runs)
+        damaged = t.default_weights.copy()
+        damaged[0] = np.nan
+        t.record_thread_weights(2, damaged)
+        before = self._state(t)
+        module = t.make_module(2)
+        net = module.net
+        assert t._scores[2][2] is net
+        assert _heal_module(module, t, 2, None) is module
+        assert module.net is not net
+        assert np.array_equal(module.save_weights(), t.default_weights)
+        assert np.isnan(net.read_weights()[0])
+        assert self._state(t) == before
+        assert t.make_module(2).net is net
+
+    def test_weight_flip_builds_its_own_network(self, runs):
+        t = self._trained(runs)
+        net = t.make_module(0).net
+        with use_plan(FaultPlan(seed=9, weight_flip=1.0)):
+            flipped = t.make_module(0)
+        assert flipped.net is not net
+        assert not np.isfinite(flipped.save_weights()).all()
+        assert np.isfinite(net.read_weights()).all()
+
+    # The two writers of the stored weights: each must leave the next
+    # module scoring the new weights with a new network and a new dict.
+
+    def _rescored(self, runs, t, tid, write):
+        deploy_on_run(t, runs[0])
+        old = t.make_module(tid)
+        write(t)
+        new = t.make_module(tid)
+        assert new.net is not old.net
+        assert new._outputs is not old._outputs and not new._outputs
+        assert np.array_equal(new.save_weights(), t.weights_for(tid))
+        assert not np.array_equal(new.save_weights(), old.save_weights())
+        deploy_on_run(t, runs[1])
+        reference = t.make_network(tid)
+        assert new._outputs
+        for seq, output in new._outputs.items():
+            assert output == reference.output(t.encoder.encode_seq(seq))
+
+    def test_negative_feedback_rescores(self, runs):
+        t = self._trained(runs, seed=1)
+
+        def feedback(t):
+            # Windows the network now calls valid, taught as invalid.
+            valid = [seq for seq, output in t._scores[None][1].items()
+                     if output >= 0.5]
+            assert valid
+            assert t.train_negative_feedback(valid[:4], epochs=50) == 1
+        self._rescored(runs, t, 0, feedback)
+
+    def test_recorded_thread_weights_rescore(self, runs):
+        t = self._trained(runs, seed=1)
+        t.record_thread_weights(0, t.default_weights)
+        self._rescored(
+            runs, t, 0,
+            lambda t: t.record_thread_weights(0, t.default_weights * 0.5))

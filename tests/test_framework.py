@@ -1,5 +1,7 @@
 """Tests for the concurrent-program framework."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,18 @@ from repro.workloads.framework import (
     Scheduler,
     ThreadCtx,
     run_program,
+)
+from repro.workloads.generator import (
+    ARCHETYPES,
+    MOTIFS,
+    GeneratedProgram,
+    ProgramSpec,
+)
+from repro.workloads.registry import (
+    all_bug_names,
+    all_kernel_names,
+    get_bug,
+    get_kernel,
 )
 
 
@@ -391,3 +405,82 @@ class TestRunProgram:
         run = run_program(_TwoThreads(), seed=seed)
         assert not run.failed
         assert len(run.events) == 10
+
+
+def _fingerprint(run):
+    """Everything a run yields, store values and static code included."""
+    failure = run.failure
+    return ([(e.tid, e.pc, e.kind, e.addr, e.is_stack, e.taken, e.value)
+             for e in run.events],
+            run.failed, str(failure), getattr(failure, "tid", None),
+            getattr(failure, "pc", None), run.n_threads, run.seed, run.meta,
+            vars(run.code_map))
+
+
+def _program_factories():
+    cases = [pytest.param(lambda name=name: get_bug(name), id=name)
+             for name in all_bug_names()]
+    cases += [pytest.param(lambda name=name: get_kernel(name), id=name)
+              for name in all_kernel_names()]
+    cases += [pytest.param(
+        lambda a=a, m=m: GeneratedProgram(ProgramSpec.from_seed(
+            11, archetype=a, motif=m)), id=f"gen-{a}-{m}")
+        for a in ARCHETYPES for m in MOTIFS]
+    return cases
+
+
+class TestInstanceReuse:
+    """run_program builds a program once per distinct set of build
+    parameters; a reused instance runs exactly as a fresh build."""
+
+    @pytest.mark.parametrize("make", _program_factories())
+    def test_memo_runs_equal_fresh_builds(self, make):
+        program = make()
+        schedule = [(3, {}), (4, {}), (3, {})]
+        if "buggy" in program.default_params():
+            # A parameter change rebuilds; going back rebuilds again.
+            schedule += [(12345, {"buggy": True}), (3, {})]
+        for seed, params in schedule:
+            reused = run_program(program, seed=seed, **params)
+            fresh = run_program(make(), seed=seed, **params)
+            assert _fingerprint(reused) == _fingerprint(fresh), seed
+
+    @staticmethod
+    def _counting(program):
+        builds = []
+        build = program.build
+
+        def counted(**params):
+            builds.append(params)
+            return build(**params)
+        program.build = counted
+        return builds
+
+    def test_runs_build_once_per_distinct_params(self):
+        program = GeneratedProgram(ProgramSpec.from_seed(
+            5, archetype="order", motif="pipeline"))
+        builds = self._counting(program)
+        for seed in range(6):
+            run_program(program, seed=seed)
+        run_program(program, seed=9, buggy=True)
+        run_program(program, seed=10, buggy=True)
+        run_program(program, seed=11)
+        assert [p["buggy"] for p in builds] == [False, True, False]
+
+    def test_seeded_inputs_rebuild(self):
+        program = get_bug("gzip")
+        builds = self._counting(program)
+        for seed in (1, 2, 2, 1):
+            run_program(program, seed=seed)
+        assert [p["input_seed"] for p in builds] == [1, 2, 1]
+
+    def test_program_that_ran_still_pickles(self):
+        program = GeneratedProgram(ProgramSpec.from_seed(
+            5, archetype="order", motif="pipeline"))
+        run_program(program, seed=1)
+        assert "_built" in vars(program)
+        copy = pickle.loads(pickle.dumps(program))
+        assert "_built" not in vars(copy)
+        assert copy.spec == program.spec
+        assert (_fingerprint(run_program(copy, seed=2))
+                == _fingerprint(run_program(program, seed=2)))

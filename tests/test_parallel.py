@@ -160,6 +160,16 @@ def _tree_is_coherent(span, parent_id=None):
                for c in span.get("children", []))
 
 
+def _shape(span):
+    """(name, key, status) of every span under ``span``, depth first."""
+    out = []
+    for child in span.get("children", []):
+        out.append((child["name"], child.get("attrs", {}).get("key"),
+                    child.get("status")))
+        out.extend(_shape(child))
+    return out
+
+
 class TestSpanStitching:
     """Tracing v2: worker spans land under the coordinator's span."""
 
@@ -205,12 +215,22 @@ class TestSpanStitching:
         assert _tree_is_coherent(root)
         tasks = [c for c in root["children"]
                  if c["name"] == "parallel.task"]
-        orphans = [t for t in tasks if t.get("status") == "orphaned"]
-        assert len(orphans) == 1
-        assert orphans[0]["attrs"]["key"] == 1
-        assert orphans[0]["duration_s"] == 0.0
-        finished = [t for t in tasks if "status" not in t]
-        assert sorted(t["attrs"]["key"] for t in finished) == [0, 2]
+        assert [(t["attrs"]["key"], t.get("status")) for t in tasks] == [
+            (0, None), (1, "error"), (1, "orphaned"), (2, None)]
+        assert tasks[2]["duration_s"] == 0.0
+
+    def test_quarantined_tree_is_the_same_serially_and_pooled(self):
+        shapes = []
+        for jobs in (None, 2):
+            reg, _ = self._dispatch(jobs=jobs, fn=_double_but_fail_on_one,
+                                    quarantine=Quarantine())
+            (root,) = reg.snapshot()["spans"]
+            shapes.append(_shape(root))
+        assert shapes[0] == shapes[1]
+        assert shapes[0] == [("parallel.task", 0, None),
+                             ("parallel.task", 1, "error"),
+                             ("parallel.task", 1, "orphaned"),
+                             ("parallel.task", 2, None)]
 
     def test_batches_get_distinct_scopes(self):
         reg = telemetry.Registry(clock=telemetry.TickClock())

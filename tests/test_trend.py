@@ -228,6 +228,7 @@ def _full_payload(speedup=3.0, wall=5.0, overhead=0.5, top1=1.0):
                             "overhead_pct": 2.0}
     payload["execution"] = {"runs_per_sec": 4e3, "events_per_sec": 2e5,
                             "deps_per_sec": 8e4}
+    payload["replay"]["miss_us"] = 15.0
     payload["startup"] = {"rounds": 5, "diagnose_cpu_s": 0.3,
                           "version_cpu_s": 0.06, "numpy_cpu_s": 0.12}
     return payload
@@ -309,6 +310,7 @@ class TestDirectionalGates:
         pytest.param("execution.events_per_sec", 2e4,
                      id="execution.events_per_sec"),
         pytest.param("host.ref_s", 0.5, id="host.ref_s"),
+        pytest.param("replay.miss_us", 150.0, id="replay.miss_us"),
         pytest.param("startup.diagnose_cpu_s", 3.0,
                      id="startup.diagnose_cpu_s"),
         pytest.param("startup.version_cpu_s", 0.6,
